@@ -25,8 +25,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import CompletenessError, ConvergenceError, DomainError, \
-    InsufficientSpectrumError
+from .errors import ConvergenceError, DomainError, InsufficientSpectrumError
 from .kernels import BoundaryParam
 from .ktheta import KernelOptions, k_theta
 from .oracle import eigenvalues
@@ -114,20 +113,25 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_trace = sub.add_parser("trace", help="heat-trace curve over a t-grid")
+    # no prefix abbreviations: _apply_config matches whole flag names
+    p_trace = sub.add_parser("trace", allow_abbrev=False,
+                             help="heat-trace curve over a t-grid")
     _add_common(p_trace)
 
-    p_eigen = sub.add_parser("eigen", help="interval spectrum as CSV")
+    p_eigen = sub.add_parser("eigen", allow_abbrev=False,
+                             help="interval spectrum as CSV")
     _add_common(p_eigen, grid=False)
     p_eigen.add_argument("--lambda-max", type=float, default=4000.0)
     p_eigen.add_argument("--tol", type=float, default=1e-10)
 
-    p_kt = sub.add_parser("ktheta", help="convolution kernel values")
+    p_kt = sub.add_parser("ktheta", allow_abbrev=False,
+                          help="convolution kernel values")
     _add_common(p_kt)
     p_kt.add_argument("--t", type=float, default=None,
                       help="single evaluation time (overrides the grid)")
 
-    p_ver = sub.add_parser("verify", help="run the acceptance suite")
+    p_ver = sub.add_parser("verify", allow_abbrev=False,
+                           help="run the acceptance suite")
     p_ver.add_argument("--quick", action="store_true",
                        help="trim the slow grids; same criteria")
     p_ver.add_argument("--output", default="-")
@@ -204,13 +208,17 @@ def _cmd_trace(args):
     def one(t):
         try:
             s = full_trace(t, bp, opts, spec)
-            return (t, s.parts.friedrichs, s.parts.correction, s.value,
-                    s.parts.exotic_ref, s.est_error, "ok")
         except ConvergenceError as exc:
             print(f"rsheat trace: convergence failure at t={t:g}: {exc}",
                   file=sys.stderr)
             return (t, math.nan, math.nan, math.nan, math.nan, math.nan,
                     "convergence-failure")
+        status = "ok"
+        if not math.isfinite(s.value):
+            print(f"rsheat trace: total overflows at t={t:g}", file=sys.stderr)
+            status = "overflow"
+        return (t, s.parts.friedrichs, s.parts.correction, s.value,
+                s.parts.exotic_ref, s.est_error, status)
 
     workers = max(1, args.workers)
     if workers == 1 or len(ts) == 1:
@@ -291,7 +299,7 @@ def main(argv=None):
     except (DomainError, OSError) as exc:
         print(f"rsheat: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (ConvergenceError, CompletenessError, InsufficientSpectrumError) as exc:
+    except (ConvergenceError, InsufficientSpectrumError) as exc:
         print(f"rsheat: numerical failure: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT
 

@@ -21,9 +21,5 @@ class FitError(RuntimeError):
     """Least-squares fit failed (rank deficiency or degenerate window)."""
 
 
-class CompletenessError(RuntimeError):
-    """A finer bracket scan found roots the coarse scan missed."""
-
-
 class InsufficientSpectrumError(RuntimeError):
     """Spectrum truncated too early for the requested trace accuracy."""

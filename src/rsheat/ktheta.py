@@ -97,12 +97,6 @@ def m_main(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     return 2.0 * res.value
 
 
-def _m_main_res(t, bp, spec) -> QuadResult:
-    k2 = 2.0 * _kappa(bp)
-    r = integrate_log_tail(lambda y: np.ones_like(y), t, k2, spec)
-    return QuadResult(2.0 * r.value, 2.0 * r.est_error, r.evaluations)
-
-
 def _k1_segment_res(t, kap, spec) -> QuadResult:
     # (1/pi) Re int_0^1 e^{ity} ((1/2)log y + i pi/4 + kappa)^{-1} dy
     b = 0.25 * _PI

@@ -9,15 +9,20 @@ explicit solutions sqrt(x) Z0(sqrt(lambda) x):
 * negative spectrum (l = -mu^2):  N(mu) = (log mu + kappa) I0(mu) + K0(mu)
   (Friedrichs: I0(mu), which never vanishes).
 
-Root isolation seeds brackets from the squares of J0 zeros (the cells
-between consecutive squares carry the sign alternation of Y0 at J0
-zeros), scans each cell, and polishes by bisection + Newton.  A scan at
-doubled resolution guards against missed roots.
+Interlacing fixes the root count, so no root is searched for.  By the
+Wronskian J0 Y0' - J0' Y0 = 2/(pi r), S(l)/J0(sqrt l) has derivative
+-(1/l)(1/J0^2 - 1) <= 0: it falls from +inf to -inf across each cell
+(j_k^2, j_{k+1}^2) between squared J0 zeros, so each cell holds exactly
+one eigenvalue, and it falls from 2 tan(theta) on (0, j_1^2), which
+holds one iff tan(theta) > 0.  Likewise log mu + kappa + K0/I0 rises from
+tan(theta) to +inf, so there is one bound state iff tan(theta) < 0.  This
+is the interlacing of self-adjoint extensions with deficiency indices
+(1, 1) (the Herglotz property of the Weyl-Titchmarsh m-function).
 
 theta = 0 carries the eigenvalue 0 exactly: sqrt(x) log x is annihilated
 by the operator, satisfies the theta = 0 condition (c_plus = 0) and
-vanishes at x = 1.  The scan cannot see a boundary root, so it is added
-explicitly.
+vanishes at x = 1.  That is the root the first cell loses when
+tan(theta) = 0, so it is added explicitly.
 
 The eigenvalue sums feed ``oracle_trace``, the end-to-end cross-check of
 the kernel-built traces.
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CompletenessError, DomainError, InsufficientSpectrumError
+from .errors import DomainError, InsufficientSpectrumError
 from .kernels import BoundaryParam
 from .specfun import (
     bessel_i0_scaled,
@@ -56,14 +61,17 @@ class Spectrum:
         return sum(1 for ev in self.eigenvalues if ev < 0.0)
 
     def tail_bound(self, t):
-        """Weyl-envelope bound on the part of the trace sum beyond lambda_max:
-        2 int_{L}^inf e^{-t l} (2 pi sqrt(l))^{-1} dl = erfc(sqrt(t L))/sqrt(pi t),
-        started one mean level spacing early, L = (sqrt(lambda_max) - pi)^2,
-        so that an eigenvalue sitting just past the cutoff is still covered;
-        the factor 2 absorbs residual density fluctuation.
+        """Bound on the part of the trace sum beyond L = lambda_max.
+
+        By interlacing each cell above L holds at most one eigenvalue, no
+        smaller than the cell's lower edge.  The cell holding L adds at most
+        e^{-tL}; the m-th cell after it starts above L + 6 (m-1) sqrt(L),
+        because J0 zeros are spaced by more than j_2 - j_1 > 3 and lie above
+        sqrt(L).  Summing the geometric series:
+        e^{-tL} (1 + 1/(1 - e^{-6 t sqrt(L)})).
         """
-        lam_eff = max(math.sqrt(self.lambda_max) - _PI, 0.0) ** 2
-        return math.erfc(math.sqrt(t * lam_eff)) / math.sqrt(_PI * t)
+        lam = self.lambda_max
+        return math.exp(-t * lam) * (1.0 - 1.0 / math.expm1(-6.0 * t * math.sqrt(lam)))
 
     def to_csv(self, fileobj):
         fileobj.write("index,lambda,secular_residual\n")
@@ -152,83 +160,48 @@ def _newton_polish(f, df, x, lo, hi):
     return x
 
 
-def _scan_roots(f, grid):
-    vals = [f(x) for x in grid]
-    brackets = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            brackets.append((grid[i], grid[i], vals[i], vals[i]))
-        elif (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            brackets.append((grid[i], grid[i + 1], vals[i], vals[i + 1]))
-    return brackets
+def eigenvalues(bp: BoundaryParam, lambda_max=4000.0, tol=1e-10):
+    """All eigenvalues up to lambda_max, counted by interlacing.
 
-
-def eigenvalues(bp: BoundaryParam, lambda_max=4000.0, tol=1e-10,
-                cell_resolution=200):
-    """All eigenvalues up to lambda_max, certified by residual and rescans.
-
-    Brackets for the positive spectrum are seeded by interlacing with the
-    squares of J0 zeros; each cell is scanned at ``cell_resolution`` points
-    and re-scanned at double resolution (doubling again on mismatch, then
-    raising CompletenessError).
+    The root count is fixed by theory, so each root gets one bracketed
+    solve (bisection, then Newton for positive roots) and nothing is
+    scanned.  S has sign (-1)^k at j_k^2, so every cell between squared
+    J0 zeros holds one root, and the partial cell ending at lambda_max
+    holds one iff S changes sign across it.  S(0+) = 2 tan(theta) makes
+    (0, j_1^2) a cell iff tan(theta) > 0.  The bound state mu is bisected
+    on (0, e^{-kappa}], where N runs from tan(theta) < 0 to K0 > 0.
     """
     if lambda_max < 100.0:
         raise DomainError("eigenvalues: need lambda_max >= 100")
     if tol > 1e-8:
         raise DomainError("eigenvalues: need tol <= 1e-8")
 
-    evs = []
+    squares = [z * z for z in j0_zeros(int(math.sqrt(lambda_max) / _PI) + 3)]
+    squares = [sq for sq in squares if sq <= lambda_max]
     if bp.is_friedrichs:
-        for z in j0_zeros(int(math.sqrt(lambda_max) / _PI) + 3):
-            lam = z * z
-            if lam <= lambda_max:
-                evs.append(lam)
+        evs = squares
     else:
-        if bp.theta == 0.0:
-            evs.append(0.0)  # sqrt(x) log x zero mode
-        # negative spectrum
-        kap = bp.kappa
-        mu_half = math.exp(-kap) if kap > -13.8 else math.inf  # e^13.8 ~ 1e6
-        if mu_half is math.inf:
-            raise DomainError(
-                "eigenvalues: bound state beyond supported range (kappa too negative)")
-        mu_max = max(10.0, 1.5 * mu_half)
-        f_neg = lambda mu: secular_negative(mu, bp)
-        grid = [mu_max * (k + 1) / 800.0 for k in range(800)]
-        brackets = _scan_roots(f_neg, grid)
-        if len(brackets) > 1:
-            raise CompletenessError(
-                f"eigenvalues: {len(brackets)} negative-spectrum roots; at most one expected")
-        for a, b, fa, fb in brackets:
-            mu = _bisect_refine(f_neg, a, b, fa, fb, 1e-14)
+        tan_theta = math.tan(bp.theta)
+        evs = [0.0] if tan_theta == 0.0 else []  # sqrt(x) log x zero mode
+        if tan_theta < 0.0:
+            if bp.kappa < -354.0:
+                raise DomainError(
+                    "eigenvalues: bound state -e^{-2 kappa} overflows a double")
+            f_neg = lambda mu: secular_negative(mu, bp)
+            mu = _bisect_refine(f_neg, 0.0, math.exp(-bp.kappa), -1.0, 1.0, 1e-15)
             evs.append(-mu * mu)
-        # positive spectrum
         f_pos = lambda lam: secular_positive(lam, bp)
         df_pos = lambda lam: _secular_positive_dlam(lam, bp)
-        cells = [0.0]
-        for z in j0_zeros(int(math.sqrt(lambda_max) / _PI) + 3):
-            cells.append(z * z)
-        cells = [c for c in cells if c < lambda_max] + [lambda_max]
-        for lo, hi in zip(cells[:-1], cells[1:]):
-            res = cell_resolution
-            pad = (hi - lo) * 1e-9
-            found = None
-            for _ in range(3):
-                g1 = [lo + pad + (hi - lo - 2 * pad) * k / res for k in range(res + 1)]
-                g2 = [lo + pad + (hi - lo - 2 * pad) * k / (2 * res) for k in range(2 * res + 1)]
-                b1 = _scan_roots(f_pos, g1)
-                b2 = _scan_roots(f_pos, g2)
-                if len(b1) == len(b2):
-                    found = b2
-                    break
-                res *= 2
-            if found is None:
-                raise CompletenessError(
-                    f"eigenvalues: inconsistent root count in cell ({lo}, {hi})")
-            for a, b, fa, fb in found:
-                lam = _bisect_refine(f_pos, a, b, fa, fb, tol)
-                lam = _newton_polish(f_pos, df_pos, lam, a, b)
-                evs.append(lam)
+        # cell edges with the sign of S there
+        edges = [(sq, (-1.0) ** k) for k, sq in enumerate(squares, 1)]
+        if tan_theta > 0.0:
+            edges.insert(0, (0.0, 1.0))
+        s_max = f_pos(lambda_max)
+        if s_max * edges[-1][1] <= 0.0:
+            edges.append((lambda_max, s_max))
+        for (lo, s_lo), (hi, s_hi) in zip(edges[:-1], edges[1:]):
+            lam = _bisect_refine(f_pos, lo, hi, s_lo, s_hi, tol)
+            evs.append(_newton_polish(f_pos, df_pos, lam, lo, hi))
 
     evs.sort()
     residuals = tuple(

@@ -3,8 +3,7 @@
 The engine is a standard globally adaptive G7/K15 scheme: keep a heap of
 panels ordered by error estimate, bisect the worst one until the summed
 estimate meets the tolerance or the subdivision budget runs out.
-Integrands are called with a numpy array of nodes and must return an array
-(`as_vectorized` wraps plain scalar callables).
+Integrands are called with a numpy array of nodes and must return an array.
 
 `integrate_log_tail` handles the semi-infinite integrals with the
 logarithmically decaying weight 1/((log y + c)^2 + pi^2) that appear
@@ -87,15 +86,6 @@ class QuadResult:
 
 
 DEFAULT_SPEC = QuadSpec()
-
-
-def as_vectorized(f):
-    """Wrap a scalar callable so the engine can pass node arrays."""
-
-    def wrapped(xs):
-        return np.array([f(float(x)) for x in xs], dtype=float)
-
-    return wrapped
 
 
 def _panel(f, a, b):

@@ -206,18 +206,7 @@ def exotic_term(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     -(1/pi)(pi/2 - arctan(2 kappa / pi)) as t -> 0, approaching it only at
     1/log(1/t) speed.
     """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"exotic_term: need t > 0, got {t!r}")
-    k2 = 2.0 * bp.kappa
-    u_max = math.log(max(46.0 / t, 1e-300))
-    u_max = max(math.log(max((46.0 + max(u_max, 0.0)) / t, 1e-300)), 0.01)
-
-    def f(us):
-        us = np.asarray(us)
-        return np.exp(-t * np.exp(us)) / ((us + k2) ** 2 + _PI2)
-
-    r = integrate(f, 0.0, u_max, spec)
-    return -r.value
+    return -integrate_log_tail(lambda y: 1.0 / y, t, 2.0 * bp.kappa, spec).value
 
 
 def exotic_limit(bp: BoundaryParam):

@@ -116,6 +116,19 @@ class TestConfigFile:
             ["trace", "--config", str(cfg), "--points", "2"], capsys)
         assert len(out.strip().split("\n")) == 3  # flag wins
 
+    def test_explicit_flag_beats_config_and_prefixes_are_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("rel_tol = 1e-3\n")
+        base = ["trace", "--config", str(cfg), "--theta", "0", "--points", "1"]
+        # a prefix would slip past the config override, so it is refused
+        code, _, _ = run_cli(base + ["--rel", "1e-9"], capsys)
+        assert code == 1
+        out = tmp_path / "d.csv"
+        code, _, _ = run_cli(base + ["--rel-tol", "1e-9", "--output", str(out)], capsys)
+        assert code == 0
+        meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
+        assert meta["config"]["rel_tol"] == repr(1e-9)
+
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
@@ -132,6 +145,18 @@ class TestExitCodes:
         rows = out.strip().split("\n")[1:]
         assert all(row.endswith("convergence-failure") for row in rows)
         assert "convergence" in err
+
+    def test_overflowing_rows_are_flagged_and_exit_2(self, capsys):
+        # theta just above pi/2: bound state e^{-2 kappa} with kappa ~ -4900
+        code, out, err = run_cli(
+            ["trace", "--theta", "1.5718", "--points", "3", "--workers", "1"], capsys)
+        assert code == 2
+        rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert not math.isfinite(float(row[4]))
+            assert row[-1] == "overflow"
+        assert "overflow" in err
 
     def test_usage_error_is_1(self, capsys):
         code, _, _ = run_cli(["trace", "--points", "0"], capsys)

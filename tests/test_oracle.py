@@ -1,4 +1,4 @@
-"""Spectral oracle: secular functions, bracketing completeness, trace sums."""
+"""Spectral oracle: secular functions, interlacing counts, trace sums."""
 
 import io
 import math
@@ -20,6 +20,28 @@ from rsheat.oracle import Spectrum, _secular_positive_dlam
 
 J01_SQ = 5.783185962946784521176
 J02_SQ = 30.47126234366208639908
+
+
+def _fine_scan_roots(bp, lambda_max, per_cell=2000):
+    """Roots of S on (0, lambda_max] by a brute sign scan at ``per_cell``
+    points in each J0-zero-square cell, each refined by plain bisection."""
+    edges = [0.0] + [z * z for z in j0_zeros(20) if z * z < lambda_max] + [lambda_max]
+    grid = np.concatenate([np.linspace(lo, hi, per_cell + 1)[1:]
+                           for lo, hi in zip(edges[:-1], edges[1:])])
+    vals = [secular_positive(float(x), bp) for x in grid]
+    roots = []
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if (fa < 0.0) == (fb < 0.0):
+            continue
+        a, b = float(a), float(b)
+        while a < 0.5 * (a + b) < b:
+            m = 0.5 * (a + b)
+            if (secular_positive(m, bp) < 0.0) == (fa < 0.0):
+                a = m
+            else:
+                b = m
+        roots.append(a)
+    return roots
 
 
 class TestSecularPositive:
@@ -94,11 +116,37 @@ class TestEigenvalues:
         assert abs(mu - math.exp(-bp_three_quarter.kappa)) < 0.021
 
     def test_completeness_against_finer_scan(self, bp_quarter):
-        coarse = eigenvalues(bp_quarter, lambda_max=500.0)
-        fine = eigenvalues(bp_quarter, lambda_max=500.0, cell_resolution=2000)
-        assert len(coarse.eigenvalues) == len(fine.eigenvalues)
-        for a, b in zip(coarse.eigenvalues, fine.eigenvalues):
+        sp = eigenvalues(bp_quarter, lambda_max=500.0)
+        fine = _fine_scan_roots(bp_quarter, 500.0)
+        assert len(sp.eigenvalues) == len(fine)
+        for a, b in zip(sp.eigenvalues, fine):
             assert abs(a - b) < 1e-8 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("theta", [
+        0.0, 0.3, math.pi / 4, 1.5, math.pi / 2 - 0.01, math.pi / 2 + 0.01,
+        2.4, 3 * math.pi / 4, 3.1])
+    def test_interlacing_count(self, theta):
+        # one eigenvalue per cell between squared J0 zeros, one in
+        # (0, j_1^2) iff tan(theta) > 0, one bound state iff tan(theta) < 0
+        sp = eigenvalues(BoundaryParam(theta))
+        evs = sp.eigenvalues
+        tan = math.tan(theta)
+        squares = [z * z for z in j0_zeros(25) if z * z <= sp.lambda_max]
+        assert sp.negative_count == (tan < 0.0)
+        assert evs.count(0.0) == (theta == 0.0)
+        assert sum(0.0 < ev < squares[0] for ev in evs) == (tan > 0.0)
+        for lo, hi in zip(squares[:-1], squares[1:]):
+            assert sum(lo < ev < hi for ev in evs) == 1
+        assert sum(ev > squares[-1] for ev in evs) <= 1
+
+    def test_deep_bound_state_is_the_half_line_one(self):
+        # kappa ~ -20.5: the wall shift of mu = e^{-kappa} is far below
+        # double precision, so the bound state is -e^{-2 kappa}
+        bp = BoundaryParam(33 * math.pi / 64)
+        sp = eigenvalues(bp)
+        want = -math.exp(-2.0 * bp.kappa)
+        assert sp.negative_count == 1
+        assert abs(sp.eigenvalues[0] - want) <= 1e-12 * abs(want)
 
     def test_residual_certification(self, bp_quarter):
         sp = eigenvalues(bp_quarter, lambda_max=500.0)
@@ -130,7 +178,8 @@ class TestEigenvalues:
         with pytest.raises(DomainError):
             eigenvalues(bp0, tol=1e-6)
         with pytest.raises(DomainError):
-            eigenvalues(BoundaryParam(math.pi / 2 + 1e-4))  # kappa ~ -1e4
+            # kappa ~ -1e4: -e^{-2 kappa} overflows a double
+            eigenvalues(BoundaryParam(math.pi / 2 + 1e-4))
 
 
 class TestOracleTrace:
@@ -148,13 +197,14 @@ class TestOracleTrace:
         with pytest.raises(InsufficientSpectrumError):
             oracle_trace(0.001, sp)
 
-    def test_tail_bound_covers_truncation(self, bp_quarter):
-        small = eigenvalues(bp_quarter, lambda_max=300.0)
-        big = eigenvalues(bp_quarter, lambda_max=4000.0)
-        t = 0.1
-        missing = sum(math.exp(-t * ev) for ev in big.eigenvalues
-                      if ev > small.lambda_max)
-        assert missing <= small.tail_bound(t)
+    def test_tail_bound_covers_truncation(self):
+        for theta in (0.0, math.pi / 4, 3 * math.pi / 4, math.pi / 2):
+            small = eigenvalues(BoundaryParam(theta), lambda_max=300.0)
+            big = eigenvalues(BoundaryParam(theta), lambda_max=4000.0)
+            for t in (0.01, 0.05, 0.1):
+                missing = sum(math.exp(-t * ev) for ev in big.eigenvalues
+                              if ev > small.lambda_max)
+                assert missing <= small.tail_bound(t)
 
 
 class TestCsvExport:
