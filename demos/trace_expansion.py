@@ -31,8 +31,8 @@ bpF = BoundaryParam.friedrichs()
 
 print("=== trace curves (theta = 0 vs Friedrichs) ===")
 ts = [1e-4, 1e-3, 1e-2, 5e-2]
-curve = trace_curve(bp, ts, workers=2)
-curve_f = trace_curve(bpF, ts, workers=2)
+curve = trace_curve(bp, ts)
+curve_f = trace_curve(bpF, ts)
 print(f"{'t':>8} {'friedrichs':>14} {'correction':>13} {'total':>14} {'exotic':>11}")
 for s, sf_ in zip(curve, curve_f):
     print(f"{s.t:8.4f} {sf_.value:14.8f} {s.parts.correction:13.8f} "

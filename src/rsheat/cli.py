@@ -11,6 +11,11 @@ exactly.  Identical configuration produces byte-identical CSV; run
 metadata (timings, versions) goes to a ``<output>.meta.json`` sidecar,
 never into the data file.  Exit codes: 0 success, 1 usage error,
 2 numerical failure.  Diagnostics go to stderr.
+
+Trace rows are computed one after another in one thread: the work is pure
+Python, so threads would only take turns on the interpreter lock.
+``--workers`` (and the ``workers`` config key) is still accepted so that
+existing scripts keep running, and is ignored.
 """
 
 from __future__ import annotations
@@ -19,11 +24,9 @@ import argparse
 import io
 import json
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConvergenceError, DomainError, InsufficientSpectrumError
 from .kernels import BoundaryParam
@@ -103,7 +106,10 @@ def _add_common(p, grid=True):
         p.add_argument("--t-max", type=float, default=1e-2)
         p.add_argument("--points", type=int, default=20)
         p.add_argument("--spacing", choices=("log", "linear"), default="log")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=int, default=None,
+                       help="ignored: rows run serially, since threads only "
+                            "contend for the interpreter lock on this "
+                            "pure-Python work")
 
 
 def _build_parser():
@@ -220,12 +226,7 @@ def _cmd_trace(args):
         return (t, s.parts.friedrichs, s.parts.correction, s.value,
                 s.parts.exotic_ref, s.est_error, status)
 
-    workers = max(1, args.workers)
-    if workers == 1 or len(ts) == 1:
-        rows = [one(t) for t in ts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, ts))
+    rows = [one(t) for t in ts]
 
     buf = io.StringIO()
     buf.write("t,theta,friedrichs,correction,total,exotic_ref,est_error,status\n")

@@ -3,7 +3,10 @@
 The engine is a standard globally adaptive G7/K15 scheme: keep a heap of
 panels ordered by error estimate, bisect the worst one until the summed
 estimate meets the tolerance or the subdivision budget runs out.
-Integrands are called with a numpy array of nodes and must return an array.
+Integrands are called with a numpy array of n nodes and return either an
+array of shape (n,) or, for m integrals sharing one node set, an array of
+shape (n, m); the latter is refined until every one of the m integrals
+meets its own tolerance.
 
 `integrate_log_tail` handles the semi-infinite integrals with the
 logarithmically decaying weight 1/((log y + c)^2 + pi^2) that appear
@@ -80,6 +83,9 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """``value`` and ``est_error`` are floats, or arrays of shape (m,) for
+    an integrand returning (n, m)."""
+
     value: float
     est_error: float
     evaluations: int
@@ -89,20 +95,38 @@ DEFAULT_SPEC = QuadSpec()
 
 
 def _panel(f, a, b):
+    """K15 value, G7-K15 error and heap key (the largest error) of a panel."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fx = np.asarray(f(c + h * _NODES))
-    k15 = h * float(np.sum(_WEIGHTS_K * fx))
-    g7 = h * float(np.sum(_WEIGHTS_G * fx[_GAUSS_IDX]))
-    return k15, abs(k15 - g7)
+    if fx.ndim == 1:
+        k15 = h * float(np.sum(_WEIGHTS_K * fx))
+        g7 = h * float(np.sum(_WEIGHTS_G * fx[_GAUSS_IDX]))
+        e = abs(k15 - g7)
+        return k15, e, e
+    k15 = h * (_WEIGHTS_K @ fx)
+    g7 = h * (_WEIGHTS_G @ fx[_GAUSS_IDX])
+    e = np.abs(k15 - g7)
+    return k15, e, float(e.max())
+
+
+def _unmet(err, total, spec):
+    """Whether some component's error still exceeds its tolerance."""
+    if isinstance(err, float):
+        return err > max(spec.abs_tol, spec.rel_tol * abs(total))
+    return bool(np.any(err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))))
 
 
 def integrate(f, a, b, spec=DEFAULT_SPEC, points=None):
     """Adaptively integrate ``f`` over the finite interval [a, b].
 
     ``f`` receives numpy arrays of interior nodes (endpoints are never
-    sampled, so integrable endpoint singularities are allowed).  ``points``
-    optionally lists interior breakpoints for the initial panelization.
+    sampled, so integrable endpoint singularities are allowed) and returns
+    shape (n,), or (n, m) for m integrands on one node set; then value and
+    est_error have shape (m,), a panel is split in the order of its largest
+    component error, and every component must meet
+    max(abs_tol, rel_tol * |value_i|).  ``points`` optionally lists
+    interior breakpoints for the initial panelization.
 
     Raises ConvergenceError (carrying the partial result) when the
     subdivision budget is exhausted before the tolerance is met.
@@ -122,15 +146,15 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, points=None):
     evals = 0
     counter = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _panel(f, lo, hi)
+        v, e, key = _panel(f, lo, hi)
         evals += 15
         total += v
         err += e
-        heapq.heappush(heap, (-e, counter, lo, hi, v, e))
+        heapq.heappush(heap, (-key, counter, lo, hi, v, e))
         counter += 1
 
     splits = 0
-    while err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+    while _unmet(err, total, spec):
         if splits >= spec.max_subdivisions or not heap:
             raise ConvergenceError(
                 f"integrate: budget exhausted after {splits} subdivisions "
@@ -139,14 +163,14 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, points=None):
             )
         _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
+        v1, e1, key1 = _panel(f, lo, mid)
+        v2, e2, key2 = _panel(f, mid, hi)
         evals += 30
         total += v1 + v2 - v_old
         err += e1 + e2 - e_old
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
+        heapq.heappush(heap, (-key1, counter, lo, mid, v1, e1))
         counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
+        heapq.heappush(heap, (-key2, counter, mid, hi, v2, e2))
         counter += 1
         splits += 1
 

@@ -21,7 +21,6 @@ powers of 1/log t rather than t, which is what the degree-two fit in
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,10 @@ _TRQ_N, _TRQ_W = gauss_legendre_panel(48)
 _TRQ_N = 0.25 * (_TRQ_N + 1.0)
 _TRQ_W = 0.25 * _TRQ_W
 _TRQ_G = _TRQ_N * (1.0 - _TRQ_N)
+# below this s every 1 - exp(-1/(4 s g)) rounds to exactly 1.0 (the
+# exponent exceeds 38, and e^{-38} < 2^{-54}), so TrQ(s) = _TRQ_SUM
+_TRQ_FLAT_S = 1.0 / (4.0 * 38.0 * float(_TRQ_G.max()))
+_TRQ_SUM = float(np.sum(_TRQ_W))
 
 # geometric panel edges for the w = (t-s) y inner convolution variable
 _W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 46.0])
@@ -73,14 +76,22 @@ class TraceSample:
 
 
 def _trq_values(s):
-    """TrQ on an array of times via the fixed interior rule (vectorized)."""
+    """TrQ on an array of times via the fixed interior rule (vectorized).
+
+    0.5 at s <= 0, the weight sum on (0, _TRQ_FLAT_S), and the 48-point
+    sum of W (1 - e^{-1/(4 s g)}) above, built in place in one buffer.
+    """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.full(s.shape, 0.5)
-    pos = s > 0.0
-    if np.any(pos):
-        with np.errstate(divide="ignore", under="ignore"):
-            e = np.exp(-1.0 / (4.0 * s[pos, None] * _TRQ_G[None, :]))
-        out[pos] = np.sum(_TRQ_W[None, :] * (1.0 - e), axis=1)
+    out = np.where(s > 0.0, _TRQ_SUM, 0.5)
+    live = s >= _TRQ_FLAT_S
+    if np.any(live):
+        buf = np.multiply.outer(4.0 * s[live], _TRQ_G)
+        np.divide(-1.0, buf, out=buf)
+        with np.errstate(under="ignore"):
+            np.exp(buf, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        buf *= _TRQ_W
+        out[live] = buf.sum(axis=1)
     return out
 
 
@@ -124,17 +135,21 @@ def _friedrichs_trace_res(t, spec):
     return r.value, r.est_error
 
 
-def _a_conv(y, t):
-    """A(y, t) = int_0^t e^{-(t-s) y} TrQ(s) ds via w = (t-s) y panels."""
-    w_max = min(t * y, 46.0)
-    edges = _W_EDGES[_W_EDGES < w_max]
-    edges = np.append(edges, w_max)
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
+def _a_conv(ys, t):
+    """A(y, t) = int_0^t e^{-(t-s) y} TrQ(s) ds via w = (t-s) y panels.
+
+    ``ys`` is an array.  The fixed w-panels are clipped at each
+    w_max = min(t y, 46), which gives the panels beyond it zero width, so
+    every y uses the same (6 panels x 16 nodes) block.
+    """
+    y = np.asarray(ys, dtype=float)[:, None]
+    edges = np.minimum(_W_EDGES, np.minimum(t * y, 46.0))
+    lo = edges[:, :-1, None]
+    hi = edges[:, 1:, None]
     w = 0.5 * (lo * (1.0 - _GLW_N) + hi * (1.0 + _GLW_N))
-    s = t - w / y
+    s = t - w / y[:, :, None]
     vals = np.exp(-w) * _trq_values(s.ravel()).reshape(w.shape)
-    return float(np.sum(0.5 * (hi - lo) * _GLW_W * vals)) / y
+    return np.sum(0.5 * (hi - lo) * _GLW_W * vals, axis=(1, 2)) / y[:, 0]
 
 
 def _arctan_tail(k2):
@@ -150,10 +165,8 @@ def t1_y_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     k2 = 2.0 * bp.kappa
 
     def f(us):
-        us = np.asarray(us)
-        return np.array([
-            _a_conv(math.exp(u), t) * math.exp(u) / ((u + k2) ** 2 + _PI2)
-            for u in us])
+        ys = np.exp(us)
+        return _a_conv(ys, t) * ys / ((us + k2) ** 2 + _PI2)
 
     r = integrate(f, 0.0, _U_CUT, spec)
     return 2.0 * r.value + 2.0 * _trq(t) * _arctan_tail(k2)
@@ -223,11 +236,7 @@ def t2_part(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
     bp.kappa  # reject Friedrichs early
 
     def f(ss):
-        ss = np.asarray(ss)
-        trqs = _trq_values(ss)
-        return np.array([
-            k1_smooth(t - float(s), bp, opts) * float(q)
-            for s, q in zip(ss, trqs)])
+        return k1_smooth(t - ss, bp, opts) * _trq_values(ss)
 
     return integrate(f, 0.0, t, spec).value
 
@@ -272,15 +281,6 @@ def full_trace(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
 
 
 def trace_curve(bp: BoundaryParam, ts, opts: KernelOptions = DEFAULT_OPTIONS,
-                spec: QuadSpec = DEFAULT_SPEC, workers: int | None = None):
-    """full_trace over a time grid, evaluated concurrently.
-
-    Output order follows the input grid regardless of worker count; each
-    point is pure, so the result is deterministic.
-    """
-    ts = [float(t) for t in ts]
-    if workers is None or workers <= 1:
-        return [full_trace(t, bp, opts, spec) for t in ts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(full_trace, t, bp, opts, spec) for t in ts]
-        return [f.result() for f in futures]
+                spec: QuadSpec = DEFAULT_SPEC):
+    """full_trace at each time of the grid, in input order."""
+    return [full_trace(float(t), bp, opts, spec) for t in ts]

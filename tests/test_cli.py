@@ -69,8 +69,7 @@ class TestTraceCommand:
         out2 = tmp_path / "b.csv"
         for out in (out1, out2):
             code, _, _ = run_cli(
-                ["trace", "--theta", "pi/4", "--points", "5", "--workers", "4",
-                 "--output", str(out)], capsys)
+                ["trace", "--theta", "pi/4", "--points", "5", "--output", str(out)], capsys)
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert b"\r" not in out1.read_bytes()  # LF endings only

@@ -87,6 +87,37 @@ def test_initial_points_do_not_change_result():
         assert abs(alt.value - base.value) <= base.est_error + alt.est_error + 1e-15
 
 
+def test_vector_integrand_meets_each_component_tolerance():
+    # one easy column, one that needs many panels, one with a slow endpoint,
+    # and one a million times smaller than the rest
+    spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-15)
+
+    def f(xs):
+        return np.stack([xs * xs, 1e3 * np.sin(50.0 * xs), np.sqrt(xs),
+                         1e-6 * np.sin(50.0 * xs)], axis=1)
+
+    exact = np.array([1.0 / 3.0, 1e3 * (1.0 - math.cos(50.0)) / 50.0, 2.0 / 3.0,
+                      1e-6 * (1.0 - math.cos(50.0)) / 50.0])
+    r = integrate(f, 0.0, 1.0, spec)
+    assert r.value.shape == r.est_error.shape == (4,)
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(exact))
+    assert np.all(r.est_error <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(r.value)))
+    assert np.all(np.abs(r.value - exact) <= tol)
+    hardest = max(integrate(lambda x, k=k: f(x)[:, k], 0.0, 1.0, spec).evaluations
+                  for k in range(4))
+    assert r.evaluations >= hardest > integrate(lambda x: x * x, 0.0, 1.0, spec).evaluations
+
+
+def test_single_column_matches_scalar():
+    def f(xs):
+        return np.exp(-xs) / (1.0 + xs * xs)
+
+    scalar = integrate(f, 0.0, 4.0)
+    column = integrate(lambda xs: f(xs)[:, None], 0.0, 4.0)
+    assert column.value.shape == (1,)
+    assert abs(column.value[0] - scalar.value) <= 1e-15
+
+
 def test_budget_exhaustion_carries_partial():
     spec = QuadSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=3)
     with pytest.raises(ConvergenceError) as exc_info:

@@ -20,7 +20,20 @@ from rsheat import (
     tn_trace,
     trace_curve,
 )
+from rsheat.ktheta import k1_smooth
+from rsheat.quadrature import integrate
 from rsheat.trace import (
+    _GLW_N,
+    _GLW_W,
+    _PI2,
+    _TRQ_FLAT_S,
+    _TRQ_G,
+    _TRQ_W,
+    _U_CUT,
+    _W_EDGES,
+    _a_conv,
+    _arctan_tail,
+    _trq,
     _trq_values,
     residue_trace_part,
     t1_s_outer,
@@ -46,6 +59,19 @@ class TestTnTrace:
         fast = _trq_values(ss)
         for s, f in zip(ss, fast):
             assert abs(f - tn_trace(float(s), QuadSpec(rel_tol=1e-13, abs_tol=1e-15))) < 1e-11
+
+    def test_flat_region_is_the_plain_rule_bit_for_bit(self):
+        # the grid straddles the cut below which every exponential rounds away
+        ss = np.concatenate([
+            np.geomspace(1e-12, 50.0, 4001),
+            np.geomspace(0.5 * _TRQ_FLAT_S, 2.0 * _TRQ_FLAT_S, 2001),
+            [np.nextafter(_TRQ_FLAT_S, 0.0), _TRQ_FLAT_S, np.nextafter(_TRQ_FLAT_S, 1.0)],
+        ])
+        with np.errstate(under="ignore"):
+            e = np.exp(-1.0 / (4.0 * ss[:, None] * _TRQ_G[None, :]))
+        plain = np.sum(_TRQ_W[None, :] * (1.0 - e), axis=1)
+        assert np.array_equal(_trq_values(ss), plain)
+        assert np.array_equal(_trq_values([0.0, -1.0]), [0.5, 0.5])
 
 
 class TestFriedrichsTrace:
@@ -161,10 +187,64 @@ class TestCorrectionAndFull:
         assert abs(t2_part(0.01, bp0)) < 0.01
 
 
+class TestArrayRoutes:
+    """The panel-at-once integrands against the node-by-node routes they
+    replaced, written out here as the reference."""
+
+    def test_a_conv_matches_per_y_loop(self):
+        def a_conv_one(y, t):
+            w_max = min(t * y, 46.0)
+            edges = np.append(_W_EDGES[_W_EDGES < w_max], w_max)
+            lo = edges[:-1, None]
+            hi = edges[1:, None]
+            w = 0.5 * (lo * (1.0 - _GLW_N) + hi * (1.0 + _GLW_N))
+            vals = np.exp(-w) * _trq_values((t - w / y).ravel()).reshape(w.shape)
+            return float(np.sum(0.5 * (hi - lo) * _GLW_W * vals)) / y
+
+        ys = np.exp(np.linspace(0.0, _U_CUT, 57))
+        for t in (1e-4, 1e-2, 0.05, 0.5, 5.0):
+            loop = np.array([a_conv_one(float(y), t) for y in ys])
+            assert np.all(np.abs(_a_conv(ys, t) - loop) <= 1e-15 * np.abs(loop))
+
+    def test_k1_smooth_array_matches_scalar(self, tight_spec):
+        # at the default rel_tol 1e-10 the scalar route itself is ~2e-12 off
+        opts = KernelOptions(contour_spec=tight_spec)
+        ts = np.array([1e-4, 1e-2, 0.5, 5.0])
+        for theta in (0.0, math.pi / 4, 2.4, 3.1):
+            bp = BoundaryParam(theta)
+            arr = k1_smooth(ts, bp, opts)
+            assert arr.shape == ts.shape
+            for t, v in zip(ts, arr):
+                assert abs(v - k1_smooth(float(t), bp, opts)) < 1e-12
+        assert isinstance(k1_smooth(0.5, BoundaryParam(0.0)), float)
+        with pytest.raises(DomainError):
+            k1_smooth(np.array([0.1, -0.1]), BoundaryParam(0.0))
+
+    def test_t1_and_t2_match_node_by_node_routes(self, tight_spec):
+        opts = KernelOptions(contour_spec=tight_spec, tail_spec=tight_spec)
+        for theta in (0.0, 2.4):
+            bp = BoundaryParam(theta)
+            k2 = 2.0 * bp.kappa
+            for t in (1e-3, 5e-2, 0.5, 5.0):
+                def f1(us):
+                    return np.array([
+                        _a_conv(np.array([math.exp(u)]), t)[0] * math.exp(u)
+                        / ((u + k2) ** 2 + _PI2) for u in us])
+
+                def f2(ss):
+                    return np.array([k1_smooth(t - float(s), bp, opts) * float(q)
+                                     for s, q in zip(ss, _trq_values(ss))])
+
+                t1 = (2.0 * integrate(f1, 0.0, _U_CUT, tight_spec).value
+                      + 2.0 * _trq(t) * _arctan_tail(k2))
+                t2 = integrate(f2, 0.0, t, tight_spec).value
+                assert abs(t1_y_outer(t, bp, tight_spec) - t1) <= 1e-12 * abs(t1)
+                assert abs(t2_part(t, bp, opts, tight_spec) - t2) <= 1e-12 * abs(t2)
+
+
 class TestTraceCurve:
-    def test_deterministic_across_workers(self, bp0):
-        ts = [1e-3, 3e-3, 1e-2]
-        seq = trace_curve(bp0, ts, workers=1)
-        par = trace_curve(bp0, ts, workers=4)
-        assert [s.value for s in seq] == [s.value for s in par]
-        assert [s.t for s in par] == ts
+    def test_full_trace_in_input_order(self, bp0):
+        ts = [1e-2, 1e-3, 3e-3]
+        curve = trace_curve(bp0, ts)
+        assert [s.t for s in curve] == ts
+        assert curve == [full_trace(t, bp0) for t in ts]
