@@ -19,6 +19,12 @@ tan(theta) to +inf, so there is one bound state iff tan(theta) < 0.  This
 is the interlacing of self-adjoint extensions with deficiency indices
 (1, 1) (the Herglotz property of the Weyl-Titchmarsh m-function).
 
+Each root is then one safeguarded Newton solve that never leaves its
+cell (``_safe_newton``); a positive root costs one fused J0/Y0 evaluation
+per step on a bounded phase (``_phase``).  S is formed as
+2 (tan(theta) J0 - c), c the regular part of Y0, which keeps the first
+eigenvalue of a tiny tan(theta) to full relative accuracy.
+
 theta = 0 carries the eigenvalue 0 exactly: sqrt(x) log x is annihilated
 by the operator, satisfies the theta = 0 condition (c_plus = 0) and
 vanishes at x = 1.  That is the root the first cell loses when
@@ -36,15 +42,17 @@ from dataclasses import dataclass
 from .errors import DomainError, InsufficientSpectrumError
 from .kernels import BoundaryParam
 from .specfun import (
+    EULER_GAMMA,
+    _j0_y0_fused,
     bessel_i0_scaled,
     bessel_j0,
     bessel_j1,
     bessel_k0_scaled,
-    bessel_y0,
     bessel_y1,
 )
 
 _PI = math.pi
+_2_PI = 2.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -91,20 +99,29 @@ def j0_zeros(n):
     for k in range(1, n + 1):
         beta = (k - 0.25) * _PI
         z = beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
-        for _ in range(4):
-            z += bessel_j0(z) / bessel_j1(z)  # J0' = -J1
+        for _ in range(8):
+            step = bessel_j0(z) / bessel_j1(z)  # J0' = -J1
+            z += step
+            if abs(step) <= 4.0 * math.ulp(z):
+                break
         out.append(z)
     return out
 
 
 def secular_positive(lam, bp: BoundaryParam):
-    """Positive-spectrum secular function; zeros are eigenvalues."""
+    """Positive-spectrum secular function; zeros are eigenvalues.
+
+    Evaluated as S = 2 (tan(theta) J0 - c), c the regular part of Y0
+    (``specfun._j0_y0_fused``): the log lambda of the textbook form cancels
+    exactly, so S keeps its relative accuracy as lambda -> 0.
+    """
     if lam <= 0.0:
         raise DomainError(f"secular_positive: need lambda > 0, got {lam!r}")
     r = math.sqrt(lam)
     if bp.is_friedrichs:
         return bessel_j0(r)
-    return (math.log(lam) + 2.0 * bp.kappa) * bessel_j0(r) - _PI * bessel_y0(r)
+    j0, _, _, c = _j0_y0_fused(r)
+    return 2.0 * (math.tan(bp.theta) * j0 - c)
 
 
 def _secular_positive_dlam(lam, bp):
@@ -132,76 +149,126 @@ def secular_negative(mu, bp: BoundaryParam):
             + bessel_k0_scaled(mu) * math.exp(-2.0 * mu))
 
 
-def _bisect_refine(f, a, b, fa, fb, tol):
+def _phase(r, tan_theta):
+    """G(r) = atan(Y0/J0) - atan(L/pi), L = 2 log r + 2 kappa, and G'(r).
+
+    One fused J0/Y0 evaluation.  G has the sign of -S/J0 and rises through
+    each root.  With b = L/pi = (2/pi)(log(r/2) + gamma + tan(theta)),
+    G = atan2((2/pi) J0 (c - tan(theta) J0), J0 (J0 + b Y0)) needs no
+    division by J0, and by the Wronskian
+    G' = (2/(pi r)) (1/M^2 - 1/(1 + b^2)), M^2 = J0^2 + Y0^2, whose
+    numerator 1 + b^2 - M^2 = (1 - J0^2) + (b - Y0)(b + Y0) is summed from
+    parts that keep their relative accuracy as r -> 0.
+    """
+    j0, y0, j0m1, c = _j0_y0_fused(r)
+    ell = math.log(0.5 * r) + EULER_GAMMA
+    b = _2_PI * (ell + tan_theta)
+    g = math.atan2(_2_PI * j0 * (c - tan_theta * j0), j0 * (j0 + b * y0))
+    gap = -j0m1 * (2.0 + j0m1) + _2_PI * (tan_theta - c - ell * j0m1) * (b + y0)
+    m2 = j0 * j0 + y0 * y0
+    return g, 2.0 * gap / (_PI * r * m2 * (1.0 + b * b))
+
+
+def _cell_seed(lo, hi, tan_theta):
+    """Start in r for the cell (lo, hi): the Hankel phase j_k + pi/2 +
+    atan(L/pi), or r^2 = 4 tan/(1 + tan) (S = 0 to first order in lambda)
+    on (0, j_1)."""
+    if lo == 0.0:
+        r = 2.0 * math.sqrt(tan_theta / (1.0 + tan_theta))
+    else:
+        mid = lo + 0.5 * _PI
+        r = mid + math.atan(_2_PI * (math.log(0.5 * mid) + EULER_GAMMA + tan_theta))
+    return r if lo < r < hi else 0.5 * (lo + hi)
+
+
+def _positive_root(lo, hi, tan_theta, tol):
+    """The eigenvalue in the interlacing cell (lo^2, hi^2)."""
+    r = _safe_newton(lambda x: _phase(x, tan_theta), _cell_seed(lo, hi, tan_theta),
+                     lo, hi, tol)
+    return r * r
+
+
+def _bound_state_h(v, kappa):
+    """h(v) = v + kappa + K0/I0 at mu = e^v, and h'(v) = 1 - 1/I0^2."""
+    mu = math.exp(v)
+    inv_i0 = math.exp(-mu) / bessel_i0_scaled(mu)
+    return v + kappa + bessel_k0_scaled(mu) * math.exp(-mu) * inv_i0, 1.0 - inv_i0 * inv_i0
+
+
+def _safe_newton(f, x, lo, hi, tol):
+    """Root on (lo, hi) of f, which rises through it; f(x) -> (value, slope).
+
+    Newton from x.  Convergence (a step of at most 4 ulp of x) is tested
+    first; then the sign of f shrinks the bracket, and a step that leaves
+    it, or a slope that is not positive, becomes a bisection.  A bracket
+    narrower than tol * max(1, |x|) also ends the solve.
+    """
     for _ in range(200):
-        m = 0.5 * (a + b)
-        if b - a <= tol * max(1.0, abs(m)):
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
+        g, dg = f(x)
+        step = g / dg if dg > 0.0 else math.inf
+        if abs(step) <= 4.0 * math.ulp(x):
+            return x - step
+        if g > 0.0:
+            hi = x
         else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _newton_polish(f, df, x, lo, hi):
-    for _ in range(3):
-        d = df(x)
-        if d == 0.0:
+            lo = x
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        if hi - lo <= tol * max(1.0, abs(x)):
             break
-        step = f(x) / d
-        y = x - step
-        if not (lo < y < hi):
-            break
-        x = y
     return x
 
 
 def eigenvalues(bp: BoundaryParam, lambda_max=4000.0, tol=1e-10):
     """All eigenvalues up to lambda_max, counted by interlacing.
 
-    The root count is fixed by theory, so each root gets one bracketed
-    solve (bisection, then Newton for positive roots) and nothing is
-    scanned.  S has sign (-1)^k at j_k^2, so every cell between squared
-    J0 zeros holds one root, and the partial cell ending at lambda_max
-    holds one iff S changes sign across it.  S(0+) = 2 tan(theta) makes
-    (0, j_1^2) a cell iff tan(theta) > 0.  The bound state mu is bisected
-    on (0, e^{-kappa}], where N runs from tan(theta) < 0 to K0 > 0.
+    The root count is fixed by theory, so each root gets one safeguarded
+    Newton solve (``_safe_newton``) and nothing is scanned.  S has sign
+    (-1)^k at j_k^2, so every cell between squared J0 zeros holds one root,
+    and the partial cell ending at lambda_max holds one iff S changes sign
+    across it.  S(0+) = 2 tan(theta) makes (0, j_1^2) a cell iff
+    tan(theta) > 0.
+
+    A positive root is solved in r on the phase G (``_phase``): one fused
+    J0/Y0 evaluation per step, usually three per cell.  The bound state is
+    solved in v = log mu on h = v + kappa + K0/I0, h' = 1 - 1/I0^2.  As
+    h = tan(theta) + S2/I0 with S2 = sum_k H_k (mu^2/4)^k/(k!)^2, and
+    0 < S2 < (mu^2/4) I0, h < 0 at mu^2 = -4 tan(theta), while h = K0/I0 > 0
+    at the half-line state mu = e^{-kappa}.  These bracket it, and Newton
+    starts from the smaller of e^{-kappa} and mu^2 = -4 tan/(1 + tan).
+    tol bounds the bracket width at which a solve stops if Newton has not
+    converged first.
     """
     if lambda_max < 100.0:
         raise DomainError("eigenvalues: need lambda_max >= 100")
     if tol > 1e-8:
         raise DomainError("eigenvalues: need tol <= 1e-8")
 
-    squares = [z * z for z in j0_zeros(int(math.sqrt(lambda_max) / _PI) + 3)]
-    squares = [sq for sq in squares if sq <= lambda_max]
+    zeros = [z for z in j0_zeros(int(math.sqrt(lambda_max) / _PI) + 3)
+             if z * z <= lambda_max]
     if bp.is_friedrichs:
-        evs = squares
+        evs = [z * z for z in zeros]
     else:
         tan_theta = math.tan(bp.theta)
         evs = [0.0] if tan_theta == 0.0 else []  # sqrt(x) log x zero mode
         if tan_theta < 0.0:
-            if bp.kappa < -354.0:
+            kappa = bp.kappa
+            if kappa < -354.0:
                 raise DomainError(
                     "eigenvalues: bound state -e^{-2 kappa} overflows a double")
-            f_neg = lambda mu: secular_negative(mu, bp)
-            mu = _bisect_refine(f_neg, 0.0, math.exp(-bp.kappa), -1.0, 1.0, 1e-15)
-            evs.append(-mu * mu)
-        f_pos = lambda lam: secular_positive(lam, bp)
-        df_pos = lambda lam: _secular_positive_dlam(lam, bp)
-        # cell edges with the sign of S there
-        edges = [(sq, (-1.0) ** k) for k, sq in enumerate(squares, 1)]
+            v_lo, v_hi = 0.5 * math.log(-4.0 * tan_theta), -kappa
+            v0 = v_hi
+            if tan_theta > -1.0:
+                v0 = min(v_hi, 0.5 * math.log(-4.0 * tan_theta / (1.0 + tan_theta)))
+            v = _safe_newton(lambda x: _bound_state_h(x, kappa), v0, v_lo, v_hi, tol)
+            evs.append(-math.exp(2.0 * v))
+        cells = list(zip(zeros[:-1], zeros[1:]))
         if tan_theta > 0.0:
-            edges.insert(0, (0.0, 1.0))
-        s_max = f_pos(lambda_max)
-        if s_max * edges[-1][1] <= 0.0:
-            edges.append((lambda_max, s_max))
-        for (lo, s_lo), (hi, s_hi) in zip(edges[:-1], edges[1:]):
-            lam = _bisect_refine(f_pos, lo, hi, s_lo, s_hi, tol)
-            evs.append(_newton_polish(f_pos, df_pos, lam, lo, hi))
+            cells.insert(0, (0.0, zeros[0]))
+        if secular_positive(lambda_max, bp) * (-1.0) ** len(zeros) <= 0.0:
+            cells.append((zeros[-1], math.sqrt(lambda_max)))
+        evs += [_positive_root(lo, hi, tan_theta, tol) for lo, hi in cells]
 
     evs.sort()
     residuals = tuple(

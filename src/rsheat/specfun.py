@@ -17,6 +17,10 @@ Evaluation strategy per function:
   e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(u/2)) cosh(nu u) du
   is evaluated by the geometrically convergent trapezoid rule.
 
+J0 and Y0 share one evaluation (``_j0_y0_fused``): on the series path one
+double-double loop forms both sums from the same terms, on the Hankel path
+one P/Q sum serves both.
+
 Scaled variants e^{-z} I(z), e^{z} K(z) are first-class API so callers can
 form products like I0(z) e^{-w} without overflow for z up to ~1e6.
 
@@ -198,24 +202,43 @@ def _j1_series(z):
             return 0.5 * z * (total[0] + total[1])
 
 
-def _y0_series(z):
-    # Y0 = (2/pi)[(log(z/2)+gamma) J0 + sum_{k>=1} (-1)^{k+1} H_k u^k/(k!)^2]
+def _jy0_series_sums(z):
+    """J0(z) as a double-double pair and c(z) from one compensated loop.
+
+    c = sum_{k>=1} (-1)^{k+1} H_k u^k/(k!)^2 with u = z^2/4, so that
+    Y0 = (2/pi)[(log(z/2)+gamma) J0 + c].  Both sums share
+    p_k = (-u)^k/(k!)^2, and each stops on its own rule, so J0 is
+    bit-identical to ``_j0_series``.  The pair (hi, lo) keeps
+    J0 - 1 = (hi - 1) + lo accurate as z -> 0.
+    """
     u = dd_mul_d(dd_sqr_d(z), 0.25)
     p = (1.0, 0.0)
+    j = (1.0, 0.0)
     h = (0.0, 0.0)
     s = (0.0, 0.0)
+    j_done = s_done = False
     k = 0
-    while True:
+    while not (j_done and s_done):
         k += 1
-        p = dd_div_d(dd_mul(p, u), -float(k * k))  # p = (-u)^k/(k!)^2
-        h = dd_add(h, dd_div_d((1.0, 0.0), float(k)))
-        term = dd_mul(p, h)
-        s = dd_add(s, term)  # sign (-1)^{k+1} = -(sign of p)
-        if abs(term[0]) < 1e-34 * (abs(s[0]) + 1.0) or k > 400:
-            break
-    corr = -(s[0] + s[1])
-    ell = math.log(0.5 * z) + EULER_GAMMA
-    return (2.0 / math.pi) * (ell * _j0_series(z) + corr)
+        p = dd_div_d(dd_mul(p, u), -float(k * k))
+        if not j_done:
+            j = dd_add(j, p)
+            j_done = abs(p[0]) < 1e-34 * (abs(j[0]) + 1.0) or k > 400
+        if not s_done:
+            h = dd_add(h, dd_div_d((1.0, 0.0), float(k)))
+            term = dd_mul(p, h)
+            s = dd_add(s, term)  # sign (-1)^{k+1} = -(sign of p)
+            s_done = abs(term[0]) < 1e-34 * (abs(s[0]) + 1.0) or k > 400
+    return j, -(s[0] + s[1])
+
+
+def _y0_from_sums(z, j0, c):
+    return (2.0 / math.pi) * ((math.log(0.5 * z) + EULER_GAMMA) * j0 + c)
+
+
+def _y0_series(z):
+    j, c = _jy0_series_sums(z)
+    return _y0_from_sums(z, j[0] + j[1], c)
 
 
 def _y1_series(z):
@@ -321,16 +344,21 @@ def _k1_asym_scaled(z):
     return s * math.sqrt(0.5 * math.pi / z)
 
 
-def _j0_asym(z):
+def _jy0_asym(z):
+    """(J0(z), Y0(z)) from one P/Q evaluation."""
     p, q, _ = _jy_asym_pq(0.0, z)
     w = z - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(w) - q * math.sin(w))
+    amp = math.sqrt(2.0 / (math.pi * z))
+    c, s = math.cos(w), math.sin(w)
+    return amp * (p * c - q * s), amp * (p * s + q * c)
+
+
+def _j0_asym(z):
+    return _jy0_asym(z)[0]
 
 
 def _y0_asym(z):
-    p, q, _ = _jy_asym_pq(0.0, z)
-    w = z - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * z)) * (p * math.sin(w) + q * math.cos(w))
+    return _jy0_asym(z)[1]
 
 
 def _j1_asym(z):
@@ -470,6 +498,23 @@ def bessel_j1(z):
     if z <= _SERIES_CUTOFF:
         return _j1_series(z)
     return _j1_asym(z)
+
+
+def _j0_y0_fused(z):
+    """(J0, Y0, J0 - 1, c) at z > 0 from one fused evaluation.
+
+    c = (pi/2) Y0 - (log(z/2)+gamma) J0 is the regular part of Y0.  On the
+    series path c is the H_k sum itself and J0 - 1 comes from the
+    double-double pair, so both keep full relative accuracy as z -> 0,
+    where Y0 and J0 - 1 formed from doubles cancel.  J0 and Y0 are
+    bit-identical to ``bessel_j0`` and ``bessel_y0``.
+    """
+    if z <= _SERIES_CUTOFF:
+        j, c = _jy0_series_sums(z)
+        j0 = j[0] + j[1]
+        return j0, _y0_from_sums(z, j0, c), (j[0] - 1.0) + j[1], c
+    j0, y0 = _jy0_asym(z)
+    return j0, y0, j0 - 1.0, 0.5 * math.pi * y0 - (math.log(0.5 * z) + EULER_GAMMA) * j0
 
 
 def bessel_y0(z):

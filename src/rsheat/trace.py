@@ -35,13 +35,11 @@ from .quadrature import (
     integrate,
     integrate_log_tail,
 )
-from .specfun import bessel_i0_scaled
+from .specfun import bessel_i1_scaled, i0_scaled_checked
 
 _PI = math.pi
 _PI2 = math.pi * math.pi
 _U_CUT = 40.0  # arctan tail beyond this in all u = log y integrals
-
-_i0s_vec = np.vectorize(bessel_i0_scaled, otypes=[float])
 
 # fixed 48-point Gauss-Legendre rule on [0, 1/2] for the inner TrQ sweeps
 _TRQ_N, _TRQ_W = gauss_legendre_panel(48)
@@ -118,21 +116,25 @@ def tn_trace(t, spec: QuadSpec = DEFAULT_SPEC):
     return integrate(f, 0.0, 0.5, spec).value
 
 
-def friedrichs_trace(t, spec: QuadSpec = DEFAULT_SPEC):
+def friedrichs_trace(t):
     """int_0^1 (x/2t) I0(x^2/2t) e^{-x^2/2t} dx; ~ 1/sqrt(4 pi t) as t -> 0."""
-    return _friedrichs_trace_res(t, spec)[0]
+    return _friedrichs_trace_res(t)[0]
 
 
-def _friedrichs_trace_res(t, spec):
+def _friedrichs_trace_res(t):
+    """(value, est_error) of the Friedrichs trace in closed form.
+
+    With y = x^2/2t the trace is (1/2) int_0^Z e^{-y} I0(y) dy, Z = 1/2t,
+    and d/dy[y e^{-y}(I0 + I1)] = e^{-y} I0 gives (Z/2)(I0s(Z) + I1s(Z)).
+    The error is that of the two scaled Bessel values; I1's Hankel terms
+    approach I0's in size (|a_m(4)/a_m(0)| -> 1), so I0's estimate bounds
+    both.
+    """
     if t <= 0.0 or not math.isfinite(t):
         raise DomainError(f"friedrichs_trace: need t > 0, got {t!r}")
-
-    def f(xs):
-        xs = np.asarray(xs)
-        return (xs / (2.0 * t)) * _i0s_vec(xs * xs / (2.0 * t))
-
-    r = integrate(f, 0.0, 1.0, spec)
-    return r.value, r.est_error
+    z = 0.5 / t
+    i0s = i0_scaled_checked(z)
+    return 0.5 * z * (i0s.value + bessel_i1_scaled(z)), z * i0s.est_abs_error
 
 
 def _a_conv(ys, t):
@@ -270,7 +272,7 @@ def correction_trace(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS
 def full_trace(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
                spec: QuadSpec = DEFAULT_SPEC):
     """Assembled trace sample; the Friedrichs branch has zero correction."""
-    fr, fr_err = _friedrichs_trace_res(t, spec)
+    fr, fr_err = _friedrichs_trace_res(t)
     if bp.is_friedrichs:
         parts = TraceParts(fr, 0.0, 0.0)
         return TraceSample(t, parts.friedrichs + parts.correction, fr_err, parts)

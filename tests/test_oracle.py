@@ -3,9 +3,11 @@
 import io
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from rsheat import oracle
 from rsheat import (
     BoundaryParam,
     DomainError,
@@ -20,6 +22,11 @@ from rsheat.oracle import Spectrum, _secular_positive_dlam
 
 J01_SQ = 5.783185962946784521176
 J02_SQ = 30.47126234366208639908
+
+# interlacing angles: both signs of tan(theta), the zero mode, both sides
+# of the Friedrichs angle
+ANGLES = [0.0, 0.3, math.pi / 4, 1.5, math.pi / 2 - 0.01, math.pi / 2 + 0.01,
+          2.4, 3 * math.pi / 4, 3.1]
 
 
 def _fine_scan_roots(bp, lambda_max, per_cell=2000):
@@ -68,6 +75,17 @@ class TestSecularPositive:
             s = secular_positive(lam, bp0)
             assert s < 0.0
             assert abs(s + lam / 2.0) < 1e-2 * lam
+
+
+    @pytest.mark.parametrize("lam", [1e-14, 1e-9, 1e-3])
+    def test_small_lambda_relative_accuracy_against_mpmath(self, lam):
+        # tan(theta) = 1e-12 is lost from kappa in double; S must keep it
+        theta = 1e-12
+        with mp.workdps(50):
+            kappa = mp.euler - mp.log(2) + mp.tan(mp.mpf(theta))
+            r = mp.sqrt(mp.mpf(lam))
+            ref = (mp.log(lam) + 2 * kappa) * mp.besselj(0, r) - mp.pi * mp.bessely(0, r)
+            assert abs(secular_positive(lam, BoundaryParam(theta)) - ref) <= 1e-14 * abs(ref)
 
 
 class TestSecularNegative:
@@ -122,9 +140,7 @@ class TestEigenvalues:
         for a, b in zip(sp.eigenvalues, fine):
             assert abs(a - b) < 1e-8 * max(1.0, abs(a))
 
-    @pytest.mark.parametrize("theta", [
-        0.0, 0.3, math.pi / 4, 1.5, math.pi / 2 - 0.01, math.pi / 2 + 0.01,
-        2.4, 3 * math.pi / 4, 3.1])
+    @pytest.mark.parametrize("theta", ANGLES)
     def test_interlacing_count(self, theta):
         # one eigenvalue per cell between squared J0 zeros, one in
         # (0, j_1^2) iff tan(theta) > 0, one bound state iff tan(theta) < 0
@@ -147,6 +163,64 @@ class TestEigenvalues:
         want = -math.exp(-2.0 * bp.kappa)
         assert sp.negative_count == 1
         assert abs(sp.eigenvalues[0] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("theta", [1e-12, 1e-6, 1e-3])
+    def test_tiny_tan_theta_first_eigenvalue_against_mpmath(self, theta):
+        # kappa formed in mpmath: in double, tan(theta) vanishes from it
+        with mp.workdps(50):
+            tan = mp.tan(mp.mpf(theta))
+            kappa = mp.euler - mp.log(2) + tan
+
+            def s(lam):
+                r = mp.sqrt(lam)
+                return (mp.log(lam) + 2 * kappa) * mp.besselj(0, r) - mp.pi * mp.bessely(0, r)
+
+            ref = mp.findroot(s, 4 * tan / (1 + tan))
+            ev = eigenvalues(BoundaryParam(theta)).eigenvalues[0]
+            assert abs(ev - ref) <= 1e-12 * ref
+
+    def test_smallest_tan_theta_first_eigenvalue(self):
+        # lambda = 4 tan/(1 + tan) + O(tan^2)
+        ev = eigenvalues(BoundaryParam(1e-300)).eigenvalues[0]
+        assert abs(ev - 4e-300) <= 1e-12 * 4e-300
+
+    @pytest.mark.parametrize("theta", [1.6, 2.4, 3 * math.pi / 4, 3.1, 3.14])
+    def test_bound_state_matches_plain_bisection(self, theta):
+        bp = BoundaryParam(theta)
+        a, b = 1e-300, math.exp(-bp.kappa)  # N < 0 near 0, N = K0 > 0 at b
+        while a < 0.5 * (a + b) < b:
+            m = 0.5 * (a + b)
+            if secular_negative(m, bp) < 0.0:
+                a = m
+            else:
+                b = m
+        ev = eigenvalues(bp).eigenvalues[0]
+        assert abs(ev + a * a) <= 1e-13 * a * a
+
+    def test_phase_newton_evaluation_budget(self, monkeypatch):
+        # fused J0/Y0 evaluations per interlacing-cell solve; the residual
+        # certificate adds one more per eigenvalue outside the solve
+        fused, solve = oracle._j0_y0_fused, oracle._positive_root
+        calls = [0]
+        per_cell = []
+
+        def counting_fused(z):
+            calls[0] += 1
+            return fused(z)
+
+        def delimited_solve(*args):
+            before = calls[0]
+            out = solve(*args)
+            per_cell.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(oracle, "_j0_y0_fused", counting_fused)
+        monkeypatch.setattr(oracle, "_positive_root", delimited_solve)
+        for theta in ANGLES:
+            eigenvalues(BoundaryParam(theta), lambda_max=4000.0)
+        assert len(per_cell) >= 9 * 19
+        assert sum(per_cell) <= 4 * len(per_cell)
+        assert max(per_cell) <= 12
 
     def test_residual_certification(self, bp_quarter):
         sp = eigenvalues(bp_quarter, lambda_max=500.0)

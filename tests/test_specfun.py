@@ -155,6 +155,58 @@ def test_dual_paths_agree_on_overlap():
         assert abs(sf._k0_series(z) - sf._k_integral_scaled(z, 0) * math.exp(-z)) < 1e-11
 
 
+def _y0_series_separate_loops(z):
+    """Y0 by the two-loop route: the H_k sum, then a separate J0 series."""
+    from rsheat._dd import dd_add, dd_div_d, dd_mul, dd_mul_d, dd_sqr_d
+    u = dd_mul_d(dd_sqr_d(z), 0.25)
+    p, h, s = (1.0, 0.0), (0.0, 0.0), (0.0, 0.0)
+    k = 0
+    while True:
+        k += 1
+        p = dd_div_d(dd_mul(p, u), -float(k * k))
+        h = dd_add(h, dd_div_d((1.0, 0.0), float(k)))
+        term = dd_mul(p, h)
+        s = dd_add(s, term)
+        if abs(term[0]) < 1e-34 * (abs(s[0]) + 1.0) or k > 400:
+            break
+    ell = math.log(0.5 * z) + sf.EULER_GAMMA
+    return (2.0 / math.pi) * (ell * sf._j0_series(z) - (s[0] + s[1]))
+
+
+def _y0_asym_own_pq(z):
+    p, q, _ = sf._jy_asym_pq(0.0, z)
+    w = z - 0.25 * math.pi
+    return math.sqrt(2.0 / (math.pi * z)) * (p * math.sin(w) + q * math.cos(w))
+
+
+def test_fused_j0_y0_is_bit_identical_to_separate_routes():
+    # one shared loop / one P-Q call must not move a single bit
+    for z in np.concatenate([np.linspace(1e-3, 80.0, 2001), np.geomspace(1e-200, 1e-3, 50)]):
+        z = float(z)
+        j0, y0, _, _ = sf._j0_y0_fused(z)
+        assert j0 == sf.bessel_j0(z)
+        assert y0 == sf.bessel_y0(z)
+        want = _y0_series_separate_loops(z) if z <= 16.0 else _y0_asym_own_pq(z)
+        assert y0 == want
+
+
+@pytest.mark.parametrize("z", [1e-30, 1e-8, 1e-3, 0.5, 3.0, 15.0, 17.0, 40.0])
+def test_fused_parts_keep_relative_accuracy(z):
+    # J0 - 1 and c = (pi/2) Y0 - (log(z/2)+gamma) J0 both cancel when formed
+    # from J0 and Y0 as z -> 0; the fused evaluation returns them directly
+    _, _, j0m1, c = sf._j0_y0_fused(z)
+    with mp.workdps(40 + 2 * int(abs(math.log10(z)))):  # the reference cancels too
+        zm = mp.mpf(z)
+        j0 = mp.besselj(0, zm)
+        c_ref = mp.pi / 2 * mp.bessely(0, zm) - (mp.log(zm / 2) + mp.euler) * j0
+        if z <= 16.0:
+            assert abs(j0m1 - (j0 - 1)) <= 1e-15 * abs(j0 - 1)
+            assert abs(c - c_ref) <= 1e-15 * abs(c_ref)
+        else:  # Hankel path: absolute accuracy
+            assert abs(j0m1 - (j0 - 1)) <= 1e-15
+            assert abs(c - c_ref) <= 1e-14 * (1.0 + abs(mp.log(zm)))
+
+
 def test_checked_variants_error_model():
     zs = np.geomspace(1e-8, 700.0, 60)
     for z in zs:

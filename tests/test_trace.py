@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -22,6 +23,7 @@ from rsheat import (
 )
 from rsheat.ktheta import k1_smooth
 from rsheat.quadrature import integrate
+from rsheat.specfun import bessel_i0_scaled
 from rsheat.trace import (
     _GLW_N,
     _GLW_W,
@@ -32,6 +34,7 @@ from rsheat.trace import (
     _U_CUT,
     _W_EDGES,
     _a_conv,
+    _friedrichs_trace_res,
     _arctan_tail,
     _trq,
     _trq_values,
@@ -94,6 +97,25 @@ class TestFriedrichsTrace:
         t = 0.05
         eig_sum = sum(math.exp(-t * lam) for lam in j0sq)
         assert abs(friedrichs_trace(t) - eig_sum - 0.25) <= 0.02
+
+
+    def test_closed_form_against_mpmath(self):
+        with mp.workdps(40):
+            for t in np.geomspace(1e-4, 50.0, 41):
+                t = float(t)
+                z = 1 / (2 * mp.mpf(t))
+                ref = z / 2 * mp.exp(-z) * (mp.besseli(0, z) + mp.besseli(1, z))
+                value, est = _friedrichs_trace_res(t)
+                assert abs(value - ref) <= 1e-14 * ref
+                assert abs(value - ref) <= est
+
+    def test_closed_form_against_tight_quadrature(self):
+        i0s = np.vectorize(bessel_i0_scaled, otypes=[float])
+        spec = QuadSpec(rel_tol=1e-13, abs_tol=1e-16)
+        for t in (1e-3, 1e-2, 0.1, 1.0, 10.0):
+            quad = integrate(lambda xs: (xs / (2.0 * t)) * i0s(xs * xs / (2.0 * t)),
+                             0.0, 1.0, spec).value
+            assert abs(friedrichs_trace(t) - quad) <= 1e-13 * quad
 
 
 class TestT1Routes:
