@@ -1,10 +1,11 @@
 """Anatomy of the convolution kernel K(t) and the bound-state pole.
 
 K is the inverse Laplace transform of 1/(log sqrt(zeta) + kappa).  On the
-imaginary axis this splits into a positive slowly-decaying main integral
-plus smooth bounded contour pieces; but for every non-Friedrichs angle the
-symbol also has a real positive pole at zeta0 = e^{-2 kappa} whose residue
-2 zeta0 e^{t zeta0} the axis representation misses.  The numerical Laplace
+branch cut this is a positive density: a slowly-decaying main integral
+over y >= 1 plus a smooth bounded piece over 0 < y < 1; but for every
+non-Friedrichs angle the symbol also has a real positive pole at
+zeta0 = e^{-2 kappa} whose residue 2 zeta0 e^{t zeta0} the imaginary-axis
+representation misses.  The numerical Laplace
 transform decides the question: only the residue-ON assembly reproduces
 the symbol.
 """

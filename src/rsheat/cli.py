@@ -207,8 +207,7 @@ def _cmd_trace(args):
     started = time.time()
     bp = parse_theta(args.theta if args.theta is not None else "friedrichs")
     spec = _spec(args)
-    opts = KernelOptions(include_residue=not args.no_residue,
-                         contour_spec=spec, tail_spec=spec)
+    opts = KernelOptions(include_residue=not args.no_residue, spec=spec)
     ts = _grid(args)
 
     def one(t):
@@ -251,8 +250,7 @@ def _cmd_ktheta(args):
     started = time.time()
     bp = parse_theta(args.theta if args.theta is not None else "0")
     spec = _spec(args)
-    opts = KernelOptions(include_residue=not args.no_residue,
-                         contour_spec=spec, tail_spec=spec)
+    opts = KernelOptions(include_residue=not args.no_residue, spec=spec)
     ts = [args.t] if args.t is not None else _grid(args)
     buf = io.StringIO()
     buf.write("t,theta,main,smooth,residue,total\n")

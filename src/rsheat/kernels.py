@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError
-from .quadrature import DEFAULT_SPEC, QuadSpec, integrate
+from .quadrature import DEFAULT_SPEC, UNDERFLOW_U, QuadSpec, integrate
 from .specfun import EULER_GAMMA, LN2, bessel_i0_scaled
 
 _HALF_PI = 0.5 * math.pi
@@ -136,14 +136,14 @@ def signaling(h, x, t, spec: QuadSpec = DEFAULT_SPEC):
 
     Solves the heat equation with zero initial data and boundary data
     c_minus(F(h)(., t)) = h(t).  ``h`` may consume numpy arrays or plain
-    scalars.  Integrated in v = log s; below s = x^2/184 the Gaussian
-    factor underflows and the integrand is dropped.
+    scalars.  Integrated in v = log s; below s = x^2/(4 UNDERFLOW_U) the
+    Gaussian factor underflows and the integrand is dropped.
     """
     if t <= 0.0 or not math.isfinite(t):
         raise DomainError(f"signaling: need t > 0, got {t!r}")
     if x <= 0.0:
         raise DomainError("signaling: need x > 0")
-    s_min = x * x / 184.0
+    s_min = x * x / (4.0 * UNDERFLOW_U)
     if s_min >= t:
         return 0.0  # exp(-x^2/4s) < 1e-20 throughout [0, t]
     sq = math.sqrt(x)

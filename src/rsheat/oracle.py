@@ -22,8 +22,9 @@ is the interlacing of self-adjoint extensions with deficiency indices
 Each root is then one safeguarded Newton solve that never leaves its
 cell (``_safe_newton``); a positive root costs one fused J0/Y0 evaluation
 per step on a bounded phase (``_phase``).  S is formed as
-2 (tan(theta) J0 - c), c the regular part of Y0, which keeps the first
-eigenvalue of a tiny tan(theta) to full relative accuracy.
+2 (tan(theta) J0 - c), c the regular part of Y0, and for mu <= 1 N as
+tan(theta) I0 + S2, S2 the regular part of K0, which keeps the eigenvalue
+nearest 0 of a tiny |tan(theta)| to full relative accuracy on either side.
 
 theta = 0 carries the eigenvalue 0 exactly: sqrt(x) log x is annihilated
 by the operator, satisfies the theta = 0 condition (c_plus = 0) and
@@ -42,8 +43,10 @@ from dataclasses import dataclass
 from .errors import DomainError, InsufficientSpectrumError
 from .kernels import BoundaryParam
 from .specfun import (
+    _K_SERIES_CUTOFF,
     EULER_GAMMA,
     _j0_y0_fused,
+    _k0_s2,
     bessel_i0_scaled,
     bessel_j0,
     bessel_j1,
@@ -145,6 +148,10 @@ def secular_negative(mu, bp: BoundaryParam):
         raise DomainError(f"secular_negative: need mu > 0, got {mu!r}")
     if bp.is_friedrichs:
         return bessel_i0_scaled(mu)
+    if mu <= _K_SERIES_CUTOFF:
+        # K0 = S2 - (log(mu/2) + gamma) I0 turns N into tan(theta) I0 + S2,
+        # with no cancellation as tan(theta) -> 0
+        return math.tan(bp.theta) * bessel_i0_scaled(mu) + _k0_s2(mu) * math.exp(-mu)
     return ((math.log(mu) + bp.kappa) * bessel_i0_scaled(mu)
             + bessel_k0_scaled(mu) * math.exp(-2.0 * mu))
 
@@ -188,11 +195,12 @@ def _positive_root(lo, hi, tan_theta, tol):
     return r * r
 
 
-def _bound_state_h(v, kappa):
-    """h(v) = v + kappa + K0/I0 at mu = e^v, and h'(v) = 1 - 1/I0^2."""
+def _bound_state_h(v, bp):
+    """h(v) = N/I0 = v + kappa + K0/I0 at mu = e^v, and h'(v) = 1 - 1/I0^2."""
     mu = math.exp(v)
-    inv_i0 = math.exp(-mu) / bessel_i0_scaled(mu)
-    return v + kappa + bessel_k0_scaled(mu) * math.exp(-mu) * inv_i0, 1.0 - inv_i0 * inv_i0
+    i0s = bessel_i0_scaled(mu)
+    inv_i0 = math.exp(-mu) / i0s
+    return secular_negative(mu, bp) / i0s, 1.0 - inv_i0 * inv_i0
 
 
 def _safe_newton(f, x, lo, hi, tol):
@@ -261,7 +269,7 @@ def eigenvalues(bp: BoundaryParam, lambda_max=4000.0, tol=1e-10):
             v0 = v_hi
             if tan_theta > -1.0:
                 v0 = min(v_hi, 0.5 * math.log(-4.0 * tan_theta / (1.0 + tan_theta)))
-            v = _safe_newton(lambda x: _bound_state_h(x, kappa), v0, v_lo, v_hi, tol)
+            v = _safe_newton(lambda x: _bound_state_h(x, bp), v0, v_lo, v_hi, tol)
             evs.append(-math.exp(2.0 * v))
         cells = list(zip(zeros[:-1], zeros[1:]))
         if tan_theta > 0.0:

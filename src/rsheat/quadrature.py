@@ -13,6 +13,10 @@ logarithmically decaying weight 1/((log y + c)^2 + pi^2) that appear
 throughout the package; after u = log y the integrand decays like
 exp(u - t e^u) and is truncated where that factor underflows, with the
 truncation bound folded into the reported error.
+
+``UNDERFLOW_U`` is the package's one underflow cut: every exponential
+factor below e^{-UNDERFLOW_U} ~ 1e-20 is dropped.  ``U_CUT`` is where the
+u = log y integrals hand over to their analytic arctan tail.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+
+UNDERFLOW_U = 46.0
+U_CUT = 40.0
 
 # 15-point Kronrod nodes/weights and embedded 7-point Gauss weights
 # (QUADPACK dqk15 values).
@@ -69,16 +76,12 @@ class QuadSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 4000
-    tail_cutoff_policy: str = "fixed_upper_limit"
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("QuadSpec: tolerances must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("QuadSpec: max_subdivisions must be >= 1")
-        if self.tail_cutoff_policy not in ("fixed_upper_limit", "exp_substitution"):
-            raise DomainError(
-                f"QuadSpec: unknown tail policy {self.tail_cutoff_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -178,14 +181,14 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, points=None):
 
 
 def _log_tail_umax(t):
-    """u with t*e^u - u = 46 (underflow cut for exp(u - t e^u)).
+    """u with t*e^u - u = UNDERFLOW_U (underflow cut for exp(u - t e^u)).
 
-    Clamped below at a small positive width: for t > ~46 the exponential
-    factor is already below 1e-20 on all of [0, inf).
+    Clamped below at a small positive width: for t > ~UNDERFLOW_U the
+    exponential factor is already below 1e-20 on all of [0, inf).
     """
-    u = math.log(max(46.0 / t, 1e-300))
+    u = math.log(max(UNDERFLOW_U / t, 1e-300))
     for _ in range(4):
-        u = math.log(max((46.0 + u) / t, 1e-300))
+        u = math.log(max((UNDERFLOW_U + u) / t, 1e-300))
     return max(u, 0.01)
 
 
@@ -196,27 +199,15 @@ def integrate_log_tail(g, t, kappa2, spec=DEFAULT_SPEC):
     int_0^inf e^{u - t e^u} g(e^u) / ((u + kappa2)^2 + pi^2) du.
     ``g`` must accept numpy arrays and be bounded on [1, inf).
 
-    With the default ``fixed_upper_limit`` policy the integral is cut where
-    the exponential factor underflows (t e^u - u >= 46) and the truncation
-    bound |g| e^{-t e^umax}/t / ((umax+kappa2)^2 + pi^2) is added to the
-    reported error.  The ``exp_substitution`` policy instead maps the whole
-    half line to [0, 1) via u = -log(1 - v).
+    The integral is cut where the exponential factor underflows
+    (t e^u - u >= UNDERFLOW_U) and the truncation bound
+    |g| e^{-t e^umax}/t / ((umax+kappa2)^2 + pi^2) is added to the
+    reported error.
     """
     t = float(t)
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"integrate_log_tail: need t > 0, got {t!r}")
     pi2 = math.pi * math.pi
-
-    if spec.tail_cutoff_policy == "exp_substitution":
-        def h(vs):
-            vs = np.asarray(vs)
-            us = -np.log1p(-vs)
-            w = np.exp(us - t * np.exp(us)) / ((us + kappa2) ** 2 + pi2)
-            return w * np.asarray(g(np.exp(us))) / (1.0 - vs)
-
-        res = integrate(h, 0.0, 1.0 - 1e-16, spec)
-        return res
-
     umax = _log_tail_umax(t)
 
     def h(us):

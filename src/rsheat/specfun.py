@@ -112,6 +112,12 @@ def _i1_series(z):
 def _k0_series(z):
     # K0 = S2 - (log(z/2)+gamma) I0,  S2 = sum_{k>=1} H_k u^k/(k!)^2.
     # For z <= ~1.12 the two parts have the same sign: no cancellation.
+    ell = math.log(0.5 * z) + EULER_GAMMA
+    return _k0_s2(z) - ell * _i0_series(z)
+
+
+def _k0_s2(z):
+    """S2 = sum_{k>=1} H_k (z^2/4)^k/(k!)^2, the regular part of K0."""
     u = 0.25 * z * z
     p = 1.0
     h = 0.0
@@ -124,9 +130,7 @@ def _k0_series(z):
         term = p * h
         s2 += term
         if term < 1e-18 * (s2 + 1.0) or k > 300:
-            break
-    ell = math.log(0.5 * z) + EULER_GAMMA
-    return s2 - ell * _i0_series(z)
+            return s2
 
 
 def _k1_series(z):

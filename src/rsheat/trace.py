@@ -30,6 +30,8 @@ from .kernels import BoundaryParam
 from .ktheta import DEFAULT_OPTIONS, KernelOptions, k1_smooth, m_main, pole_location
 from .quadrature import (
     DEFAULT_SPEC,
+    U_CUT as _U_CUT,
+    UNDERFLOW_U,
     QuadSpec,
     gauss_legendre_panel,
     integrate,
@@ -39,7 +41,6 @@ from .specfun import bessel_i1_scaled, i0_scaled_checked
 
 _PI = math.pi
 _PI2 = math.pi * math.pi
-_U_CUT = 40.0  # arctan tail beyond this in all u = log y integrals
 
 # fixed 48-point Gauss-Legendre rule on [0, 1/2] for the inner TrQ sweeps
 _TRQ_N, _TRQ_W = gauss_legendre_panel(48)
@@ -52,7 +53,7 @@ _TRQ_FLAT_S = 1.0 / (4.0 * 38.0 * float(_TRQ_G.max()))
 _TRQ_SUM = float(np.sum(_TRQ_W))
 
 # geometric panel edges for the w = (t-s) y inner convolution variable
-_W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 46.0])
+_W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, UNDERFLOW_U])
 _GLW_N, _GLW_W = gauss_legendre_panel(16)
 
 
@@ -141,11 +142,11 @@ def _a_conv(ys, t):
     """A(y, t) = int_0^t e^{-(t-s) y} TrQ(s) ds via w = (t-s) y panels.
 
     ``ys`` is an array.  The fixed w-panels are clipped at each
-    w_max = min(t y, 46), which gives the panels beyond it zero width, so
-    every y uses the same (6 panels x 16 nodes) block.
+    w_max = min(t y, UNDERFLOW_U), which gives the panels beyond it zero
+    width, so every y uses the same (6 panels x 16 nodes) block.
     """
     y = np.asarray(ys, dtype=float)[:, None]
-    edges = np.minimum(_W_EDGES, np.minimum(t * y, 46.0))
+    edges = np.minimum(_W_EDGES, np.minimum(t * y, UNDERFLOW_U))
     lo = edges[:, :-1, None]
     hi = edges[:, 1:, None]
     w = 0.5 * (lo * (1.0 - _GLW_N) + hi * (1.0 + _GLW_N))

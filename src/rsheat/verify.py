@@ -18,7 +18,7 @@ from .asymptotics import exoticness_report
 from .kernels import BoundaryParam, nprime, q_diag
 from .ktheta import KernelOptions, laplace_of_k, pole_location
 from .oracle import eigenvalues, oracle_trace
-from .quadrature import QuadSpec, integrate
+from .quadrature import UNDERFLOW_U, QuadSpec, integrate
 from .specfun import (
     EULER_GAMMA,
     LN2,
@@ -127,7 +127,7 @@ def criterion_2_laplace_pair():
                 ss = np.exp(np.asarray(vs))
                 return (math.sqrt(x) / 2.0) * np.exp(-x * x / (4.0 * ss) - zeta * ss)
 
-            lo = math.log(x * x / 184.0)
+            lo = math.log(x * x / (4.0 * UNDERFLOW_U))
             hi = math.log(50.0 / zeta)
             num = integrate(f, lo, hi, spec).value
             ref = math.sqrt(x) * bessel_k0(x * math.sqrt(zeta))

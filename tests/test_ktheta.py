@@ -1,7 +1,8 @@
-"""Convolution kernel: contour pieces, pole residue, Laplace identity."""
+"""Convolution kernel: cut density, pole residue, Laplace identity."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,7 +10,9 @@ from rsheat import (
     BoundaryParam,
     DomainError,
     KernelOptions,
+    QuadSpec,
     bromwich_truncated,
+    integrate,
     k1_smooth,
     k_theta,
     laplace_of_k,
@@ -17,8 +20,39 @@ from rsheat import (
     pole_location,
     residue_term,
 )
-from rsheat.ktheta import k1_smooth_unpaired
 from rsheat.specfun import EULER_GAMMA
+
+# relative tolerance only: the kernel parts fall like 1/kappa^2 near pi/2
+REL_SPEC = QuadSpec(rel_tol=1e-13, abs_tol=1e-300)
+
+
+def contour_k1(t, kap, spec):
+    """The smooth part as the Bromwich contour pieces it replaced: the
+    segment |zeta| <= 1 of the imaginary axis plus the two unit quarter
+    arcs, conjugate pairs summed, (1/pi) Re of each."""
+    b = 0.25 * math.pi
+
+    def segment(ys):
+        a = 0.5 * np.log(ys) + kap
+        return (a * np.cos(t * ys) + b * np.sin(t * ys)) / (a * a + b * b)
+
+    def arcs(phis):
+        c = np.cos(phis)
+        s = np.sin(phis)
+        bb = 0.5 * phis + 0.25 * math.pi
+        num = (c * bb - s * kap) * np.cos(t * c) - (s * bb + c * kap) * np.sin(t * c)
+        return np.exp(-t * s) * num / (kap * kap + bb * bb)
+
+    return (integrate(segment, 0.0, 1.0, spec).value
+            + integrate(arcs, 0.0, 0.5 * math.pi, spec).value) / math.pi
+
+
+def mp_k1(t, kappa):
+    """2 int_0^1 e^{-ty} dy / ((log y + 2 kappa)^2 + pi^2) in mpmath."""
+    k2 = 2 * mp.mpf(kappa)
+    pts = sorted({-mp.inf, mp.mpf(0), min(-k2, mp.mpf(-1)), min(-mp.log(t + 1), -1)})
+    return 2 * mp.quad(lambda u: mp.exp(u - t * mp.exp(u)) / ((u + k2) ** 2 + mp.pi ** 2),
+                       pts)
 
 
 class TestMMain:
@@ -55,11 +89,32 @@ class TestMMain:
 
 
 class TestK1Smooth:
-    def test_conjugate_pairing_real(self, bp0):
-        for t in (0.0, 0.3, 1.7):
-            unpaired = k1_smooth_unpaired(t, bp0)
-            assert abs(unpaired.imag) < 1e-10
-            assert abs(unpaired.real - k1_smooth(t, bp0)) < 1e-10
+    def test_matches_contour_reference(self, tight_spec):
+        opts = KernelOptions(spec=tight_spec)
+        for theta in (0.0, 1.0, 2.4, 3.1):
+            bp = BoundaryParam(theta)
+            for t in (0.0, 1e-6, 0.5, 5.0, 50.0):
+                ref = contour_k1(t, bp.kappa, tight_spec)
+                assert abs(k1_smooth(t, bp, opts) - ref) <= 1e-12 * abs(ref)
+
+    def test_against_mpmath_next_to_friedrichs(self):
+        # the contour pieces are O(1/kappa) and cancel to O(1/kappa^2) here
+        opts = KernelOptions(spec=REL_SPEC)
+        for theta in (math.pi / 2 - 1e-4, math.pi / 2 + 1e-4):
+            bp = BoundaryParam(theta)
+            for t in (0.0, 0.5, 5.0, 1000.0):
+                with mp.workdps(30):
+                    ref = mp_k1(mp.mpf(t), bp.kappa)
+                    assert abs(k1_smooth(t, bp, opts) - ref) <= 1e-13 * ref
+
+    def test_large_t_against_mpmath(self):
+        for theta in (0.0, 1.0, 2.4, 3.1):
+            bp = BoundaryParam(theta)
+            with mp.workdps(30):
+                ref = mp_k1(mp.mpf(1000), bp.kappa)
+                opts = KernelOptions(spec=REL_SPEC)
+                assert abs(k1_smooth(1000.0, bp, opts) - ref) <= 1e-13 * ref
+                assert abs(k1_smooth(1000.0, bp) - ref) <= 1e-10 * ref
 
     def test_bounded_no_growth(self, bp0):
         ts = np.linspace(0.0, 5.0, 26)
@@ -136,6 +191,16 @@ class TestLaplaceIdentity:
     def test_large_zeta_log_decay(self, bp0):
         got = laplace_of_k(1e6, bp0)
         assert abs(got - 2.0 / math.log(1e6)) < 0.2 * 2.0 / math.log(1e6)
+
+    def test_matches_symbol_far_from_zeta_one(self):
+        # far below zeta = 1 the residue and cut parts nearly cancel; far
+        # above, the cut density is needed far beyond y = 1
+        cases = ((math.atan(10.0), (1e-2, 1e-6, 1e-8)), (0.0, (1e6, 1e10, 1e16)))
+        for theta, zetas in cases:
+            bp = BoundaryParam(theta)
+            for zeta in zetas:
+                target = 1.0 / (0.5 * math.log(zeta) + bp.kappa)
+                assert abs(laplace_of_k(zeta, bp) - target) <= 1e-12 * abs(target)
 
     def test_pole_guard(self, bp0):
         z0 = pole_location(bp0)

@@ -184,6 +184,21 @@ class TestEigenvalues:
         ev = eigenvalues(BoundaryParam(1e-300)).eigenvalues[0]
         assert abs(ev - 4e-300) <= 1e-12 * 4e-300
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
+    def test_bound_state_toward_pi_against_mpmath(self, gap):
+        # kappa formed in mpmath: log mu + kappa + K0/I0 cancels to tan(theta)
+        theta = math.pi - gap
+        with mp.workdps(50):
+            tan = mp.tan(mp.mpf(theta))
+            kappa = mp.euler - mp.log(2) + tan
+
+            def n(mu):
+                return (mp.log(mu) + kappa) * mp.besseli(0, mu) + mp.besselk(0, mu)
+
+            ref = -mp.findroot(n, mp.sqrt(-4 * tan)) ** 2
+            ev = eigenvalues(BoundaryParam(theta)).eigenvalues[0]
+            assert abs(ev - ref) <= 1e-13 * abs(ref)
+
     @pytest.mark.parametrize("theta", [1.6, 2.4, 3 * math.pi / 4, 3.1, 3.14])
     def test_bound_state_matches_plain_bisection(self, theta):
         bp = BoundaryParam(theta)

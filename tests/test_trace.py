@@ -229,8 +229,7 @@ class TestArrayRoutes:
             assert np.all(np.abs(_a_conv(ys, t) - loop) <= 1e-15 * np.abs(loop))
 
     def test_k1_smooth_array_matches_scalar(self, tight_spec):
-        # at the default rel_tol 1e-10 the scalar route itself is ~2e-12 off
-        opts = KernelOptions(contour_spec=tight_spec)
+        opts = KernelOptions(spec=tight_spec)
         ts = np.array([1e-4, 1e-2, 0.5, 5.0])
         for theta in (0.0, math.pi / 4, 2.4, 3.1):
             bp = BoundaryParam(theta)
@@ -243,7 +242,7 @@ class TestArrayRoutes:
             k1_smooth(np.array([0.1, -0.1]), BoundaryParam(0.0))
 
     def test_t1_and_t2_match_node_by_node_routes(self, tight_spec):
-        opts = KernelOptions(contour_spec=tight_spec, tail_spec=tight_spec)
+        opts = KernelOptions(spec=tight_spec)
         for theta in (0.0, 2.4):
             bp = BoundaryParam(theta)
             k2 = 2.0 * bp.kappa
