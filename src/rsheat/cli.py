@@ -269,7 +269,7 @@ def _cmd_verify(args):
     lines = [res.render() for res in results]
     ok = all(res.passed for res in results)
     lines.append(f"{'ALL CRITERIA PASS' if ok else 'FAILURES PRESENT'} "
-                 f"({time.time() - started:.1f}s total)")
+                 f"({1e3 * (time.time() - started):.0f} ms total)")
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)

@@ -104,6 +104,17 @@ class TestKthetaCommand:
         assert total == main_p + smooth + residue
 
 
+class TestVerifyCommand:
+    def test_quick_report(self, tmp_path, capsys):
+        out = tmp_path / "verify.txt"
+        code, _, _ = run_cli(["verify", "--quick", "--output", str(out)], capsys)
+        assert code == 0
+        lines = out.read_text().splitlines()
+        heads = [line for line in lines if line.startswith("[PASS] criterion ")]
+        assert len(heads) == 9
+        assert lines[-1].startswith("ALL CRITERIA PASS")
+
+
 class TestConfigFile:
     def test_config_applies_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from rsheat import kernels, verify
 from rsheat import (
     BoundaryParam,
     DomainError,
@@ -137,12 +139,53 @@ class TestQDiag:
     def test_unit_integral(self):
         # int_0^1 Q(x, 0.05) dx = 1/2 + O(t^inf)
         spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-14)
-
-        def f(xs):
-            return np.array([q_diag(float(x), 0.05, spec) for x in xs])
-
-        val = integrate(f, 0.0, 1.0, QuadSpec(rel_tol=1e-11, abs_tol=1e-13)).value
+        val = integrate(lambda xs: q_diag(xs, 0.05, spec), 0.0, 1.0,
+                        QuadSpec(rel_tol=1e-11, abs_tol=1e-13)).value
         assert abs(val - 0.5) <= 0.5 * math.exp(-1.0 / 0.05) + 2e-10
+
+    def test_array_matches_k0_closed_form(self, tight_spec):
+        # Q(x, t) = (x/2t) K0(x^2/2t) e^{-x^2/2t}
+        xs = np.array([1e-3, 1e-2, 0.1, 0.3, 0.7, 1.0])
+        for t in (0.05, 0.2, 0.5):
+            got = q_diag(xs, t, tight_spec)
+            assert got.shape == xs.shape
+            for x, q in zip(xs, got):
+                z = mp.mpf(float(x)) ** 2 / (2 * mp.mpf(t))
+                ref = float(mp.mpf(float(x)) / (2 * mp.mpf(t)) * mp.besselk(0, z) * mp.exp(-z))
+                assert abs(q - ref) <= 1e-12 * ref
+                assert abs(q_diag(float(x), t, tight_spec) - ref) <= 1e-12 * ref
+
+    def test_array_zero_entries_are_exact(self):
+        xs = np.array([0.0, 0.4, 0.0, 1.0])
+        got = q_diag(xs, 0.3)
+        assert got[0] == 0.0 and got[2] == 0.0
+        assert got[1] == pytest.approx(q_diag(0.4, 0.3), rel=1e-9)
+        assert got[3] == pytest.approx(q_diag(1.0, 0.3), rel=1e-9)
+        assert np.all(q_diag(np.zeros(3), 0.3) == 0.0)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            q_diag(np.array([0.5, -1e-9]), 0.3)
+        with pytest.raises(DomainError):
+            q_diag(-0.5, 0.3)
+        for t in (0.0, -0.1):
+            with pytest.raises(DomainError):
+                q_diag(np.array([0.5]), t)
+            with pytest.raises(DomainError):
+                q_diag(0.5, t)
+
+    def test_criterion_1_integrate_budget(self, monkeypatch):
+        # one inner u-integral per outer K15 panel, not one per node
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "integrate", counting)
+        monkeypatch.setattr(verify, "integrate", counting)
+        assert verify.criterion_1_tn_closed_form().passed
+        assert calls[0] <= 40
 
 
 class TestSignaling:
