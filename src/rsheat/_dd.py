@@ -40,12 +40,6 @@ def dd_add(x, y):
     return quick_two_sum(s, e)
 
 
-def dd_add_d(x, a):
-    s, e = two_sum(x[0], a)
-    e += x[1]
-    return quick_two_sum(s, e)
-
-
 def dd_mul(x, y):
     p, e = two_prod(x[0], y[0])
     e += x[0] * y[1] + x[1] * y[0]
@@ -63,10 +57,6 @@ def dd_div_d(x, a):
     p, e = two_prod(q1, a)
     q2 = ((x[0] - p) - e + x[1]) / a
     return quick_two_sum(q1, q2)
-
-
-def dd_neg(x):
-    return (-x[0], -x[1])
 
 
 def dd_sqr_d(a):

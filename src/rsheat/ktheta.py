@@ -34,6 +34,7 @@ from .quadrature import (
     U_CUT,
     UNDERFLOW_U,
     QuadSpec,
+    arctan_tail,
     gauss_legendre_panel,
     integrate,
     integrate_log_tail,
@@ -169,7 +170,7 @@ def laplace_of_k(zeta, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS)
     log_zeta = math.log(zeta)
     u_hi = max(0.0, log_zeta) + U_CUT
     cut_part = 2.0 * integrate(f, min(0.0, log_zeta) - UNDERFLOW_U, u_hi, opts.spec).value
-    cut_part += (2.0 / _PI) * (0.5 * _PI - math.atan((u_hi + k2) / _PI))
+    cut_part += 2.0 * arctan_tail(u_hi, k2)
     return cut_part + res_part
 
 

@@ -32,6 +32,13 @@ from .errors import ConvergenceError, DomainError
 UNDERFLOW_U = 46.0
 U_CUT = 40.0
 
+
+def arctan_tail(u, kappa2):
+    """int_u^inf dv / ((v + kappa2)^2 + pi^2), the analytic tail of the
+    u = log y integrals: (1/pi)(pi/2 - arctan((u + kappa2)/pi))."""
+    return (1.0 / math.pi) * (0.5 * math.pi - math.atan((u + kappa2) / math.pi))
+
+
 # 15-point Kronrod nodes/weights and embedded 7-point Gauss weights
 # (QUADPACK dqk15 values).
 _XGK = np.array([

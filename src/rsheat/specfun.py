@@ -5,21 +5,28 @@ routines, so accuracy targets are strict: relative error ~1e-13 for the
 exponential family (I, K) and absolute error ~1e-12 for the oscillatory
 family (J, Y) on the working ranges.
 
-Evaluation strategy per function:
+The module is organised by representation, not by function:
 
-* power series for small argument (compensated double-double summation for
-  the alternating J/Y series, where plain double loses ~6 digits to
-  cancellation near the crossover),
-* Hankel asymptotic series for large argument (truncated at the smallest
-  term; the divergence floor ~exp(-2z) is below 1e-13 for z >= 16),
+* power series for small argument: ``_jy_series(n, z)`` is the one
+  compensated double-double loop of the alternating J/Y series for both
+  orders (plain double loses ~6 digits to cancellation near the
+  crossover); it sums J_n and the regular part of Y_n from the same
+  terms, so J_n and Y_n cost one loop.  The positive-term I/K series are
+  plain per-order loops;
+* Hankel asymptotic series for large argument, truncated at the smallest
+  term (the divergence floor ~exp(-2z) is below 1e-13 for z >= 16), one
+  routine per family for both orders: ``_jy_asym(n, z)`` returns J_n and
+  Y_n from one P/Q sum; ``_i_asym_scaled`` and ``_k_asym_scaled`` take
+  mu = 4 nu^2;
 * for K0/K1 on the middle range (1, 16) neither of the above reaches
   1e-13 in double precision, so the integral representation
   e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(u/2)) cosh(nu u) du
   is evaluated by the geometrically convergent trapezoid rule.
 
-J0 and Y0 share one evaluation (``_j0_y0_fused``): on the series path one
-double-double loop forms both sums from the same terms, on the Hankel path
-one P/Q sum serves both.
+``_j0_y0_fused`` also returns J0 - 1 and the regular part of Y0 at full
+relative accuracy for the interval spectrum.  ``i0_scaled_checked`` adds
+an error estimate to e^{-z} I0(z), which bounds the Friedrichs part of a
+trace's ``est_error``.
 
 Scaled variants e^{-z} I(z), e^{z} K(z) are first-class API so callers can
 form products like I0(z) e^{-w} without overflow for z up to ~1e6.
@@ -154,117 +161,55 @@ def _k1_series(z):
     return 1.0 / z + ell * _i1_series(z) - 0.25 * z * s1
 
 
-def _k0_remainder_series(z):
-    # K0(z) + log z - (log2 - gamma) = S2 - (log(z/2)+gamma)(I0(z) - 1),
-    # exact cancellation-free form for small z.
-    u = 0.25 * z * z
-    p = 1.0
-    h = 0.0
-    s2 = 0.0
-    i0m1 = 0.0
-    k = 0
-    while True:
-        k += 1
-        p *= u / (k * k)
-        h += 1.0 / k
-        s2 += p * h
-        i0m1 += p
-        if p * h < 1e-18 * (s2 + 1e-300) and k > 3 or k > 300:
-            break
-    ell = math.log(0.5 * z) + EULER_GAMMA
-    return s2 - ell * i0m1
-
-
 # ----------------------------------------------------------------------
 # compensated power series for the oscillatory family
 # ----------------------------------------------------------------------
 
-def _j0_series(z):
-    # sum_k (-u)^k/(k!)^2 in double-double; u = z^2/4 held exactly
-    u = dd_mul_d(dd_sqr_d(z), 0.25)
-    term = (1.0, 0.0)
-    total = (1.0, 0.0)
-    k = 0
-    while True:
-        k += 1
-        term = dd_div_d(dd_mul(term, u), -float(k * k))
-        total = dd_add(total, term)
-        if abs(term[0]) < 1e-34 * (abs(total[0]) + 1.0) or k > 400:
-            return total[0] + total[1]
+def _jy_series(n, z, regular=True):
+    """(J_n, Y_n, j, r) at z on the series path, n in {0, 1}, from one loop.
 
+    Both sums share p_k = (-u)^k/(k!(k+n)!), u = z^2/4, in double-double:
+    j = sum_{k>=0} p_k (so J0 = j, J1 = (z/2) j) and the regular sum
+    r = sum_k w_k p_k with w_k = H_k (n = 0) or H_k + H_{k+1} (n = 1):
 
-def _j1_series(z):
-    u = dd_mul_d(dd_sqr_d(z), 0.25)
-    term = (1.0, 0.0)
-    total = (1.0, 0.0)
-    k = 0
-    while True:
-        k += 1
-        term = dd_div_d(dd_mul(term, u), -float(k * (k + 1)))
-        total = dd_add(total, term)
-        if abs(term[0]) < 1e-34 * (abs(total[0]) + 1.0) or k > 400:
-            return 0.5 * z * (total[0] + total[1])
+        Y0 = (2/pi)[(log(z/2)+gamma) J0 - r]
+        Y1 = (2/pi)[(log(z/2)+gamma) J1 - 1/z - (z/4) r]
 
-
-def _jy0_series_sums(z):
-    """J0(z) as a double-double pair and c(z) from one compensated loop.
-
-    c = sum_{k>=1} (-1)^{k+1} H_k u^k/(k!)^2 with u = z^2/4, so that
-    Y0 = (2/pi)[(log(z/2)+gamma) J0 + c].  Both sums share
-    p_k = (-u)^k/(k!)^2, and each stops on its own rule, so J0 is
-    bit-identical to ``_j0_series``.  The pair (hi, lo) keeps
-    J0 - 1 = (hi - 1) + lo accurate as z -> 0.
+    Each sum stops on its own rule, so J_n does not depend on ``regular``;
+    with ``regular=False`` only j is summed and Y_n and r are None.  The
+    pair j = (hi, lo) keeps J0 - 1 = (hi - 1) + lo accurate as z -> 0.
     """
+    one = (1.0, 0.0)
     u = dd_mul_d(dd_sqr_d(z), 0.25)
-    p = (1.0, 0.0)
-    j = (1.0, 0.0)
-    h = (0.0, 0.0)
-    s = (0.0, 0.0)
-    j_done = s_done = False
+    p = j = one
+    h = (0.0, 0.0)  # H_k
+    h1 = one  # H_{k+1}, order 1 only
+    s = (float(n), 0.0)  # k = 0 term: w_0 = n
+    j_done, s_done = False, not regular
     k = 0
     while not (j_done and s_done):
         k += 1
-        p = dd_div_d(dd_mul(p, u), -float(k * k))
+        p = dd_div_d(dd_mul(p, u), -float(k * (k + n)))
         if not j_done:
             j = dd_add(j, p)
             j_done = abs(p[0]) < 1e-34 * (abs(j[0]) + 1.0) or k > 400
         if not s_done:
-            h = dd_add(h, dd_div_d((1.0, 0.0), float(k)))
-            term = dd_mul(p, h)
-            s = dd_add(s, term)  # sign (-1)^{k+1} = -(sign of p)
+            h = dd_add(h, dd_div_d(one, float(k)))
+            if n:
+                h1 = dd_add(h1, dd_div_d(one, float(k + 1)))
+                term = dd_mul(p, dd_add(h, h1))
+            else:
+                term = dd_mul(p, h)
+            s = dd_add(s, term)
             s_done = abs(term[0]) < 1e-34 * (abs(s[0]) + 1.0) or k > 400
-    return j, -(s[0] + s[1])
-
-
-def _y0_from_sums(z, j0, c):
-    return (2.0 / math.pi) * ((math.log(0.5 * z) + EULER_GAMMA) * j0 + c)
-
-
-def _y0_series(z):
-    j, c = _jy0_series_sums(z)
-    return _y0_from_sums(z, j[0] + j[1], c)
-
-
-def _y1_series(z):
-    # Y1 = (2/pi)[(log(z/2)+gamma) J1 - 1/z
-    #             - (z/4) sum_{k>=0} (-1)^k (H_k+H_{k+1}) u^k/(k!(k+1)!)]
-    u = dd_mul_d(dd_sqr_d(z), 0.25)
-    p = (1.0, 0.0)
-    hk = (0.0, 0.0)
-    hk1 = (1.0, 0.0)
-    s = dd_add(hk, hk1)
-    k = 0
-    while True:
-        k += 1
-        p = dd_div_d(dd_mul(p, u), -float(k * (k + 1)))
-        hk = dd_add(hk, dd_div_d((1.0, 0.0), float(k)))
-        hk1 = dd_add(hk1, dd_div_d((1.0, 0.0), float(k + 1)))
-        term = dd_mul(p, dd_add(hk, hk1))
-        s = dd_add(s, term)
-        if abs(term[0]) < 1e-34 * (abs(s[0]) + 1.0) or k > 400:
-            break
+    jn = j[0] + j[1] if n == 0 else 0.5 * z * (j[0] + j[1])
+    if not regular:
+        return jn, None, j, None
+    r = s[0] + s[1]
     ell = math.log(0.5 * z) + EULER_GAMMA
-    return (2.0 / math.pi) * (ell * _j1_series(z) - 1.0 / z - 0.25 * z * (s[0] + s[1]))
+    if n == 0:
+        return jn, (2.0 / math.pi) * (ell * jn - r), j, r
+    return jn, (2.0 / math.pi) * (ell * jn - 1.0 / z - 0.25 * z * r), j, r
 
 
 # ----------------------------------------------------------------------
@@ -306,15 +251,25 @@ def _ik_asym_sum(mu, z, alternate):
     return total, smallest
 
 
+def _i_asym_scaled(mu, z):
+    """e^{-z} I_nu(z), mu = 4 nu^2, from the Hankel series."""
+    s, _ = _ik_asym_sum(mu, z, alternate=True)
+    return s / math.sqrt(2.0 * math.pi * z)
+
+
+def _k_asym_scaled(mu, z):
+    """e^{z} K_nu(z), mu = 4 nu^2, from the Hankel series."""
+    s, _ = _ik_asym_sum(mu, z, alternate=False)
+    return s * math.sqrt(0.5 * math.pi / z)
+
+
 def _jy_asym_pq(mu, z):
     """P and Q sums of the oscillatory asymptotics, to the smallest term."""
     p = 0.0
     q = 0.0
     prev = math.inf
-    smallest = math.inf
     for m, a in enumerate(_hankel_terms(mu, z)):
         if abs(a) >= prev or m > 120:
-            smallest = prev
             break
         s = 1.0 if (m // 2) % 2 == 0 else -1.0
         if m % 2 == 0:
@@ -323,58 +278,17 @@ def _jy_asym_pq(mu, z):
             q += s * a
         prev = abs(a)
         if abs(a) < 1e-19:
-            smallest = abs(a)
             break
-    return p, q, smallest
+    return p, q
 
 
-def _i0_asym_scaled(z):
-    s, _ = _ik_asym_sum(0.0, z, alternate=True)
-    return s / math.sqrt(2.0 * math.pi * z)
-
-
-def _i1_asym_scaled(z):
-    s, _ = _ik_asym_sum(4.0, z, alternate=True)
-    return s / math.sqrt(2.0 * math.pi * z)
-
-
-def _k0_asym_scaled(z):
-    s, _ = _ik_asym_sum(0.0, z, alternate=False)
-    return s * math.sqrt(0.5 * math.pi / z)
-
-
-def _k1_asym_scaled(z):
-    s, _ = _ik_asym_sum(4.0, z, alternate=False)
-    return s * math.sqrt(0.5 * math.pi / z)
-
-
-def _jy0_asym(z):
-    """(J0(z), Y0(z)) from one P/Q evaluation."""
-    p, q, _ = _jy_asym_pq(0.0, z)
-    w = z - 0.25 * math.pi
+def _jy_asym(n, z):
+    """(J_n(z), Y_n(z)), n in {0, 1}, from one P/Q evaluation."""
+    p, q = _jy_asym_pq(4.0 * n * n, z)
+    w = z - (0.25 + 0.5 * n) * math.pi
     amp = math.sqrt(2.0 / (math.pi * z))
     c, s = math.cos(w), math.sin(w)
     return amp * (p * c - q * s), amp * (p * s + q * c)
-
-
-def _j0_asym(z):
-    return _jy0_asym(z)[0]
-
-
-def _y0_asym(z):
-    return _jy0_asym(z)[1]
-
-
-def _j1_asym(z):
-    p, q, _ = _jy_asym_pq(4.0, z)
-    w = z - 0.75 * math.pi
-    return math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(w) - q * math.sin(w))
-
-
-def _y1_asym(z):
-    p, q, _ = _jy_asym_pq(4.0, z)
-    w = z - 0.75 * math.pi
-    return math.sqrt(2.0 / (math.pi * z)) * (p * math.sin(w) + q * math.cos(w))
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +334,7 @@ def bessel_i0(z):
     z = _check_domain(z, "bessel_i0")
     if z <= _SERIES_CUTOFF:
         return _i0_series(z)
-    return math.exp(z) * _i0_asym_scaled(z) if z < 709.0 else math.inf
+    return math.exp(z) * _i_asym_scaled(0.0, z) if z < 709.0 else math.inf
 
 
 def bessel_i0_scaled(z):
@@ -428,21 +342,21 @@ def bessel_i0_scaled(z):
     z = _check_domain(z, "bessel_i0_scaled")
     if z <= _SERIES_CUTOFF:
         return math.exp(-z) * _i0_series(z)
-    return _i0_asym_scaled(z)
+    return _i_asym_scaled(0.0, z)
 
 
 def bessel_i1(z):
     z = _check_domain(z, "bessel_i1")
     if z <= _SERIES_CUTOFF:
         return _i1_series(z)
-    return math.exp(z) * _i1_asym_scaled(z) if z < 709.0 else math.inf
+    return math.exp(z) * _i_asym_scaled(4.0, z) if z < 709.0 else math.inf
 
 
 def bessel_i1_scaled(z):
     z = _check_domain(z, "bessel_i1_scaled")
     if z <= _SERIES_CUTOFF:
         return math.exp(-z) * _i1_series(z)
-    return _i1_asym_scaled(z)
+    return _i_asym_scaled(4.0, z)
 
 
 def bessel_k0(z):
@@ -451,7 +365,7 @@ def bessel_k0(z):
         return _k0_series(z)
     if z < _SERIES_CUTOFF:
         return math.exp(-z) * _k_integral_scaled(z, 0)
-    return math.exp(-z) * _k0_asym_scaled(z)
+    return math.exp(-z) * _k_asym_scaled(0.0, z)
 
 
 def bessel_k0_scaled(z):
@@ -461,15 +375,7 @@ def bessel_k0_scaled(z):
         return math.exp(z) * _k0_series(z)
     if z < _SERIES_CUTOFF:
         return _k_integral_scaled(z, 0)
-    return _k0_asym_scaled(z)
-
-
-def k0_remainder(z):
-    """K0(z) + log z - (log 2 - gamma); O(z^2 log z) as z -> 0."""
-    z = _check_domain(z, "k0_remainder", positive=True)
-    if z <= _K_SERIES_CUTOFF:
-        return _k0_remainder_series(z)
-    return bessel_k0(z) + math.log(z) - (LN2 - EULER_GAMMA)
+    return _k_asym_scaled(0.0, z)
 
 
 def bessel_k1(z):
@@ -478,7 +384,7 @@ def bessel_k1(z):
         return _k1_series(z)
     if z < _SERIES_CUTOFF:
         return math.exp(-z) * _k_integral_scaled(z, 1)
-    return math.exp(-z) * _k1_asym_scaled(z)
+    return math.exp(-z) * _k_asym_scaled(4.0, z)
 
 
 def bessel_k1_scaled(z):
@@ -487,21 +393,21 @@ def bessel_k1_scaled(z):
         return math.exp(z) * _k1_series(z)
     if z < _SERIES_CUTOFF:
         return _k_integral_scaled(z, 1)
-    return _k1_asym_scaled(z)
+    return _k_asym_scaled(4.0, z)
 
 
 def bessel_j0(z):
     z = _check_domain(z, "bessel_j0")
     if z <= _SERIES_CUTOFF:
-        return _j0_series(z)
-    return _j0_asym(z)
+        return _jy_series(0, z, regular=False)[0]
+    return _jy_asym(0, z)[0]
 
 
 def bessel_j1(z):
     z = _check_domain(z, "bessel_j1")
     if z <= _SERIES_CUTOFF:
-        return _j1_series(z)
-    return _j1_asym(z)
+        return _jy_series(1, z, regular=False)[0]
+    return _jy_asym(1, z)[0]
 
 
 def _j0_y0_fused(z):
@@ -514,38 +420,31 @@ def _j0_y0_fused(z):
     bit-identical to ``bessel_j0`` and ``bessel_y0``.
     """
     if z <= _SERIES_CUTOFF:
-        j, c = _jy0_series_sums(z)
-        j0 = j[0] + j[1]
-        return j0, _y0_from_sums(z, j0, c), (j[0] - 1.0) + j[1], c
-    j0, y0 = _jy0_asym(z)
+        j0, y0, j, r = _jy_series(0, z)
+        return j0, y0, (j[0] - 1.0) + j[1], -r
+    j0, y0 = _jy_asym(0, z)
     return j0, y0, j0 - 1.0, 0.5 * math.pi * y0 - (math.log(0.5 * z) + EULER_GAMMA) * j0
 
 
 def bessel_y0(z):
     z = _check_domain(z, "bessel_y0", positive=True)
     if z <= _SERIES_CUTOFF:
-        return _y0_series(z)
-    return _y0_asym(z)
+        return _jy_series(0, z)[1]
+    return _jy_asym(0, z)[1]
 
 
 def bessel_y1(z):
     z = _check_domain(z, "bessel_y1", positive=True)
     if z <= _SERIES_CUTOFF:
-        return _y1_series(z)
-    return _y1_asym(z)
+        return _jy_series(1, z)[1]
+    return _jy_asym(1, z)[1]
 
 
 # ----------------------------------------------------------------------
-# checked evaluation (value + error estimate) of the bounded
-# representatives: scaled I/K, plain J/Y
+# checked evaluation (value + error estimate) of e^{-z} I0(z)
 # ----------------------------------------------------------------------
 
 _EPS = 2.220446049250313e-16
-
-
-def _asym_floor(z, mu, amplitude):
-    _, smallest = _ik_asym_sum(mu, z, alternate=False)
-    return amplitude * (smallest + 4.0 * _EPS)
 
 
 def i0_scaled_checked(z):
@@ -553,48 +452,6 @@ def i0_scaled_checked(z):
     if z <= _SERIES_CUTOFF:
         est = 8.0 * _EPS * abs(v) + 1e-300
     else:
-        est = _asym_floor(z, 0.0, 1.0 / math.sqrt(2.0 * math.pi * z))
+        _, smallest = _ik_asym_sum(0.0, z, alternate=False)
+        est = 1.0 / math.sqrt(2.0 * math.pi * z) * (smallest + 4.0 * _EPS)
     return SpecfunResult(v, est)
-
-
-def k0_scaled_checked(z):
-    v = bessel_k0_scaled(z)
-    if z <= _K_SERIES_CUTOFF:
-        est = 8.0 * _EPS * abs(v)
-    elif z < _SERIES_CUTOFF:
-        est = 16.0 * _EPS * abs(v) + 1e-18  # trapezoid stops at machine eps
-    else:
-        est = _asym_floor(z, 0.0, math.sqrt(0.5 * math.pi / z))
-    return SpecfunResult(v, est)
-
-
-def _jy_checked(z, series_fn, asym_fn, mu):
-    if z <= _SERIES_CUTOFF:
-        v = series_fn(z)
-        # double-double summation: only the final roundings survive
-        return SpecfunResult(v, 16.0 * _EPS * (abs(v) + 1.0))
-    v = asym_fn(z)
-    amp = math.sqrt(2.0 / (math.pi * z))
-    _, _, smallest = _jy_asym_pq(mu, z)
-    # smallest kept term + phase reduction error z*eps
-    return SpecfunResult(v, amp * (smallest + (z + 4.0) * _EPS))
-
-
-def j0_checked(z):
-    z = _check_domain(z, "j0_checked")
-    return _jy_checked(z, _j0_series, _j0_asym, 0.0)
-
-
-def y0_checked(z):
-    z = _check_domain(z, "y0_checked", positive=True)
-    return _jy_checked(z, _y0_series, _y0_asym, 0.0)
-
-
-def j1_checked(z):
-    z = _check_domain(z, "j1_checked")
-    return _jy_checked(z, _j1_series, _j1_asym, 4.0)
-
-
-def y1_checked(z):
-    z = _check_domain(z, "y1_checked", positive=True)
-    return _jy_checked(z, _y1_series, _y1_asym, 4.0)

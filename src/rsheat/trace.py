@@ -33,13 +33,13 @@ from .quadrature import (
     U_CUT as _U_CUT,
     UNDERFLOW_U,
     QuadSpec,
+    arctan_tail,
     gauss_legendre_panel,
     integrate,
     integrate_log_tail,
 )
 from .specfun import bessel_i1_scaled, i0_scaled_checked
 
-_PI = math.pi
 _PI2 = math.pi * math.pi
 
 # fixed 48-point Gauss-Legendre rule on [0, 1/2] for the inner TrQ sweeps
@@ -155,10 +155,6 @@ def _a_conv(ys, t):
     return np.sum(0.5 * (hi - lo) * _GLW_W * vals, axis=(1, 2)) / y[:, 0]
 
 
-def _arctan_tail(k2):
-    return (1.0 / _PI) * (0.5 * _PI - math.atan((_U_CUT + k2) / _PI))
-
-
 def t1_y_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     """T1 in the y-outer order:
     2 int_1^inf [int_0^t e^{-(t-s)y} TrQ(s) ds] ((log y + 2k)^2+pi^2)^{-1} dy.
@@ -172,11 +168,16 @@ def t1_y_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
         return _a_conv(ys, t) * ys / ((us + k2) ** 2 + _PI2)
 
     r = integrate(f, 0.0, _U_CUT, spec)
-    return 2.0 * r.value + 2.0 * _trq(t) * _arctan_tail(k2)
+    return 2.0 * r.value + 2.0 * _trq(t) * arctan_tail(_U_CUT, k2)
 
 
 def t1_s_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, eps=1e-6):
-    """T1 in the s-outer order (independent cross-check of t1_y_outer).
+    """T1 in the s-outer order, the reference the test suite checks
+    t1_y_outer against.
+
+    No package code calls it; it is kept on purpose because it sums the
+    same double integral in the other Fubini order, through m_main
+    instead of the y-integrand, so agreement checks the order swap.
 
     int_0^t M(tau) TrQ(t - tau) dtau in v = log tau, truncated at
     tau = eps*t; the cut [0, eps*t] contributes TrQ(t) * C(eps t) with
@@ -212,7 +213,7 @@ def t1_reference(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
         return -np.expm1(-t * np.exp(us)) / ((us + k2) ** 2 + _PI2)
 
     r = integrate(f, 0.0, _U_CUT, spec)
-    return r.value + _arctan_tail(k2)
+    return r.value + arctan_tail(_U_CUT, k2)
 
 
 def exotic_term(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
@@ -227,8 +228,7 @@ def exotic_term(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
 
 def exotic_limit(bp: BoundaryParam):
     """Exact t -> 0 limit of exotic_term: -(1/pi)(pi/2 - arctan(2k/pi))."""
-    k2 = 2.0 * bp.kappa
-    return -(1.0 / _PI) * (0.5 * _PI - math.atan(k2 / _PI))
+    return -arctan_tail(0.0, 2.0 * bp.kappa)
 
 
 def t2_part(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,

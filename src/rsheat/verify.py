@@ -20,19 +20,13 @@ from .ktheta import KernelOptions, laplace_of_k, pole_location
 from .oracle import eigenvalues, oracle_trace
 from .quadrature import UNDERFLOW_U, QuadSpec, integrate
 from .specfun import (
-    _i0_asym_scaled,
     _i0_series,
-    _j0_asym,
-    _j0_series,
-    _j1_asym,
-    _j1_series,
-    _k0_asym_scaled,
+    _i_asym_scaled,
+    _jy_asym,
+    _jy_series,
     _k0_series,
+    _k_asym_scaled,
     _k_integral_scaled,
-    _y0_asym,
-    _y0_series,
-    _y1_asym,
-    _y1_series,
     bessel_i0,
     bessel_i0_scaled,
     bessel_i1,
@@ -277,12 +271,13 @@ def criterion_9_specfun():
 
     overlap = np.linspace(14.0, 18.0, 17)
     pairs = [
-        ("j0", _j0_series, _j0_asym),
-        ("y0", _y0_series, _y0_asym),
-        ("j1", _j1_series, _j1_asym),
-        ("y1", _y1_series, _y1_asym),
-        ("i0_scaled", lambda z: _i0_series(z) * math.exp(-z), _i0_asym_scaled),
-        ("k0_scaled", lambda z: _k_integral_scaled(z, 0), _k0_asym_scaled),
+        ("j0", lambda z: _jy_series(0, z, regular=False)[0], lambda z: _jy_asym(0, z)[0]),
+        ("y0", lambda z: _jy_series(0, z)[1], lambda z: _jy_asym(0, z)[1]),
+        ("j1", lambda z: _jy_series(1, z, regular=False)[0], lambda z: _jy_asym(1, z)[0]),
+        ("y1", lambda z: _jy_series(1, z)[1], lambda z: _jy_asym(1, z)[1]),
+        ("i0_scaled", lambda z: _i0_series(z) * math.exp(-z),
+         lambda z: _i_asym_scaled(0.0, z)),
+        ("k0_scaled", lambda z: _k_integral_scaled(z, 0), lambda z: _k_asym_scaled(0.0, z)),
     ]
     for name, f_small, f_large in pairs:
         worst = max(abs(f_small(float(z)) - f_large(float(z))) /

@@ -1,14 +1,15 @@
 """The benchmark's traced run spans rsheat functions by name; a refactor
 that renames or bypasses one breaks ``bench/run.py --trace 1``.  This
-checks, without running the benchmark, that every spanned name exists and
-that the calls the traced run makes reach each trace and ktheta span."""
+checks, without running the benchmark, that every spanned or counted name
+exists and that the calls the traced run makes reach each trace and ktheta
+span."""
 
 import importlib.util
 import pathlib
 
 import pytest
 
-from rsheat import BoundaryParam, ktheta, oracle, trace
+from rsheat import BoundaryParam, ktheta, oracle, specfun, trace
 
 RUN_PY = pathlib.Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
@@ -28,6 +29,13 @@ def test_spanned_names_exist(bench_run):
         assert callable(getattr(ktheta, attr, None)), f"ktheta.{attr}"
     for attr in bench_run.ORACLE_SPANS:
         assert callable(getattr(oracle, attr, None)), f"oracle.{attr}"
+
+
+def test_specfun_names_exist(bench_run):
+    # the specfun probe and the oracle call counters look these up by name
+    assert bench_run.inputs.SPECFUN_ARGS
+    for fn in bench_run.inputs.SPECFUN_ARGS:
+        assert callable(getattr(specfun, f"bessel_{fn}", None)), f"specfun.bessel_{fn}"
 
 
 def test_one_call_each_reaches_every_trace_and_ktheta_span(bench_run):

@@ -63,13 +63,6 @@ def test_k0_positive_and_decreasing():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_k0_remainder_small_z():
-    assert abs(sf.k0_remainder(1e-8)) <= 1e-7
-    for z in np.geomspace(1e-6, 0.1, 25):
-        z = float(z)
-        assert abs(sf.k0_remainder(z)) <= z * abs(math.log(z))
-
-
 def test_j0_trivial_and_first_zero():
     assert sf.bessel_j0(0.0) == 1.0
     # bisection + Newton on the test's own series oracle
@@ -144,50 +137,92 @@ def test_wronskians_random_grid():
 def test_dual_paths_agree_on_overlap():
     for z in np.linspace(14.0, 18.0, 9):
         z = float(z)
-        assert abs(sf._j0_series(z) - sf._j0_asym(z)) < 1e-11
-        assert abs(sf._y0_series(z) - sf._y0_asym(z)) < 1e-11
-        assert abs(sf._j1_series(z) - sf._j1_asym(z)) < 1e-11
-        assert abs(sf._y1_series(z) - sf._y1_asym(z)) < 1e-11
-        assert abs(sf._i0_series(z) * math.exp(-z) / sf._i0_asym_scaled(z) - 1.0) < 1e-11
-        assert abs(sf._k_integral_scaled(z, 0) / sf._k0_asym_scaled(z) - 1.0) < 1e-11
+        for n in (0, 1):
+            jn, yn, _, _ = sf._jy_series(n, z)
+            ja, ya = sf._jy_asym(n, z)
+            assert abs(jn - ja) < 1e-11
+            assert abs(yn - ya) < 1e-11
+        assert abs(sf._i0_series(z) * math.exp(-z) / sf._i_asym_scaled(0.0, z) - 1.0) < 1e-11
+        assert abs(sf._k_integral_scaled(z, 0) / sf._k_asym_scaled(0.0, z) - 1.0) < 1e-11
     for z in np.linspace(0.4, 1.0, 7):
         z = float(z)
         assert abs(sf._k0_series(z) - sf._k_integral_scaled(z, 0) * math.exp(-z)) < 1e-11
 
 
-def _y0_series_separate_loops(z):
-    """Y0 by the two-loop route: the H_k sum, then a separate J0 series."""
+# Separate-loop references for the bit-identity tests below: J_n and the
+# regular sum of Y_n each have their own loop, written out here, so neither
+# shares code with the one loop under test.
+
+def _jn_own_loop(n, z):
     from rsheat._dd import dd_add, dd_div_d, dd_mul, dd_mul_d, dd_sqr_d
     u = dd_mul_d(dd_sqr_d(z), 0.25)
-    p, h, s = (1.0, 0.0), (0.0, 0.0), (0.0, 0.0)
+    term = total = (1.0, 0.0)
     k = 0
     while True:
         k += 1
-        p = dd_div_d(dd_mul(p, u), -float(k * k))
-        h = dd_add(h, dd_div_d((1.0, 0.0), float(k)))
-        term = dd_mul(p, h)
+        term = dd_div_d(dd_mul(term, u), -float(k * (k + n)))
+        total = dd_add(total, term)
+        if abs(term[0]) < 1e-34 * (abs(total[0]) + 1.0) or k > 400:
+            s = total[0] + total[1]
+            return s if n == 0 else 0.5 * z * s
+
+
+def _yn_separate_loops(n, z):
+    """Y_n by the two-loop route: the harmonic sum, then a separate J_n series."""
+    from rsheat._dd import dd_add, dd_div_d, dd_mul, dd_mul_d, dd_sqr_d
+    u = dd_mul_d(dd_sqr_d(z), 0.25)
+    p, hk, hk1, s = (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (float(n), 0.0)
+    k = 0
+    while True:
+        k += 1
+        p = dd_div_d(dd_mul(p, u), -float(k * (k + n)))
+        hk = dd_add(hk, dd_div_d((1.0, 0.0), float(k)))
+        if n == 0:
+            term = dd_mul(p, hk)
+        else:
+            hk1 = dd_add(hk1, dd_div_d((1.0, 0.0), float(k + 1)))
+            term = dd_mul(p, dd_add(hk, hk1))
         s = dd_add(s, term)
         if abs(term[0]) < 1e-34 * (abs(s[0]) + 1.0) or k > 400:
             break
     ell = math.log(0.5 * z) + sf.EULER_GAMMA
-    return (2.0 / math.pi) * (ell * sf._j0_series(z) - (s[0] + s[1]))
+    if n == 0:
+        return (2.0 / math.pi) * (ell * _jn_own_loop(0, z) - (s[0] + s[1]))
+    return (2.0 / math.pi) * (ell * _jn_own_loop(1, z) - 1.0 / z - 0.25 * z * (s[0] + s[1]))
 
 
-def _y0_asym_own_pq(z):
-    p, q, _ = sf._jy_asym_pq(0.0, z)
-    w = z - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * z)) * (p * math.sin(w) + q * math.cos(w))
+def _jn_yn_asym_own_pq(n, z):
+    p, q = sf._jy_asym_pq(4.0 * n * n, z)
+    w = z - (0.25 + 0.5 * n) * math.pi
+    amp = math.sqrt(2.0 / (math.pi * z))
+    return amp * (p * math.cos(w) - q * math.sin(w)), amp * (p * math.sin(w) + q * math.cos(w))
+
+
+_BIT_IDENTITY_GRID = np.concatenate([np.linspace(1e-3, 80.0, 2001),
+                                     np.geomspace(1e-200, 1e-3, 50)])
 
 
 def test_fused_j0_y0_is_bit_identical_to_separate_routes():
     # one shared loop / one P-Q call must not move a single bit
-    for z in np.concatenate([np.linspace(1e-3, 80.0, 2001), np.geomspace(1e-200, 1e-3, 50)]):
+    for z in _BIT_IDENTITY_GRID:
         z = float(z)
         j0, y0, _, _ = sf._j0_y0_fused(z)
         assert j0 == sf.bessel_j0(z)
         assert y0 == sf.bessel_y0(z)
-        want = _y0_series_separate_loops(z) if z <= 16.0 else _y0_asym_own_pq(z)
-        assert y0 == want
+        if z <= 16.0:
+            assert (j0, y0) == (_jn_own_loop(0, z), _yn_separate_loops(0, z))
+        else:
+            assert (j0, y0) == _jn_yn_asym_own_pq(0, z)
+
+
+def test_order_one_is_bit_identical_to_separate_routes():
+    for z in _BIT_IDENTITY_GRID:
+        z = float(z)
+        j1, y1 = sf.bessel_j1(z), sf.bessel_y1(z)
+        if z <= 16.0:
+            assert (j1, y1) == (_jn_own_loop(1, z), _yn_separate_loops(1, z))
+        else:
+            assert (j1, y1) == _jn_yn_asym_own_pq(1, z)
 
 
 @pytest.mark.parametrize("z", [1e-30, 1e-8, 1e-3, 0.5, 3.0, 15.0, 17.0, 40.0])
@@ -208,32 +243,15 @@ def test_fused_parts_keep_relative_accuracy(z):
 
 
 def test_checked_variants_error_model():
-    zs = np.geomspace(1e-8, 700.0, 60)
-    for z in zs:
+    # e^{-z} I0 is the one checked variant: its estimate bounds the
+    # Friedrichs part of a trace's est_error
+    for z in np.geomspace(1e-8, 700.0, 60):
         z = float(z)
-        # the bounded order-0 representatives carry the strict 1e-12 bound
-        for checked, ref in [
-            (sf.i0_scaled_checked, lambda w: mp.besseli(0, w) * mp.exp(-w)),
-            (sf.k0_scaled_checked, lambda w: mp.besselk(0, w) * mp.exp(w)),
-            (sf.j0_checked, lambda w: mp.besselj(0, w)),
-            (sf.y0_checked, lambda w: mp.bessely(0, w)),
-        ]:
-            res = checked(z)
-            assert math.isfinite(res.est_abs_error)
-            assert res.est_abs_error <= 1e-12
-            true_err = abs(res.value - float(ref(mp.mpf(z))))
-            assert true_err <= max(res.est_abs_error, 4e-16 * abs(res.value))
-        # the order-1 helpers blow up like 1/z at 0 (Y1), so their estimate
-        # is honest but only bounded relative to the value scale
-        for checked, ref in [
-            (sf.j1_checked, lambda w: mp.besselj(1, w)),
-            (sf.y1_checked, lambda w: mp.bessely(1, w)),
-        ]:
-            res = checked(z)
-            assert math.isfinite(res.est_abs_error)
-            assert res.est_abs_error <= 1e-12 * max(1.0, abs(res.value))
-            true_err = abs(res.value - float(ref(mp.mpf(z))))
-            assert true_err <= max(res.est_abs_error, 4e-16 * abs(res.value))
+        res = sf.i0_scaled_checked(z)
+        assert math.isfinite(res.est_abs_error)
+        assert res.est_abs_error <= 1e-12
+        true_err = abs(res.value - float(mp.besseli(0, z) * mp.exp(-z)))
+        assert true_err <= max(res.est_abs_error, 4e-16 * abs(res.value))
 
 
 @pytest.mark.parametrize("fn", [sf.bessel_i0, sf.bessel_i0_scaled, sf.bessel_j0,
@@ -248,7 +266,7 @@ def test_domain_errors_nonnegative(fn):
 
 
 @pytest.mark.parametrize("fn", [sf.bessel_k0, sf.bessel_k0_scaled, sf.bessel_k1,
-                                sf.bessel_y0, sf.bessel_y1, sf.k0_remainder])
+                                sf.bessel_y0, sf.bessel_y1])
 def test_domain_errors_positive(fn):
     with pytest.raises(DomainError):
         fn(0.0)

@@ -22,7 +22,7 @@ from rsheat import (
     trace_curve,
 )
 from rsheat.ktheta import k1_smooth
-from rsheat.quadrature import integrate
+from rsheat.quadrature import arctan_tail, integrate
 from rsheat.specfun import bessel_i0_scaled
 from rsheat.trace import (
     _GLW_N,
@@ -35,7 +35,6 @@ from rsheat.trace import (
     _W_EDGES,
     _a_conv,
     _friedrichs_trace_res,
-    _arctan_tail,
     _trq,
     _trq_values,
     residue_trace_part,
@@ -257,7 +256,7 @@ class TestArrayRoutes:
                                      for s, q in zip(ss, _trq_values(ss))])
 
                 t1 = (2.0 * integrate(f1, 0.0, _U_CUT, tight_spec).value
-                      + 2.0 * _trq(t) * _arctan_tail(k2))
+                      + 2.0 * _trq(t) * arctan_tail(_U_CUT, k2))
                 t2 = integrate(f2, 0.0, t, tight_spec).value
                 assert abs(t1_y_outer(t, bp, tight_spec) - t1) <= 1e-12 * abs(t1)
                 assert abs(t2_part(t, bp, opts, tight_spec) - t2) <= 1e-12 * abs(t2)
