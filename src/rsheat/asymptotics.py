@@ -20,7 +20,7 @@ from .errors import DomainError, FitError
 from .kernels import BoundaryParam
 from .ktheta import DEFAULT_OPTIONS, KernelOptions
 from .quadrature import DEFAULT_SPEC, QuadSpec
-from .trace import correction_trace, exotic_term, residue_trace_part
+from .trace import residue_trace_part, trace_curve
 
 
 @dataclass(frozen=True)
@@ -144,15 +144,16 @@ def exoticness_report(bp: BoundaryParam, t_grid, opts: KernelOptions = DEFAULT_O
     """Compute D(t), subtract the exotic (and residue-trace) terms, fit both.
 
     D(t) = full_trace(theta) - full_trace(pi/2) equals the correction trace
-    identically, so it is computed directly from the correction.
+    identically, so D and the exotic term are both read off one trace_curve.
     """
     if bp.is_friedrichs:
         raise DomainError("exoticness_report: the Friedrichs trace has no exotic term")
     ts = sorted(float(t) for t in t_grid)
     if not ts or ts[0] < 1e-5 or ts[-1] > 1e-1:
         raise DomainError("exoticness_report: grid must lie within [1e-5, 1e-1]")
-    d_vals = [correction_trace(t, bp, opts, spec) for t in ts]
-    ex_vals = [exotic_term(t, bp, spec) for t in ts]
+    curve = trace_curve(bp, ts, opts, spec)
+    d_vals = [s.parts.correction for s in curve]
+    ex_vals = [s.parts.exotic_ref for s in curve]
     if opts.include_residue:
         res_vals = [residue_trace_part(t, bp, spec) for t in ts]
     else:

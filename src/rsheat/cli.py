@@ -12,8 +12,9 @@ metadata (timings, versions) goes to a ``<output>.meta.json`` sidecar,
 never into the data file.  Exit codes: 0 success, 1 usage error,
 2 numerical failure.  Diagnostics go to stderr.
 
-Trace rows are computed one after another in one thread: the work is pure
-Python, so threads would only take turns on the interpreter lock.
+Trace rows are computed in one thread (the work is pure Python, so
+threads would only take turns on the interpreter lock), through
+``trace_curve``: the rows on the flat-TrQ range share their integrals.
 ``--workers`` (and the ``workers`` config key) is still accepted so that
 existing scripts keep running, and is ignored.
 """
@@ -33,7 +34,7 @@ from .kernels import BoundaryParam
 from .ktheta import KernelOptions, k_theta
 from .oracle import eigenvalues
 from .quadrature import QuadSpec
-from .trace import full_trace
+from .trace import full_trace, trace_curve
 from .verify import run_acceptance
 from . import __version__
 
@@ -210,22 +211,29 @@ def _cmd_trace(args):
     opts = KernelOptions(include_residue=not args.no_residue, spec=spec)
     ts = _grid(args)
 
+    def row(s):
+        status = "ok"
+        if not math.isfinite(s.value):
+            print(f"rsheat trace: total overflows at t={s.t:g}", file=sys.stderr)
+            status = "overflow"
+        return (s.t, s.parts.friedrichs, s.parts.correction, s.value,
+                s.parts.exotic_ref, s.est_error, status)
+
     def one(t):
         try:
-            s = full_trace(t, bp, opts, spec)
+            return row(full_trace(t, bp, opts, spec))
         except ConvergenceError as exc:
             print(f"rsheat trace: convergence failure at t={t:g}: {exc}",
                   file=sys.stderr)
             return (t, math.nan, math.nan, math.nan, math.nan, math.nan,
                     "convergence-failure")
-        status = "ok"
-        if not math.isfinite(s.value):
-            print(f"rsheat trace: total overflows at t={t:g}", file=sys.stderr)
-            status = "overflow"
-        return (t, s.parts.friedrichs, s.parts.correction, s.value,
-                s.parts.exotic_ref, s.est_error, status)
 
-    rows = [one(t) for t in ts]
+    try:
+        rows = [row(s) for s in trace_curve(bp, ts, opts, spec)]
+    except ConvergenceError:
+        # rows share integrals in trace_curve: redo them one by one, so
+        # that only the rows that fail on their own are flagged
+        rows = [one(t) for t in ts]
 
     buf = io.StringIO()
     buf.write("t,theta,friedrichs,correction,total,exotic_ref,est_error,status\n")

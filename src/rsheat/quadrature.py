@@ -209,23 +209,26 @@ def integrate_log_tail(g, t, kappa2, spec=DEFAULT_SPEC):
     The integral is cut where the exponential factor underflows
     (t e^u - u >= UNDERFLOW_U) and the truncation bound
     |g| e^{-t e^umax}/t / ((umax+kappa2)^2 + pi^2) is added to the
-    reported error.
+    reported error.  ``t`` is a float, or a 1-D array whose times share
+    one adaptive node set on the smallest time's window [0, max umax];
+    value and est_error then have its shape.
     """
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
+    batch = isinstance(t, np.ndarray)
+    t = t.astype(float) if batch else float(t)
+    if not np.all(np.isfinite(t) & (t > 0.0)):
         raise DomainError(f"integrate_log_tail: need t > 0, got {t!r}")
     pi2 = math.pi * math.pi
-    umax = _log_tail_umax(t)
+    umax = _log_tail_umax(float(np.min(t)))
 
     def h(us):
-        us = np.asarray(us)
+        us = us[:, None] if batch else np.asarray(us)
         return np.exp(us - t * np.exp(us)) * np.asarray(g(np.exp(us))) / (
             (us + kappa2) ** 2 + pi2)
 
     res = integrate(h, 0.0, umax, spec)
     g_end = float(np.max(np.abs(np.asarray(g(np.array([math.exp(umax)]))))))
     # int_umax^inf e^{u - t e^u} du = e^{-t e^umax}/t exactly
-    tail = g_end * math.exp(-t * math.exp(umax)) / t / ((umax + kappa2) ** 2 + pi2)
+    tail = g_end * np.exp(-t * math.exp(umax)) / t / ((umax + kappa2) ** 2 + pi2)
     return QuadResult(res.value, res.est_error + tail, res.evaluations)
 
 

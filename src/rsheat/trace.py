@@ -12,6 +12,19 @@ self-convolution of the boundary kernel (``tn_trace``, identically
 singularity of the s-outer order entirely; the s-outer route is kept as
 an independent cross-check (``t1_s_outer``).
 
+Below ``_TRQ_FLAT_S`` ~ 0.0263, TrQ is exactly the constant
+Q0 = ``_TRQ_SUM`` in double, and the whole correction collapses to
+Q0 int_0^t K = 2 Q0 nu(zeta0 t), with nu the Volterra function, whose
+Laplace transform is 1/(s log s) (Erdelyi, Higher Transcendental
+Functions III, sec. 18.3; Garrappa and Mainardi, "On Volterra functions
+and Ramanujan integrals", Analysis 36, 2016).  On the branch cut this is
+
+    correction(t) = 2 Q0 (e^{zeta0 t} - 1 + J(log t - 2 kappa)),
+    J(l) = int_R (1 - exp(-e^v)) dv / ((v - l)^2 + pi^2),
+
+one positive integral shared by every time of a curve
+(``flat_correction``); the nested T1/T2/residue route serves t above it.
+
 ``exotic_term`` is the non-polyhomogeneous part of the small-t expansion:
  -int_1^inf e^{-ty} dy / (y((log y + 2 kappa)^2 + pi^2)), an expansion in
 powers of 1/log t rather than t, which is what the degree-two fit in
@@ -221,7 +234,8 @@ def exotic_term(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
 
     Negative, increasing toward 0 in t; tends to
     -(1/pi)(pi/2 - arctan(2 kappa / pi)) as t -> 0, approaching it only at
-    1/log(1/t) speed.
+    1/log(1/t) speed.  ``t`` is a float, or a 1-D array sharing one node
+    set (see ``integrate_log_tail``).
     """
     return -integrate_log_tail(lambda y: 1.0 / y, t, 2.0 * bp.kappa, spec).value
 
@@ -259,15 +273,52 @@ def residue_trace_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     return integrate(f, 0.0, t, spec).value
 
 
+def flat_correction(ts, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
+                    spec: QuadSpec = DEFAULT_SPEC):
+    """correction_trace on a 1-D array of times in (0, _TRQ_FLAT_S).
+
+    2 Q0 (expm1(x) + J(l)), the expm1 only with opts.include_residue, where
+    x = zeta0 t and l = log t - 2 kappa (finite even where zeta0
+    underflows).  J is one shared-node integral over v in
+    [-UNDERFLOW_U, log UNDERFLOW_U], outside which the integrand is below
+    e^{-UNDERFLOW_U} or 1 - exp(-e^v) is 1 to within it, plus the arctan
+    tail.  As in residue_trace_part, x > 700 gives inf.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not np.all((ts > 0.0) & (ts < _TRQ_FLAT_S)):
+        raise DomainError(f"flat_correction: need 0 < t < {_TRQ_FLAT_S!r}, got {ts!r}")
+    ell = np.log(ts) - 2.0 * bp.kappa
+    v_hi = math.log(UNDERFLOW_U)
+
+    def f(vs):
+        vs = vs[:, None]
+        return -np.expm1(-np.exp(vs)) / ((vs - ell) ** 2 + _PI2)
+
+    total = integrate(f, -UNDERFLOW_U, v_hi, spec).value
+    total += [arctan_tail(v_hi, -l) for l in ell]
+    if opts.include_residue:
+        x = pole_location(bp) * ts
+        total += np.where(x > 700.0, math.inf, np.expm1(np.minimum(x, 700.0)))
+    return 2.0 * _TRQ_SUM * total
+
+
 def correction_trace(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
                      spec: QuadSpec = DEFAULT_SPEC):
-    """Trace of the boundary correction kernel: T1 + T2 (+ residue trace)."""
+    """Trace of the boundary correction kernel: T1 + T2 (+ residue trace),
+    through flat_correction below _TRQ_FLAT_S."""
     if bp.is_friedrichs:
         raise DomainError("correction_trace: no correction for the Friedrichs extension")
+    if 0.0 < t < _TRQ_FLAT_S:
+        return float(flat_correction([t], bp, opts, spec)[0])
     total = t1_y_outer(t, bp, spec) + t2_part(t, bp, opts, spec)
     if opts.include_residue:
         total += residue_trace_part(t, bp, spec)
     return total
+
+
+def _sample(t, fr, fr_err, corr, exotic, spec):
+    est = fr_err + max(spec.abs_tol, spec.rel_tol * abs(corr)) * 4.0
+    return TraceSample(t, fr + corr, est, TraceParts(fr, corr, exotic))
 
 
 def full_trace(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
@@ -275,15 +326,25 @@ def full_trace(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
     """Assembled trace sample; the Friedrichs branch has zero correction."""
     fr, fr_err = _friedrichs_trace_res(t)
     if bp.is_friedrichs:
-        parts = TraceParts(fr, 0.0, 0.0)
-        return TraceSample(t, parts.friedrichs + parts.correction, fr_err, parts)
-    corr = correction_trace(t, bp, opts, spec)
-    parts = TraceParts(fr, corr, exotic_term(t, bp, spec))
-    est = fr_err + max(spec.abs_tol, spec.rel_tol * abs(corr)) * 4.0
-    return TraceSample(t, parts.friedrichs + parts.correction, est, parts)
+        return TraceSample(t, fr, fr_err, TraceParts(fr, 0.0, 0.0))
+    return _sample(t, fr, fr_err, correction_trace(t, bp, opts, spec),
+                   exotic_term(t, bp, spec), spec)
 
 
 def trace_curve(bp: BoundaryParam, ts, opts: KernelOptions = DEFAULT_OPTIONS,
                 spec: QuadSpec = DEFAULT_SPEC):
-    """full_trace at each time of the grid, in input order."""
-    return [full_trace(float(t), bp, opts, spec) for t in ts]
+    """full_trace at each time of the grid, in input order.
+
+    The times below _TRQ_FLAT_S share one flat_correction and one
+    exotic_term call, so their rows can differ from full_trace's in the
+    last bits; the other rows are full_trace itself.
+    """
+    ts = [float(t) for t in ts]
+    flat = np.array([t for t in ts if 0.0 < t < _TRQ_FLAT_S])
+    if bp.is_friedrichs or not flat.size:
+        return [full_trace(t, bp, opts, spec) for t in ts]
+    shared = dict(zip(flat.tolist(), zip(
+        flat_correction(flat, bp, opts, spec).tolist(),
+        exotic_term(flat, bp, spec).tolist())))
+    return [_sample(t, *_friedrichs_trace_res(t), *shared[t], spec) if t in shared
+            else full_trace(t, bp, opts, spec) for t in ts]

@@ -45,7 +45,9 @@ def test_one_call_each_reaches_every_trace_and_ktheta_span(bench_run):
     bench_run.install(tracer)
     try:
         bp = BoundaryParam(0.3)
-        trace.full_trace(1e-3, bp)
+        # as the traced run's serial phase: full_trace over the trace grid
+        for t in bench_run.inputs.load_refs()["trace"]["t"]:
+            trace.full_trace(float(t), bp)
         ktheta.k_theta(0.5, bp)
         ktheta.laplace_of_k(2.0 * ktheta.pole_location(bp), bp)
     finally:

@@ -198,3 +198,14 @@ def test_log_tail_domain():
         integrate_log_tail(lambda y: np.ones_like(y), 0.0, 0.0)
     with pytest.raises(DomainError):
         integrate_log_tail(lambda y: np.ones_like(y), -1.0, 0.0)
+
+
+def test_log_tail_array_of_times_shares_one_node_set():
+    ones = lambda y: np.ones_like(y)
+    ts = np.array([1e-4, 3e-3, 0.02, 1.0])
+    arr = integrate_log_tail(ones, ts, 0.3)
+    assert arr.value.shape == arr.est_error.shape == ts.shape
+    for t, v in zip(ts, arr.value):
+        assert abs(v - integrate_log_tail(ones, float(t), 0.3).value) <= 2e-10 * v
+    with pytest.raises(DomainError):
+        integrate_log_tail(ones, np.array([1e-3, 0.0]), 0.3)

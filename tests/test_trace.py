@@ -21,8 +21,9 @@ from rsheat import (
     tn_trace,
     trace_curve,
 )
+from rsheat import ktheta, quadrature, trace
 from rsheat.ktheta import k1_smooth
-from rsheat.quadrature import arctan_tail, integrate
+from rsheat.quadrature import DEFAULT_SPEC, arctan_tail, integrate
 from rsheat.specfun import bessel_i0_scaled
 from rsheat.trace import (
     _GLW_N,
@@ -30,6 +31,7 @@ from rsheat.trace import (
     _PI2,
     _TRQ_FLAT_S,
     _TRQ_G,
+    _TRQ_SUM,
     _TRQ_W,
     _U_CUT,
     _W_EDGES,
@@ -37,11 +39,34 @@ from rsheat.trace import (
     _friedrichs_trace_res,
     _trq,
     _trq_values,
+    flat_correction,
     residue_trace_part,
     t1_s_outer,
     t1_y_outer,
     t2_part,
 )
+
+# the benchmark's trace grid and its times on the flat-TrQ range
+CURVE_T = np.geomspace(1e-4, 5e-2, 25)
+FLAT_T = [float(t) for t in CURVE_T if t < _TRQ_FLAT_S]
+FLAT_THETAS = (0.0, 0.3, math.pi / 4, 1.0, 1.5, 31 * math.pi / 64, 2.4, 3.1,
+               37 * math.pi / 64)
+NESTED_SPEC = QuadSpec(rel_tol=1e-13, abs_tol=1e-300)
+
+
+@pytest.fixture(scope="module")
+def nested_parts():
+    """(T1 + T2, residue trace) of the nested route at NESTED_SPEC for every
+    (theta, t) of FLAT_THETAS x FLAT_T."""
+    opts = KernelOptions(spec=NESTED_SPEC)
+    out = {}
+    for theta in FLAT_THETAS:
+        bp = BoundaryParam(theta)
+        for t in FLAT_T:
+            out[theta, t] = (t1_y_outer(t, bp, NESTED_SPEC)
+                             + t2_part(t, bp, opts, NESTED_SPEC),
+                             residue_trace_part(t, bp, NESTED_SPEC))
+    return out
 
 
 class TestTnTrace:
@@ -262,9 +287,101 @@ class TestArrayRoutes:
                 assert abs(t2_part(t, bp, opts, tight_spec) - t2) <= 1e-12 * abs(t2)
 
 
+class TestFlatCorrection:
+    """Below _TRQ_FLAT_S the correction is one cut integral (the Volterra
+    function), checked against the nested T1/T2/residue route it replaces
+    there."""
+
+    def test_matches_nested_route(self, nested_parts):
+        for theta in FLAT_THETAS:
+            bp = BoundaryParam(theta)
+            for residue in (True, False):
+                opts = KernelOptions(include_residue=residue)
+                for t in FLAT_T:
+                    smooth, res = nested_parts[theta, t]
+                    ref = smooth + res if residue else smooth
+                    assert abs(correction_trace(t, bp, opts) - ref) <= 2e-14 * abs(ref)
+
+    def test_cut_integral_against_mpmath(self):
+        # J(l) = int_R (1 - exp(-e^v)) dv / ((v - l)^2 + pi^2); above v = 4
+        # as the arctan tail minus the exp(-e^v) part, which is below 1e-170
+        # past v = 6; below v = -60 the integrand is under e^v < 1e-26
+        with mp.workdps(30):
+            for theta, t in ((1.0, 1e-4), (1.0, 3e-3), (1.0, 0.02), (0.0, 1e-3),
+                             (2.4, 0.01)):
+                bp = BoundaryParam(theta)
+                ell = mp.log(t) - 2 * mp.mpf(bp.kappa)
+
+                def lor(v):
+                    return 1 / ((v - ell) ** 2 + mp.pi ** 2)
+
+                ref = (mp.quad(lambda v: -mp.expm1(-mp.exp(v)) * lor(v),
+                               [-60] + sorted([ell, mp.mpf(0)]) + [4])
+                       + (mp.pi / 2 - mp.atan((4 - ell) / mp.pi)) / mp.pi
+                       - mp.quad(lambda v: mp.exp(-mp.exp(v)) * lor(v), [4, 6]))
+                j = flat_correction([t], bp, KernelOptions(include_residue=False))[0] / (2.0 * _TRQ_SUM)
+                assert abs(j - ref) <= 5e-16 * ref
+
+    def test_continuous_across_the_switch(self):
+        below = float(np.nextafter(_TRQ_FLAT_S, 0.0))
+        for theta in FLAT_THETAS:
+            bp = BoundaryParam(theta)
+            a = correction_trace(below, bp)
+            b = correction_trace(_TRQ_FLAT_S, bp)
+            assert abs(a - b) <= 1e-13 * abs(b)
+
+    def test_domain(self, bp0):
+        for ts in ([0.0], [1e-3, _TRQ_FLAT_S], [math.nan]):
+            with pytest.raises(DomainError):
+                flat_correction(ts, bp0)
+
+    def test_est_error_covers_flat_rows(self, nested_parts):
+        for theta in FLAT_THETAS:
+            bp = BoundaryParam(theta)
+            for s in trace_curve(bp, FLAT_T):
+                smooth, res = nested_parts[theta, s.t]
+                assert abs(s.value - (s.parts.friedrichs + smooth + res)) <= s.est_error
+
+
 class TestTraceCurve:
-    def test_full_trace_in_input_order(self, bp0):
-        ts = [1e-2, 1e-3, 3e-3]
-        curve = trace_curve(bp0, ts)
-        assert [s.t for s in curve] == ts
-        assert curve == [full_trace(t, bp0) for t in ts]
+    def test_full_trace_in_input_order(self):
+        # flat rows share one node set with each other, so they match
+        # full_trace to the tolerance, not bit for bit; 0.05 is nested
+        ts = [1e-2, 1e-3, 0.05, 3e-3]
+        for theta in (0.0, math.pi / 4, 2.4):
+            bp = BoundaryParam(theta)
+            curve = trace_curve(bp, ts)
+            assert [s.t for s in curve] == ts
+            for s, ref in zip(curve, [full_trace(t, bp) for t in ts]):
+                if s.t >= _TRQ_FLAT_S:
+                    assert s == ref
+                    continue
+                for a, b in zip((s.parts.friedrichs, s.parts.correction, s.parts.exotic_ref),
+                                (ref.parts.friedrichs, ref.parts.correction,
+                                 ref.parts.exotic_ref)):
+                    assert abs(a - b) <= max(DEFAULT_SPEC.abs_tol, DEFAULT_SPEC.rel_tol * abs(b))
+                assert abs(s.value - ref.value) <= 1e-14 * abs(ref.value)
+
+    def test_flat_rows_share_one_correction_and_one_exotic_integral(self, monkeypatch):
+        calls = [0]
+        flat_sizes = []
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return integrate(*args, **kwargs)
+
+        def spy(ts, *args, **kwargs):
+            flat_sizes.append(len(ts))
+            return flat_correction(ts, *args, **kwargs)
+
+        for mod in (trace, quadrature, ktheta):
+            monkeypatch.setattr(mod, "integrate", counting)
+        monkeypatch.setattr(trace, "flat_correction", spy)
+        bp = BoundaryParam(0.3)
+        for t in CURVE_T[CURVE_T >= _TRQ_FLAT_S]:
+            full_trace(float(t), bp)
+        nested_calls = calls[0]
+        calls[0] = 0
+        trace_curve(bp, CURVE_T)
+        assert flat_sizes == [len(FLAT_T)] == [22]
+        assert calls[0] == nested_calls + 2
