@@ -14,7 +14,7 @@ never into the data file.  Exit codes: 0 success, 1 usage error,
 
 Trace rows are computed in one thread (the work is pure Python, so
 threads would only take turns on the interpreter lock), through
-``trace_curve``: the rows on the flat-TrQ range share their integrals.
+``trace_curve``: the rows up to t = 0.1 share their integrals.
 ``--workers`` (and the ``workers`` config key) is still accepted so that
 existing scripts keep running, and is ignored.
 """
@@ -22,6 +22,7 @@ existing scripts keep running, and is ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -113,7 +114,9 @@ def _add_common(p, grid=True):
                             "pure-Python work")
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once per process; parse_args leaves it as is."""
     parser = _Parser(prog="rsheat",
                      description="heat kernel and heat trace of the half-line "
                                  "operator -d2/dx2 - 1/(4x2)")

@@ -12,18 +12,39 @@ self-convolution of the boundary kernel (``tn_trace``, identically
 singularity of the s-outer order entirely; the s-outer route is kept as
 an independent cross-check (``t1_s_outer``).
 
-Below ``_TRQ_FLAT_S`` ~ 0.0263, TrQ is exactly the constant
+Below s_f = ``_TRQ_FLAT_S`` ~ 0.0263, TrQ is exactly the constant
 Q0 = ``_TRQ_SUM`` in double, and the whole correction collapses to
-Q0 int_0^t K = 2 Q0 nu(zeta0 t), with nu the Volterra function, whose
-Laplace transform is 1/(s log s) (Erdelyi, Higher Transcendental
-Functions III, sec. 18.3; Garrappa and Mainardi, "On Volterra functions
-and Ramanujan integrals", Analysis 36, 2016).  On the branch cut this is
+Q0 F(t), F(tau) = int_0^tau K = 2 nu(zeta0 tau), with nu the Volterra
+function, whose Laplace transform is 1/(s log s) (Erdelyi, Higher
+Transcendental Functions III, sec. 18.3; Garrappa and Mainardi, "On
+Volterra functions and Ramanujan integrals", Analysis 36, 2016).  On the
+branch cut this is
 
-    correction(t) = 2 Q0 (e^{zeta0 t} - 1 + J(log t - 2 kappa)),
+    F(tau) = 2 (e^{zeta0 tau} - 1 + J(log tau - 2 kappa)),
     J(l) = int_R (1 - exp(-e^v)) dv / ((v - l)^2 + pi^2),
 
-one positive integral shared by every time of a curve
-(``flat_correction``); the nested T1/T2/residue route serves t above it.
+one positive integral, valid for every tau > 0.  Above s_f, with
+R(s) = Q0 - TrQ(s) = sum W e^{-c/s} summed directly (c = 1/(4g), so
+nothing cancels), integration by parts gives exactly
+
+    correction(t) = Q0 F(t) - F(t - s_f) R(s_f) - int_{s_f}^t F(t - s) R'(s) ds,
+
+and tau = t - s = (t - s_f) e^{-v} turns the last integral into
+int_0^46 F(tau) R'(t - tau) tau dv on a fixed rule graded in log tau, so
+every F of a whole curve is one column of one shared-node J integral
+(``volterra_correction``).  The routes are:
+
+- t < s_f: Q0 F(t), for every caller;
+- s_f <= t <= _T_V in ``trace_curve``: Q0 F(t) less the by-parts terms;
+- every other t: the nested T1/T2/residue route, which serves all of
+  ``full_trace`` and ``correction_trace`` above s_f and ``trace_curve``
+  above _T_V.
+
+The fixed rule is within ~3e-15 of the tight nested route up to
+_T_V = 0.1 (~9e-15 at t = 0.15, ~5e-13 at 0.3).  ``full_trace`` keeps
+the nested route above s_f on purpose: it stays the independent check of
+the remainder route, and the benchmark's per-part T1/T2/residue timings
+come from a serial full_trace loop.
 
 ``exotic_term`` is the non-polyhomogeneous part of the small-t expansion:
  -int_1^inf e^{-ty} dy / (y((log y + 2 kappa)^2 + pi^2)), an expansion in
@@ -38,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._dd import two_prod
 from .errors import DomainError
 from .kernels import BoundaryParam
 from .ktheta import DEFAULT_OPTIONS, KernelOptions, k1_smooth, m_main, pole_location
@@ -68,6 +90,16 @@ _TRQ_SUM = float(np.sum(_TRQ_W))
 # geometric panel edges for the w = (t-s) y inner convolution variable
 _W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, UNDERFLOW_U])
 _GLW_N, _GLW_W = gauss_legendre_panel(16)
+
+# trace_curve takes the rows up to _T_V through volterra_correction, whose
+# remainder runs on the same 96 nodes in v = log((t - s_f)/tau):
+# tau = (t - s_f) _V_TAU, with R(s) = Q0 - TrQ(s) = sum W e^{-c/s}
+_T_V = 0.1
+_V_TAU = np.exp(-0.5 * (np.multiply.outer(_W_EDGES[:-1], 1.0 - _GLW_N)
+                        + np.multiply.outer(_W_EDGES[1:], 1.0 + _GLW_N)).ravel())
+_V_WEIGHTS = np.multiply.outer(0.5 * np.diff(_W_EDGES), _GLW_W).ravel()
+_TRQ_C = 0.25 / _TRQ_G
+_TRQ_R_FLAT = float(np.exp(-_TRQ_C / _TRQ_FLAT_S) @ _TRQ_W)
 
 
 @dataclass(frozen=True)
@@ -273,43 +305,75 @@ def residue_trace_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     return integrate(f, 0.0, t, spec).value
 
 
-def flat_correction(ts, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
-                    spec: QuadSpec = DEFAULT_SPEC):
-    """correction_trace on a 1-D array of times in (0, _TRQ_FLAT_S).
+def _cut_integrals(taus, bp: BoundaryParam, opts: KernelOptions, spec: QuadSpec):
+    """F(tau) = int_0^tau K on a 1-D array of tau > 0, in one integrate call.
 
-    2 Q0 (expm1(x) + J(l)), the expm1 only with opts.include_residue, where
-    x = zeta0 t and l = log t - 2 kappa (finite even where zeta0
+    F = 2 (expm1(x) + J(l)), the expm1 only with opts.include_residue, where
+    x = zeta0 tau and l = log tau - 2 kappa (finite even where zeta0
     underflows).  J is one shared-node integral over v in
     [-UNDERFLOW_U, log UNDERFLOW_U], outside which the integrand is below
     e^{-UNDERFLOW_U} or 1 - exp(-e^v) is 1 to within it, plus the arctan
-    tail.  As in residue_trace_part, x > 700 gives inf.
+    tail.  zeta0 tau = x + d exactly (two_prod), and expm1(x) + e^x d is
+    e^{x+d} - 1 to within d^2, so the rounding of x is not amplified x-fold
+    at large x; as in residue_trace_part, x > 700 gives inf.
     """
-    ts = np.asarray(ts, dtype=float)
-    if not np.all((ts > 0.0) & (ts < _TRQ_FLAT_S)):
-        raise DomainError(f"flat_correction: need 0 < t < {_TRQ_FLAT_S!r}, got {ts!r}")
-    ell = np.log(ts) - 2.0 * bp.kappa
+    ell = np.log(taus) - 2.0 * bp.kappa
     v_hi = math.log(UNDERFLOW_U)
 
     def f(vs):
         vs = vs[:, None]
         return -np.expm1(-np.exp(vs)) / ((vs - ell) ** 2 + _PI2)
 
-    total = integrate(f, -UNDERFLOW_U, v_hi, spec).value
+    # panels of unit scale over the turn of 1 - exp(-e^v) from e^v to 1; from
+    # one panel, the shared-node refinement can stop with J 2e-13 off
+    total = integrate(f, -UNDERFLOW_U, v_hi, spec, points=(-8.0, -2.0, 0.0, 2.0)).value
     total += [arctan_tail(v_hi, -l) for l in ell]
     if opts.include_residue:
-        x = pole_location(bp) * ts
-        total += np.where(x > 700.0, math.inf, np.expm1(np.minimum(x, 700.0)))
-    return 2.0 * _TRQ_SUM * total
+        with np.errstate(invalid="ignore"):
+            x, d = two_prod(pole_location(bp), taus)
+            xc = np.minimum(x, 700.0)
+            total += np.where(x > 700.0, math.inf, np.expm1(xc) + np.exp(xc) * d)
+    return 2.0 * total
+
+
+def volterra_correction(ts, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
+                        spec: QuadSpec = DEFAULT_SPEC):
+    """correction_trace on a 1-D array of times in (0, _T_V], with every
+    cut integral F of the call in one _cut_integrals call.
+
+    Q0 F(t) below _TRQ_FLAT_S; above it less F(t - s_f) R(s_f) and the
+    remainder int_0^46 F(tau) R'(t - tau) tau dv, tau = (t - s_f) e^{-v},
+    on the fixed 96-node rule _V_TAU, _V_WEIGHTS (see the module docstring).
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not np.all((ts > 0.0) & (ts <= _T_V)):
+        raise DomainError(f"volterra_correction: need 0 < t <= {_T_V!r}, got {ts!r}")
+    up = ts > _TRQ_FLAT_S
+    gap = ts[up] - _TRQ_FLAT_S
+    taus = np.multiply.outer(gap, _V_TAU)
+    f = _cut_integrals(np.concatenate([ts, gap, taus.ravel()]), bp, opts, spec)
+    out = _TRQ_SUM * f[:ts.size]
+    f_gap = f[ts.size:ts.size + gap.size]
+    f_tau = f[ts.size + gap.size:].reshape(taus.shape)
+    # R'(s) = sum W c/s^2 e^{-c/s} = sum (W/c) a^2 e^{-a}, a = c/s, at
+    # s = t - tau: one (rows, nodes, 48) block
+    a = _TRQ_C / (ts[up, None] - taus)[:, :, None]
+    with np.errstate(under="ignore"):
+        r_prime = (a * a * np.exp(-a)) @ (_TRQ_W / _TRQ_C)
+    rest = f_gap * _TRQ_R_FLAT + (f_tau * r_prime * taus) @ _V_WEIGHTS
+    # F increases, so rest is finite wherever Q0 F(t) is
+    out[up] -= np.where(np.isinf(out[up]), 0.0, rest)
+    return out
 
 
 def correction_trace(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
                      spec: QuadSpec = DEFAULT_SPEC):
     """Trace of the boundary correction kernel: T1 + T2 (+ residue trace),
-    through flat_correction below _TRQ_FLAT_S."""
+    through volterra_correction below _TRQ_FLAT_S."""
     if bp.is_friedrichs:
         raise DomainError("correction_trace: no correction for the Friedrichs extension")
     if 0.0 < t < _TRQ_FLAT_S:
-        return float(flat_correction([t], bp, opts, spec)[0])
+        return float(volterra_correction([t], bp, opts, spec)[0])
     total = t1_y_outer(t, bp, spec) + t2_part(t, bp, opts, spec)
     if opts.include_residue:
         total += residue_trace_part(t, bp, spec)
@@ -335,16 +399,16 @@ def trace_curve(bp: BoundaryParam, ts, opts: KernelOptions = DEFAULT_OPTIONS,
                 spec: QuadSpec = DEFAULT_SPEC):
     """full_trace at each time of the grid, in input order.
 
-    The times below _TRQ_FLAT_S share one flat_correction and one
-    exotic_term call, so their rows can differ from full_trace's in the
-    last bits; the other rows are full_trace itself.
+    The times up to _T_V share one volterra_correction and one exotic_term
+    call, so their rows can differ from full_trace's in the last bits; the
+    rows above _T_V are full_trace itself.
     """
     ts = [float(t) for t in ts]
-    flat = np.array([t for t in ts if 0.0 < t < _TRQ_FLAT_S])
-    if bp.is_friedrichs or not flat.size:
+    near = np.array([t for t in ts if 0.0 < t <= _T_V])
+    if bp.is_friedrichs or not near.size:
         return [full_trace(t, bp, opts, spec) for t in ts]
-    shared = dict(zip(flat.tolist(), zip(
-        flat_correction(flat, bp, opts, spec).tolist(),
-        exotic_term(flat, bp, spec).tolist())))
+    shared = dict(zip(near.tolist(), zip(
+        volterra_correction(near, bp, opts, spec).tolist(),
+        exotic_term(near, bp, spec).tolist())))
     return [_sample(t, *_friedrichs_trace_res(t), *shared[t], spec) if t in shared
             else full_trace(t, bp, opts, spec) for t in ts]

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+from rsheat import cli
 from rsheat.cli import main, parse_theta
 from rsheat.ktheta import pole_location
 from rsheat.kernels import BoundaryParam
@@ -173,6 +174,20 @@ class TestExitCodes:
         assert code == 1
         code, _, _ = run_cli(["no-such-command"], capsys)
         assert code == 1
+
+    def test_parser_is_built_once_and_left_as_is(self, capsys):
+        # a usage error first must not change what a later valid call writes
+        valid = ["trace", "--theta", "pi/3", "--t-min", "1e-3", "--t-max", "0.2",
+                 "--points", "4"]
+        cli._build_parser.cache_clear()
+        code, alone, _ = run_cli(valid, capsys)
+        assert code == 0
+        for bad in (["trace", "--theta", "0", "--points"], ["trace", "--wrong-flag"],
+                    ["eigen", "--lambda-max", "x"]):
+            assert run_cli(bad, capsys)[0] == 1
+        code, after, _ = run_cli(valid, capsys)
+        assert code == 0 and after == alone
+        assert cli._build_parser() is cli._build_parser()
 
     def test_console_script_version(self):
         proc = subprocess.run([sys.executable, "-m", "rsheat.cli", "--version"],

@@ -33,40 +33,66 @@ from rsheat.trace import (
     _TRQ_G,
     _TRQ_SUM,
     _TRQ_W,
+    _T_V,
     _U_CUT,
     _W_EDGES,
     _a_conv,
     _friedrichs_trace_res,
     _trq,
     _trq_values,
-    flat_correction,
     residue_trace_part,
     t1_s_outer,
     t1_y_outer,
     t2_part,
+    volterra_correction,
 )
 
 # the benchmark's trace grid and its times on the flat-TrQ range
 CURVE_T = np.geomspace(1e-4, 5e-2, 25)
 FLAT_T = [float(t) for t in CURVE_T if t < _TRQ_FLAT_S]
+# times in [_TRQ_FLAT_S, _T_V], where trace_curve adds the by-parts terms
+REMAINDER_T = [0.0298, 0.0386, 0.05, 0.07, 0.1]
 FLAT_THETAS = (0.0, 0.3, math.pi / 4, 1.0, 1.5, 31 * math.pi / 64, 2.4, 3.1,
                37 * math.pi / 64)
 NESTED_SPEC = QuadSpec(rel_tol=1e-13, abs_tol=1e-300)
 
 
-@pytest.fixture(scope="module")
-def nested_parts():
+def _nested(ts):
     """(T1 + T2, residue trace) of the nested route at NESTED_SPEC for every
-    (theta, t) of FLAT_THETAS x FLAT_T."""
+    (theta, t) of FLAT_THETAS x ts."""
     opts = KernelOptions(spec=NESTED_SPEC)
     out = {}
     for theta in FLAT_THETAS:
         bp = BoundaryParam(theta)
-        for t in FLAT_T:
+        for t in ts:
             out[theta, t] = (t1_y_outer(t, bp, NESTED_SPEC)
                              + t2_part(t, bp, opts, NESTED_SPEC),
                              residue_trace_part(t, bp, NESTED_SPEC))
     return out
+
+
+@pytest.fixture(scope="module")
+def nested_parts():
+    return _nested(FLAT_T)
+
+
+@pytest.fixture(scope="module")
+def remainder_parts():
+    return _nested(REMAINDER_T)
+
+
+def _cut_integral_mp(ell):
+    """J(l) = int_R (1 - exp(-e^v)) dv / ((v - l)^2 + pi^2) in mpmath; above
+    v = 4 as the arctan tail minus the exp(-e^v) part, which is below
+    1e-170 past v = 6; below v = -60 the integrand is under e^v < 1e-26."""
+
+    def lor(v):
+        return 1 / ((v - ell) ** 2 + mp.pi ** 2)
+
+    return (mp.quad(lambda v: -mp.expm1(-mp.exp(v)) * lor(v),
+                    [-60] + sorted([ell, mp.mpf(0)]) + [4])
+            + (mp.pi / 2 - mp.atan((4 - ell) / mp.pi)) / mp.pi
+            - mp.quad(lambda v: mp.exp(-mp.exp(v)) * lor(v), [4, 6]))
 
 
 class TestTnTrace:
@@ -303,23 +329,13 @@ class TestFlatCorrection:
                     assert abs(correction_trace(t, bp, opts) - ref) <= 2e-14 * abs(ref)
 
     def test_cut_integral_against_mpmath(self):
-        # J(l) = int_R (1 - exp(-e^v)) dv / ((v - l)^2 + pi^2); above v = 4
-        # as the arctan tail minus the exp(-e^v) part, which is below 1e-170
-        # past v = 6; below v = -60 the integrand is under e^v < 1e-26
         with mp.workdps(30):
             for theta, t in ((1.0, 1e-4), (1.0, 3e-3), (1.0, 0.02), (0.0, 1e-3),
-                             (2.4, 0.01)):
+                             (2.4, 0.01), (30 * math.pi / 64, 0.01)):
                 bp = BoundaryParam(theta)
-                ell = mp.log(t) - 2 * mp.mpf(bp.kappa)
-
-                def lor(v):
-                    return 1 / ((v - ell) ** 2 + mp.pi ** 2)
-
-                ref = (mp.quad(lambda v: -mp.expm1(-mp.exp(v)) * lor(v),
-                               [-60] + sorted([ell, mp.mpf(0)]) + [4])
-                       + (mp.pi / 2 - mp.atan((4 - ell) / mp.pi)) / mp.pi
-                       - mp.quad(lambda v: mp.exp(-mp.exp(v)) * lor(v), [4, 6]))
-                j = flat_correction([t], bp, KernelOptions(include_residue=False))[0] / (2.0 * _TRQ_SUM)
+                ref = _cut_integral_mp(mp.log(t) - 2 * mp.mpf(bp.kappa))
+                opts = KernelOptions(include_residue=False)
+                j = volterra_correction([t], bp, opts)[0] / (2.0 * _TRQ_SUM)
                 assert abs(j - ref) <= 5e-16 * ref
 
     def test_continuous_across_the_switch(self):
@@ -331,9 +347,11 @@ class TestFlatCorrection:
             assert abs(a - b) <= 1e-13 * abs(b)
 
     def test_domain(self, bp0):
-        for ts in ([0.0], [1e-3, _TRQ_FLAT_S], [math.nan]):
+        above = float(np.nextafter(_T_V, 1.0))
+        for ts in ([0.0], [-1e-3], [1e-3, above], [math.nan], [math.inf]):
             with pytest.raises(DomainError):
-                flat_correction(ts, bp0)
+                volterra_correction(ts, bp0)
+        assert volterra_correction([_TRQ_FLAT_S, _T_V], bp0).shape == (2,)
 
     def test_est_error_covers_flat_rows(self, nested_parts):
         for theta in FLAT_THETAS:
@@ -343,17 +361,82 @@ class TestFlatCorrection:
                 assert abs(s.value - (s.parts.friedrichs + smooth + res)) <= s.est_error
 
 
+class TestVolterraRemainder:
+    """On [_TRQ_FLAT_S, _T_V] trace_curve subtracts the by-parts terms
+    F(t - s_f) R(s_f) + int F(t - s) R'(s) ds on a fixed rule, checked
+    against the nested T1/T2/residue route that full_trace keeps there."""
+
+    def test_matches_nested_route(self, remainder_parts):
+        for theta in FLAT_THETAS:
+            bp = BoundaryParam(theta)
+            for residue in (True, False):
+                opts = KernelOptions(include_residue=residue)
+                for s in trace_curve(bp, REMAINDER_T, opts):
+                    smooth, res = remainder_parts[theta, s.t]
+                    ref = smooth + res if residue else smooth
+                    assert abs(s.parts.correction - ref) <= 2e-14 * abs(ref)
+
+    def test_continuous_at_the_end_of_the_route(self):
+        # nextafter(_T_V, 0) and _T_V take the remainder route, the time
+        # just above _T_V the nested one
+        ts = [float(np.nextafter(_T_V, 0.0)), _T_V, float(np.nextafter(_T_V, 1.0))]
+        for theta in FLAT_THETAS:
+            below, at, above = trace_curve(BoundaryParam(theta), ts)
+            for a in (below, above):
+                assert abs(a.parts.correction - at.parts.correction) \
+                    <= 1e-13 * abs(at.parts.correction)
+
+    def test_est_error_covers_remainder_rows(self, remainder_parts):
+        for theta in FLAT_THETAS:
+            bp = BoundaryParam(theta)
+            for s in trace_curve(bp, REMAINDER_T):
+                smooth, res = remainder_parts[theta, s.t]
+                assert abs(s.value - (s.parts.friedrichs + smooth + res)) <= s.est_error
+
+    def test_bound_state_factor_against_mpmath(self):
+        # at theta = 37 pi/64 the pole term is 2 Q0 e^{x}, x = zeta0 t up to
+        # 185 on the benchmark grid, so one rounding of x would cost 185 ulp;
+        # the reference is 2 Q0 (expm1(x) + J) in mpmath, x from the same
+        # double zeta0, less the by-parts terms, integrated here adaptively
+        # over s (their share is below 1e-12, so double precision suffices)
+        opts = KernelOptions()
+        rows = [float(t) for t in CURVE_T if t >= 0.0134]
+        for k in (37, 38, 40):
+            bp = BoundaryParam(k * math.pi / 64)
+            z0 = pole_location(bp)
+            c = 0.25 / _TRQ_G
+
+            def by_parts(ss, t):
+                r_prime = (c / ss[:, None] ** 2 * np.exp(-c / ss[:, None])) @ _TRQ_W
+                return volterra_correction(t - ss, bp, opts) / _TRQ_SUM * r_prime
+
+            for s in trace_curve(bp, rows, opts):
+                with mp.workdps(40):
+                    ell = mp.log(s.t) - 2 * mp.mpf(bp.kappa)
+                    head = 2 * mp.mpf(_TRQ_SUM) * (mp.expm1(mp.mpf(z0) * mp.mpf(s.t))
+                                                  + _cut_integral_mp(ell))
+                rest = 0.0
+                if s.t > _TRQ_FLAT_S:
+                    gap = s.t - _TRQ_FLAT_S
+                    rest = (volterra_correction([gap], bp, opts)[0] / _TRQ_SUM
+                            * float(np.exp(-c / _TRQ_FLAT_S) @ _TRQ_W)
+                            + integrate(lambda ss: by_parts(ss, s.t), _TRQ_FLAT_S, s.t).value)
+                    assert rest <= 1e-12 * float(head)
+                ref = float(head - rest)
+                assert abs(s.parts.correction - ref) <= 5e-16 * ref
+
+
 class TestTraceCurve:
     def test_full_trace_in_input_order(self):
-        # flat rows share one node set with each other, so they match
-        # full_trace to the tolerance, not bit for bit; 0.05 is nested
-        ts = [1e-2, 1e-3, 0.05, 3e-3]
+        # rows up to _T_V share one node set with each other, so they match
+        # full_trace to the tolerance, not bit for bit; 0.2 is nested
+        ts = [1e-2, 1e-3, 0.05, 0.2, 3e-3]
         for theta in (0.0, math.pi / 4, 2.4):
             bp = BoundaryParam(theta)
             curve = trace_curve(bp, ts)
             assert [s.t for s in curve] == ts
             for s, ref in zip(curve, [full_trace(t, bp) for t in ts]):
-                if s.t >= _TRQ_FLAT_S:
+                if s.t > _T_V:
                     assert s == ref
                     continue
                 for a, b in zip((s.parts.friedrichs, s.parts.correction, s.parts.exotic_ref),
@@ -362,26 +445,21 @@ class TestTraceCurve:
                     assert abs(a - b) <= max(DEFAULT_SPEC.abs_tol, DEFAULT_SPEC.rel_tol * abs(b))
                 assert abs(s.value - ref.value) <= 1e-14 * abs(ref.value)
 
-    def test_flat_rows_share_one_correction_and_one_exotic_integral(self, monkeypatch):
-        calls = [0]
-        flat_sizes = []
+    def test_curve_takes_two_integrals_and_no_nested_part(self, monkeypatch):
+        # one shared J integral for every F of the curve, one exotic integral
+        calls = {"integrate": 0, "nested": 0}
 
         def counting(*args, **kwargs):
-            calls[0] += 1
+            calls["integrate"] += 1
             return integrate(*args, **kwargs)
 
-        def spy(ts, *args, **kwargs):
-            flat_sizes.append(len(ts))
-            return flat_correction(ts, *args, **kwargs)
+        def nested(*args, **kwargs):
+            calls["nested"] += 1
 
         for mod in (trace, quadrature, ktheta):
             monkeypatch.setattr(mod, "integrate", counting)
-        monkeypatch.setattr(trace, "flat_correction", spy)
-        bp = BoundaryParam(0.3)
-        for t in CURVE_T[CURVE_T >= _TRQ_FLAT_S]:
-            full_trace(float(t), bp)
-        nested_calls = calls[0]
-        calls[0] = 0
-        trace_curve(bp, CURVE_T)
-        assert flat_sizes == [len(FLAT_T)] == [22]
-        assert calls[0] == nested_calls + 2
+        for name in ("t1_y_outer", "t2_part", "residue_trace_part"):
+            monkeypatch.setattr(trace, name, nested)
+        curve = trace_curve(BoundaryParam(0.3), CURVE_T)
+        assert len(curve) == 25 and all(math.isfinite(s.value) for s in curve)
+        assert calls == {"integrate": 2, "nested": 0}
