@@ -79,19 +79,6 @@ def poly_fit(samples, degree, subtracted_terms=()):
     )
 
 
-def second_divided_max(ts, vals):
-    """Largest absolute second divided difference (smoothness metric)."""
-    ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    out = 0.0
-    for i in range(1, len(ts) - 1):
-        h1 = ts[i] - ts[i - 1]
-        h2 = ts[i + 1] - ts[i]
-        d = 2.0 * (vals[i - 1] * h2 - vals[i] * (h1 + h2) + vals[i + 1] * h1)
-        out = max(out, abs(d / (h1 * h2 * (h1 + h2))))
-    return out
-
-
 @dataclass(frozen=True)
 class ExoticnessReport:
     theta: float

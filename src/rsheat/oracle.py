@@ -31,6 +31,10 @@ by the operator, satisfies the theta = 0 condition (c_plus = 0) and
 vanishes at x = 1.  That is the root the first cell loses when
 tan(theta) = 0, so it is added explicitly.
 
+The cells depend on theta only through the first one, so the J0 zeros
+that bound them are computed once per process: ``j0_zeros`` keeps a
+table that it extends on demand and never hands out.
+
 The eigenvalue sums feed ``oracle_trace``, the end-to-end cross-check of
 the kernel-built traces.
 """
@@ -51,7 +55,6 @@ from .specfun import (
     bessel_j0,
     bessel_j1,
     bessel_k0_scaled,
-    bessel_y1,
 )
 
 _PI = math.pi
@@ -96,10 +99,23 @@ class OracleTrace:
     tail_error: float
 
 
+# j_1, j_2, ...: the zeros computed so far in this process.  A tuple that
+# is only ever rebound to a correct prefix, so no result depends on its
+# state; threads racing to extend it can at worst recompute some zeros.
+_J0_ZEROS = ()
+
+
 def j0_zeros(n):
-    """First n positive zeros of J0 (McMahon seed + Newton on J0/J1)."""
-    out = []
-    for k in range(1, n + 1):
+    """First n positive zeros of J0 (McMahon seed + Newton on J0/J1).
+
+    Each zero j_k depends only on k, so they are computed once per process:
+    the table ``_J0_ZEROS`` is extended to n zeros when it holds fewer, and
+    the caller gets a new list, never the table.  It retains one float per
+    zero of the largest spectrum asked for.
+    """
+    global _J0_ZEROS
+    out = list(_J0_ZEROS[:max(n, 0)])
+    for k in range(len(out) + 1, n + 1):
         beta = (k - 0.25) * _PI
         z = beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
         for _ in range(8):
@@ -108,6 +124,8 @@ def j0_zeros(n):
             if abs(step) <= 4.0 * math.ulp(z):
                 break
         out.append(z)
+    if n > len(_J0_ZEROS):
+        _J0_ZEROS = tuple(out)
     return out
 
 
@@ -125,16 +143,6 @@ def secular_positive(lam, bp: BoundaryParam):
         return bessel_j0(r)
     j0, _, _, c = _j0_y0_fused(r)
     return 2.0 * (math.tan(bp.theta) * j0 - c)
-
-
-def _secular_positive_dlam(lam, bp):
-    r = math.sqrt(lam)
-    if bp.is_friedrichs:
-        return -bessel_j1(r) / (2.0 * r)
-    j0 = bessel_j0(r)
-    dj0 = -bessel_j1(r) / (2.0 * r)  # d/dlam J0(sqrt lam)
-    dy0 = -bessel_y1(r) / (2.0 * r)
-    return j0 / lam + (math.log(lam) + 2.0 * bp.kappa) * dj0 - _PI * dy0
 
 
 def secular_negative(mu, bp: BoundaryParam):
@@ -246,12 +254,14 @@ def eigenvalues(bp: BoundaryParam, lambda_max=4000.0, tol=1e-10):
     at the half-line state mu = e^{-kappa}.  These bracket it, and Newton
     starts from the smaller of e^{-kappa} and mu^2 = -4 tan/(1 + tan).
     tol bounds the bracket width at which a solve stops if Newton has not
-    converged first.
+    converged first.  A lambda_max that is not finite and >= 100, or a tol
+    outside [0, 1e-8] (NaN included), raises DomainError before any work.
     """
-    if lambda_max < 100.0:
-        raise DomainError("eigenvalues: need lambda_max >= 100")
-    if tol > 1e-8:
-        raise DomainError("eigenvalues: need tol <= 1e-8")
+    if not 100.0 <= lambda_max < math.inf:
+        raise DomainError(
+            f"eigenvalues: need finite lambda_max >= 100, got {lambda_max!r}")
+    if not 0.0 <= tol <= 1e-8:
+        raise DomainError(f"eigenvalues: need 0 <= tol <= 1e-8, got {tol!r}")
 
     zeros = [z for z in j0_zeros(int(math.sqrt(lambda_max) / _PI) + 3)
              if z * z <= lambda_max]

@@ -11,8 +11,10 @@ The module is organised by representation, not by function:
   compensated double-double loop of the alternating J/Y series for both
   orders (plain double loses ~6 digits to cancellation near the
   crossover); it sums J_n and the regular part of Y_n from the same
-  terms, so J_n and Y_n cost one loop.  The positive-term I/K series are
-  plain per-order loops;
+  terms, so J_n and Y_n cost one loop.  Its weights H_k and
+  H_k + H_{k+1} do not depend on z: ``_JY_WEIGHTS``, an immutable table
+  built at import, holds them up to the loop's cap.  The positive-term
+  I/K series are plain per-order loops;
 * Hankel asymptotic series for large argument, truncated at the smallest
   term (the divergence floor ~exp(-2z) is below 1e-13 for z >= 16), one
   routine per family for both orders: ``_jy_asym(n, z)`` returns J_n and
@@ -165,6 +167,24 @@ def _k1_series(z):
 # compensated power series for the oscillatory family
 # ----------------------------------------------------------------------
 
+def _jy_weights():
+    """w_k = H_k (n = 0) and H_k + H_{k+1} (n = 1) as double-double pairs,
+    k = 0..401, the ``k > 400`` cap of ``_jy_series``."""
+    one = (1.0, 0.0)
+    h = (0.0, 0.0)  # H_k
+    h1 = one  # H_{k+1}
+    w0, w1 = [h], [dd_add(h, h1)]
+    for k in range(1, 402):
+        h = dd_add(h, dd_div_d(one, float(k)))
+        h1 = dd_add(h1, dd_div_d(one, float(k + 1)))
+        w0.append(h)
+        w1.append(dd_add(h, h1))
+    return tuple(w0), tuple(w1)
+
+
+_JY_WEIGHTS = _jy_weights()
+
+
 def _jy_series(n, z, regular=True):
     """(J_n, Y_n, j, r) at z on the series path, n in {0, 1}, from one loop.
 
@@ -175,16 +195,15 @@ def _jy_series(n, z, regular=True):
         Y0 = (2/pi)[(log(z/2)+gamma) J0 - r]
         Y1 = (2/pi)[(log(z/2)+gamma) J1 - 1/z - (z/4) r]
 
-    Each sum stops on its own rule, so J_n does not depend on ``regular``;
-    with ``regular=False`` only j is summed and Y_n and r are None.  The
-    pair j = (hi, lo) keeps J0 - 1 = (hi - 1) + lo accurate as z -> 0.
+    The w_k come from ``_JY_WEIGHTS``.  Each sum stops on its own rule, so
+    J_n does not depend on ``regular``; with ``regular=False`` only j is
+    summed and Y_n and r are None.  The pair j = (hi, lo) keeps
+    J0 - 1 = (hi - 1) + lo accurate as z -> 0.
     """
-    one = (1.0, 0.0)
+    w = _JY_WEIGHTS[n]
     u = dd_mul_d(dd_sqr_d(z), 0.25)
-    p = j = one
-    h = (0.0, 0.0)  # H_k
-    h1 = one  # H_{k+1}, order 1 only
-    s = (float(n), 0.0)  # k = 0 term: w_0 = n
+    p = j = (1.0, 0.0)
+    s = w[0]  # k = 0 term: w_0 = n
     j_done, s_done = False, not regular
     k = 0
     while not (j_done and s_done):
@@ -194,12 +213,7 @@ def _jy_series(n, z, regular=True):
             j = dd_add(j, p)
             j_done = abs(p[0]) < 1e-34 * (abs(j[0]) + 1.0) or k > 400
         if not s_done:
-            h = dd_add(h, dd_div_d(one, float(k)))
-            if n:
-                h1 = dd_add(h1, dd_div_d(one, float(k + 1)))
-                term = dd_mul(p, dd_add(h, h1))
-            else:
-                term = dd_mul(p, h)
+            term = dd_mul(p, w[k])
             s = dd_add(s, term)
             s_done = abs(term[0]) < 1e-34 * (abs(s[0]) + 1.0) or k > 400
     jn = j[0] + j[1] if n == 0 else 0.5 * z * (j[0] + j[1])
@@ -448,10 +462,14 @@ _EPS = 2.220446049250313e-16
 
 
 def i0_scaled_checked(z):
-    v = bessel_i0_scaled(z)
+    """e^{-z} I0(z), bit-identical to ``bessel_i0_scaled``, with an error
+    estimate.  Above the series cutoff one Hankel sum gives both the value
+    and the smallest term: the stop rule reads only |a_m|, so the I-family
+    signs do not move it."""
+    z = _check_domain(z, "i0_scaled_checked")
     if z <= _SERIES_CUTOFF:
-        est = 8.0 * _EPS * abs(v) + 1e-300
-    else:
-        _, smallest = _ik_asym_sum(0.0, z, alternate=False)
-        est = 1.0 / math.sqrt(2.0 * math.pi * z) * (smallest + 4.0 * _EPS)
-    return SpecfunResult(v, est)
+        v = bessel_i0_scaled(z)
+        return SpecfunResult(v, 8.0 * _EPS * abs(v) + 1e-300)
+    s, smallest = _ik_asym_sum(0.0, z, alternate=True)
+    root = math.sqrt(2.0 * math.pi * z)
+    return SpecfunResult(s / root, 1.0 / root * (smallest + 4.0 * _EPS))

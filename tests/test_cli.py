@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
+import rsheat
 from rsheat import cli
 from rsheat.cli import main, parse_theta
 from rsheat.ktheta import pole_location
@@ -94,6 +96,16 @@ class TestEigenCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "index,lambda,secular_residual"
         assert abs(float(lines[1].split(",")[1]) - 5.7832) < 1e-3
+
+    def test_non_finite_lambda_max_and_bad_tol_are_domain_errors(self, capsys):
+        # a typed DomainError (usage exit, one stderr line), never a
+        # traceback or a silently accepted tolerance
+        for flags in (["--lambda-max", "nan"], ["--lambda-max", "inf"],
+                      ["--tol", "nan"], ["--tol=-1e-12"]):
+            code, out, err = run_cli(["eigen", "--theta", "0.3"] + flags, capsys)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("rsheat: error: eigenvalues: need")
 
 
 class TestKthetaCommand:
@@ -190,6 +202,11 @@ class TestExitCodes:
         assert cli._build_parser() is cli._build_parser()
 
     def test_console_script_version(self):
+        # the child imports the package this process imported, whether it
+        # came from an install, PYTHONPATH or pytest's pythonpath setting
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rsheat.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "rsheat.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0

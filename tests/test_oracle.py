@@ -18,7 +18,8 @@ from rsheat import (
     secular_negative,
     secular_positive,
 )
-from rsheat.oracle import Spectrum, _secular_positive_dlam
+from rsheat.oracle import Spectrum
+from rsheat.specfun import bessel_j0, bessel_j1, bessel_y1
 
 J01_SQ = 5.783185962946784521176
 J02_SQ = 30.47126234366208639908
@@ -27,6 +28,16 @@ J02_SQ = 30.47126234366208639908
 # of the Friedrichs angle
 ANGLES = [0.0, 0.3, math.pi / 4, 1.5, math.pi / 2 - 0.01, math.pi / 2 + 0.01,
           2.4, 3 * math.pi / 4, 3.1]
+
+
+def _secular_positive_dlam(lam, bp):
+    """dS/dlambda of the textbook form (log lam + 2 kappa) J0 - pi Y0."""
+    r = math.sqrt(lam)
+    if bp.is_friedrichs:
+        return -bessel_j1(r) / (2.0 * r)
+    dj0 = -bessel_j1(r) / (2.0 * r)  # d/dlam J0(sqrt lam)
+    dy0 = -bessel_y1(r) / (2.0 * r)
+    return bessel_j0(r) / lam + (math.log(lam) + 2.0 * bp.kappa) * dj0 - math.pi * dy0
 
 
 def _fine_scan_roots(bp, lambda_max, per_cell=2000):
@@ -256,7 +267,6 @@ class TestEigenvalues:
         pos2 = [ev for ev in sp2.eigenvalues if ev > 0.0]
         for a, b in zip(pos1[:5], pos2[:5]):
             # |dlam/dtheta| = |2 sec^2(theta) J0(sqrt(lam)) / S'(lam)|
-            from rsheat.specfun import bessel_j0
             slope = abs(2.0 * bessel_j0(math.sqrt(a))
                         / (math.cos(th) ** 2 * _secular_positive_dlam(a, BoundaryParam(th))))
             assert abs(b - a) <= 1.5 * slope * 0.01 + 1e-6
@@ -269,6 +279,49 @@ class TestEigenvalues:
         with pytest.raises(DomainError):
             # kappa ~ -1e4: -e^{-2 kappa} overflows a double
             eigenvalues(BoundaryParam(math.pi / 2 + 1e-4))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lambda_max": math.nan}, {"lambda_max": math.inf}, {"lambda_max": -math.inf},
+        {"tol": math.nan}, {"tol": -1e-12}, {"tol": -math.inf}])
+    def test_non_finite_and_negative_inputs_raise_before_any_work(self, kwargs, monkeypatch):
+        def untouched(n):
+            raise AssertionError("the zero table was asked for zeros")
+
+        monkeypatch.setattr(oracle, "j0_zeros", untouched)
+        for bp in (BoundaryParam(0.3), BoundaryParam.friedrichs()):
+            with pytest.raises(DomainError):
+                eigenvalues(bp, **kwargs)
+
+    def test_second_spectrum_computes_no_zero(self, monkeypatch):
+        # the J0 zeros bound every cell at every angle: after one spectrum
+        # at lambda_max, another angle at the same lambda_max finds them all
+        # in the table and spends no Bessel call on them
+        eigenvalues(BoundaryParam(0.3), lambda_max=4000.0)
+        zeros, inside, calls = oracle.j0_zeros, [False], []
+
+        def counting(fn):
+            def wrapped(z):
+                if inside[0]:
+                    calls.append(fn.__name__)
+                return fn(z)
+            return wrapped
+
+        def delimited_zeros(n):
+            inside[0] = True
+            try:
+                return zeros(n)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(oracle, "bessel_j0", counting(bessel_j0))
+        monkeypatch.setattr(oracle, "bessel_j1", counting(bessel_j1))
+        monkeypatch.setattr(oracle, "j0_zeros", delimited_zeros)
+        for theta in (2.4, math.pi / 2, 0.0):
+            eigenvalues(BoundaryParam(theta), lambda_max=4000.0)
+        assert calls == []
+        # the counter does see a zero the table lacks
+        delimited_zeros(len(oracle._J0_ZEROS) + 1)
+        assert set(calls) == {"bessel_j0", "bessel_j1"}
 
 
 class TestOracleTrace:
@@ -306,6 +359,40 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == sp.eigenvalues[0]  # 17 digits round-trip
+
+
+def _fresh_j0_zeros(n):
+    """McMahon seed + Newton on J0/J1, with no table."""
+    out = []
+    for k in range(1, n + 1):
+        beta = (k - 0.25) * math.pi
+        z = beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
+        for _ in range(8):
+            step = bessel_j0(z) / bessel_j1(z)
+            z += step
+            if abs(step) <= 4.0 * math.ulp(z):
+                break
+        out.append(z)
+    return out
+
+
+def test_j0_zeros_table_is_bit_identical_in_any_order(monkeypatch):
+    monkeypatch.setattr(oracle, "_J0_ZEROS", ())  # an empty table, as at import
+    fresh = _fresh_j0_zeros(60)
+    for n in (5, 60, 1, 23, 60, 37, 0):
+        assert j0_zeros(n) == fresh[:n]
+    assert len(oracle._J0_ZEROS) == 60
+    assert j0_zeros(-3) == []  # a negative count is no count, not a slice
+
+
+def test_j0_zeros_returns_a_new_list():
+    first = j0_zeros(10)
+    want = list(first)
+    first[0] = -1.0
+    first.append(99.0)
+    del first[3]
+    assert j0_zeros(10) == want
+    assert j0_zeros(10) is not j0_zeros(10)
 
 
 def test_j0_zeros_against_frozen():

@@ -254,8 +254,23 @@ def test_checked_variants_error_model():
         assert true_err <= max(res.est_abs_error, 4e-16 * abs(res.value))
 
 
+def test_checked_i0_takes_value_and_smallest_term_from_one_sum():
+    # the Hankel stop rule reads only |a_m|: the alternating sum and the
+    # all-positive sum stop at the same term, so one sum gives both
+    zs = np.concatenate([np.geomspace(16.0, 5e3, 400), np.linspace(15.9, 16.1, 21),
+                         np.geomspace(1e-8, 16.0, 60)])
+    for z in zs:
+        z = float(z)
+        res = sf.i0_scaled_checked(z)
+        assert res.value == sf.bessel_i0_scaled(z)
+        if z > 16.0:
+            _, smallest = sf._ik_asym_sum(0.0, z, alternate=False)
+            assert res.est_abs_error == (1.0 / math.sqrt(2.0 * math.pi * z)
+                                         * (smallest + 4.0 * 2.220446049250313e-16))
+
+
 @pytest.mark.parametrize("fn", [sf.bessel_i0, sf.bessel_i0_scaled, sf.bessel_j0,
-                                sf.bessel_j1, sf.bessel_i1])
+                                sf.bessel_j1, sf.bessel_i1, sf.i0_scaled_checked])
 def test_domain_errors_nonnegative(fn):
     with pytest.raises(DomainError):
         fn(-1.0)
