@@ -12,20 +12,26 @@ self-convolution of the boundary kernel (``tn_trace``, identically
 singularity of the s-outer order entirely; the s-outer route is kept as
 an independent cross-check (``t1_s_outer``).
 
-Below s_f = ``_TRQ_FLAT_S`` ~ 0.0263, TrQ is exactly the constant
-Q0 = ``_TRQ_SUM`` in double, and the whole correction collapses to
-Q0 F(t), F(tau) = int_0^tau K = 2 nu(zeta0 tau), with nu the Volterra
-function, whose Laplace transform is 1/(s log s) (Erdelyi, Higher
-Transcendental Functions III, sec. 18.3; Garrappa and Mainardi, "On
-Volterra functions and Ramanujan integrals", Analysis 36, 2016).  On the
-branch cut this is
+u = (1 - tanh(v/2))/2 turns TrQ(s) = int_0^{1/2} (1 - e^{-1/(4s u(1-u))}) du
+into 1/2 - R(s), R(s) = int_0^inf e^{-c/s} sech^2(v/2)/4 dv, c = cosh^2(v/2),
+which is (Z/2) e^{-Z} (K1 - K0)(Z), Z = 1/(2s), by parts (DLMF 10.32.9).
+Re c >= 1/2 on |Im v| <= pi/2, where |sech^2(v/2)|/4 integrates to pi/2,
+so the trapezoid rule of step h = 1/4 on [0, 40] is within
+(pi/2)/(e^{4 pi^2} - 1) + e^{-40} < 2e-17 of R at every s > 0 (Trefethen
+and Weideman, SIAM Review 56, 2014): one rule for TrQ, and R' on its
+nodes.  As c >= 1, R(s) <= e^{-1/s}/2 < 2^-55 below s_f = ``_TRQ_FLAT_S``
+= 1/38, where TrQ rounds to exactly Q0 = 1/2 and the whole correction
+collapses to Q0 F(t), F(tau) = int_0^tau K = 2 nu(zeta0 tau), with nu
+the Volterra function, whose Laplace transform is 1/(s log s) (Erdelyi,
+Higher Transcendental Functions III, sec. 18.3; Garrappa and Mainardi,
+"On Volterra functions and Ramanujan integrals", Analysis 36, 2016).  On
+the branch cut this is
 
     F(tau) = 2 (e^{zeta0 tau} - 1 + J(log tau - 2 kappa)),
     J(l) = int_R (1 - exp(-e^v)) dv / ((v - l)^2 + pi^2),
 
-one positive integral, valid for every tau > 0.  Above s_f, with
-R(s) = Q0 - TrQ(s) = sum W e^{-c/s} summed directly (c = 1/(4g), so
-nothing cancels), integration by parts gives exactly
+one positive integral, valid for every tau > 0.  Above s_f, integration
+by parts gives exactly
 
     correction(t) = Q0 F(t) - F(t - s_f) R(s_f) - int_{s_f}^t F(t - s) R'(s) ds,
 
@@ -77,15 +83,11 @@ from .specfun import bessel_i1_scaled, i0_scaled_checked
 
 _PI2 = math.pi * math.pi
 
-# fixed 48-point Gauss-Legendre rule on [0, 1/2] for the inner TrQ sweeps
-_TRQ_N, _TRQ_W = gauss_legendre_panel(48)
-_TRQ_N = 0.25 * (_TRQ_N + 1.0)
-_TRQ_W = 0.25 * _TRQ_W
-_TRQ_G = _TRQ_N * (1.0 - _TRQ_N)
-# below this s every 1 - exp(-1/(4 s g)) rounds to exactly 1.0 (the
-# exponent exceeds 38, and e^{-38} < 2^{-54}), so TrQ(s) = _TRQ_SUM
-_TRQ_FLAT_S = 1.0 / (4.0 * 38.0 * float(_TRQ_G.max()))
-_TRQ_SUM = float(np.sum(_TRQ_W))
+# TrQ = 1/2 - sum W e^{-c/s}, c = cosh^2(v/2), W = h sech^2(v/2)/4 at v = k h
+_TRQ_C = np.cosh(0.125 * np.arange(161)) ** 2
+_TRQ_W = 1.0 / (16.0 * _TRQ_C)
+_TRQ_W[0] *= 0.5  # the trapezoid's end weight, h = 1/4
+_TRQ_FLAT_S = 1.0 / 38.0
 
 # geometric panel edges for the w = (t-s) y inner convolution variable
 _W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, UNDERFLOW_U])
@@ -93,13 +95,11 @@ _GLW_N, _GLW_W = gauss_legendre_panel(16)
 
 # trace_curve takes the rows up to _T_V through volterra_correction, whose
 # remainder runs on the same 96 nodes in v = log((t - s_f)/tau):
-# tau = (t - s_f) _V_TAU, with R(s) = Q0 - TrQ(s) = sum W e^{-c/s}
+# tau = (t - s_f) _V_TAU
 _T_V = 0.1
 _V_TAU = np.exp(-0.5 * (np.multiply.outer(_W_EDGES[:-1], 1.0 - _GLW_N)
                         + np.multiply.outer(_W_EDGES[1:], 1.0 + _GLW_N)).ravel())
 _V_WEIGHTS = np.multiply.outer(0.5 * np.diff(_W_EDGES), _GLW_W).ravel()
-_TRQ_C = 0.25 / _TRQ_G
-_TRQ_R_FLAT = float(np.exp(-_TRQ_C / _TRQ_FLAT_S) @ _TRQ_W)
 
 
 @dataclass(frozen=True)
@@ -119,47 +119,40 @@ class TraceSample:
     parts: TraceParts
 
 
-def _trq_values(s):
-    """TrQ on an array of times via the fixed interior rule (vectorized).
+def _trq_nodes(s_max):
+    """(c, W) at c <= 746 s_max, past which e^{-c/s} is 0.0 (23 nodes at 0.1)."""
+    n = np.searchsorted(_TRQ_C, 746.0 * s_max, side="right")
+    return _TRQ_C[:n], _TRQ_W[:n]
 
-    0.5 at s <= 0, the weight sum on (0, _TRQ_FLAT_S), and the 48-point
-    sum of W (1 - e^{-1/(4 s g)}) above, built in place in one buffer.
-    """
+
+def _r_values(s):
+    """R(s) = 1/2 - TrQ(s), s > 0: the terms' parts on the 2^-30 grid add
+    exactly, so the sum is exact to one rounding and ~1e-23 at any node count."""
+    c, w = _trq_nodes(s.max(initial=0.0))
+    with np.errstate(under="ignore"):
+        terms = np.exp(-c / s[:, None]) * w
+    hi = (terms + 2.0 ** 22) - 2.0 ** 22
+    return hi.sum(axis=1) + (terms - hi).sum(axis=1)
+
+
+_TRQ_R_FLAT = float(_r_values(np.array([_TRQ_FLAT_S]))[0])
+
+
+def _trq_values(s):
+    """TrQ on an array of times: 0.5 - R, and 0.5 below _TRQ_FLAT_S."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.where(s > 0.0, _TRQ_SUM, 0.5)
+    out = np.full(s.shape, 0.5)
     live = s >= _TRQ_FLAT_S
-    if np.any(live):
-        buf = np.multiply.outer(4.0 * s[live], _TRQ_G)
-        np.divide(-1.0, buf, out=buf)
-        with np.errstate(under="ignore"):
-            np.exp(buf, out=buf)
-        np.subtract(1.0, buf, out=buf)
-        buf *= _TRQ_W
-        out[live] = buf.sum(axis=1)
+    out[live] -= _r_values(s[live])
     return out
 
 
-def _trq(s):
-    return float(_trq_values(np.array([s]))[0])
-
-
-def tn_trace(t, spec: QuadSpec = DEFAULT_SPEC):
-    """(1/2t) int_0^t (1 - exp(-t/(4 s (t-s)))) ds, adaptively.
-
-    Equals int_0^1 q_diag(x, t) dx and 1/2 + O(t^inf); always < 1/2.
-    """
+def tn_trace(t):
+    """(1/2t) int_0^t (1 - exp(-t/(4 s (t-s)))) ds = int_0^1 q_diag(x, t) dx,
+    1/2 - R(t) with 0 < R(t) <= e^{-1/t}/2: exactly 1/2 below t ~ 0.0267."""
     if t <= 0.0 or not math.isfinite(t):
         raise DomainError(f"tn_trace: need t > 0, got {t!r}")
-
-    def f(us):
-        us = np.asarray(us)
-        g = us * (1.0 - us)
-        with np.errstate(divide="ignore", under="ignore"):
-            e = np.where(g > 0, np.exp(-1.0 / (4.0 * t * np.maximum(g, 1e-300))), 0.0)
-        return 1.0 - e
-
-    # integrand symmetric about u = 1/2: (1/2) int_0^1 = int_0^{1/2}
-    return integrate(f, 0.0, 0.5, spec).value
+    return float(_trq_values(t)[0])
 
 
 def friedrichs_trace(t):
@@ -213,7 +206,7 @@ def t1_y_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
         return _a_conv(ys, t) * ys / ((us + k2) ** 2 + _PI2)
 
     r = integrate(f, 0.0, _U_CUT, spec)
-    return 2.0 * r.value + 2.0 * _trq(t) * arctan_tail(_U_CUT, k2)
+    return 2.0 * r.value + 2.0 * tn_trace(t) * arctan_tail(_U_CUT, k2)
 
 
 def t1_s_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, eps=1e-6):
@@ -240,7 +233,7 @@ def t1_s_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, eps=1e-6):
             for tau, q in zip(taus, trqs)])
 
     r = integrate(f, math.log(eps * t), math.log(t), spec)
-    return r.value + _trq(t) * 2.0 * t1_reference(eps * t, bp, spec)
+    return r.value + tn_trace(t) * 2.0 * t1_reference(eps * t, bp, spec)
 
 
 def t1_reference(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
@@ -352,14 +345,15 @@ def volterra_correction(ts, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPT
     gap = ts[up] - _TRQ_FLAT_S
     taus = np.multiply.outer(gap, _V_TAU)
     f = _cut_integrals(np.concatenate([ts, gap, taus.ravel()]), bp, opts, spec)
-    out = _TRQ_SUM * f[:ts.size]
+    out = 0.5 * f[:ts.size]
     f_gap = f[ts.size:ts.size + gap.size]
     f_tau = f[ts.size + gap.size:].reshape(taus.shape)
     # R'(s) = sum W c/s^2 e^{-c/s} = sum (W/c) a^2 e^{-a}, a = c/s, at
-    # s = t - tau: one (rows, nodes, 48) block
-    a = _TRQ_C / (ts[up, None] - taus)[:, :, None]
+    # s = t - tau: one (rows, nodes, <= 23) block
+    c, w = _trq_nodes(ts.max())
+    a = c / (ts[up, None] - taus)[:, :, None]
     with np.errstate(under="ignore"):
-        r_prime = (a * a * np.exp(-a)) @ (_TRQ_W / _TRQ_C)
+        r_prime = (a * a * np.exp(-a)) @ (w / c)
     rest = f_gap * _TRQ_R_FLAT + (f_tau * r_prime * taus) @ _V_WEIGHTS
     # F increases, so rest is finite wherever Q0 F(t) is
     out[up] -= np.where(np.isinf(out[up]), 0.0, rest)

@@ -107,6 +107,22 @@ class TestEigenCommand:
             assert out == ""
             assert err.startswith("rsheat: error: eigenvalues: need")
 
+    def test_negative_values_in_exponent_form_reach_the_domain_checks(self, capsys):
+        # argparse alone reads "-1e-12" as an option and stops with
+        # "expected one argument" before the value is checked
+        for args, message in (
+                (["eigen", "--tol", "-1e-12"],
+                 "rsheat: error: eigenvalues: need 0 <= tol <= 1e-8, got -1e-12"),
+                (["eigen", "--lambda-max", "-5E+2"],
+                 "rsheat: error: eigenvalues: need finite lambda_max >= 100, "
+                 "got -500.0"),
+                (["trace", "--t-min", "-1e-3"],
+                 "rsheat: error: need 0 < t-min <= t-max"),
+                (["trace", "--t-min", "1e-3", "--t-max", "-.5e-2"],
+                 "rsheat: error: need 0 < t-min <= t-max")):
+            code, out, err = run_cli(args, capsys)
+            assert (code, out, err.strip()) == (1, "", message)
+
 
 class TestKthetaCommand:
     def test_total_is_sum(self, capsys):

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import k0e, k1e
 
 from rsheat import (
     BoundaryParam,
@@ -23,22 +24,22 @@ from rsheat import (
 )
 from rsheat import ktheta, quadrature, trace
 from rsheat.ktheta import k1_smooth
-from rsheat.quadrature import DEFAULT_SPEC, arctan_tail, integrate
+from rsheat.quadrature import DEFAULT_SPEC, UNDERFLOW_U, arctan_tail, integrate
 from rsheat.specfun import bessel_i0_scaled
 from rsheat.trace import (
     _GLW_N,
     _GLW_W,
     _PI2,
+    _TRQ_C,
     _TRQ_FLAT_S,
-    _TRQ_G,
-    _TRQ_SUM,
     _TRQ_W,
     _T_V,
     _U_CUT,
     _W_EDGES,
     _a_conv,
+    _cut_integrals,
     _friedrichs_trace_res,
-    _trq,
+    _r_values,
     _trq_values,
     residue_trace_part,
     t1_s_outer,
@@ -95,10 +96,31 @@ def _cut_integral_mp(ell):
             - mp.quad(lambda v: mp.exp(-mp.exp(v)) * lor(v), [4, 6]))
 
 
+def _tn_adaptive(t, spec):
+    """TrQ(t) = int_0^{1/2} (1 - exp(-1/(4 t u (1-u)))) du, adaptively in u:
+    the integral tn_trace's fixed rule replaces."""
+
+    def f(us):
+        g = us * (1.0 - us)
+        with np.errstate(divide="ignore", under="ignore"):
+            e = np.where(g > 0, np.exp(-1.0 / (4.0 * t * np.maximum(g, 1e-300))), 0.0)
+        return 1.0 - e
+
+    return integrate(f, 0.0, 0.5, spec).value
+
+
+def _r_closed(s):
+    """R(s) = 1/2 - TrQ(s) = (Z/2) e^{-Z} (K1 - K0)(Z), Z = 1/(2s), and
+    R'(s) = Z^2 e^{-Z} K0(Z), from scipy's scaled K."""
+    z = 0.5 / np.asarray(s, dtype=float)
+    e = np.exp(-2.0 * z)
+    return 0.5 * z * e * (k1e(z) - k0e(z)), z * z * e * k0e(z)
+
+
 class TestTnTrace:
     def test_below_half_everywhere(self):
-        # the deficit is e^{-1/t}-small: below t ~ 0.03 it underflows the
-        # 53-bit significand and the computed value rounds to exactly 1/2
+        # the deficit is below e^{-1/t}/2: below t ~ 0.0267 it is under
+        # half an ulp of 1/2 and the value is exactly 1/2
         for t in np.geomspace(1e-3, 2.0, 15):
             assert tn_trace(float(t)) <= 0.5
         for t in (0.1, 0.5, 2.0):
@@ -109,22 +131,55 @@ class TestTnTrace:
 
     def test_fast_grid_matches_adaptive(self):
         ss = np.geomspace(1e-4, 1.0, 30)
-        fast = _trq_values(ss)
-        for s, f in zip(ss, fast):
-            assert abs(f - tn_trace(float(s), QuadSpec(rel_tol=1e-13, abs_tol=1e-15))) < 1e-11
+        spec = QuadSpec(rel_tol=1e-13, abs_tol=1e-15)
+        for s, f in zip(ss, _trq_values(ss)):
+            assert abs(f - _tn_adaptive(float(s), spec)) < 1e-14
+            assert abs(f - tn_trace(float(s))) <= 1e-22
 
-    def test_flat_region_is_the_plain_rule_bit_for_bit(self):
-        # the grid straddles the cut below which every exponential rounds away
-        ss = np.concatenate([
-            np.geomspace(1e-12, 50.0, 4001),
-            np.geomspace(0.5 * _TRQ_FLAT_S, 2.0 * _TRQ_FLAT_S, 2001),
-            [np.nextafter(_TRQ_FLAT_S, 0.0), _TRQ_FLAT_S, np.nextafter(_TRQ_FLAT_S, 1.0)],
-        ])
-        with np.errstate(under="ignore"):
-            e = np.exp(-1.0 / (4.0 * ss[:, None] * _TRQ_G[None, :]))
-        plain = np.sum(_TRQ_W[None, :] * (1.0 - e), axis=1)
-        assert np.array_equal(_trq_values(ss), plain)
+    def test_certificate_against_mpmath(self):
+        # the strip bound puts the rule within 2e-17 of R at every s > 0;
+        # 1e-16 leaves room for the rounding of 1/2 - R
+        ss = np.geomspace(1e-3, 1e8, 221)
+        with mp.workdps(40):
+            for s, value in zip(ss, _trq_values(ss)):
+                z = 1 / (2 * mp.mpf(float(s)))
+                r = z / 2 * mp.exp(-z) * (mp.besselk(1, z) - mp.besselk(0, z))
+                assert abs(value - (mp.mpf(1) / 2 - r)) <= 1e-16
+
+    def test_exactly_half_below_the_flat_point(self):
+        # R(s) <= e^{-1/s}/2 < 2^-55 for s < 1/38, so 1/2 - R rounds to 1/2
+        # even where the exponentials are summed
+        ss = np.concatenate([np.geomspace(1e-12, _TRQ_FLAT_S, 2001)[:-1],
+                             [np.nextafter(_TRQ_FLAT_S, 0.0)]])
+        assert np.all(_trq_values(ss) == 0.5)
+        assert np.all(0.5 - _r_values(ss) == 0.5)
+        assert np.all(_r_values(ss) < 2.0 ** -55)
         assert np.array_equal(_trq_values([0.0, -1.0]), [0.5, 0.5])
+        assert _TRQ_FLAT_S == 1.0 / 38.0
+
+    def test_node_cut_and_exact_sum(self):
+        # _r_values skips the nodes where e^{-c/s} underflows for every s
+        # of the call (23 of 161 for s <= 0.1) and sums the rest exactly up
+        # to one rounding, so a value does not hang on the call's other times
+        ss = np.geomspace(_TRQ_FLAT_S, 1e8, 301)
+        batch = _r_values(ss)
+        for s, r in zip(ss, batch):
+            terms = np.exp(-_TRQ_C / s) * _TRQ_W
+            assert np.all(terms[np.count_nonzero(terms):] == 0.0)
+            exact = math.fsum(terms)
+            assert abs(r - exact) <= 1e-22 + 0.5 * np.spacing(exact)
+            assert abs(_r_values(np.array([s]))[0] - r) <= 1e-22
+        assert np.count_nonzero(np.exp(-_TRQ_C / 0.1)) == 23
+
+    def test_r_prime_on_the_same_nodes(self):
+        # volterra_correction takes R'(s) = sum W c/s^2 e^{-c/s} from the
+        # rule; near s_f it is good only to ~4e-9 relative, but R' is below
+        # 4e-15 there, so its absolute error stays below 1e-18
+        ss = np.geomspace(_TRQ_FLAT_S, 1e8, 241)
+        _, ref = _r_closed(ss)
+        a = _TRQ_C / ss[:, None]
+        rule = (a * a * np.exp(-a)) @ (_TRQ_W / _TRQ_C)
+        assert np.all(np.abs(rule - ref) <= 1e-18 + 2e-15 * ref)
 
 
 class TestFriedrichsTrace:
@@ -307,7 +362,7 @@ class TestArrayRoutes:
                                      for s, q in zip(ss, _trq_values(ss))])
 
                 t1 = (2.0 * integrate(f1, 0.0, _U_CUT, tight_spec).value
-                      + 2.0 * _trq(t) * arctan_tail(_U_CUT, k2))
+                      + 2.0 * tn_trace(t) * arctan_tail(_U_CUT, k2))
                 t2 = integrate(f2, 0.0, t, tight_spec).value
                 assert abs(t1_y_outer(t, bp, tight_spec) - t1) <= 1e-12 * abs(t1)
                 assert abs(t2_part(t, bp, opts, tight_spec) - t2) <= 1e-12 * abs(t2)
@@ -335,7 +390,8 @@ class TestFlatCorrection:
                 bp = BoundaryParam(theta)
                 ref = _cut_integral_mp(mp.log(t) - 2 * mp.mpf(bp.kappa))
                 opts = KernelOptions(include_residue=False)
-                j = volterra_correction([t], bp, opts)[0] / (2.0 * _TRQ_SUM)
+                # without the residue, Q0 F = J below s_f
+                j = volterra_correction([t], bp, opts)[0]
                 assert abs(j - ref) <= 5e-16 * ref
 
     def test_continuous_across_the_switch(self):
@@ -401,29 +457,60 @@ class TestVolterraRemainder:
         # over s (their share is below 1e-12, so double precision suffices)
         opts = KernelOptions()
         rows = [float(t) for t in CURVE_T if t >= 0.0134]
+        r_flat = float(_r_closed(_TRQ_FLAT_S)[0])
         for k in (37, 38, 40):
             bp = BoundaryParam(k * math.pi / 64)
             z0 = pole_location(bp)
-            c = 0.25 / _TRQ_G
 
             def by_parts(ss, t):
-                r_prime = (c / ss[:, None] ** 2 * np.exp(-c / ss[:, None])) @ _TRQ_W
-                return volterra_correction(t - ss, bp, opts) / _TRQ_SUM * r_prime
+                return volterra_correction(t - ss, bp, opts) / 0.5 * _r_closed(ss)[1]
 
             for s in trace_curve(bp, rows, opts):
                 with mp.workdps(40):
                     ell = mp.log(s.t) - 2 * mp.mpf(bp.kappa)
-                    head = 2 * mp.mpf(_TRQ_SUM) * (mp.expm1(mp.mpf(z0) * mp.mpf(s.t))
-                                                  + _cut_integral_mp(ell))
+                    head = mp.expm1(mp.mpf(z0) * mp.mpf(s.t)) + _cut_integral_mp(ell)
                 rest = 0.0
                 if s.t > _TRQ_FLAT_S:
                     gap = s.t - _TRQ_FLAT_S
-                    rest = (volterra_correction([gap], bp, opts)[0] / _TRQ_SUM
-                            * float(np.exp(-c / _TRQ_FLAT_S) @ _TRQ_W)
+                    rest = (volterra_correction([gap], bp, opts)[0] / 0.5 * r_flat
                             + integrate(lambda ss: by_parts(ss, s.t), _TRQ_FLAT_S, s.t).value)
                     assert rest <= 1e-12 * float(head)
                 ref = float(head - rest)
                 assert abs(s.parts.correction - ref) <= 5e-16 * ref
+
+
+class TestLargeT:
+    """full_trace at t >= 1, where only the nested route runs, against an
+    independent reference: corr(t) = F(t)/2 - int_0^t F(t - s) R'(s) ds,
+    with R' from scipy's K0 and F from a tight cut integral."""
+
+    TIGHT = QuadSpec(rel_tol=1e-14, abs_tol=1e-300)
+
+    def _correction(self, t, bp):
+        opts = KernelOptions()
+
+        def big_f(taus):
+            return _cut_integrals(np.asarray(taus, dtype=float), bp, opts, self.TIGHT)
+
+        def near_s(ss):
+            return big_f(t - ss) * _r_closed(ss)[1]
+
+        def near_t(vs):
+            # tau = t - s = (t/2) e^v resolves F's 1/log tau end
+            taus = 0.5 * t * np.exp(vs)
+            return big_f(taus) * _r_closed(t - taus)[1] * taus
+
+        return (0.5 * big_f([t])[0]
+                - integrate(near_s, 0.0, 0.5 * t, self.TIGHT).value
+                - integrate(near_t, -UNDERFLOW_U, 0.0, self.TIGHT).value)
+
+    def test_est_error_covers_large_t(self):
+        for theta in (0.0, 1.0, 2.4):
+            bp = BoundaryParam(theta)
+            for t in (1.0, 3.0, 10.0, 30.0):
+                s = full_trace(t, bp)
+                ref = friedrichs_trace(t) + self._correction(t, bp)
+                assert abs(s.value - ref) <= s.est_error, (theta, t)
 
 
 class TestTraceCurve:
