@@ -7,14 +7,14 @@ non-Friedrichs angle the symbol also has a real positive pole at
 zeta0 = e^{-2 kappa} whose residue 2 zeta0 e^{t zeta0} the imaginary-axis
 representation misses.  The numerical Laplace
 transform decides the question: only the residue-ON assembly reproduces
-the symbol.
+the symbol.  ``include_residue=False``, a keyword of ``k_theta``,
+``laplace_of_k`` and the trace functions, drops the pole.
 """
 
 import math
 
 from rsheat import (
     BoundaryParam,
-    KernelOptions,
     bromwich_truncated,
     k1_smooth,
     k_theta,
@@ -40,7 +40,7 @@ print("=== Laplace identity: L K(zeta) vs 1/(log sqrt(zeta) + kappa) ===")
 for zeta in (2.0 * z0, 4.0 * z0, 10.0):
     target = 1.0 / (0.5 * math.log(zeta) + bp.kappa)
     on = laplace_of_k(zeta, bp)
-    off = laplace_of_k(zeta, bp, KernelOptions(include_residue=False))
+    off = laplace_of_k(zeta, bp, include_residue=False)
     print(f"zeta = {zeta:7.4f}: target {target:9.6f}  with residue {on:9.6f} "
           f"(err {abs(on - target):.1e})  without {off:9.6f} "
           f"(err {abs(off - target):.3f} = 2 zeta0/(zeta - zeta0) = "

@@ -7,7 +7,7 @@ a low-degree polynomial to D leaves a large structured residual, while
 the same fit after subtracting the computed exotic term (and the
 bound-state trace part, which is analytic but carried along for
 bookkeeping) drops to quadrature noise.  ``exoticness_report`` quantifies
-this as a residual ratio with pass threshold 10.
+this as a residual ratio with pass threshold ``RATIO_THRESHOLD`` = 10.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .kernels import BoundaryParam
-from .ktheta import DEFAULT_OPTIONS, KernelOptions
 from .quadrature import DEFAULT_SPEC, QuadSpec
 from .trace import residue_trace_part, trace_curve
+
+FIT_DEGREE = 2
+RATIO_THRESHOLD = 10.0
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,6 @@ class ExoticnessReport:
     fit_raw: AsymptoticFit
     fit_exotic_only: AsymptoticFit
     fit_subtracted: AsymptoticFit
-    threshold: float
 
     @property
     def residual_ratio(self):
@@ -97,7 +98,7 @@ class ExoticnessReport:
 
     @property
     def passed(self):
-        return self.residual_ratio >= self.threshold
+        return self.residual_ratio >= RATIO_THRESHOLD
 
     def render_text(self):
         a = self.fit_subtracted.coefficients
@@ -109,7 +110,7 @@ class ExoticnessReport:
             f"  after exotic subtraction:          {self.fit_exotic_only.max_residual:.3e}",
             f"  after exotic+residue subtraction:  {self.fit_subtracted.max_residual:.3e}",
             f"  residual ratio: {self.residual_ratio:.1f}  "
-            f"(threshold {self.threshold:g}: {'PASS' if self.passed else 'FAIL'})",
+            f"(threshold {RATIO_THRESHOLD:g}: {'PASS' if self.passed else 'FAIL'})",
         ]
         for j, (c, s) in enumerate(zip(a, se)):
             lines.append(f"  a{j} = {c: .10e} +- {s:.2e}")
@@ -126,8 +127,8 @@ class ExoticnessReport:
                    f"{self.d_values[i] - raw_model[i]:.17g},{sub - sub_model[i]:.17g}")
 
 
-def exoticness_report(bp: BoundaryParam, t_grid, opts: KernelOptions = DEFAULT_OPTIONS,
-                      spec: QuadSpec = DEFAULT_SPEC, degree=2, threshold=10.0):
+def exoticness_report(bp: BoundaryParam, t_grid, spec: QuadSpec = DEFAULT_SPEC, *,
+                      include_residue=True):
     """Compute D(t), subtract the exotic (and residue-trace) terms, fit both.
 
     D(t) = full_trace(theta) - full_trace(pi/2) equals the correction trace
@@ -138,18 +139,18 @@ def exoticness_report(bp: BoundaryParam, t_grid, opts: KernelOptions = DEFAULT_O
     ts = sorted(float(t) for t in t_grid)
     if not ts or ts[0] < 1e-5 or ts[-1] > 1e-1:
         raise DomainError("exoticness_report: grid must lie within [1e-5, 1e-1]")
-    curve = trace_curve(bp, ts, opts, spec)
+    curve = trace_curve(bp, ts, spec, include_residue=include_residue)
     d_vals = [s.parts.correction for s in curve]
     ex_vals = [s.parts.exotic_ref for s in curve]
-    if opts.include_residue:
+    if include_residue:
         res_vals = [residue_trace_part(t, bp, spec) for t in ts]
     else:
         res_vals = [0.0] * len(ts)
     sub1 = [d - e for d, e in zip(d_vals, ex_vals)]
     sub2 = [d - e - r for d, e, r in zip(d_vals, ex_vals, res_vals)]
-    fit_raw = poly_fit(list(zip(ts, d_vals)), degree)
-    fit_ex = poly_fit(list(zip(ts, sub1)), degree, subtracted_terms=("exotic",))
-    fit_sub = poly_fit(list(zip(ts, sub2)), degree, subtracted_terms=("exotic", "residue"))
+    fit_raw = poly_fit(list(zip(ts, d_vals)), FIT_DEGREE)
+    fit_ex = poly_fit(list(zip(ts, sub1)), FIT_DEGREE, subtracted_terms=("exotic",))
+    fit_sub = poly_fit(list(zip(ts, sub2)), FIT_DEGREE, subtracted_terms=("exotic", "residue"))
     return ExoticnessReport(
         theta=bp.theta,
         grid=tuple(ts),
@@ -159,5 +160,4 @@ def exoticness_report(bp: BoundaryParam, t_grid, opts: KernelOptions = DEFAULT_O
         fit_raw=fit_raw,
         fit_exotic_only=fit_ex,
         fit_subtracted=fit_sub,
-        threshold=float(threshold),
     )

@@ -32,8 +32,8 @@ import time
 
 from .errors import ConvergenceError, DomainError, InsufficientSpectrumError
 from .kernels import BoundaryParam
-from .ktheta import KernelOptions, k_theta
-from .oracle import eigenvalues
+from .ktheta import k_theta
+from .oracle import LAMBDA_MAX_LIMIT, eigenvalues
 from .quadrature import QuadSpec
 from .trace import full_trace, trace_curve
 from .verify import run_acceptance
@@ -68,6 +68,8 @@ def parse_theta(text):
     if m:
         coef = float(m.group(1)) if m.group(1) else 1.0
         div = float(m.group(2)) if m.group(2) else 1.0
+        if div == 0.0:
+            raise DomainError(f"cannot parse theta {text!r}: zero divisor")
         return BoundaryParam(coef * math.pi / div)
     try:
         val = float(s)
@@ -136,7 +138,9 @@ def _build_parser():
     p_eigen = sub.add_parser("eigen", allow_abbrev=False,
                              help="interval spectrum as CSV")
     _add_common(p_eigen, grid=False)
-    p_eigen.add_argument("--lambda-max", type=float, default=4000.0)
+    p_eigen.add_argument("--lambda-max", type=float, default=4000.0,
+                         help="largest eigenvalue computed, from 100 to "
+                              f"{LAMBDA_MAX_LIMIT:g}")
     p_eigen.add_argument("--tol", type=float, default=1e-10)
 
     p_kt = sub.add_parser("ktheta", allow_abbrev=False,
@@ -216,7 +220,7 @@ def _cmd_trace(args):
     started = time.time()
     bp = parse_theta(args.theta if args.theta is not None else "friedrichs")
     spec = _spec(args)
-    opts = KernelOptions(include_residue=not args.no_residue, spec=spec)
+    residue = not args.no_residue
     ts = _grid(args)
 
     def row(s):
@@ -229,7 +233,7 @@ def _cmd_trace(args):
 
     def one(t):
         try:
-            return row(full_trace(t, bp, opts, spec))
+            return row(full_trace(t, bp, spec, include_residue=residue))
         except ConvergenceError as exc:
             print(f"rsheat trace: convergence failure at t={t:g}: {exc}",
                   file=sys.stderr)
@@ -237,7 +241,7 @@ def _cmd_trace(args):
                     "convergence-failure")
 
     try:
-        rows = [row(s) for s in trace_curve(bp, ts, opts, spec)]
+        rows = [row(s) for s in trace_curve(bp, ts, spec, include_residue=residue)]
     except ConvergenceError:
         # rows share integrals in trace_curve: redo them one by one, so
         # that only the rows that fail on their own are flagged
@@ -266,17 +270,20 @@ def _cmd_ktheta(args):
     started = time.time()
     bp = parse_theta(args.theta if args.theta is not None else "0")
     spec = _spec(args)
-    opts = KernelOptions(include_residue=not args.no_residue, spec=spec)
     ts = [args.t] if args.t is not None else _grid(args)
     buf = io.StringIO()
     buf.write("t,theta,main,smooth,residue,total\n")
+    finite = True
     for t in ts:
-        v = k_theta(t, bp, opts)
+        v = k_theta(t, bp, spec, include_residue=not args.no_residue)
+        if not math.isfinite(v.total):
+            print(f"rsheat ktheta: total overflows at t={t:g}", file=sys.stderr)
+            finite = False
         buf.write(",".join([_fmt(t), _fmt(bp.theta), _fmt(v.main_part),
                             _fmt(v.smooth_part), _fmt(v.residue_part),
                             _fmt(v.total)]) + "\n")
     _emit(args, buf.getvalue(), _meta(args, started, "ktheta"))
-    return 0
+    return 0 if finite else _NUMERICAL_EXIT
 
 
 def _cmd_verify(args):

@@ -11,10 +11,10 @@ into three exactly-summing real parts and no complex arithmetic is needed:
 * ``k1_smooth`` -- the same density over y in (0, 1), bounded and smooth;
 * ``residue_term`` -- 2 zeta0 e^{t zeta0} with zeta0 = e^{-2 kappa}, the
   residue of e^{t zeta}/(log sqrt(zeta) + kappa) at its positive real pole.
-  It matches the half-line bound state at -zeta0.  The flag
-  ``include_residue`` keeps the pole-free convention available;
-  ``laplace_of_k`` certifies numerically that only the residue-on assembly
-  satisfies L K(zeta) = (log sqrt(zeta) + kappa)^{-1}.
+  It matches the half-line bound state at -zeta0.  ``include_residue=False``
+  gives the pole-free convention; ``laplace_of_k`` certifies numerically
+  that only the residue-on assembly satisfies
+  L K(zeta) = (log sqrt(zeta) + kappa)^{-1}.
 
 ``bromwich_truncated`` integrates along the imaginary axis instead, an
 independent route that converges to m_main + k1_smooth like 1/log R.
@@ -23,7 +23,7 @@ independent route that converges to m_main + k1_smooth like 1/log R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +42,6 @@ from .quadrature import (
 
 _PI = math.pi
 _PI2 = math.pi * math.pi
-
-
-@dataclass(frozen=True)
-class KernelOptions:
-    """Switches and tolerances for assembling the kernel."""
-
-    include_residue: bool = True
-    spec: QuadSpec = field(default_factory=lambda: QuadSpec())
-
-
-DEFAULT_OPTIONS = KernelOptions()
 
 
 @dataclass(frozen=True)
@@ -88,7 +77,7 @@ def m_main(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     return 2.0 * res.value
 
 
-def k1_smooth(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS):
+def k1_smooth(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     """The (0, 1) piece of the cut density,
     2 int_0^1 e^{-ty} ((log y + 2 kappa)^2 + pi^2)^{-1} dy.
 
@@ -111,15 +100,13 @@ def k1_smooth(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS):
         ys = np.exp(us)
         return ys * np.exp(-t * ys) / ((us + k2) ** 2 + _PI2)
 
-    return 2.0 * integrate(f, -UNDERFLOW_U, 0.0, opts.spec).value
+    return 2.0 * integrate(f, -UNDERFLOW_U, 0.0, spec).value
 
 
-def residue_term(t, bp: BoundaryParam, opts: KernelOptions | None = None):
-    """Pole contribution 2 zeta0 e^{t zeta0}; zero when the flag is off."""
+def residue_term(t, bp: BoundaryParam):
+    """Pole contribution 2 zeta0 e^{t zeta0}."""
     if t < 0.0 or not math.isfinite(t):
         raise DomainError(f"residue_term: need t >= 0, got {t!r}")
-    if opts is not None and not opts.include_residue:
-        return 0.0
     z0 = pole_location(bp)
     try:
         return 2.0 * z0 * math.exp(t * z0)
@@ -127,18 +114,20 @@ def residue_term(t, bp: BoundaryParam, opts: KernelOptions | None = None):
         return math.inf
 
 
-def k_theta(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS):
-    """Assembled kernel value with its three parts recorded."""
+def k_theta(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
+            include_residue=True):
+    """Assembled kernel value with its three parts (residue 0.0 if dropped)."""
     if t <= 0.0 or not math.isfinite(t):
         raise DomainError(f"k_theta: need t > 0, got {t!r}")
     return KThetaValue(
-        main_part=m_main(t, bp, opts.spec),
-        smooth_part=k1_smooth(t, bp, opts),
-        residue_part=residue_term(t, bp, opts),
+        main_part=m_main(t, bp, spec),
+        smooth_part=k1_smooth(t, bp, spec),
+        residue_part=residue_term(t, bp) if include_residue else 0.0,
     )
 
 
-def laplace_of_k(zeta, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS):
+def laplace_of_k(zeta, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
+                 include_residue=True):
     """Numerical Laplace transform of the assembled kernel at real zeta.
 
     The residue part transforms in closed form to 2 zeta0/(zeta - zeta0)
@@ -153,7 +142,7 @@ def laplace_of_k(zeta, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS)
     zeta = float(zeta)
     k2 = 2.0 * _kappa(bp)
     z0 = pole_location(bp)
-    if opts.include_residue:
+    if include_residue:
         if zeta <= z0:
             raise DomainError(
                 f"laplace_of_k: zeta = {zeta!r} at or below the pole {z0!r}")
@@ -169,7 +158,7 @@ def laplace_of_k(zeta, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS)
 
     log_zeta = math.log(zeta)
     u_hi = max(0.0, log_zeta) + U_CUT
-    cut_part = 2.0 * integrate(f, min(0.0, log_zeta) - UNDERFLOW_U, u_hi, opts.spec).value
+    cut_part = 2.0 * integrate(f, min(0.0, log_zeta) - UNDERFLOW_U, u_hi, spec).value
     cut_part += 2.0 * arctan_tail(u_hi, k2)
     return cut_part + res_part
 

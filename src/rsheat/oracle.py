@@ -59,6 +59,7 @@ from .specfun import (
 
 _PI = math.pi
 _2_PI = 2.0 / math.pi
+LAMBDA_MAX_LIMIT = 1e10  # 31,831 eigenvalues; the zero table grows as sqrt(lambda_max)/pi
 
 
 @dataclass(frozen=True)
@@ -254,12 +255,15 @@ def eigenvalues(bp: BoundaryParam, lambda_max=4000.0, tol=1e-10):
     at the half-line state mu = e^{-kappa}.  These bracket it, and Newton
     starts from the smaller of e^{-kappa} and mu^2 = -4 tan/(1 + tan).
     tol bounds the bracket width at which a solve stops if Newton has not
-    converged first.  A lambda_max that is not finite and >= 100, or a tol
-    outside [0, 1e-8] (NaN included), raises DomainError before any work.
+    converged first.  A lambda_max outside [100, LAMBDA_MAX_LIMIT = 1e10], or
+    a tol outside [0, 1e-8] (NaN included), raises DomainError before any work.
     """
     if not 100.0 <= lambda_max < math.inf:
         raise DomainError(
             f"eigenvalues: need finite lambda_max >= 100, got {lambda_max!r}")
+    if lambda_max > LAMBDA_MAX_LIMIT:
+        raise DomainError(
+            f"eigenvalues: need lambda_max <= {LAMBDA_MAX_LIMIT:g}, got {lambda_max!r}")
     if not 0.0 <= tol <= 1e-8:
         raise DomainError(f"eigenvalues: need 0 <= tol <= 1e-8, got {tol!r}")
 

@@ -68,7 +68,7 @@ import numpy as np
 from ._dd import two_prod
 from .errors import DomainError
 from .kernels import BoundaryParam
-from .ktheta import DEFAULT_OPTIONS, KernelOptions, k1_smooth, m_main, pole_location
+from .ktheta import k1_smooth, m_main, pole_location
 from .quadrature import (
     DEFAULT_SPEC,
     U_CUT as _U_CUT,
@@ -270,15 +270,14 @@ def exotic_limit(bp: BoundaryParam):
     return -arctan_tail(0.0, 2.0 * bp.kappa)
 
 
-def t2_part(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
-            spec: QuadSpec = DEFAULT_SPEC):
+def t2_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     """T2 = int_0^t K1(t-s) TrQ(s) ds (smooth kernel part convolution)."""
     if t <= 0.0 or not math.isfinite(t):
         raise DomainError(f"t2_part: need t > 0, got {t!r}")
     bp.kappa  # reject Friedrichs early
 
     def f(ss):
-        return k1_smooth(t - ss, bp, opts) * _trq_values(ss)
+        return k1_smooth(t - ss, bp, spec) * _trq_values(ss)
 
     return integrate(f, 0.0, t, spec).value
 
@@ -298,10 +297,11 @@ def residue_trace_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     return integrate(f, 0.0, t, spec).value
 
 
-def _cut_integrals(taus, bp: BoundaryParam, opts: KernelOptions, spec: QuadSpec):
+def _cut_integrals(taus, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
+                   include_residue=True):
     """F(tau) = int_0^tau K on a 1-D array of tau > 0, in one integrate call.
 
-    F = 2 (expm1(x) + J(l)), the expm1 only with opts.include_residue, where
+    F = 2 (expm1(x) + J(l)), the expm1 only with include_residue, where
     x = zeta0 tau and l = log tau - 2 kappa (finite even where zeta0
     underflows).  J is one shared-node integral over v in
     [-UNDERFLOW_U, log UNDERFLOW_U], outside which the integrand is below
@@ -321,7 +321,7 @@ def _cut_integrals(taus, bp: BoundaryParam, opts: KernelOptions, spec: QuadSpec)
     # one panel, the shared-node refinement can stop with J 2e-13 off
     total = integrate(f, -UNDERFLOW_U, v_hi, spec, points=(-8.0, -2.0, 0.0, 2.0)).value
     total += [arctan_tail(v_hi, -l) for l in ell]
-    if opts.include_residue:
+    if include_residue:
         with np.errstate(invalid="ignore"):
             x, d = two_prod(pole_location(bp), taus)
             xc = np.minimum(x, 700.0)
@@ -329,8 +329,8 @@ def _cut_integrals(taus, bp: BoundaryParam, opts: KernelOptions, spec: QuadSpec)
     return 2.0 * total
 
 
-def volterra_correction(ts, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
-                        spec: QuadSpec = DEFAULT_SPEC):
+def volterra_correction(ts, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
+                        include_residue=True):
     """correction_trace on a 1-D array of times in (0, _T_V], with every
     cut integral F of the call in one _cut_integrals call.
 
@@ -344,7 +344,8 @@ def volterra_correction(ts, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPT
     up = ts > _TRQ_FLAT_S
     gap = ts[up] - _TRQ_FLAT_S
     taus = np.multiply.outer(gap, _V_TAU)
-    f = _cut_integrals(np.concatenate([ts, gap, taus.ravel()]), bp, opts, spec)
+    f = _cut_integrals(np.concatenate([ts, gap, taus.ravel()]), bp, spec,
+                       include_residue=include_residue)
     out = 0.5 * f[:ts.size]
     f_gap = f[ts.size:ts.size + gap.size]
     f_tau = f[ts.size + gap.size:].reshape(taus.shape)
@@ -360,16 +361,16 @@ def volterra_correction(ts, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPT
     return out
 
 
-def correction_trace(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
-                     spec: QuadSpec = DEFAULT_SPEC):
+def correction_trace(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
+                     include_residue=True):
     """Trace of the boundary correction kernel: T1 + T2 (+ residue trace),
     through volterra_correction below _TRQ_FLAT_S."""
     if bp.is_friedrichs:
         raise DomainError("correction_trace: no correction for the Friedrichs extension")
     if 0.0 < t < _TRQ_FLAT_S:
-        return float(volterra_correction([t], bp, opts, spec)[0])
-    total = t1_y_outer(t, bp, spec) + t2_part(t, bp, opts, spec)
-    if opts.include_residue:
+        return float(volterra_correction([t], bp, spec, include_residue=include_residue)[0])
+    total = t1_y_outer(t, bp, spec) + t2_part(t, bp, spec)
+    if include_residue:
         total += residue_trace_part(t, bp, spec)
     return total
 
@@ -379,18 +380,18 @@ def _sample(t, fr, fr_err, corr, exotic, spec):
     return TraceSample(t, fr + corr, est, TraceParts(fr, corr, exotic))
 
 
-def full_trace(t, bp: BoundaryParam, opts: KernelOptions = DEFAULT_OPTIONS,
-               spec: QuadSpec = DEFAULT_SPEC):
+def full_trace(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
+               include_residue=True):
     """Assembled trace sample; the Friedrichs branch has zero correction."""
     fr, fr_err = _friedrichs_trace_res(t)
     if bp.is_friedrichs:
         return TraceSample(t, fr, fr_err, TraceParts(fr, 0.0, 0.0))
-    return _sample(t, fr, fr_err, correction_trace(t, bp, opts, spec),
-                   exotic_term(t, bp, spec), spec)
+    corr = correction_trace(t, bp, spec, include_residue=include_residue)
+    return _sample(t, fr, fr_err, corr, exotic_term(t, bp, spec), spec)
 
 
-def trace_curve(bp: BoundaryParam, ts, opts: KernelOptions = DEFAULT_OPTIONS,
-                spec: QuadSpec = DEFAULT_SPEC):
+def trace_curve(bp: BoundaryParam, ts, spec: QuadSpec = DEFAULT_SPEC, *,
+                include_residue=True):
     """full_trace at each time of the grid, in input order.
 
     The times up to _T_V share one volterra_correction and one exotic_term
@@ -400,9 +401,9 @@ def trace_curve(bp: BoundaryParam, ts, opts: KernelOptions = DEFAULT_OPTIONS,
     ts = [float(t) for t in ts]
     near = np.array([t for t in ts if 0.0 < t <= _T_V])
     if bp.is_friedrichs or not near.size:
-        return [full_trace(t, bp, opts, spec) for t in ts]
+        return [full_trace(t, bp, spec, include_residue=include_residue) for t in ts]
     shared = dict(zip(near.tolist(), zip(
-        volterra_correction(near, bp, opts, spec).tolist(),
+        volterra_correction(near, bp, spec, include_residue=include_residue).tolist(),
         exotic_term(near, bp, spec).tolist())))
     return [_sample(t, *_friedrichs_trace_res(t), *shared[t], spec) if t in shared
-            else full_trace(t, bp, opts, spec) for t in ts]
+            else full_trace(t, bp, spec, include_residue=include_residue) for t in ts]

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import exoticness_report
+from .asymptotics import RATIO_THRESHOLD, exoticness_report
 from .kernels import BoundaryParam, q_diag
-from .ktheta import KernelOptions, laplace_of_k, pole_location
+from .ktheta import laplace_of_k, pole_location
 from .oracle import eigenvalues, oracle_trace
 from .quadrature import UNDERFLOW_U, QuadSpec, integrate
 from .specfun import (
@@ -127,8 +127,6 @@ def criterion_2_laplace_pair():
 def criterion_3_laplace_identity(thetas=(0.0, _PI / 4, 3 * _PI / 4)):
     """L K(zeta) = (log sqrt(zeta) + kappa)^{-1} iff the pole residue is kept."""
     r = CriterionResult(3, "kernel Laplace identity certifies the positive real pole")
-    opts_on = KernelOptions(include_residue=True)
-    opts_off = KernelOptions(include_residue=False)
     for theta in thetas:
         bp = BoundaryParam(theta)
         z0 = pole_location(bp)
@@ -136,8 +134,8 @@ def criterion_3_laplace_identity(thetas=(0.0, _PI / 4, 3 * _PI / 4)):
             if zeta <= z0:
                 continue
             target = 1.0 / (0.5 * math.log(zeta) + bp.kappa)
-            on = laplace_of_k(zeta, bp, opts_on)
-            off = laplace_of_k(zeta, bp, opts_off)
+            on = laplace_of_k(zeta, bp)
+            off = laplace_of_k(zeta, bp, include_residue=False)
             tag = f"theta={theta:.4f}, zeta={zeta:.4f}"
             r.add(f"{tag} residue-on rel err", abs(on - target) / abs(target), 1e-3)
             r.add(f"{tag} residue-off mismatch", abs(off - target),
@@ -164,7 +162,7 @@ def criterion_5_exotic_structure(thetas=(0.0, _PI / 4), n_points=20):
         rep = exoticness_report(BoundaryParam(theta), grid)
         r.add(f"theta={theta:.4f} subtracted residual",
               rep.fit_subtracted.max_residual, 1e-4)
-        r.add(f"theta={theta:.4f} residual ratio", rep.residual_ratio, 10.0,
+        r.add(f"theta={theta:.4f} residual ratio", rep.residual_ratio, RATIO_THRESHOLD,
               comparator=">=")
     return r
 

@@ -31,6 +31,9 @@ class TestThetaParsing:
         assert code == 1 and "error" in err
         code, _, err = run_cli(["trace", "--theta", "sideways"], capsys)
         assert code == 1
+        code, out, err = run_cli(["trace", "--theta", "pi/0"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "rsheat: error: cannot parse theta 'pi/0': zero divisor\n"
 
 
 class TestTraceCommand:
@@ -131,6 +134,15 @@ class TestKthetaCommand:
         row = out.strip().split("\n")[1].split(",")
         t, theta, main_p, smooth, residue, total = map(float, row)
         assert total == main_p + smooth + residue
+
+    def test_overflow_is_flagged(self, capsys):
+        # the row still holds inf, as before, but stderr says so and the
+        # exit code is the numerical-failure one, as for rsheat trace
+        code, out, err = run_cli(["ktheta", "--theta", "0", "--t", "1e300"], capsys)
+        assert code == 2
+        assert out == ("t,theta,main,smooth,residue,total\n"
+                       "1.0000000000000001e+300,0,0,0,inf,inf\n")
+        assert err == "rsheat ktheta: total overflows at t=1e+300\n"
 
 
 class TestVerifyCommand:

@@ -9,7 +9,6 @@ import pytest
 from rsheat import (
     BoundaryParam,
     DomainError,
-    KernelOptions,
     QuadSpec,
     bromwich_truncated,
     integrate,
@@ -90,30 +89,27 @@ class TestMMain:
 
 class TestK1Smooth:
     def test_matches_contour_reference(self, tight_spec):
-        opts = KernelOptions(spec=tight_spec)
         for theta in (0.0, 1.0, 2.4, 3.1):
             bp = BoundaryParam(theta)
             for t in (0.0, 1e-6, 0.5, 5.0, 50.0):
                 ref = contour_k1(t, bp.kappa, tight_spec)
-                assert abs(k1_smooth(t, bp, opts) - ref) <= 1e-12 * abs(ref)
+                assert abs(k1_smooth(t, bp, tight_spec) - ref) <= 1e-12 * abs(ref)
 
     def test_against_mpmath_next_to_friedrichs(self):
         # the contour pieces are O(1/kappa) and cancel to O(1/kappa^2) here
-        opts = KernelOptions(spec=REL_SPEC)
         for theta in (math.pi / 2 - 1e-4, math.pi / 2 + 1e-4):
             bp = BoundaryParam(theta)
             for t in (0.0, 0.5, 5.0, 1000.0):
                 with mp.workdps(30):
                     ref = mp_k1(mp.mpf(t), bp.kappa)
-                    assert abs(k1_smooth(t, bp, opts) - ref) <= 1e-13 * ref
+                    assert abs(k1_smooth(t, bp, REL_SPEC) - ref) <= 1e-13 * ref
 
     def test_large_t_against_mpmath(self):
         for theta in (0.0, 1.0, 2.4, 3.1):
             bp = BoundaryParam(theta)
             with mp.workdps(30):
                 ref = mp_k1(mp.mpf(1000), bp.kappa)
-                opts = KernelOptions(spec=REL_SPEC)
-                assert abs(k1_smooth(1000.0, bp, opts) - ref) <= 1e-13 * ref
+                assert abs(k1_smooth(1000.0, bp, REL_SPEC) - ref) <= 1e-13 * ref
                 assert abs(k1_smooth(1000.0, bp) - ref) <= 1e-10 * ref
 
     def test_bounded_no_growth(self, bp0):
@@ -147,9 +143,8 @@ class TestResidue:
         assert residue_term(1.0, bp) < 1e-80
 
     def test_flag_off(self, bp0):
-        opts = KernelOptions(include_residue=False)
-        for t in (0.0, 0.5, 3.0):
-            assert residue_term(t, bp0, opts) == 0.0
+        for t in (1e-3, 0.5, 3.0):
+            assert k_theta(t, bp0, include_residue=False).residue_part == 0.0
 
     def test_increasing(self, bp0):
         assert residue_term(1.0, bp0) > residue_term(0.5, bp0) > 0.0
@@ -185,7 +180,7 @@ class TestLaplaceIdentity:
         z0 = pole_location(bp0)
         zeta = 4.0 * z0
         target = 1.0 / math.log(2.0)
-        got = laplace_of_k(zeta, bp0, KernelOptions(include_residue=False))
+        got = laplace_of_k(zeta, bp0, include_residue=False)
         assert abs(got - target) >= 2.0 * z0 / (zeta - z0) - 2e-3
 
     def test_large_zeta_log_decay(self, bp0):
@@ -207,7 +202,7 @@ class TestLaplaceIdentity:
         with pytest.raises(DomainError):
             laplace_of_k(0.5 * z0, bp0)
         with pytest.raises(DomainError):
-            laplace_of_k(-1.0, bp0, KernelOptions(include_residue=False))
+            laplace_of_k(-1.0, bp0, include_residue=False)
 
 
 class TestOrderIndependence:

@@ -292,6 +292,21 @@ class TestEigenvalues:
             with pytest.raises(DomainError):
                 eigenvalues(bp, **kwargs)
 
+    def test_lambda_max_above_the_limit_raises_before_any_work(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def untouched(n):
+            raise Started
+
+        monkeypatch.setattr(oracle, "j0_zeros", untouched)
+        for lam in (1e11, math.inf):
+            with pytest.raises(DomainError, match="lambda_max"):
+                eigenvalues(BoundaryParam(0.3), lambda_max=lam)
+        # the limit itself passes the guard
+        with pytest.raises(Started):
+            eigenvalues(BoundaryParam(0.3), lambda_max=oracle.LAMBDA_MAX_LIMIT)
+
     def test_second_spectrum_computes_no_zero(self, monkeypatch):
         # the J0 zeros bound every cell at every angle: after one spectrum
         # at lambda_max, another angle at the same lambda_max finds them all

@@ -10,7 +10,6 @@ from scipy.special import k0e, k1e
 from rsheat import (
     BoundaryParam,
     DomainError,
-    KernelOptions,
     QuadSpec,
     correction_trace,
     exotic_limit,
@@ -61,13 +60,12 @@ NESTED_SPEC = QuadSpec(rel_tol=1e-13, abs_tol=1e-300)
 def _nested(ts):
     """(T1 + T2, residue trace) of the nested route at NESTED_SPEC for every
     (theta, t) of FLAT_THETAS x ts."""
-    opts = KernelOptions(spec=NESTED_SPEC)
     out = {}
     for theta in FLAT_THETAS:
         bp = BoundaryParam(theta)
         for t in ts:
             out[theta, t] = (t1_y_outer(t, bp, NESTED_SPEC)
-                             + t2_part(t, bp, opts, NESTED_SPEC),
+                             + t2_part(t, bp, NESTED_SPEC),
                              residue_trace_part(t, bp, NESTED_SPEC))
     return out
 
@@ -299,9 +297,8 @@ class TestCorrectionAndFull:
         # with the explicit pole term excluded, the Lorentzian bump of the
         # kernel weight at y = e^{-2 kappa} carries one full unit of trace
         # (spectral flow), so the correction sits near 1, not near 0
-        opts = KernelOptions(include_residue=False)
         bp = BoundaryParam(math.pi / 2 + 0.01)
-        corr = correction_trace(0.1, bp, opts)
+        corr = correction_trace(0.1, bp, include_residue=False)
         assert abs(corr - 1.0) <= 10.0 / abs(bp.kappa)
 
     def test_residue_trace_linear_in_t(self, bp0):
@@ -334,20 +331,18 @@ class TestArrayRoutes:
             assert np.all(np.abs(_a_conv(ys, t) - loop) <= 1e-15 * np.abs(loop))
 
     def test_k1_smooth_array_matches_scalar(self, tight_spec):
-        opts = KernelOptions(spec=tight_spec)
         ts = np.array([1e-4, 1e-2, 0.5, 5.0])
         for theta in (0.0, math.pi / 4, 2.4, 3.1):
             bp = BoundaryParam(theta)
-            arr = k1_smooth(ts, bp, opts)
+            arr = k1_smooth(ts, bp, tight_spec)
             assert arr.shape == ts.shape
             for t, v in zip(ts, arr):
-                assert abs(v - k1_smooth(float(t), bp, opts)) < 1e-12
+                assert abs(v - k1_smooth(float(t), bp, tight_spec)) < 1e-12
         assert isinstance(k1_smooth(0.5, BoundaryParam(0.0)), float)
         with pytest.raises(DomainError):
             k1_smooth(np.array([0.1, -0.1]), BoundaryParam(0.0))
 
     def test_t1_and_t2_match_node_by_node_routes(self, tight_spec):
-        opts = KernelOptions(spec=tight_spec)
         for theta in (0.0, 2.4):
             bp = BoundaryParam(theta)
             k2 = 2.0 * bp.kappa
@@ -358,14 +353,14 @@ class TestArrayRoutes:
                         / ((u + k2) ** 2 + _PI2) for u in us])
 
                 def f2(ss):
-                    return np.array([k1_smooth(t - float(s), bp, opts) * float(q)
+                    return np.array([k1_smooth(t - float(s), bp, tight_spec) * float(q)
                                      for s, q in zip(ss, _trq_values(ss))])
 
                 t1 = (2.0 * integrate(f1, 0.0, _U_CUT, tight_spec).value
                       + 2.0 * tn_trace(t) * arctan_tail(_U_CUT, k2))
                 t2 = integrate(f2, 0.0, t, tight_spec).value
                 assert abs(t1_y_outer(t, bp, tight_spec) - t1) <= 1e-12 * abs(t1)
-                assert abs(t2_part(t, bp, opts, tight_spec) - t2) <= 1e-12 * abs(t2)
+                assert abs(t2_part(t, bp, tight_spec) - t2) <= 1e-12 * abs(t2)
 
 
 class TestFlatCorrection:
@@ -377,11 +372,11 @@ class TestFlatCorrection:
         for theta in FLAT_THETAS:
             bp = BoundaryParam(theta)
             for residue in (True, False):
-                opts = KernelOptions(include_residue=residue)
                 for t in FLAT_T:
                     smooth, res = nested_parts[theta, t]
                     ref = smooth + res if residue else smooth
-                    assert abs(correction_trace(t, bp, opts) - ref) <= 2e-14 * abs(ref)
+                    corr = correction_trace(t, bp, include_residue=residue)
+                    assert abs(corr - ref) <= 2e-14 * abs(ref)
 
     def test_cut_integral_against_mpmath(self):
         with mp.workdps(30):
@@ -389,9 +384,8 @@ class TestFlatCorrection:
                              (2.4, 0.01), (30 * math.pi / 64, 0.01)):
                 bp = BoundaryParam(theta)
                 ref = _cut_integral_mp(mp.log(t) - 2 * mp.mpf(bp.kappa))
-                opts = KernelOptions(include_residue=False)
                 # without the residue, Q0 F = J below s_f
-                j = volterra_correction([t], bp, opts)[0]
+                j = volterra_correction([t], bp, include_residue=False)[0]
                 assert abs(j - ref) <= 5e-16 * ref
 
     def test_continuous_across_the_switch(self):
@@ -426,8 +420,7 @@ class TestVolterraRemainder:
         for theta in FLAT_THETAS:
             bp = BoundaryParam(theta)
             for residue in (True, False):
-                opts = KernelOptions(include_residue=residue)
-                for s in trace_curve(bp, REMAINDER_T, opts):
+                for s in trace_curve(bp, REMAINDER_T, include_residue=residue):
                     smooth, res = remainder_parts[theta, s.t]
                     ref = smooth + res if residue else smooth
                     assert abs(s.parts.correction - ref) <= 2e-14 * abs(ref)
@@ -455,7 +448,6 @@ class TestVolterraRemainder:
         # the reference is 2 Q0 (expm1(x) + J) in mpmath, x from the same
         # double zeta0, less the by-parts terms, integrated here adaptively
         # over s (their share is below 1e-12, so double precision suffices)
-        opts = KernelOptions()
         rows = [float(t) for t in CURVE_T if t >= 0.0134]
         r_flat = float(_r_closed(_TRQ_FLAT_S)[0])
         for k in (37, 38, 40):
@@ -463,16 +455,16 @@ class TestVolterraRemainder:
             z0 = pole_location(bp)
 
             def by_parts(ss, t):
-                return volterra_correction(t - ss, bp, opts) / 0.5 * _r_closed(ss)[1]
+                return volterra_correction(t - ss, bp) / 0.5 * _r_closed(ss)[1]
 
-            for s in trace_curve(bp, rows, opts):
+            for s in trace_curve(bp, rows):
                 with mp.workdps(40):
                     ell = mp.log(s.t) - 2 * mp.mpf(bp.kappa)
                     head = mp.expm1(mp.mpf(z0) * mp.mpf(s.t)) + _cut_integral_mp(ell)
                 rest = 0.0
                 if s.t > _TRQ_FLAT_S:
                     gap = s.t - _TRQ_FLAT_S
-                    rest = (volterra_correction([gap], bp, opts)[0] / 0.5 * r_flat
+                    rest = (volterra_correction([gap], bp)[0] / 0.5 * r_flat
                             + integrate(lambda ss: by_parts(ss, s.t), _TRQ_FLAT_S, s.t).value)
                     assert rest <= 1e-12 * float(head)
                 ref = float(head - rest)
@@ -487,10 +479,8 @@ class TestLargeT:
     TIGHT = QuadSpec(rel_tol=1e-14, abs_tol=1e-300)
 
     def _correction(self, t, bp):
-        opts = KernelOptions()
-
         def big_f(taus):
-            return _cut_integrals(np.asarray(taus, dtype=float), bp, opts, self.TIGHT)
+            return _cut_integrals(np.asarray(taus, dtype=float), bp, self.TIGHT)
 
         def near_s(ss):
             return big_f(t - ss) * _r_closed(ss)[1]
@@ -550,3 +540,32 @@ class TestTraceCurve:
         curve = trace_curve(BoundaryParam(0.3), CURVE_T)
         assert len(curve) == 25 and all(math.isfinite(s.value) for s in curve)
         assert calls == {"integrate": 2, "nested": 0}
+
+
+class TestOneSpec:
+    S = QuadSpec(rel_tol=1e-11, abs_tol=1e-13)
+
+    def test_one_spec_reaches_every_integral(self, monkeypatch):
+        # T2's inner k1_smooth included: the CLI's --rel-tol must reach it
+        seen = {}
+
+        def wrap(mod):
+            def recording(f, a, b, spec=DEFAULT_SPEC, points=None):
+                seen.setdefault(mod.__name__, []).append(spec)
+                return integrate(f, a, b, spec, points)
+            return recording
+
+        for mod in (trace, ktheta, quadrature):
+            monkeypatch.setattr(mod, "integrate", wrap(mod))
+        bp = BoundaryParam(1.0)
+        z0 = pole_location(bp)
+        calls = (lambda: full_trace(0.07, bp, self.S),
+                 lambda: trace_curve(bp, [1e-3, 0.05, 0.2], self.S),
+                 lambda: ktheta.k_theta(0.5, bp, self.S),
+                 lambda: ktheta.laplace_of_k(2.0 * z0, bp, self.S))
+        for call in calls:
+            seen.clear()
+            call()
+            assert seen and all(s is self.S for specs in seen.values() for s in specs)
+            if call is calls[0]:
+                assert seen.keys() == {"rsheat.trace", "rsheat.ktheta", "rsheat.quadrature"}
