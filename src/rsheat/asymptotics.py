@@ -44,15 +44,8 @@ class AsymptoticFit:
 
 
 def _sample_pairs(samples):
-    ts, vals = [], []
-    for s in samples:
-        if hasattr(s, "t") and hasattr(s, "value"):
-            ts.append(float(s.t))
-            vals.append(float(s.value))
-        else:
-            ts.append(float(s[0]))
-            vals.append(float(s[1]))
-    return np.array(ts), np.array(vals)
+    pairs = [(float(t), float(v)) for t, v in samples]
+    return np.array([t for t, _ in pairs]), np.array([v for _, v in pairs])
 
 
 def poly_fit(samples, degree, subtracted_terms=()):

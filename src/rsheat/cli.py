@@ -15,8 +15,10 @@ never into the data file.  Exit codes: 0 success, 1 usage error,
 Trace rows are computed in one thread (the work is pure Python, so
 threads would only take turns on the interpreter lock), through
 ``trace_curve``: the rows up to t = 0.1 share their integrals.
-``--workers`` (and the ``workers`` config key) is still accepted so that
-existing scripts keep running, and is ignored.
+``rsheat trace --workers`` (and its ``workers`` config key) is still
+accepted so that existing scripts keep running, and is ignored.  Each
+subcommand takes only the options it reads, and a ``--config`` file's
+keys are parsed as the same flags.
 """
 
 from __future__ import annotations
@@ -98,81 +100,93 @@ def _load_config(path):
     return out
 
 
-def _add_common(p, grid=True):
+def _add_common(p):
     p.add_argument("--theta", default=None,
                    help="boundary angle in radians, a 'pi/4'-style fraction, "
                         "or 'friedrichs'")
+    p.add_argument("--output", default="-", help="output path ('-' = stdout)")
+    p.add_argument("--config", default=None,
+                   help="plain key=value file; command-line flags override it")
+
+
+def _add_curve(p):
+    """The quadrature and residue options and the t-grid of trace and ktheta."""
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--abs-tol", type=float, default=1e-12)
     p.add_argument("--max-subdivisions", type=int, default=4000)
     p.add_argument("--no-residue", action="store_true",
                    help="drop the bound-state pole term from the kernel")
-    p.add_argument("--output", default="-", help="output path ('-' = stdout)")
-    p.add_argument("--config", default=None,
-                   help="plain key=value file; command-line flags override it")
-    if grid:
-        p.add_argument("--t-min", type=float, default=1e-4)
-        p.add_argument("--t-max", type=float, default=1e-2)
-        p.add_argument("--points", type=int, default=20)
-        p.add_argument("--spacing", choices=("log", "linear"), default="log")
-        p.add_argument("--workers", type=int, default=None,
-                       help="ignored: rows run serially, since threads only "
-                            "contend for the interpreter lock on this "
-                            "pure-Python work")
+    p.add_argument("--t-min", type=float, default=1e-4)
+    p.add_argument("--t-max", type=float, default=1e-2)
+    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--spacing", choices=("log", "linear"), default="log")
 
 
 @functools.cache
 def _build_parser():
-    """The argparse tree, built once per process; parse_args leaves it as is."""
+    """The argparse tree, built once per process; parse_args leaves it as is.
+    Each subcommand takes only the options it reads."""
     parser = _Parser(prog="rsheat",
                      description="heat kernel and heat trace of the half-line "
                                  "operator -d2/dx2 - 1/(4x2)")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # no prefix abbreviations: _apply_config matches whole flag names
+    # no prefix abbreviations: every flag is spelled in full, as config keys are
     p_trace = sub.add_parser("trace", allow_abbrev=False,
                              help="heat-trace curve over a t-grid")
     _add_common(p_trace)
+    _add_curve(p_trace)
+    p_trace.add_argument("--workers", type=int, default=None,
+                         help="ignored: rows run serially, since threads only "
+                              "contend for the interpreter lock on this "
+                              "pure-Python work")
+    p_trace.set_defaults(run=_cmd_trace)
 
     p_eigen = sub.add_parser("eigen", allow_abbrev=False,
                              help="interval spectrum as CSV")
-    _add_common(p_eigen, grid=False)
+    _add_common(p_eigen)
     p_eigen.add_argument("--lambda-max", type=float, default=4000.0,
                          help="largest eigenvalue computed, from 100 to "
                               f"{LAMBDA_MAX_LIMIT:g}")
     p_eigen.add_argument("--tol", type=float, default=1e-10)
+    p_eigen.set_defaults(run=_cmd_eigen)
 
     p_kt = sub.add_parser("ktheta", allow_abbrev=False,
                           help="convolution kernel values")
     _add_common(p_kt)
+    _add_curve(p_kt)
     p_kt.add_argument("--t", type=float, default=None,
                       help="single evaluation time (overrides the grid)")
+    p_kt.set_defaults(run=_cmd_ktheta)
 
     p_ver = sub.add_parser("verify", allow_abbrev=False,
                            help="run the acceptance suite")
     p_ver.add_argument("--quick", action="store_true",
                        help="trim the slow grids; same criteria")
     p_ver.add_argument("--output", default="-")
+    p_ver.set_defaults(run=_cmd_verify)
     return parser
 
 
-def _apply_config(args, argv):
-    if getattr(args, "config", None):
-        cfg = _load_config(args.config)
-        casts = {"rel_tol": float, "abs_tol": float, "max_subdivisions": int,
-                 "t_min": float, "t_max": float, "points": int,
-                 "workers": int, "lambda_max": float, "tol": float, "t": float,
-                 "no_residue": lambda s: s.lower() in ("1", "true", "yes", "on")}
-        argv_given = {a.lstrip("-").replace("-", "_").split("=")[0]
-                      for a in argv if a.startswith("--")}
-        for key, val in cfg.items():
-            if not hasattr(args, key):
-                raise DomainError(f"unknown config key {key!r}")
-            if key in argv_given:
-                continue  # explicit flag wins
-            setattr(args, key, casts.get(key, str)(val))
-    return args
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _config_flags(args):
+    """The --config file's lines as flags, for argparse to check like any
+    other: ``key = value`` is ``--key=value``, and an on/off option's key
+    is its bare flag when true."""
+    flags = []
+    for key, val in _load_config(args.config).items():
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key, None), bool):
+            flags.append(f"{flag}={val}")
+        elif val.lower() in _TRUE:
+            flags.append(flag)
+        elif val.lower() not in _FALSE:
+            raise DomainError(f"config key {key!r} takes true or false, got {val!r}")
+    return flags
 
 
 def _grid(args):
@@ -206,7 +220,7 @@ def _emit(args, text, meta):
 
 
 def _meta(args, started, command):
-    shown = {k: v for k, v in vars(args).items() if k not in ("config",)}
+    shown = {k: v for k, v in vars(args).items() if k not in ("config", "run")}
     return {
         "command": command,
         "config": {k: repr(v) for k, v in sorted(shown.items())},
@@ -304,18 +318,15 @@ def _cmd_verify(args):
 
 def main(argv=None):
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "eigen":
-            return _cmd_eigen(args)
-        if args.command == "ktheta":
-            return _cmd_ktheta(args)
-        return _cmd_verify(args)
+        if getattr(args, "config", None):
+            # the file's flags go right after the subcommand, so that a
+            # flag given on the command line comes later and wins
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(args), *argv[at:]])
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _USAGE_EXIT
     except (DomainError, OSError) as exc:

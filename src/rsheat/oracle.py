@@ -49,8 +49,8 @@ from .kernels import BoundaryParam
 from .specfun import (
     _K_SERIES_CUTOFF,
     EULER_GAMMA,
+    _ik_series,
     _j0_y0_fused,
-    _k0_s2,
     bessel_i0_scaled,
     bessel_j0,
     bessel_j1,
@@ -159,8 +159,10 @@ def secular_negative(mu, bp: BoundaryParam):
         return bessel_i0_scaled(mu)
     if mu <= _K_SERIES_CUTOFF:
         # K0 = S2 - (log(mu/2) + gamma) I0 turns N into tan(theta) I0 + S2,
-        # with no cancellation as tan(theta) -> 0
-        return math.tan(bp.theta) * bessel_i0_scaled(mu) + _k0_s2(mu) * math.exp(-mu)
+        # with no cancellation as tan(theta) -> 0; one loop gives I0 and S2
+        i0, _, s2 = _ik_series(0, mu)
+        scale = math.exp(-mu)
+        return math.tan(bp.theta) * (scale * i0) + s2 * scale
     return ((math.log(mu) + bp.kappa) * bessel_i0_scaled(mu)
             + bessel_k0_scaled(mu) * math.exp(-2.0 * mu))
 

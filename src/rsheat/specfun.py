@@ -7,14 +7,15 @@ family (J, Y) on the working ranges.
 
 The module is organised by representation, not by function:
 
-* power series for small argument: ``_jy_series(n, z)`` is the one
-  compensated double-double loop of the alternating J/Y series for both
-  orders (plain double loses ~6 digits to cancellation near the
-  crossover); it sums J_n and the regular part of Y_n from the same
-  terms, so J_n and Y_n cost one loop.  Its weights H_k and
-  H_k + H_{k+1} do not depend on z: ``_JY_WEIGHTS``, an immutable table
-  built at import, holds them up to the loop's cap.  The positive-term
-  I/K series are plain per-order loops;
+* power series for small argument, one loop per family for both
+  orders, each summing the function and the regular part of its second
+  kind from the same terms: ``_ik_series(n, z)`` gives I_n and K_n,
+  ``_jy_series(n, z)`` J_n and Y_n.  The alternating J/Y loop is
+  compensated double-double (plain double loses ~6 digits to
+  cancellation near the crossover); the positive-term I/K loop is plain
+  double, with a compensated I0 sum.  The weights H_k and H_k + H_{k+1}
+  do not depend on z: ``_IK_WEIGHTS`` and ``_JY_WEIGHTS``, immutable
+  tables built at import, hold them up to each loop's cap;
 * Hankel asymptotic series for large argument, truncated at the smallest
   term (the divergence floor ~exp(-2z) is below 1e-13 for z >= 16), one
   routine per family for both orders: ``_jy_asym(n, z)`` returns J_n and
@@ -24,6 +25,11 @@ The module is organised by representation, not by function:
   1e-13 in double precision, so the integral representation
   e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(u/2)) cosh(nu u) du
   is evaluated by the geometrically convergent trapezoid rule.
+
+The public functions go through one dispatch per family (``_i``, ``_k``,
+``_jy``), which picks the path by z and applies e^{+-z} to the path's
+native scaling: the series are unscaled, the Hankel and trapezoid paths
+scaled.
 
 ``_j0_y0_fused`` also returns J0 - 1 and the regular part of Y0 at full
 relative accuracy for the interval spectrum.  ``i0_scaled_checked`` adds
@@ -39,6 +45,8 @@ All functions are pure and hold no mutable state.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 from ._dd import (
@@ -69,10 +77,14 @@ class SpecfunResult:
 
 
 def _check_domain(z, name, positive=False):
-    if not isinstance(z, (int, float)) or isinstance(z, bool):
+    # float and int first: they skip the slower abstract-base-class check
+    if not isinstance(z, (float, int, numbers.Real)) or isinstance(z, bool):
         raise DomainError(f"{name}: argument must be a real number, got {z!r}")
-    z = float(z)
-    if math.isnan(z) or math.isinf(z):
+    try:
+        z = float(z)
+    except OverflowError:
+        z = math.inf
+    if not math.isfinite(z):
         raise DomainError(f"{name}: argument must be finite, got {z!r}")
     if positive:
         if z <= 0.0:
@@ -83,106 +95,68 @@ def _check_domain(z, name, positive=False):
 
 
 # ----------------------------------------------------------------------
-# power series (regular, all-positive-term: plain compensated summation)
+# power series: one loop per family, for both orders
 # ----------------------------------------------------------------------
 
-def _i0_series(z):
-    # I0(z) = sum_k (z^2/4)^k / (k!)^2, positive terms
+def _harmonic_weights(zero, add, recip, cap):
+    """(w0, w1), k = 0..cap: w0_k = H_k and w1_k = H_k + H_{k+1}, the
+    weights of the regular sums for n = 0 and n = 1, summed by ``add``."""
+    h = [zero]
+    for k in range(1, cap + 2):
+        h.append(add(h[-1], recip(k)))
+    return tuple(h[:-1]), tuple(add(a, b) for a, b in zip(h, h[1:]))
+
+
+# up to each regular sum's cap: k > 300 in double, k > 400 in double-double
+_IK_WEIGHTS = _harmonic_weights(0.0, operator.add, lambda k: 1.0 / k, 301)
+_JY_WEIGHTS = _harmonic_weights((0.0, 0.0), dd_add,
+                                lambda k: dd_div_d((1.0, 0.0), float(k)), 401)
+
+
+def _ik_series(n, z, regular=True):
+    """(I_n, K_n, r) at z on the series path, n in {0, 1}, from one loop.
+
+    Both sums share the positive p_k = u^k/(k!(k+n)!), u = z^2/4:
+    i = sum_{k>=0} p_k (I0 = i, I1 = (z/2) i; compensated for n = 0) and
+    r = sum_k w_k p_k with the weights of ``_IK_WEIGHTS``, which give
+
+        K0 = r - (log(z/2)+gamma) I0
+        K1 = 1/z + (log(z/2)+gamma) I1 - (z/4) r,
+
+    with no cancellation in K0 for z <= ~1.12.  Each sum stops on its own
+    rule, so I_n does not depend on ``regular``; with ``regular=False``
+    only i is summed and K_n and r are None.
+    """
+    w = _IK_WEIGHTS[n]
     u = 0.25 * z * z
-    term = 1.0
-    total = 1.0
+    p = i = 1.0
     comp = 0.0
+    r = w[0]  # k = 0 term: w_0 = n
+    i_done, r_done = False, not regular
     k = 0
-    while True:
+    while not (i_done and r_done):
         k += 1
-        term *= u / (k * k)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if term < 1e-17 * total or k > 400:
-            return total
-
-
-def _i1_series(z):
-    # I1(z) = (z/2) sum_k (z^2/4)^k / (k! (k+1)!)
-    u = 0.25 * z * z
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= u / (k * (k + 1))
-        total += term
-        if term < 1e-17 * total or k > 400:
-            return 0.5 * z * total
-
-
-def _k0_series(z):
-    # K0 = S2 - (log(z/2)+gamma) I0,  S2 = sum_{k>=1} H_k u^k/(k!)^2.
-    # For z <= ~1.12 the two parts have the same sign: no cancellation.
+        p *= u / (k * (k + n))
+        if not i_done:
+            if n == 0:
+                y = p - comp
+                t = i + y
+                comp = (t - i) - y
+                i = t
+            else:
+                i += p
+            i_done = p < 1e-17 * i or k > 400
+        if not r_done:
+            term = p * w[k]
+            r += term
+            r_done = term < 1e-18 * (r + 1.0) or k > 300
+    i_n = i if n == 0 else 0.5 * z * i
+    if not regular:
+        return i_n, None, None
     ell = math.log(0.5 * z) + EULER_GAMMA
-    return _k0_s2(z) - ell * _i0_series(z)
-
-
-def _k0_s2(z):
-    """S2 = sum_{k>=1} H_k (z^2/4)^k/(k!)^2, the regular part of K0."""
-    u = 0.25 * z * z
-    p = 1.0
-    h = 0.0
-    s2 = 0.0
-    k = 0
-    while True:
-        k += 1
-        p *= u / (k * k)
-        h += 1.0 / k
-        term = p * h
-        s2 += term
-        if term < 1e-18 * (s2 + 1.0) or k > 300:
-            return s2
-
-
-def _k1_series(z):
-    # K1 = 1/z + (log(z/2)+gamma) I1 - (z/4) sum_k (H_k+H_{k+1}) u^k/(k!(k+1)!)
-    u = 0.25 * z * z
-    p = 1.0
-    hk = 0.0
-    hk1 = 1.0
-    s1 = hk + hk1
-    k = 0
-    while True:
-        k += 1
-        p *= u / (k * (k + 1))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        term = p * (hk + hk1)
-        s1 += term
-        if term < 1e-18 * s1 or k > 300:
-            break
-    ell = math.log(0.5 * z) + EULER_GAMMA
-    return 1.0 / z + ell * _i1_series(z) - 0.25 * z * s1
-
-
-# ----------------------------------------------------------------------
-# compensated power series for the oscillatory family
-# ----------------------------------------------------------------------
-
-def _jy_weights():
-    """w_k = H_k (n = 0) and H_k + H_{k+1} (n = 1) as double-double pairs,
-    k = 0..401, the ``k > 400`` cap of ``_jy_series``."""
-    one = (1.0, 0.0)
-    h = (0.0, 0.0)  # H_k
-    h1 = one  # H_{k+1}
-    w0, w1 = [h], [dd_add(h, h1)]
-    for k in range(1, 402):
-        h = dd_add(h, dd_div_d(one, float(k)))
-        h1 = dd_add(h1, dd_div_d(one, float(k + 1)))
-        w0.append(h)
-        w1.append(dd_add(h, h1))
-    return tuple(w0), tuple(w1)
-
-
-_JY_WEIGHTS = _jy_weights()
+    if n == 0:
+        return i_n, r - ell * i_n, r
+    return i_n, 1.0 / z + ell * i_n - 0.25 * z * r, r
 
 
 def _jy_series(n, z, regular=True):
@@ -341,87 +315,86 @@ def _k_integral_scaled(z, order):
 
 
 # ----------------------------------------------------------------------
-# public API
+# public API: one dispatch per family, each path in its native scaling
 # ----------------------------------------------------------------------
 
-def bessel_i0(z):
-    z = _check_domain(z, "bessel_i0")
+def _i(n, z, scaled):
+    """I_n(z), or e^{-z} I_n(z) when ``scaled``."""
     if z <= _SERIES_CUTOFF:
-        return _i0_series(z)
-    return math.exp(z) * _i_asym_scaled(0.0, z) if z < 709.0 else math.inf
+        v = _ik_series(n, z, regular=False)[0]
+        return math.exp(-z) * v if scaled else v
+    v = _i_asym_scaled(4.0 * n * n, z)
+    if scaled:
+        return v
+    return math.exp(z) * v if z < 709.0 else math.inf
+
+
+def _k(n, z, scaled):
+    """K_n(z), or e^{z} K_n(z) when ``scaled``."""
+    if z <= _K_SERIES_CUTOFF:
+        v = _ik_series(n, z)[1]
+        return math.exp(z) * v if scaled else v
+    if z < _SERIES_CUTOFF:
+        v = _k_integral_scaled(z, n)
+    else:
+        v = _k_asym_scaled(4.0 * n * n, z)
+    return v if scaled else math.exp(-z) * v
+
+
+def _jy(n, z, second):
+    """J_n(z), or Y_n(z) when ``second``."""
+    pair = _jy_series(n, z, regular=second) if z <= _SERIES_CUTOFF else _jy_asym(n, z)
+    return pair[1 if second else 0]
+
+
+def bessel_i0(z):
+    return _i(0, _check_domain(z, "bessel_i0"), False)
 
 
 def bessel_i0_scaled(z):
     """e^{-z} I0(z); finite for every z >= 0."""
-    z = _check_domain(z, "bessel_i0_scaled")
-    if z <= _SERIES_CUTOFF:
-        return math.exp(-z) * _i0_series(z)
-    return _i_asym_scaled(0.0, z)
+    return _i(0, _check_domain(z, "bessel_i0_scaled"), True)
 
 
 def bessel_i1(z):
-    z = _check_domain(z, "bessel_i1")
-    if z <= _SERIES_CUTOFF:
-        return _i1_series(z)
-    return math.exp(z) * _i_asym_scaled(4.0, z) if z < 709.0 else math.inf
+    return _i(1, _check_domain(z, "bessel_i1"), False)
 
 
 def bessel_i1_scaled(z):
-    z = _check_domain(z, "bessel_i1_scaled")
-    if z <= _SERIES_CUTOFF:
-        return math.exp(-z) * _i1_series(z)
-    return _i_asym_scaled(4.0, z)
+    return _i(1, _check_domain(z, "bessel_i1_scaled"), True)
 
 
 def bessel_k0(z):
-    z = _check_domain(z, "bessel_k0", positive=True)
-    if z <= _K_SERIES_CUTOFF:
-        return _k0_series(z)
-    if z < _SERIES_CUTOFF:
-        return math.exp(-z) * _k_integral_scaled(z, 0)
-    return math.exp(-z) * _k_asym_scaled(0.0, z)
+    return _k(0, _check_domain(z, "bessel_k0", positive=True), False)
 
 
 def bessel_k0_scaled(z):
     """e^{z} K0(z)."""
-    z = _check_domain(z, "bessel_k0_scaled", positive=True)
-    if z <= _K_SERIES_CUTOFF:
-        return math.exp(z) * _k0_series(z)
-    if z < _SERIES_CUTOFF:
-        return _k_integral_scaled(z, 0)
-    return _k_asym_scaled(0.0, z)
+    return _k(0, _check_domain(z, "bessel_k0_scaled", positive=True), True)
 
 
 def bessel_k1(z):
-    z = _check_domain(z, "bessel_k1", positive=True)
-    if z <= _K_SERIES_CUTOFF:
-        return _k1_series(z)
-    if z < _SERIES_CUTOFF:
-        return math.exp(-z) * _k_integral_scaled(z, 1)
-    return math.exp(-z) * _k_asym_scaled(4.0, z)
+    return _k(1, _check_domain(z, "bessel_k1", positive=True), False)
 
 
 def bessel_k1_scaled(z):
-    z = _check_domain(z, "bessel_k1_scaled", positive=True)
-    if z <= _K_SERIES_CUTOFF:
-        return math.exp(z) * _k1_series(z)
-    if z < _SERIES_CUTOFF:
-        return _k_integral_scaled(z, 1)
-    return _k_asym_scaled(4.0, z)
+    return _k(1, _check_domain(z, "bessel_k1_scaled", positive=True), True)
 
 
 def bessel_j0(z):
-    z = _check_domain(z, "bessel_j0")
-    if z <= _SERIES_CUTOFF:
-        return _jy_series(0, z, regular=False)[0]
-    return _jy_asym(0, z)[0]
+    return _jy(0, _check_domain(z, "bessel_j0"), False)
 
 
 def bessel_j1(z):
-    z = _check_domain(z, "bessel_j1")
-    if z <= _SERIES_CUTOFF:
-        return _jy_series(1, z, regular=False)[0]
-    return _jy_asym(1, z)[0]
+    return _jy(1, _check_domain(z, "bessel_j1"), False)
+
+
+def bessel_y0(z):
+    return _jy(0, _check_domain(z, "bessel_y0", positive=True), True)
+
+
+def bessel_y1(z):
+    return _jy(1, _check_domain(z, "bessel_y1", positive=True), True)
 
 
 def _j0_y0_fused(z):
@@ -440,20 +413,6 @@ def _j0_y0_fused(z):
     return j0, y0, j0 - 1.0, 0.5 * math.pi * y0 - (math.log(0.5 * z) + EULER_GAMMA) * j0
 
 
-def bessel_y0(z):
-    z = _check_domain(z, "bessel_y0", positive=True)
-    if z <= _SERIES_CUTOFF:
-        return _jy_series(0, z)[1]
-    return _jy_asym(0, z)[1]
-
-
-def bessel_y1(z):
-    z = _check_domain(z, "bessel_y1", positive=True)
-    if z <= _SERIES_CUTOFF:
-        return _jy_series(1, z)[1]
-    return _jy_asym(1, z)[1]
-
-
 # ----------------------------------------------------------------------
 # checked evaluation (value + error estimate) of e^{-z} I0(z)
 # ----------------------------------------------------------------------
@@ -468,7 +427,7 @@ def i0_scaled_checked(z):
     signs do not move it."""
     z = _check_domain(z, "i0_scaled_checked")
     if z <= _SERIES_CUTOFF:
-        v = bessel_i0_scaled(z)
+        v = _i(0, z, True)
         return SpecfunResult(v, 8.0 * _EPS * abs(v) + 1e-300)
     s, smallest = _ik_asym_sum(0.0, z, alternate=True)
     root = math.sqrt(2.0 * math.pi * z)

@@ -9,8 +9,8 @@ time-convolving the kernel parts against TrQ(s), the traced diagonal
 self-convolution of the boundary kernel (``tn_trace``, identically
 1/2 + O(t^inf)).  The main contribution T1 is evaluated in the y-outer
 (Fubini) order, which avoids the 1/((t-s) log^2(t-s)) endpoint
-singularity of the s-outer order entirely; the s-outer route is kept as
-an independent cross-check (``t1_s_outer``).
+singularity of the s-outer order entirely; the test suite keeps the
+s-outer route as an independent cross-check.
 
 u = (1 - tanh(v/2))/2 turns TrQ(s) = int_0^{1/2} (1 - e^{-1/(4s u(1-u))}) du
 into 1/2 - R(s), R(s) = int_0^inf e^{-c/s} sech^2(v/2)/4 dv, c = cosh^2(v/2),
@@ -68,7 +68,7 @@ import numpy as np
 from ._dd import two_prod
 from .errors import DomainError
 from .kernels import BoundaryParam
-from .ktheta import k1_smooth, m_main, pole_location
+from .ktheta import k1_smooth, pole_location
 from .quadrature import (
     DEFAULT_SPEC,
     U_CUT as _U_CUT,
@@ -207,33 +207,6 @@ def t1_y_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
 
     r = integrate(f, 0.0, _U_CUT, spec)
     return 2.0 * r.value + 2.0 * tn_trace(t) * arctan_tail(_U_CUT, k2)
-
-
-def t1_s_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, eps=1e-6):
-    """T1 in the s-outer order, the reference the test suite checks
-    t1_y_outer against.
-
-    No package code calls it; it is kept on purpose because it sums the
-    same double integral in the other Fubini order, through m_main
-    instead of the y-integrand, so agreement checks the order swap.
-
-    int_0^t M(tau) TrQ(t - tau) dtau in v = log tau, truncated at
-    tau = eps*t; the cut [0, eps*t] contributes TrQ(t) * C(eps t) with
-    C(a) = int_0^a M = 2 * t1_reference(a), added analytically.
-    """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"t1_s_outer: need t > 0, got {t!r}")
-
-    def f(vs):
-        vs = np.asarray(vs)
-        taus = np.exp(vs)
-        trqs = _trq_values(t - taus)
-        return np.array([
-            m_main(float(tau), bp, spec) * float(q) * float(tau)
-            for tau, q in zip(taus, trqs)])
-
-    r = integrate(f, math.log(eps * t), math.log(t), spec)
-    return r.value + tn_trace(t) * 2.0 * t1_reference(eps * t, bp, spec)
 
 
 def t1_reference(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):

@@ -20,11 +20,10 @@ from .ktheta import laplace_of_k, pole_location
 from .oracle import eigenvalues, oracle_trace
 from .quadrature import UNDERFLOW_U, QuadSpec, integrate
 from .specfun import (
-    _i0_series,
     _i_asym_scaled,
+    _ik_series,
     _jy_asym,
     _jy_series,
-    _k0_series,
     _k_asym_scaled,
     _k_integral_scaled,
     bessel_i0,
@@ -273,7 +272,7 @@ def criterion_9_specfun():
         ("y0", lambda z: _jy_series(0, z)[1], lambda z: _jy_asym(0, z)[1]),
         ("j1", lambda z: _jy_series(1, z, regular=False)[0], lambda z: _jy_asym(1, z)[0]),
         ("y1", lambda z: _jy_series(1, z)[1], lambda z: _jy_asym(1, z)[1]),
-        ("i0_scaled", lambda z: _i0_series(z) * math.exp(-z),
+        ("i0_scaled", lambda z: _ik_series(0, z, regular=False)[0] * math.exp(-z),
          lambda z: _i_asym_scaled(0.0, z)),
         ("k0_scaled", lambda z: _k_integral_scaled(z, 0), lambda z: _k_asym_scaled(0.0, z)),
     ]
@@ -281,7 +280,7 @@ def criterion_9_specfun():
         worst = max(abs(f_small(float(z)) - f_large(float(z))) /
                     max(1.0, abs(f_large(float(z)))) for z in overlap)
         r.add(f"dual-path agreement {name} on [14, 18]", worst, 1e-11)
-    worst = max(abs(_k0_series(float(z)) - _k_integral_scaled(float(z), 0)
+    worst = max(abs(_ik_series(0, float(z))[1] - _k_integral_scaled(float(z), 0)
                     * math.exp(-float(z))) for z in np.linspace(0.4, 1.0, 13))
     r.add("dual-path agreement k0 series vs integral on [0.4, 1]", worst, 1e-11)
     return r

@@ -110,6 +110,19 @@ class TestEigenCommand:
             assert out == ""
             assert err.startswith("rsheat: error: eigenvalues: need")
 
+    def test_only_the_options_it_reads(self, tmp_path, capsys):
+        # eigen reads no quadrature option and ktheta runs no rows in a pool
+        for args in (["eigen", "--no-residue"], ["eigen", "--rel-tol", "1e-9"],
+                     ["eigen", "--max-subdivisions", "10"], ["ktheta", "--workers", "2"]):
+            code, out, err = run_cli(args, capsys)
+            assert (code, out) == (1, ""), args
+            assert "unrecognized arguments" in err, args
+        out = tmp_path / "e.csv"
+        code, _, _ = run_cli(["eigen", "--lambda-max", "300", "--output", str(out)], capsys)
+        assert code == 0
+        meta = json.loads((tmp_path / "e.csv.meta.json").read_text())
+        assert sorted(meta["config"]) == ["command", "lambda_max", "output", "theta", "tol"]
+
     def test_negative_values_in_exponent_form_reach_the_domain_checks(self, capsys):
         # argparse alone reads "-1e-12" as an option and stops with
         # "expected one argument" before the value is checked
@@ -185,6 +198,32 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         code, _, err = run_cli(["trace", "--config", str(cfg)], capsys)
         assert code == 1
+
+    def test_values_are_checked_as_flags_are(self, tmp_path, capsys):
+        # each is a usage error with one message, never a traceback or a
+        # silently different run
+        for line, message in (("command = eigen", "unrecognized arguments: --command=eigen"),
+                              ("points = 2.5", "invalid int value: '2.5'"),
+                              ("spacing = cubic", "invalid choice: 'cubic'"),
+                              ("no_residue = maybe",
+                               "config key 'no_residue' takes true or false, got 'maybe'")):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(line + "\n")
+            code, out, err = run_cli(["trace", "--config", str(cfg), "--points", "1"], capsys)
+            assert (code, out) == (1, ""), line
+            assert message in err and "Traceback" not in err, line
+
+    def test_on_off_key_is_the_bare_flag(self, tmp_path, capsys):
+        base = ["trace", "--theta", "0", "--t-min", "1e-3", "--points", "1"]
+        _, with_flag, _ = run_cli(base + ["--no-residue"], capsys)
+        _, without, _ = run_cli(base, capsys)
+        assert with_flag != without
+        for val, want in (("true", with_flag), ("On", with_flag), ("0", without),
+                          ("false", without)):
+            cfg = tmp_path / "flag.cfg"
+            cfg.write_text(f"no_residue = {val}\n")
+            code, out, _ = run_cli(base + ["--config", str(cfg)], capsys)
+            assert (code, out) == (0, want), val
 
 
 class TestExitCodes:

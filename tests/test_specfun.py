@@ -142,11 +142,69 @@ def test_dual_paths_agree_on_overlap():
             ja, ya = sf._jy_asym(n, z)
             assert abs(jn - ja) < 1e-11
             assert abs(yn - ya) < 1e-11
-        assert abs(sf._i0_series(z) * math.exp(-z) / sf._i_asym_scaled(0.0, z) - 1.0) < 1e-11
+        i0 = sf._ik_series(0, z, regular=False)[0]
+        assert abs(i0 * math.exp(-z) / sf._i_asym_scaled(0.0, z) - 1.0) < 1e-11
         assert abs(sf._k_integral_scaled(z, 0) / sf._k_asym_scaled(0.0, z) - 1.0) < 1e-11
     for z in np.linspace(0.4, 1.0, 7):
         z = float(z)
-        assert abs(sf._k0_series(z) - sf._k_integral_scaled(z, 0) * math.exp(-z)) < 1e-11
+        k0 = sf._ik_series(0, z)[1]
+        assert abs(k0 - sf._k_integral_scaled(z, 0) * math.exp(-z)) < 1e-11
+
+
+# Per-order references for the I/K series: I0 (compensated), I1 (plain) and
+# the regular sums of K0 and K1 each in their own loop, with the harmonic
+# numbers summed in the loop, so none shares code with ``_ik_series``.
+
+def _in_own_loop(n, z):
+    u = 0.25 * z * z
+    term = total = 1.0
+    comp = 0.0
+    k = 0
+    while True:
+        k += 1
+        term *= u / (k * (k + n))
+        if n == 0:
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        else:
+            total += term
+        if term < 1e-17 * total or k > 400:
+            return total if n == 0 else 0.5 * z * total
+
+
+def _kn_separate_loops(n, z):
+    u = 0.25 * z * z
+    p, hk, hk1, s = 1.0, 0.0, 1.0, float(n)
+    k = 0
+    while True:
+        k += 1
+        p *= u / (k * (k + n))
+        hk += 1.0 / k
+        hk1 += 1.0 / (k + 1)
+        term = p * (hk if n == 0 else hk + hk1)
+        s += term
+        if term < 1e-18 * (s + 1.0 if n == 0 else s) or k > 300:
+            break
+    ell = math.log(0.5 * z) + sf.EULER_GAMMA
+    if n == 0:
+        return s - ell * _in_own_loop(0, z)
+    return 1.0 / z + ell * _in_own_loop(1, z) - 0.25 * z * s
+
+
+def test_ik_series_is_bit_identical_to_separate_loops():
+    # one shared loop, one weight table and K1's stop at term < 1e-18 (s + 1)
+    # instead of 1e-18 s (s >= 1: the terms it drops are below half an ulp)
+    # must not move a single bit
+    for z in np.concatenate([np.geomspace(1e-200, 1.0, 300), np.linspace(1e-3, 16.0, 801)]):
+        z = float(z)
+        for n in (0, 1):
+            i_n, k_n, _ = sf._ik_series(n, z)
+            assert i_n == sf._ik_series(n, z, regular=False)[0] == _in_own_loop(n, z)
+            if z <= 1.0:
+                assert k_n == _kn_separate_loops(n, z)
+                assert (sf.bessel_k0 if n == 0 else sf.bessel_k1)(z) == k_n
 
 
 # Separate-loop references for the bit-identity tests below: J_n and the
@@ -269,8 +327,19 @@ def test_checked_i0_takes_value_and_smallest_term_from_one_sum():
                                          * (smallest + 4.0 * 2.220446049250313e-16))
 
 
-@pytest.mark.parametrize("fn", [sf.bessel_i0, sf.bessel_i0_scaled, sf.bessel_j0,
-                                sf.bessel_j1, sf.bessel_i1, sf.i0_scaled_checked])
+NONNEGATIVE = [sf.bessel_i0, sf.bessel_i0_scaled, sf.bessel_j0, sf.bessel_j1,
+               sf.bessel_i1, sf.bessel_i1_scaled, sf.i0_scaled_checked]
+POSITIVE = [sf.bessel_k0, sf.bessel_k0_scaled, sf.bessel_k1, sf.bessel_k1_scaled,
+            sf.bessel_y0, sf.bessel_y1]
+
+
+def _rejects_non_reals(fn):
+    for bad in ("3", 1j, True, None, 10 ** 400, np.float64(-1.0)):
+        with pytest.raises(DomainError):
+            fn(bad)
+
+
+@pytest.mark.parametrize("fn", NONNEGATIVE)
 def test_domain_errors_nonnegative(fn):
     with pytest.raises(DomainError):
         fn(-1.0)
@@ -278,12 +347,22 @@ def test_domain_errors_nonnegative(fn):
         fn(math.nan)
     with pytest.raises(DomainError):
         fn(math.inf)
+    _rejects_non_reals(fn)
 
 
-@pytest.mark.parametrize("fn", [sf.bessel_k0, sf.bessel_k0_scaled, sf.bessel_k1,
-                                sf.bessel_y0, sf.bessel_y1])
+@pytest.mark.parametrize("fn", POSITIVE)
 def test_domain_errors_positive(fn):
     with pytest.raises(DomainError):
         fn(0.0)
     with pytest.raises(DomainError):
         fn(-2.0)
+    with pytest.raises(DomainError):
+        fn(np.int64(0))
+    _rejects_non_reals(fn)
+
+
+@pytest.mark.parametrize("fn", NONNEGATIVE + POSITIVE)
+def test_numpy_scalars_give_the_float_value(fn):
+    for z in (np.int64(3), np.int32(3), np.float32(3.0), np.float64(3.0), np.float32(0.1)):
+        assert fn(z) == fn(float(z))
+    assert fn(np.float64(17.5)) == fn(17.5)

@@ -22,7 +22,7 @@ from rsheat import (
     trace_curve,
 )
 from rsheat import ktheta, quadrature, trace
-from rsheat.ktheta import k1_smooth
+from rsheat.ktheta import k1_smooth, m_main
 from rsheat.quadrature import DEFAULT_SPEC, UNDERFLOW_U, arctan_tail, integrate
 from rsheat.specfun import bessel_i0_scaled
 from rsheat.trace import (
@@ -41,7 +41,6 @@ from rsheat.trace import (
     _r_values,
     _trq_values,
     residue_trace_part,
-    t1_s_outer,
     t1_y_outer,
     t2_part,
     volterra_correction,
@@ -68,6 +67,25 @@ def _nested(ts):
                              + t2_part(t, bp, NESTED_SPEC),
                              residue_trace_part(t, bp, NESTED_SPEC))
     return out
+
+
+def t1_s_outer(t, bp, spec=DEFAULT_SPEC, eps=1e-6):
+    """T1 in the s-outer order, the reference for t1_y_outer: the same double
+    integral in the other Fubini order, through m_main instead of the
+    y-integrand, so agreement checks the order swap.
+
+    int_0^t M(tau) TrQ(t - tau) dtau in v = log tau, truncated at
+    tau = eps*t; the cut [0, eps*t] contributes TrQ(t) * C(eps t) with
+    C(a) = int_0^a M = 2 * t1_reference(a), added analytically.
+    """
+    def f(vs):
+        taus = np.exp(np.asarray(vs))
+        trqs = _trq_values(t - taus)
+        return np.array([m_main(float(tau), bp, spec) * float(q) * float(tau)
+                         for tau, q in zip(taus, trqs)])
+
+    r = integrate(f, math.log(eps * t), math.log(t), spec)
+    return r.value + tn_trace(t) * 2.0 * t1_reference(eps * t, bp, spec)
 
 
 @pytest.fixture(scope="module")
