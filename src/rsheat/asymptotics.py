@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import DomainError, FitError, check_real
 from .kernels import BoundaryParam
 from .quadrature import DEFAULT_SPEC, QuadSpec
 from .trace import residue_trace_part, trace_curve
@@ -32,8 +32,6 @@ class AsymptoticFit:
     coefficients: tuple          # a_0 ... a_d in the unscaled t variable
     coef_stderr: tuple
     max_residual: float
-    grid: tuple
-    subtracted_terms: tuple      # subset of ("exotic", "residue")
 
     def model(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -43,18 +41,15 @@ class AsymptoticFit:
         return out
 
 
-def _sample_pairs(samples):
-    pairs = [(float(t), float(v)) for t, v in samples]
-    return np.array([t for t, _ in pairs]), np.array([v for _, v in pairs])
-
-
-def poly_fit(samples, degree, subtracted_terms=()):
+def poly_fit(samples, degree):
     """Fit sum_j a_j t^j by least squares, t scaled to [0, 1] for conditioning."""
-    ts, vals = _sample_pairs(samples)
+    pairs = [(check_real(t, "poly_fit", "t", "> 0"), check_real(v, "poly_fit", "value"))
+             for t, v in samples]
+    ts, vals = np.array([t for t, _ in pairs]), np.array([v for _, v in pairs])
     if len(ts) < degree + 3:
         raise DomainError(f"poly_fit: need at least degree+3 = {degree + 3} samples")
-    if np.any(ts <= 0.0) or len(np.unique(ts)) != len(ts):
-        raise DomainError("poly_fit: t-values must be positive and distinct")
+    if len(np.unique(ts)) != len(ts):
+        raise DomainError(f"poly_fit: need distinct t, got {ts!r}")
     t_scale = float(np.max(ts))
     design = np.vander(ts / t_scale, degree + 1, increasing=True)
     coef, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
@@ -69,8 +64,6 @@ def poly_fit(samples, degree, subtracted_terms=()):
         coefficients=tuple(coef * scale),
         coef_stderr=tuple(np.sqrt(np.maximum(np.diag(cov), 0.0)) * scale),
         max_residual=float(np.max(np.abs(resid))),
-        grid=tuple(ts),
-        subtracted_terms=tuple(subtracted_terms),
     )
 
 
@@ -129,28 +122,22 @@ def exoticness_report(bp: BoundaryParam, t_grid, spec: QuadSpec = DEFAULT_SPEC, 
     """
     if bp.is_friedrichs:
         raise DomainError("exoticness_report: the Friedrichs trace has no exotic term")
-    ts = sorted(float(t) for t in t_grid)
+    ts = sorted(check_real(t, "exoticness_report", "t") for t in t_grid)
     if not ts or ts[0] < 1e-5 or ts[-1] > 1e-1:
-        raise DomainError("exoticness_report: grid must lie within [1e-5, 1e-1]")
+        raise DomainError(f"exoticness_report: need t in [1e-5, 1e-1], got {ts!r}")
     curve = trace_curve(bp, ts, spec, include_residue=include_residue)
     d_vals = [s.parts.correction for s in curve]
     ex_vals = [s.parts.exotic_ref for s in curve]
-    if include_residue:
-        res_vals = [residue_trace_part(t, bp, spec) for t in ts]
-    else:
-        res_vals = [0.0] * len(ts)
+    res_vals = [residue_trace_part(t, bp, spec) if include_residue else 0.0 for t in ts]
     sub1 = [d - e for d, e in zip(d_vals, ex_vals)]
     sub2 = [d - e - r for d, e, r in zip(d_vals, ex_vals, res_vals)]
-    fit_raw = poly_fit(list(zip(ts, d_vals)), FIT_DEGREE)
-    fit_ex = poly_fit(list(zip(ts, sub1)), FIT_DEGREE, subtracted_terms=("exotic",))
-    fit_sub = poly_fit(list(zip(ts, sub2)), FIT_DEGREE, subtracted_terms=("exotic", "residue"))
     return ExoticnessReport(
         theta=bp.theta,
         grid=tuple(ts),
         d_values=tuple(d_vals),
         exotic_values=tuple(ex_vals),
         residue_values=tuple(res_vals),
-        fit_raw=fit_raw,
-        fit_exotic_only=fit_ex,
-        fit_subtracted=fit_sub,
+        fit_raw=poly_fit(zip(ts, d_vals), FIT_DEGREE),
+        fit_exotic_only=poly_fit(zip(ts, sub1), FIT_DEGREE),
+        fit_subtracted=poly_fit(zip(ts, sub2), FIT_DEGREE),
     )

@@ -32,7 +32,7 @@ import re
 import sys
 import time
 
-from .errors import ConvergenceError, DomainError, InsufficientSpectrumError
+from .errors import ConvergenceError, DomainError, InsufficientSpectrumError, check_real
 from .kernels import BoundaryParam
 from .ktheta import k_theta
 from .oracle import LAMBDA_MAX_LIMIT, eigenvalues
@@ -81,9 +81,7 @@ def parse_theta(text):
 
 
 def _fmt(x):
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    return f"{x:.17g}"  # "nan" for every NaN
 
 
 def _load_config(path):
@@ -149,7 +147,6 @@ def _build_parser():
     p_eigen.add_argument("--lambda-max", type=float, default=4000.0,
                          help="largest eigenvalue computed, from 100 to "
                               f"{LAMBDA_MAX_LIMIT:g}")
-    p_eigen.add_argument("--tol", type=float, default=1e-10)
     p_eigen.set_defaults(run=_cmd_eigen)
 
     p_kt = sub.add_parser("ktheta", allow_abbrev=False,
@@ -192,6 +189,8 @@ def _config_flags(args):
 def _grid(args):
     if args.points < 1:
         raise DomainError("need points >= 1")
+    for arg in ("t_min", "t_max"):
+        check_real(getattr(args, arg), args.command, arg.replace("_", "-"))
     if args.t_min <= 0.0 or args.t_max < args.t_min:
         raise DomainError("need 0 < t-min <= t-max")
     if args.points == 1:
@@ -273,7 +272,7 @@ def _cmd_trace(args):
 def _cmd_eigen(args):
     started = time.time()
     bp = parse_theta(args.theta if args.theta is not None else "friedrichs")
-    spectrum = eigenvalues(bp, lambda_max=args.lambda_max, tol=args.tol)
+    spectrum = eigenvalues(bp, lambda_max=args.lambda_max)
     buf = io.StringIO()
     spectrum.to_csv(buf)
     _emit(args, buf.getvalue(), _meta(args, started, "eigen"))

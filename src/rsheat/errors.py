@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types, and the package's one argument check: each real
+argument of a public function goes through ``check_real`` (or its array
+form) first, and narrower bounds are one comparison after it."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -23,3 +30,31 @@ class FitError(RuntimeError):
 
 class InsufficientSpectrumError(RuntimeError):
     """Spectrum truncated too early for the requested trace accuracy."""
+
+
+def check_real(x, name, arg, bound=None):
+    """``x`` as a float if it is a finite real number (any ``numbers.Real``
+    but a bool) within ``bound``, None (any), ">= 0" or "> 0"; else
+    DomainError "<name>: need <arg> ..., got <x>"."""
+    # float and int first: they skip the slower abstract-base-class check
+    if not isinstance(x, (float, int, numbers.Real)) or isinstance(x, bool):
+        raise DomainError(f"{name}: need real {arg}, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:
+        v = math.inf
+    if math.isfinite(v) and (bound is None or (v > 0.0 if bound == "> 0" else v >= 0.0)):
+        return v
+    raise DomainError(f"{name}: need finite {arg} {bound or ''}".rstrip() + f", got {v!r}")
+
+
+def check_real_array(x, name, arg, bound=None):
+    """``check_real`` on a non-empty 1-D array of real numbers; a float array."""
+    x = np.asarray(x)
+    if x.ndim != 1 or not x.size or x.dtype.kind not in "iuf":
+        raise DomainError(f"{name}: need a non-empty 1-D real array {arg}, got {x!r}")
+    v = x.astype(float)
+    low = (v > 0.0 if bound == "> 0" else v >= 0.0) if bound else True
+    if np.all(np.isfinite(v) & low):
+        return v
+    raise DomainError(f"{name}: need finite {arg} {bound or ''}".rstrip() + f", got {x!r}")

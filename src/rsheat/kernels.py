@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import DomainError, FitError, check_real, check_real_array
 from .quadrature import DEFAULT_SPEC, UNDERFLOW_U, QuadSpec, integrate
 from .specfun import EULER_GAMMA, LN2, bessel_i0_scaled
 
@@ -38,9 +38,9 @@ class BoundaryParam:
     theta: float
 
     def __post_init__(self):
-        th = float(self.theta)
-        if not (0.0 <= th < math.pi) or not math.isfinite(th):
-            raise DomainError(f"theta must lie in [0, pi), got {self.theta!r}")
+        th = check_real(self.theta, "BoundaryParam", "theta", ">= 0")
+        if not th < math.pi:
+            raise DomainError(f"BoundaryParam: need theta < pi, got {th!r}")
         object.__setattr__(self, "theta", th)
 
     @classmethod
@@ -79,10 +79,9 @@ def friedrichs_kernel(x, x2, t):
     sqrt(x x2)/(2t) i0_scaled(x x2/2t) exp(-(x-x2)^2/(4t)), which never
     overflows and keeps full relative accuracy for x^2/t up to ~1e6.
     """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"friedrichs_kernel: need t > 0, got {t!r}")
-    if x < 0.0 or x2 < 0.0:
-        raise DomainError("friedrichs_kernel: need x, x2 >= 0")
+    t = check_real(t, "friedrichs_kernel", "t", "> 0")
+    x = check_real(x, "friedrichs_kernel", "x", ">= 0")
+    x2 = check_real(x2, "friedrichs_kernel", "x2", ">= 0")
     if x == 0.0 or x2 == 0.0:
         return 0.0
     z = x * x2 / (2.0 * t)
@@ -95,10 +94,8 @@ def nprime(x, t):
 
     Equals lim_{x2 -> 0} x2^{-1/2} friedrichs_kernel(x, x2, t).
     """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"nprime: need t > 0, got {t!r}")
-    if x < 0.0:
-        raise DomainError("nprime: need x >= 0")
+    t = check_real(t, "nprime", "t", "> 0")
+    x = check_real(x, "nprime", "x", ">= 0")
     if x == 0.0:
         return 0.0
     return (math.sqrt(x) / (2.0 * t)) * math.exp(-x * x / (4.0 * t))
@@ -118,20 +115,16 @@ def q_diag(x, t, spec: QuadSpec = DEFAULT_SPEC):
     until each entry meets the tolerance.  Entries with x = 0 are exactly
     0 and stay out of the integral, whose 1/(u(1-u)) would diverge there.
     """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"q_diag: need t > 0, got {t!r}")
+    t = check_real(t, "q_diag", "t", "> 0")
     if isinstance(x, np.ndarray):
-        x = x.astype(float)
-        if not np.all(x >= 0.0):
-            raise DomainError("q_diag: need x >= 0")
+        x = check_real_array(x, "q_diag", "x", ">= 0")
         out = np.zeros_like(x)
         pos = x > 0.0
         if np.any(pos):
             xp = x[pos]
             out[pos] = (xp / (4.0 * t)) * 2.0 * _q_u_integral(xp * xp / (4.0 * t), spec)
         return out
-    if x < 0.0:
-        raise DomainError("q_diag: need x >= 0")
+    x = check_real(x, "q_diag", "x", ">= 0")
     if x == 0.0:
         return 0.0
     return (x / (4.0 * t)) * 2.0 * _q_u_integral(x * x / (4.0 * t), spec)
@@ -159,10 +152,8 @@ def signaling(h, x, t, spec: QuadSpec = DEFAULT_SPEC):
     scalars.  Integrated in v = log s; below s = x^2/(4 UNDERFLOW_U) the
     Gaussian factor underflows and the integrand is dropped.
     """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"signaling: need t > 0, got {t!r}")
-    if x <= 0.0:
-        raise DomainError("signaling: need x > 0")
+    t = check_real(t, "signaling", "t", "> 0")
+    x = check_real(x, "signaling", "x", "> 0")
     s_min = x * x / (4.0 * UNDERFLOW_U)
     if s_min >= t:
         return 0.0  # exp(-x^2/4s) < 1e-20 throughout [0, t]
@@ -195,9 +186,10 @@ def extract_coeffs(f, window=(1e-4, 1e-2), n_points=40):
     cos(theta) c_plus + sin(theta) c_minus for any angle is available as
     BoundaryCoeffs.boundary_value on the result.
     """
-    x_lo, x_hi = float(window[0]), float(window[1])
-    if not (0.0 < x_lo < x_hi <= 0.05):
-        raise DomainError(f"extract_coeffs: need 0 < x_lo < x_hi <= 0.05, got {window!r}")
+    x_lo = check_real(window[0], "extract_coeffs", "x_lo", "> 0")
+    x_hi = check_real(window[1], "extract_coeffs", "x_hi", "> 0")
+    if not x_lo < x_hi <= 0.05:
+        raise DomainError(f"extract_coeffs: need x_lo < x_hi <= 0.05, got {window!r}")
     if n_points < 20:
         raise DomainError("extract_coeffs: need at least 20 sample points")
     xs = np.geomspace(x_lo, x_hi, int(n_points))

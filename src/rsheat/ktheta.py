@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_real, check_real_array
 from .kernels import BoundaryParam
 from .quadrature import (
     DEFAULT_SPEC,
@@ -42,6 +42,7 @@ from .quadrature import (
 
 _PI = math.pi
 _PI2 = math.pi * math.pi
+BROMWICH_MAX_PANELS = 2 ** 20  # 954,930 at t R = 1.5e6; 12 nodes each, < 101 MB
 
 
 @dataclass(frozen=True)
@@ -55,24 +56,18 @@ class KThetaValue:
         return self.main_part + self.smooth_part + self.residue_part
 
 
-def _kappa(bp: BoundaryParam):
-    return bp.kappa  # raises DomainError for Friedrichs
-
-
 def pole_location(bp: BoundaryParam) -> float:
     """zeta0 = e^{-2 kappa}, the positive real zero of log sqrt(zeta) + kappa."""
-    k = _kappa(bp)
     try:
-        return math.exp(-2.0 * k)
+        return math.exp(-2.0 * bp.kappa)  # DomainError for Friedrichs
     except OverflowError:
         return math.inf
 
 
 def m_main(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     """Main log-tail integral, positive and strictly decreasing in t."""
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"m_main: need t > 0, got {t!r}")
-    k2 = 2.0 * _kappa(bp)
+    t = check_real(t, "m_main", "t", "> 0")
+    k2 = 2.0 * bp.kappa
     res = integrate_log_tail(lambda y: np.ones_like(y), t, k2, spec)
     return 2.0 * res.value
 
@@ -87,13 +82,9 @@ def k1_smooth(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     times share one adaptive node set, refined until each time meets the
     tolerance.
     """
-    if isinstance(t, np.ndarray):
-        t = t.astype(float)
-        if not np.all(np.isfinite(t) & (t >= 0.0)):
-            raise DomainError(f"k1_smooth: need t >= 0, got {t!r}")
-    elif t < 0.0 or not math.isfinite(t):
-        raise DomainError(f"k1_smooth: need t >= 0, got {t!r}")
-    k2 = 2.0 * _kappa(bp)
+    t = (check_real_array if isinstance(t, np.ndarray) else check_real)(
+        t, "k1_smooth", "t", ">= 0")
+    k2 = 2.0 * bp.kappa
 
     def f(us):
         us = us[:, None] if isinstance(t, np.ndarray) else us
@@ -105,8 +96,7 @@ def k1_smooth(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
 
 def residue_term(t, bp: BoundaryParam):
     """Pole contribution 2 zeta0 e^{t zeta0}."""
-    if t < 0.0 or not math.isfinite(t):
-        raise DomainError(f"residue_term: need t >= 0, got {t!r}")
+    t = check_real(t, "residue_term", "t", ">= 0")
     z0 = pole_location(bp)
     try:
         return 2.0 * z0 * math.exp(t * z0)
@@ -117,8 +107,7 @@ def residue_term(t, bp: BoundaryParam):
 def k_theta(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
             include_residue=True):
     """Assembled kernel value with its three parts (residue 0.0 if dropped)."""
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"k_theta: need t > 0, got {t!r}")
+    t = check_real(t, "k_theta", "t", "> 0")
     return KThetaValue(
         main_part=m_main(t, bp, spec),
         smooth_part=k1_smooth(t, bp, spec),
@@ -139,18 +128,12 @@ def laplace_of_k(zeta, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
     arctan tail takes over.  The acceptance suite compares the result
     against (log sqrt(zeta) + kappa)^{-1}.
     """
-    zeta = float(zeta)
-    k2 = 2.0 * _kappa(bp)
+    zeta = check_real(zeta, "laplace_of_k", "zeta", "> 0")
+    k2 = 2.0 * bp.kappa
     z0 = pole_location(bp)
-    if include_residue:
-        if zeta <= z0:
-            raise DomainError(
-                f"laplace_of_k: zeta = {zeta!r} at or below the pole {z0!r}")
-        res_part = 2.0 * z0 / (zeta - z0)
-    else:
-        if zeta <= 0.0:
-            raise DomainError(f"laplace_of_k: need zeta > 0, got {zeta!r}")
-        res_part = 0.0
+    if include_residue and zeta <= z0:
+        raise DomainError(f"laplace_of_k: need zeta above the pole {z0!r}, got {zeta!r}")
+    res_part = 2.0 * z0 / (zeta - z0) if include_residue else 0.0
 
     def f(us):
         ys = np.exp(us)
@@ -170,13 +153,20 @@ def bromwich_truncated(t, radius, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SP
     Converges to m_main + k1_smooth as R -> inf with error O(1/log R)
     (the pole contribution is *not* picked up by the axis integral).
     The head [0, 1] is integrated adaptively; the oscillatory range [1, R]
-    uses fixed quarter-period composite Gauss-Legendre panels, vectorized.
+    uses fixed quarter-period composite Gauss-Legendre panels, vectorized;
+    a radius that needs more than BROMWICH_MAX_PANELS of them raises
+    DomainError before any work.
     """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"bromwich_truncated: need t > 0, got {t!r}")
-    if radius <= 1.0:
-        raise DomainError("bromwich_truncated: need radius > 1")
-    kap = _kappa(bp)
+    t = check_real(t, "bromwich_truncated", "t", "> 0")
+    radius = check_real(radius, "bromwich_truncated", "radius")
+    if not radius > 1.0:
+        raise DomainError(f"bromwich_truncated: need radius > 1, got {radius!r}")
+    width = 0.5 * _PI / t
+    if (radius - 1.0) / width > BROMWICH_MAX_PANELS:
+        raise DomainError(
+            f"bromwich_truncated: need radius <= 1 + {BROMWICH_MAX_PANELS} pi/(2t) "
+            f"= {1.0 + BROMWICH_MAX_PANELS * width!r}, got {radius!r}")
+    kap = bp.kappa
     b = 0.25 * _PI
 
     def f(ys):
@@ -186,7 +176,6 @@ def bromwich_truncated(t, radius, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SP
     head = integrate(f, 0.0, 1.0, spec).value
 
     nodes, weights = gauss_legendre_panel(12)
-    width = 0.5 * _PI / t
     n_panels = int(math.ceil((radius - 1.0) / width))
     edges = np.linspace(1.0, radius, n_panels + 1)
     lo = edges[:-1, None]

@@ -19,9 +19,10 @@ tan(theta) to +inf, so there is one bound state iff tan(theta) < 0.  This
 is the interlacing of self-adjoint extensions with deficiency indices
 (1, 1) (the Herglotz property of the Weyl-Titchmarsh m-function).
 
-Each root is then one safeguarded Newton solve that never leaves its
-cell (``_safe_newton``); a positive root costs one fused J0/Y0 evaluation
-per step on a bounded phase (``_phase``).  S is formed as
+Each root is then one safeguarded Newton solve that never leaves its cell
+and ends at a 4-ulp step or a bracket 1e-10 wide (``_safe_newton``); a
+positive root costs one fused J0/Y0 evaluation per step on a bounded phase
+(``_phase``).  S is formed as
 2 (tan(theta) J0 - c), c the regular part of Y0, and for mu <= 1 N as
 tan(theta) I0 + S2, S2 the regular part of K0, which keeps the eigenvalue
 nearest 0 of a tiny |tan(theta)| to full relative accuracy on either side.
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InsufficientSpectrumError
+from .errors import DomainError, InsufficientSpectrumError, check_real
 from .kernels import BoundaryParam
 from .specfun import (
     _K_SERIES_CUTOFF,
@@ -60,6 +61,7 @@ from .specfun import (
 _PI = math.pi
 _2_PI = 2.0 / math.pi
 LAMBDA_MAX_LIMIT = 1e10  # 31,831 eigenvalues; the zero table grows as sqrt(lambda_max)/pi
+_BRACKET_TOL = 1e-10  # relative bracket width that ends a Newton solve
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,7 @@ def secular_positive(lam, bp: BoundaryParam):
     (``specfun._j0_y0_fused``): the log lambda of the textbook form cancels
     exactly, so S keeps its relative accuracy as lambda -> 0.
     """
-    if lam <= 0.0:
-        raise DomainError(f"secular_positive: need lambda > 0, got {lam!r}")
+    lam = check_real(lam, "secular_positive", "lambda", "> 0")
     r = math.sqrt(lam)
     if bp.is_friedrichs:
         return bessel_j0(r)
@@ -153,8 +154,7 @@ def secular_negative(mu, bp: BoundaryParam):
     unchanged.  Tends to tan(theta) as mu -> 0 (after unscaling; the
     scaling factor tends to 1).
     """
-    if mu <= 0.0:
-        raise DomainError(f"secular_negative: need mu > 0, got {mu!r}")
+    mu = check_real(mu, "secular_negative", "mu", "> 0")
     if bp.is_friedrichs:
         return bessel_i0_scaled(mu)
     if mu <= _K_SERIES_CUTOFF:
@@ -199,10 +199,9 @@ def _cell_seed(lo, hi, tan_theta):
     return r if lo < r < hi else 0.5 * (lo + hi)
 
 
-def _positive_root(lo, hi, tan_theta, tol):
+def _positive_root(lo, hi, tan_theta):
     """The eigenvalue in the interlacing cell (lo^2, hi^2)."""
-    r = _safe_newton(lambda x: _phase(x, tan_theta), _cell_seed(lo, hi, tan_theta),
-                     lo, hi, tol)
+    r = _safe_newton(lambda x: _phase(x, tan_theta), _cell_seed(lo, hi, tan_theta), lo, hi)
     return r * r
 
 
@@ -214,13 +213,13 @@ def _bound_state_h(v, bp):
     return secular_negative(mu, bp) / i0s, 1.0 - inv_i0 * inv_i0
 
 
-def _safe_newton(f, x, lo, hi, tol):
+def _safe_newton(f, x, lo, hi):
     """Root on (lo, hi) of f, which rises through it; f(x) -> (value, slope).
 
     Newton from x.  Convergence (a step of at most 4 ulp of x) is tested
     first; then the sign of f shrinks the bracket, and a step that leaves
     it, or a slope that is not positive, becomes a bisection.  A bracket
-    narrower than tol * max(1, |x|) also ends the solve.
+    narrower than _BRACKET_TOL * max(1, |x|) also ends the solve.
     """
     for _ in range(200):
         g, dg = f(x)
@@ -234,12 +233,12 @@ def _safe_newton(f, x, lo, hi, tol):
         x -= step
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(x)):
+        if hi - lo <= _BRACKET_TOL * max(1.0, abs(x)):
             break
     return x
 
 
-def eigenvalues(bp: BoundaryParam, lambda_max=4000.0, tol=1e-10):
+def eigenvalues(bp: BoundaryParam, lambda_max=4000.0):
     """All eigenvalues up to lambda_max, counted by interlacing.
 
     The root count is fixed by theory, so each root gets one safeguarded
@@ -255,19 +254,15 @@ def eigenvalues(bp: BoundaryParam, lambda_max=4000.0, tol=1e-10):
     h = tan(theta) + S2/I0 with S2 = sum_k H_k (mu^2/4)^k/(k!)^2, and
     0 < S2 < (mu^2/4) I0, h < 0 at mu^2 = -4 tan(theta), while h = K0/I0 > 0
     at the half-line state mu = e^{-kappa}.  These bracket it, and Newton
-    starts from the smaller of e^{-kappa} and mu^2 = -4 tan/(1 + tan).
-    tol bounds the bracket width at which a solve stops if Newton has not
-    converged first.  A lambda_max outside [100, LAMBDA_MAX_LIMIT = 1e10], or
-    a tol outside [0, 1e-8] (NaN included), raises DomainError before any work.
+    starts from the smaller of e^{-kappa} and mu^2 = -4 tan/(1 + tan).  A
+    lambda_max outside [100, LAMBDA_MAX_LIMIT = 1e10] is a DomainError before any work.
     """
-    if not 100.0 <= lambda_max < math.inf:
-        raise DomainError(
-            f"eigenvalues: need finite lambda_max >= 100, got {lambda_max!r}")
+    lambda_max = check_real(lambda_max, "eigenvalues", "lambda_max")
+    if lambda_max < 100.0:
+        raise DomainError(f"eigenvalues: need finite lambda_max >= 100, got {lambda_max!r}")
     if lambda_max > LAMBDA_MAX_LIMIT:
         raise DomainError(
             f"eigenvalues: need lambda_max <= {LAMBDA_MAX_LIMIT:g}, got {lambda_max!r}")
-    if not 0.0 <= tol <= 1e-8:
-        raise DomainError(f"eigenvalues: need 0 <= tol <= 1e-8, got {tol!r}")
 
     zeros = [z for z in j0_zeros(int(math.sqrt(lambda_max) / _PI) + 3)
              if z * z <= lambda_max]
@@ -285,27 +280,26 @@ def eigenvalues(bp: BoundaryParam, lambda_max=4000.0, tol=1e-10):
             v0 = v_hi
             if tan_theta > -1.0:
                 v0 = min(v_hi, 0.5 * math.log(-4.0 * tan_theta / (1.0 + tan_theta)))
-            v = _safe_newton(lambda x: _bound_state_h(x, bp), v0, v_lo, v_hi, tol)
+            v = _safe_newton(lambda x: _bound_state_h(x, bp), v0, v_lo, v_hi)
             evs.append(-math.exp(2.0 * v))
         cells = list(zip(zeros[:-1], zeros[1:]))
         if tan_theta > 0.0:
             cells.insert(0, (0.0, zeros[0]))
         if secular_positive(lambda_max, bp) * (-1.0) ** len(zeros) <= 0.0:
             cells.append((zeros[-1], math.sqrt(lambda_max)))
-        evs += [_positive_root(lo, hi, tan_theta, tol) for lo, hi in cells]
+        evs += [_positive_root(lo, hi, tan_theta) for lo, hi in cells]
 
     evs.sort()
     residuals = tuple(
         abs(secular_positive(ev, bp)) if ev > 0.0
         else (abs(secular_negative(math.sqrt(-ev), bp)) if ev < 0.0 else 0.0)
         for ev in evs)
-    return Spectrum(bp.theta, tuple(evs), residuals, float(lambda_max))
+    return Spectrum(bp.theta, tuple(evs), residuals, lambda_max)
 
 
 def oracle_trace(t, spectrum: Spectrum):
     """Eigenvalue-sum heat trace with an explicit spectral-tail error bar."""
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"oracle_trace: need t > 0, got {t!r}")
+    t = check_real(t, "oracle_trace", "t", "> 0")
     if t * spectrum.lambda_max < 30.0:
         raise InsufficientSpectrumError(
             f"oracle_trace: t*lambda_max = {t * spectrum.lambda_max:.3g} < 30; "

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_real, check_real_array
 
 UNDERFLOW_U = 46.0
 U_CUT = 40.0
@@ -78,17 +79,20 @@ _WEIGHTS_G = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and budget for one adaptive integration."""
+    """Tolerances and budget for one adaptive integration: finite positive
+    tolerances and an integer budget >= 1, else DomainError."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("QuadSpec: tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("QuadSpec: max_subdivisions must be >= 1")
+        for name in ("rel_tol", "abs_tol"):
+            object.__setattr__(self, name, check_real(getattr(self, name), "QuadSpec", name, "> 0"))
+        n = self.max_subdivisions
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise DomainError(f"QuadSpec: need integer max_subdivisions >= 1, got {n!r}")
+        object.__setattr__(self, "max_subdivisions", int(n))
 
 
 @dataclass(frozen=True)
@@ -141,14 +145,12 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, points=None):
     Raises ConvergenceError (carrying the partial result) when the
     subdivision budget is exhausted before the tolerance is met.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"integrate: need finite a < b, got [{a}, {b}]")
-    edges = [a]
-    if points:
-        edges.extend(sorted(float(p) for p in points if a < p < b))
-    edges.append(b)
+    a = check_real(a, "integrate", "a")
+    b = check_real(b, "integrate", "b")
+    if not a < b:
+        raise DomainError(f"integrate: need a < b, got [{a!r}, {b!r}]")
+    points = [check_real(p, "integrate", "points") for p in points or ()]
+    edges = [a, *sorted(p for p in points if a < p < b), b]
 
     heap = []
     total = 0.0
@@ -214,9 +216,8 @@ def integrate_log_tail(g, t, kappa2, spec=DEFAULT_SPEC):
     value and est_error then have its shape.
     """
     batch = isinstance(t, np.ndarray)
-    t = t.astype(float) if batch else float(t)
-    if not np.all(np.isfinite(t) & (t > 0.0)):
-        raise DomainError(f"integrate_log_tail: need t > 0, got {t!r}")
+    t = (check_real_array if batch else check_real)(t, "integrate_log_tail", "t", "> 0")
+    kappa2 = check_real(kappa2, "integrate_log_tail", "kappa2")
     pi2 = math.pi * math.pi
     umax = _log_tail_umax(float(np.min(t)))
 

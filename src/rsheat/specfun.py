@@ -39,13 +39,13 @@ trace's ``est_error``.
 Scaled variants e^{-z} I(z), e^{z} K(z) are first-class API so callers can
 form products like I0(z) e^{-w} without overflow for z up to ~1e6.
 
-All functions are pure and hold no mutable state.
+All functions are pure and hold no mutable state.  The public ones take z
+through ``errors.check_real``: z >= 0 for I and J, z > 0 for K and Y.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -56,7 +56,7 @@ from ._dd import (
     dd_mul_d,
     dd_sqr_d,
 )
-from .errors import DomainError
+from .errors import check_real
 
 # Euler-Mascheroni constant and log 2 to 25 significant digits.  All
 # boundary-constant arithmetic elsewhere in the package routes through
@@ -74,24 +74,6 @@ class SpecfunResult:
 
     value: float
     est_abs_error: float
-
-
-def _check_domain(z, name, positive=False):
-    # float and int first: they skip the slower abstract-base-class check
-    if not isinstance(z, (float, int, numbers.Real)) or isinstance(z, bool):
-        raise DomainError(f"{name}: argument must be a real number, got {z!r}")
-    try:
-        z = float(z)
-    except OverflowError:
-        z = math.inf
-    if not math.isfinite(z):
-        raise DomainError(f"{name}: argument must be finite, got {z!r}")
-    if positive:
-        if z <= 0.0:
-            raise DomainError(f"{name}: argument must be > 0, got {z!r}")
-    elif z < 0.0:
-        raise DomainError(f"{name}: argument must be >= 0, got {z!r}")
-    return z
 
 
 # ----------------------------------------------------------------------
@@ -348,53 +330,53 @@ def _jy(n, z, second):
 
 
 def bessel_i0(z):
-    return _i(0, _check_domain(z, "bessel_i0"), False)
+    return _i(0, check_real(z, "bessel_i0", "z", ">= 0"), False)
 
 
 def bessel_i0_scaled(z):
     """e^{-z} I0(z); finite for every z >= 0."""
-    return _i(0, _check_domain(z, "bessel_i0_scaled"), True)
+    return _i(0, check_real(z, "bessel_i0_scaled", "z", ">= 0"), True)
 
 
 def bessel_i1(z):
-    return _i(1, _check_domain(z, "bessel_i1"), False)
+    return _i(1, check_real(z, "bessel_i1", "z", ">= 0"), False)
 
 
 def bessel_i1_scaled(z):
-    return _i(1, _check_domain(z, "bessel_i1_scaled"), True)
+    return _i(1, check_real(z, "bessel_i1_scaled", "z", ">= 0"), True)
 
 
 def bessel_k0(z):
-    return _k(0, _check_domain(z, "bessel_k0", positive=True), False)
+    return _k(0, check_real(z, "bessel_k0", "z", "> 0"), False)
 
 
 def bessel_k0_scaled(z):
     """e^{z} K0(z)."""
-    return _k(0, _check_domain(z, "bessel_k0_scaled", positive=True), True)
+    return _k(0, check_real(z, "bessel_k0_scaled", "z", "> 0"), True)
 
 
 def bessel_k1(z):
-    return _k(1, _check_domain(z, "bessel_k1", positive=True), False)
+    return _k(1, check_real(z, "bessel_k1", "z", "> 0"), False)
 
 
 def bessel_k1_scaled(z):
-    return _k(1, _check_domain(z, "bessel_k1_scaled", positive=True), True)
+    return _k(1, check_real(z, "bessel_k1_scaled", "z", "> 0"), True)
 
 
 def bessel_j0(z):
-    return _jy(0, _check_domain(z, "bessel_j0"), False)
+    return _jy(0, check_real(z, "bessel_j0", "z", ">= 0"), False)
 
 
 def bessel_j1(z):
-    return _jy(1, _check_domain(z, "bessel_j1"), False)
+    return _jy(1, check_real(z, "bessel_j1", "z", ">= 0"), False)
 
 
 def bessel_y0(z):
-    return _jy(0, _check_domain(z, "bessel_y0", positive=True), True)
+    return _jy(0, check_real(z, "bessel_y0", "z", "> 0"), True)
 
 
 def bessel_y1(z):
-    return _jy(1, _check_domain(z, "bessel_y1", positive=True), True)
+    return _jy(1, check_real(z, "bessel_y1", "z", "> 0"), True)
 
 
 def _j0_y0_fused(z):
@@ -425,7 +407,7 @@ def i0_scaled_checked(z):
     estimate.  Above the series cutoff one Hankel sum gives both the value
     and the smallest term: the stop rule reads only |a_m|, so the I-family
     signs do not move it."""
-    z = _check_domain(z, "i0_scaled_checked")
+    z = check_real(z, "i0_scaled_checked", "z", ">= 0")
     if z <= _SERIES_CUTOFF:
         v = _i(0, z, True)
         return SpecfunResult(v, 8.0 * _EPS * abs(v) + 1e-300)

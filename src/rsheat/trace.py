@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dd import two_prod
-from .errors import DomainError
+from .errors import DomainError, check_real, check_real_array
 from .kernels import BoundaryParam
 from .ktheta import k1_smooth, pole_location
 from .quadrature import (
@@ -150,14 +150,13 @@ def _trq_values(s):
 def tn_trace(t):
     """(1/2t) int_0^t (1 - exp(-t/(4 s (t-s)))) ds = int_0^1 q_diag(x, t) dx,
     1/2 - R(t) with 0 < R(t) <= e^{-1/t}/2: exactly 1/2 below t ~ 0.0267."""
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"tn_trace: need t > 0, got {t!r}")
+    t = check_real(t, "tn_trace", "t", "> 0")
     return float(_trq_values(t)[0])
 
 
 def friedrichs_trace(t):
     """int_0^1 (x/2t) I0(x^2/2t) e^{-x^2/2t} dx; ~ 1/sqrt(4 pi t) as t -> 0."""
-    return _friedrichs_trace_res(t)[0]
+    return _friedrichs_trace_res(check_real(t, "friedrichs_trace", "t", "> 0"))[0]
 
 
 def _friedrichs_trace_res(t):
@@ -167,10 +166,8 @@ def _friedrichs_trace_res(t):
     and d/dy[y e^{-y}(I0 + I1)] = e^{-y} I0 gives (Z/2)(I0s(Z) + I1s(Z)).
     The error is that of the two scaled Bessel values; I1's Hankel terms
     approach I0's in size (|a_m(4)/a_m(0)| -> 1), so I0's estimate bounds
-    both.
+    both.  ``t`` is a checked float.
     """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"friedrichs_trace: need t > 0, got {t!r}")
     z = 0.5 / t
     i0s = i0_scaled_checked(z)
     return 0.5 * z * (i0s.value + bessel_i1_scaled(z)), z * i0s.est_abs_error
@@ -197,8 +194,7 @@ def t1_y_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     """T1 in the y-outer order:
     2 int_1^inf [int_0^t e^{-(t-s)y} TrQ(s) ds] ((log y + 2k)^2+pi^2)^{-1} dy.
     """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"t1_y_outer: need t > 0, got {t!r}")
+    t = check_real(t, "t1_y_outer", "t", "> 0")
     k2 = 2.0 * bp.kappa
 
     def f(us):
@@ -215,8 +211,7 @@ def t1_reference(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     The closed-form leading part of T1; T1 - t1_reference = O(t^inf).
     Positive and increasing in t.
     """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"t1_reference: need t > 0, got {t!r}")
+    t = check_real(t, "t1_reference", "t", "> 0")
     k2 = 2.0 * bp.kappa
 
     def f(us):
@@ -235,6 +230,8 @@ def exotic_term(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     1/log(1/t) speed.  ``t`` is a float, or a 1-D array sharing one node
     set (see ``integrate_log_tail``).
     """
+    t = (check_real_array if isinstance(t, np.ndarray) else check_real)(
+        t, "exotic_term", "t", "> 0")
     return -integrate_log_tail(lambda y: 1.0 / y, t, 2.0 * bp.kappa, spec).value
 
 
@@ -245,8 +242,7 @@ def exotic_limit(bp: BoundaryParam):
 
 def t2_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     """T2 = int_0^t K1(t-s) TrQ(s) ds (smooth kernel part convolution)."""
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"t2_part: need t > 0, got {t!r}")
+    t = check_real(t, "t2_part", "t", "> 0")
     bp.kappa  # reject Friedrichs early
 
     def f(ss):
@@ -257,8 +253,7 @@ def t2_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
 
 def residue_trace_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     """int_0^t 2 zeta0 e^{(t-s) zeta0} TrQ(s) ds; ~ zeta0 t as t -> 0."""
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"residue_trace_part: need t > 0, got {t!r}")
+    t = check_real(t, "residue_trace_part", "t", "> 0")
     z0 = pole_location(bp)
     if z0 * t > 700.0:
         return math.inf
@@ -311,9 +306,9 @@ def volterra_correction(ts, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
     remainder int_0^46 F(tau) R'(t - tau) tau dv, tau = (t - s_f) e^{-v},
     on the fixed 96-node rule _V_TAU, _V_WEIGHTS (see the module docstring).
     """
-    ts = np.asarray(ts, dtype=float)
-    if not np.all((ts > 0.0) & (ts <= _T_V)):
-        raise DomainError(f"volterra_correction: need 0 < t <= {_T_V!r}, got {ts!r}")
+    ts = check_real_array(ts, "volterra_correction", "t", "> 0")
+    if not np.all(ts <= _T_V):
+        raise DomainError(f"volterra_correction: need t <= {_T_V!r}, got {ts!r}")
     up = ts > _TRQ_FLAT_S
     gap = ts[up] - _TRQ_FLAT_S
     taus = np.multiply.outer(gap, _V_TAU)
@@ -338,9 +333,10 @@ def correction_trace(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
                      include_residue=True):
     """Trace of the boundary correction kernel: T1 + T2 (+ residue trace),
     through volterra_correction below _TRQ_FLAT_S."""
+    t = check_real(t, "correction_trace", "t", "> 0")
     if bp.is_friedrichs:
         raise DomainError("correction_trace: no correction for the Friedrichs extension")
-    if 0.0 < t < _TRQ_FLAT_S:
+    if t < _TRQ_FLAT_S:
         return float(volterra_correction([t], bp, spec, include_residue=include_residue)[0])
     total = t1_y_outer(t, bp, spec) + t2_part(t, bp, spec)
     if include_residue:
@@ -356,6 +352,7 @@ def _sample(t, fr, fr_err, corr, exotic, spec):
 def full_trace(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
                include_residue=True):
     """Assembled trace sample; the Friedrichs branch has zero correction."""
+    t = check_real(t, "full_trace", "t", "> 0")
     fr, fr_err = _friedrichs_trace_res(t)
     if bp.is_friedrichs:
         return TraceSample(t, fr, fr_err, TraceParts(fr, 0.0, 0.0))
@@ -371,8 +368,8 @@ def trace_curve(bp: BoundaryParam, ts, spec: QuadSpec = DEFAULT_SPEC, *,
     call, so their rows can differ from full_trace's in the last bits; the
     rows above _T_V are full_trace itself.
     """
-    ts = [float(t) for t in ts]
-    near = np.array([t for t in ts if 0.0 < t <= _T_V])
+    ts = [check_real(t, "trace_curve", "t", "> 0") for t in ts]
+    near = np.array([t for t in ts if t <= _T_V])
     if bp.is_friedrichs or not near.size:
         return [full_trace(t, bp, spec, include_residue=include_residue) for t in ts]
     shared = dict(zip(near.tolist(), zip(

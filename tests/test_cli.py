@@ -100,11 +100,9 @@ class TestEigenCommand:
         assert lines[0] == "index,lambda,secular_residual"
         assert abs(float(lines[1].split(",")[1]) - 5.7832) < 1e-3
 
-    def test_non_finite_lambda_max_and_bad_tol_are_domain_errors(self, capsys):
-        # a typed DomainError (usage exit, one stderr line), never a
-        # traceback or a silently accepted tolerance
-        for flags in (["--lambda-max", "nan"], ["--lambda-max", "inf"],
-                      ["--tol", "nan"], ["--tol=-1e-12"]):
+    def test_non_finite_lambda_max_is_a_domain_error(self, capsys):
+        # a typed DomainError (usage exit, one stderr line), never a traceback
+        for flags in (["--lambda-max", "nan"], ["--lambda-max", "inf"]):
             code, out, err = run_cli(["eigen", "--theta", "0.3"] + flags, capsys)
             assert code == 1
             assert out == ""
@@ -112,8 +110,10 @@ class TestEigenCommand:
 
     def test_only_the_options_it_reads(self, tmp_path, capsys):
         # eigen reads no quadrature option and ktheta runs no rows in a pool
+        # eigen's bracket stop is a constant of the solver, not a --tol knob
         for args in (["eigen", "--no-residue"], ["eigen", "--rel-tol", "1e-9"],
-                     ["eigen", "--max-subdivisions", "10"], ["ktheta", "--workers", "2"]):
+                     ["eigen", "--max-subdivisions", "10"], ["eigen", "--tol", "1e-10"],
+                     ["ktheta", "--workers", "2"]):
             code, out, err = run_cli(args, capsys)
             assert (code, out) == (1, ""), args
             assert "unrecognized arguments" in err, args
@@ -121,14 +121,11 @@ class TestEigenCommand:
         code, _, _ = run_cli(["eigen", "--lambda-max", "300", "--output", str(out)], capsys)
         assert code == 0
         meta = json.loads((tmp_path / "e.csv.meta.json").read_text())
-        assert sorted(meta["config"]) == ["command", "lambda_max", "output", "theta", "tol"]
-
+        assert sorted(meta["config"]) == ["command", "lambda_max", "output", "theta"]
     def test_negative_values_in_exponent_form_reach_the_domain_checks(self, capsys):
         # argparse alone reads "-1e-12" as an option and stops with
         # "expected one argument" before the value is checked
         for args, message in (
-                (["eigen", "--tol", "-1e-12"],
-                 "rsheat: error: eigenvalues: need 0 <= tol <= 1e-8, got -1e-12"),
                 (["eigen", "--lambda-max", "-5E+2"],
                  "rsheat: error: eigenvalues: need finite lambda_max >= 100, "
                  "got -500.0"),
@@ -138,6 +135,24 @@ class TestEigenCommand:
                  "rsheat: error: need 0 < t-min <= t-max")):
             code, out, err = run_cli(args, capsys)
             assert (code, out, err.strip()) == (1, "", message)
+
+
+class TestInputContract:
+    def test_non_finite_grid_ends_are_named(self, capsys):
+        for args, message in (
+                (["trace", "--t-max", "inf"], "trace: need finite t-max, got inf"),
+                (["ktheta", "--t-min", "nan"], "ktheta: need finite t-min, got nan"),
+                (["ktheta", "--t", "inf"], "k_theta: need finite t > 0, got inf")):
+            code, out, err = run_cli(args, capsys)
+            assert (code, out, err) == (1, "", f"rsheat: error: {message}\n"), args
+
+    def test_infinite_tolerances_are_refused(self, capsys):
+        # they used to give "ok" rows 6.6e-4 off at t = 0.2
+        code, out, err = run_cli(
+            ["trace", "--theta", "1", "--rel-tol", "inf", "--abs-tol", "inf", "--points", "3",
+             "--t-max", "0.2"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "rsheat: error: QuadSpec: need finite rel_tol > 0, got inf\n"
 
 
 class TestKthetaCommand:

@@ -1,0 +1,138 @@
+"""The input contract of the public API.
+
+Every real argument of every public function in ``rsheat.__all__`` goes
+through one check: a non-number, a bool, NaN, +-inf or a value outside
+the argument's range is a DomainError, and a numpy scalar gives the same
+bits as the equal float.  The batched entry points also refuse a list and
+an empty array.  (``j0_zeros`` takes an integer count, and
+``pole_location`` and ``exotic_limit`` take no real argument.)
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import rsheat
+from rsheat import BoundaryParam, DomainError, QuadSpec
+
+BP = BoundaryParam(0.0)  # pole at zeta0 = 1.26
+ONES = np.ones_like
+SPECTRUM = rsheat.eigenvalues(BP, lambda_max=300.0)
+GRID = [1e-3 * 2.0 ** k for k in range(6)]
+SAMPLES = [(2.0, 4.0), (3.0, 9.0), (4.0, 16.0), (5.0, 25.0)]
+
+# (function, argument, call with x in that argument, valid x, out-of-range x)
+CASES = [
+    ("BoundaryParam", "theta", lambda x: BoundaryParam(x), 1, math.pi),
+    ("QuadSpec", "rel_tol", lambda x: QuadSpec(rel_tol=x), 1, 0.0),
+    ("QuadSpec", "abs_tol", lambda x: QuadSpec(abs_tol=x), 1, -1.0),
+    ("integrate", "a", lambda x: rsheat.integrate(np.square, x, 2.0), 1, 2.0),
+    ("integrate", "b", lambda x: rsheat.integrate(np.square, 0.0, x), 1, 0.0),
+    ("integrate", "points", lambda x: rsheat.integrate(np.square, 0.0, 2.0, points=[x]), 1,
+     None),
+    ("integrate_log_tail", "t", lambda x: rsheat.integrate_log_tail(ONES, x, 0.3), 1, 0.0),
+    ("integrate_log_tail", "kappa2", lambda x: rsheat.integrate_log_tail(ONES, 0.5, x), 1,
+     None),
+    ("friedrichs_kernel", "x", lambda x: rsheat.friedrichs_kernel(x, 1.0, 0.5), 1, -1.0),
+    ("friedrichs_kernel", "x2", lambda x: rsheat.friedrichs_kernel(1.0, x, 0.5), 1, -1.0),
+    ("friedrichs_kernel", "t", lambda x: rsheat.friedrichs_kernel(1.0, 1.0, x), 1, 0.0),
+    ("nprime", "x", lambda x: rsheat.nprime(x, 0.5), 1, -1.0),
+    ("nprime", "t", lambda x: rsheat.nprime(1.0, x), 1, 0.0),
+    ("q_diag", "x", lambda x: rsheat.q_diag(x, 0.5), 1, -1.0),
+    ("q_diag", "t", lambda x: rsheat.q_diag(1.0, x), 1, 0.0),
+    ("signaling", "x", lambda x: rsheat.signaling(ONES, x, 0.5), 1, 0.0),
+    ("signaling", "t", lambda x: rsheat.signaling(ONES, 1.0, x), 1, 0.0),
+    ("extract_coeffs", "x_lo", lambda x: rsheat.extract_coeffs(np.sqrt, (x, 1e-2)), 1e-4,
+     0.0),
+    ("extract_coeffs", "x_hi", lambda x: rsheat.extract_coeffs(np.sqrt, (1e-4, x)), 1e-2,
+     0.2),
+    ("bromwich_truncated", "t", lambda x: rsheat.bromwich_truncated(x, 10.0, BP), 1, 0.0),
+    ("bromwich_truncated", "radius", lambda x: rsheat.bromwich_truncated(1.0, x, BP), 10,
+     1.0),
+    ("k1_smooth", "t", lambda x: rsheat.k1_smooth(x, BP), 1, -1.0),
+    ("k_theta", "t", lambda x: rsheat.k_theta(x, BP), 1, 0.0),
+    ("laplace_of_k", "zeta", lambda x: rsheat.laplace_of_k(x, BP), 10, 1.0),
+    ("m_main", "t", lambda x: rsheat.m_main(x, BP), 1, 0.0),
+    ("residue_term", "t", lambda x: rsheat.residue_term(x, BP), 1, -1.0),
+    ("correction_trace", "t", lambda x: rsheat.correction_trace(x, BP), 0.01, 0.0),
+    ("exotic_term", "t", lambda x: rsheat.exotic_term(x, BP), 1, 0.0),
+    ("friedrichs_trace", "t", lambda x: rsheat.friedrichs_trace(x), 1, 0.0),
+    ("full_trace", "t", lambda x: rsheat.full_trace(x, BP), 1, 0.0),
+    ("t1_reference", "t", lambda x: rsheat.t1_reference(x, BP), 1, 0.0),
+    ("tn_trace", "t", lambda x: rsheat.tn_trace(x), 1, 0.0),
+    ("trace_curve", "t", lambda x: rsheat.trace_curve(BP, [0.01, x]), 1, 0.0),
+    ("eigenvalues", "lambda_max", lambda x: rsheat.eigenvalues(BP, lambda_max=x), 300, 50.0),
+    ("oracle_trace", "t", lambda x: rsheat.oracle_trace(x, SPECTRUM), 1, 0.0),
+    ("secular_negative", "mu", lambda x: rsheat.secular_negative(x, BP), 1, 0.0),
+    ("secular_positive", "lambda", lambda x: rsheat.secular_positive(x, BP), 1, 0.0),
+    ("exoticness_report", "t", lambda x: rsheat.exoticness_report(BP, [x, *GRID]), 1e-4,
+     1.0),
+    ("poly_fit", "t", lambda x: rsheat.poly_fit([(x, 1.0), *SAMPLES], 1), 1, 0.0),
+    ("poly_fit", "value", lambda x: rsheat.poly_fit([(1.0, x), *SAMPLES], 1), 1, None),
+]
+IDS = [f"{fn}-{arg}" for fn, arg, *_ in CASES]
+
+# the batched entry points, with a valid one-entry array
+BATCHED = [
+    ("k1_smooth", lambda x: rsheat.k1_smooth(x, BP)),
+    ("q_diag", lambda x: rsheat.q_diag(x, 0.5)),
+    ("integrate_log_tail", lambda x: rsheat.integrate_log_tail(ONES, x, 0.3).value),
+    ("exotic_term", lambda x: rsheat.exotic_term(x, BP)),
+]
+
+
+def _bits(obj):
+    """Every float of a result, exactly, with its type."""
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__,
+                *(_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)))
+    if isinstance(obj, (list, tuple)):
+        return tuple(_bits(o) for o in obj)
+    if isinstance(obj, np.ndarray):
+        return ("ndarray", obj.dtype.str, obj.shape, tuple(_bits(v) for v in obj.tolist()))
+    if isinstance(obj, float):
+        return (type(obj).__name__, obj.hex())
+    return repr(obj)
+
+
+def test_every_public_function_with_a_real_argument_is_covered():
+    covered = {fn for fn, *_ in CASES}
+    takes_no_real = {"j0_zeros", "pole_location", "exotic_limit"}
+    functions = {name for name in rsheat.__all__
+                 if callable(getattr(rsheat, name)) and name[0].islower()}
+    assert functions - takes_no_real == covered - {"BoundaryParam", "QuadSpec"}
+
+
+@pytest.mark.parametrize("fn, arg, call, valid, outside", CASES, ids=IDS)
+def test_invalid_inputs_are_domain_errors(fn, arg, call, valid, outside):
+    bad = [math.nan, math.inf, -math.inf, True, "0.1", 1j, None]
+    for x in bad + ([] if outside is None else [outside]):
+        with pytest.raises(DomainError, match=f"^{fn}: need "):
+            call(x)
+
+
+@pytest.mark.parametrize("fn, arg, call, valid, outside", CASES, ids=IDS)
+def test_numpy_scalars_give_the_float_bits(fn, arg, call, valid, outside):
+    want = _bits(call(float(valid)))
+    assert _bits(call(np.float64(valid))) == want
+    if valid == int(valid):
+        assert _bits(call(int(valid))) == want
+        assert _bits(call(np.int64(valid))) == want
+
+
+@pytest.mark.parametrize("fn, call", BATCHED, ids=[fn for fn, _ in BATCHED])
+def test_batched_entry_points_take_only_a_nonempty_1d_real_array(fn, call):
+    assert call(np.array([0.5])).shape == (1,)
+    for bad in ([0.5], (0.5,), np.array([]), np.array([[0.5]]), np.array(0.5),
+                np.array([True]), np.array(["0.5"]), np.array([0.5j]),
+                np.array([0.5, math.nan]), np.array([math.inf])):
+        with pytest.raises(DomainError, match=f"^{fn}: need "):
+            call(bad)
+
+
+def test_poly_fit_nan_is_refused_before_lapack(capfd):
+    with pytest.raises(DomainError, match="^poly_fit: need finite t > 0, got nan$"):
+        rsheat.poly_fit([(math.nan, 1.0), *SAMPLES], 1)
+    assert capfd.readouterr().err == ""

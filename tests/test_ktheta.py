@@ -19,6 +19,7 @@ from rsheat import (
     pole_location,
     residue_term,
 )
+from rsheat import ktheta
 from rsheat.specfun import EULER_GAMMA
 
 # relative tolerance only: the kernel parts fall like 1/kappa^2 near pi/2
@@ -241,3 +242,22 @@ class TestBromwich:
             sups[radius] = max(errs)
         ratio = sups[1e3] / sups[1e6]
         assert 1.0 <= ratio <= 3.0  # ideal value log(1e6)/log(1e3) = 2, +-50%
+
+    def test_radius_above_the_panel_limit_raises_before_any_work(self, bp0, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def untouched(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(ktheta, "integrate", untouched)
+        # R = 1e8 at t = 1.5 would ask for ~9 GB per node array
+        for t, radius in ((1.5, 1e8), (1.0, 1e300), (1e300, 1e300)):
+            with pytest.raises(DomainError, match="^bromwich_truncated: need radius <= "):
+                bromwich_truncated(t, radius, bp0)
+        # t R = 1.5e6, the largest product above, and the limit itself pass the guard
+        width = 0.5 * math.pi / 1.5
+        for radius in (1e6, 1.0 + ktheta.BROMWICH_MAX_PANELS * width):
+            assert (radius - 1.0) / width <= ktheta.BROMWICH_MAX_PANELS
+            with pytest.raises(Started):
+                bromwich_truncated(1.5, radius, bp0)

@@ -130,8 +130,11 @@ def test_budget_exhaustion_carries_partial():
 def test_quadspec_validation():
     with pytest.raises(DomainError):
         QuadSpec(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadSpec(max_subdivisions=0)
+    for bad in (0, -3, 2.5, 4000.0, np.float64(4000.0), True, math.nan, math.inf, "10", None):
+        with pytest.raises(DomainError, match="^QuadSpec: need integer max_subdivisions"):
+            QuadSpec(max_subdivisions=bad)
+    assert QuadSpec(max_subdivisions=np.int64(7)) == QuadSpec(max_subdivisions=7)
+    assert type(QuadSpec(max_subdivisions=np.int64(7)).max_subdivisions) is int
     with pytest.raises(DomainError):
         integrate(lambda x: x, 1.0, 1.0)
 

@@ -416,7 +416,7 @@ class TestFlatCorrection:
 
     def test_domain(self, bp0):
         above = float(np.nextafter(_T_V, 1.0))
-        for ts in ([0.0], [-1e-3], [1e-3, above], [math.nan], [math.inf]):
+        for ts in ([0.0], [-1e-3], [1e-3, above], [math.nan], [math.inf], [], [[1e-3]]):
             with pytest.raises(DomainError):
                 volterra_correction(ts, bp0)
         assert volterra_correction([_TRQ_FLAT_S, _T_V], bp0).shape == (2,)
