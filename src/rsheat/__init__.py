@@ -19,7 +19,6 @@ from .kernels import (
 )
 from .ktheta import (
     KThetaValue,
-    bromwich_truncated,
     k1_smooth,
     k_theta,
     laplace_of_k,
@@ -68,7 +67,6 @@ __all__ = [
     "Spectrum",
     "TraceParts",
     "TraceSample",
-    "bromwich_truncated",
     "correction_trace",
     "eigenvalues",
     "exotic_limit",

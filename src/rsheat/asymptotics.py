@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError, check_real
+from .errors import DomainError, FitError, check_int, check_real
 from .kernels import BoundaryParam
 from .quadrature import DEFAULT_SPEC, QuadSpec
 from .trace import residue_trace_part, trace_curve
@@ -33,16 +33,10 @@ class AsymptoticFit:
     coef_stderr: tuple
     max_residual: float
 
-    def model(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros_like(ts)
-        for j, c in enumerate(self.coefficients):
-            out += c * ts ** j
-        return out
-
 
 def poly_fit(samples, degree):
     """Fit sum_j a_j t^j by least squares, t scaled to [0, 1] for conditioning."""
+    degree = check_int(degree, "poly_fit", "degree", 0)
     pairs = [(check_real(t, "poly_fit", "t", "> 0"), check_real(v, "poly_fit", "value"))
              for t, v in samples]
     ts, vals = np.array([t for t, _ in pairs]), np.array([v for _, v in pairs])
@@ -102,16 +96,6 @@ class ExoticnessReport:
             lines.append(f"  a{j} = {c: .10e} +- {s:.2e}")
         return "\n".join(lines)
 
-    def csv_rows(self):
-        yield "t,d_value,exotic,residue,subtracted,raw_fit_residual,subtracted_fit_residual"
-        raw_model = self.fit_raw.model(self.grid)
-        sub_model = self.fit_subtracted.model(self.grid)
-        for i, t in enumerate(self.grid):
-            sub = self.d_values[i] - self.exotic_values[i] - self.residue_values[i]
-            yield (f"{t:.17g},{self.d_values[i]:.17g},{self.exotic_values[i]:.17g},"
-                   f"{self.residue_values[i]:.17g},{sub:.17g},"
-                   f"{self.d_values[i] - raw_model[i]:.17g},{sub - sub_model[i]:.17g}")
-
 
 def exoticness_report(bp: BoundaryParam, t_grid, spec: QuadSpec = DEFAULT_SPEC, *,
                       include_residue=True):
@@ -119,6 +103,8 @@ def exoticness_report(bp: BoundaryParam, t_grid, spec: QuadSpec = DEFAULT_SPEC, 
 
     D(t) = full_trace(theta) - full_trace(pi/2) equals the correction trace
     identically, so D and the exotic term are both read off one trace_curve.
+    A grid on which the bound-state factor e^{zeta0 t} overflows (theta just
+    above pi/2) is a DomainError before any fit.
     """
     if bp.is_friedrichs:
         raise DomainError("exoticness_report: the Friedrichs trace has no exotic term")
@@ -127,6 +113,9 @@ def exoticness_report(bp: BoundaryParam, t_grid, spec: QuadSpec = DEFAULT_SPEC, 
         raise DomainError(f"exoticness_report: need t in [1e-5, 1e-1], got {ts!r}")
     curve = trace_curve(bp, ts, spec, include_residue=include_residue)
     d_vals = [s.parts.correction for s in curve]
+    if not np.all(np.isfinite(d_vals)):
+        raise DomainError("exoticness_report: bound state -e^{-2 kappa} overflows the "
+                          f"trace on this grid, kappa = {bp.kappa!r}")
     ex_vals = [s.parts.exotic_ref for s in curve]
     res_vals = [residue_trace_part(t, bp, spec) if include_residue else 0.0 for t in ts]
     sub1 = [d - e for d, e in zip(d_vals, ex_vals)]

@@ -1,6 +1,7 @@
 """Exception types, and the package's one argument check: each real
 argument of a public function goes through ``check_real`` (or its array
-form) first, and narrower bounds are one comparison after it."""
+form) first, and narrower bounds are one comparison after it; each
+integer argument goes through ``check_int``."""
 
 import math
 import numbers
@@ -46,6 +47,16 @@ def check_real(x, name, arg, bound=None):
     if math.isfinite(v) and (bound is None or (v > 0.0 if bound == "> 0" else v >= 0.0)):
         return v
     raise DomainError(f"{name}: need finite {arg} {bound or ''}".rstrip() + f", got {v!r}")
+
+
+def check_int(x, name, arg, minimum=None):
+    """``x`` as an int if it is an integer (any ``numbers.Integral`` but a
+    bool) of at least ``minimum`` (None: any); else DomainError."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool) and (
+            minimum is None or x >= minimum):
+        return int(x)
+    at_least = "" if minimum is None else f" >= {minimum}"
+    raise DomainError(f"{name}: need integer {arg}{at_least}, got {x!r}")
 
 
 def check_real_array(x, name, arg, bound=None):

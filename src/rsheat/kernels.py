@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError, check_real, check_real_array
+from .errors import DomainError, FitError, check_int, check_real, check_real_array
 from .quadrature import DEFAULT_SPEC, UNDERFLOW_U, QuadSpec, integrate
 from .specfun import EULER_GAMMA, LN2, bessel_i0_scaled
 
@@ -60,7 +60,8 @@ class BoundaryParam:
 
 @dataclass(frozen=True)
 class BoundaryCoeffs:
-    """Extracted boundary coefficients of a maximal-domain function."""
+    """Extracted boundary coefficients of a maximal-domain function: the
+    result of ``extract_coeffs``, which they stay with."""
 
     c_plus: float
     c_minus: float
@@ -150,7 +151,9 @@ def signaling(h, x, t, spec: QuadSpec = DEFAULT_SPEC):
     Solves the heat equation with zero initial data and boundary data
     c_minus(F(h)(., t)) = h(t).  ``h`` may consume numpy arrays or plain
     scalars.  Integrated in v = log s; below s = x^2/(4 UNDERFLOW_U) the
-    Gaussian factor underflows and the integrand is dropped.
+    Gaussian factor underflows and the integrand is dropped.  No command
+    calls it: it stays to show what the boundary condition means for the
+    heat kernel, as c_minus of F(h) is h.
     """
     t = check_real(t, "signaling", "t", "> 0")
     x = check_real(x, "signaling", "x", "> 0")
@@ -184,15 +187,15 @@ def extract_coeffs(f, window=(1e-4, 1e-2), n_points=40):
     (below) against contamination by the O(x^{3/2} log x) remainder of
     maximal-domain functions (above).  The boundary combination
     cos(theta) c_plus + sin(theta) c_minus for any angle is available as
-    BoundaryCoeffs.boundary_value on the result.
+    BoundaryCoeffs.boundary_value on the result.  No command calls it: it
+    stays to read the boundary condition off a solution, such as
+    c_minus = h off ``signaling``.
     """
     x_lo = check_real(window[0], "extract_coeffs", "x_lo", "> 0")
     x_hi = check_real(window[1], "extract_coeffs", "x_hi", "> 0")
     if not x_lo < x_hi <= 0.05:
         raise DomainError(f"extract_coeffs: need x_lo < x_hi <= 0.05, got {window!r}")
-    if n_points < 20:
-        raise DomainError("extract_coeffs: need at least 20 sample points")
-    xs = np.geomspace(x_lo, x_hi, int(n_points))
+    xs = np.geomspace(x_lo, x_hi, check_int(n_points, "extract_coeffs", "n_points", 20))
     try:
         vals = np.asarray(f(xs), dtype=float)
         if vals.shape != xs.shape:

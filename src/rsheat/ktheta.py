@@ -15,9 +15,6 @@ into three exactly-summing real parts and no complex arithmetic is needed:
   gives the pole-free convention; ``laplace_of_k`` certifies numerically
   that only the residue-on assembly satisfies
   L K(zeta) = (log sqrt(zeta) + kappa)^{-1}.
-
-``bromwich_truncated`` integrates along the imaginary axis instead, an
-independent route that converges to m_main + k1_smooth like 1/log R.
 """
 
 from __future__ import annotations
@@ -31,18 +28,14 @@ from .errors import DomainError, check_real, check_real_array
 from .kernels import BoundaryParam
 from .quadrature import (
     DEFAULT_SPEC,
-    U_CUT,
     UNDERFLOW_U,
     QuadSpec,
     arctan_tail,
-    gauss_legendre_panel,
     integrate,
     integrate_log_tail,
 )
 
-_PI = math.pi
 _PI2 = math.pi * math.pi
-BROMWICH_MAX_PANELS = 2 ** 20  # 954,930 at t R = 1.5e6; 12 nodes each, < 101 MB
 
 
 @dataclass(frozen=True)
@@ -123,9 +116,9 @@ def laplace_of_k(zeta, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
     (valid above the pole).  The cut density transforms to its Stieltjes
     form 2 int_0^inf ((log y + 2 kappa)^2 + pi^2)^{-1} (y + zeta)^{-1} dy,
     evaluated in u = log y from min(0, log zeta) - UNDERFLOW_U, where the
-    integrand is below e^u/(zeta pi^2), to max(0, log zeta) + U_CUT,
-    beyond which y/(y + zeta) is 1 to within e^{-U_CUT} and the analytic
-    arctan tail takes over.  The acceptance suite compares the result
+    integrand is below e^u/(zeta pi^2), to max(0, log zeta) + UNDERFLOW_U,
+    beyond which y/(y + zeta) is 1 to within e^{-UNDERFLOW_U} and the
+    analytic arctan tail takes over.  The acceptance suite compares the result
     against (log sqrt(zeta) + kappa)^{-1}.
     """
     zeta = check_real(zeta, "laplace_of_k", "zeta", "> 0")
@@ -140,46 +133,7 @@ def laplace_of_k(zeta, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
         return ys / ((ys + zeta) * ((us + k2) ** 2 + _PI2))
 
     log_zeta = math.log(zeta)
-    u_hi = max(0.0, log_zeta) + U_CUT
+    u_hi = max(0.0, log_zeta) + UNDERFLOW_U
     cut_part = 2.0 * integrate(f, min(0.0, log_zeta) - UNDERFLOW_U, u_hi, spec).value
     cut_part += 2.0 * arctan_tail(u_hi, k2)
     return cut_part + res_part
-
-
-def bromwich_truncated(t, radius, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
-    """Truncated inverse-Laplace integral along the imaginary axis.
-
-    (1/pi) Re int_0^R e^{ity} ((1/2) log y + i pi/4 + kappa)^{-1} dy.
-    Converges to m_main + k1_smooth as R -> inf with error O(1/log R)
-    (the pole contribution is *not* picked up by the axis integral).
-    The head [0, 1] is integrated adaptively; the oscillatory range [1, R]
-    uses fixed quarter-period composite Gauss-Legendre panels, vectorized;
-    a radius that needs more than BROMWICH_MAX_PANELS of them raises
-    DomainError before any work.
-    """
-    t = check_real(t, "bromwich_truncated", "t", "> 0")
-    radius = check_real(radius, "bromwich_truncated", "radius")
-    if not radius > 1.0:
-        raise DomainError(f"bromwich_truncated: need radius > 1, got {radius!r}")
-    width = 0.5 * _PI / t
-    if (radius - 1.0) / width > BROMWICH_MAX_PANELS:
-        raise DomainError(
-            f"bromwich_truncated: need radius <= 1 + {BROMWICH_MAX_PANELS} pi/(2t) "
-            f"= {1.0 + BROMWICH_MAX_PANELS * width!r}, got {radius!r}")
-    kap = bp.kappa
-    b = 0.25 * _PI
-
-    def f(ys):
-        a = 0.5 * np.log(ys) + kap
-        return (a * np.cos(t * ys) + b * np.sin(t * ys)) / (a * a + b * b)
-
-    head = integrate(f, 0.0, 1.0, spec).value
-
-    nodes, weights = gauss_legendre_panel(12)
-    n_panels = int(math.ceil((radius - 1.0) / width))
-    edges = np.linspace(1.0, radius, n_panels + 1)
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
-    ys = 0.5 * (lo * (1.0 - nodes) + hi * (1.0 + nodes))
-    tail = float(np.sum(0.5 * (hi - lo) * weights * f(ys)))
-    return (head + tail) / _PI

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InsufficientSpectrumError, check_real
+from .errors import DomainError, InsufficientSpectrumError, check_int, check_real
 from .kernels import BoundaryParam
 from .specfun import (
     _K_SERIES_CUTOFF,
@@ -114,9 +114,11 @@ def j0_zeros(n):
     Each zero j_k depends only on k, so they are computed once per process:
     the table ``_J0_ZEROS`` is extended to n zeros when it holds fewer, and
     the caller gets a new list, never the table.  It retains one float per
-    zero of the largest spectrum asked for.
+    zero of the largest spectrum asked for.  ``n`` is an integer; a
+    negative count gives no zeros.
     """
     global _J0_ZEROS
+    n = check_int(n, "j0_zeros", "n")
     out = list(_J0_ZEROS[:max(n, 0)])
     for k in range(len(out) + 1, n + 1):
         beta = (k - 0.25) * _PI

@@ -14,24 +14,25 @@ throughout the package; after u = log y the integrand decays like
 exp(u - t e^u) and is truncated where that factor underflows, with the
 truncation bound folded into the reported error.
 
-``UNDERFLOW_U`` is the package's one underflow cut: every exponential
-factor below e^{-UNDERFLOW_U} ~ 1e-20 is dropped.  ``U_CUT`` is where the
-u = log y integrals hand over to their analytic arctan tail.
+``UNDERFLOW_U`` is the package's one cut.  Every exponential factor below
+e^{-UNDERFLOW_U} ~ 1e-20 is dropped, and a u = log y integral of
+c(u)/((u + k)^2 + pi^2) with c -> 1 hands over to the analytic
+``arctan_tail`` where c is 1 to within about e^{-UNDERFLOW_U}: UNDERFLOW_U
+above its own scale in u (``laplace_of_k``, ``trace.t1_y_outer``), or at
+u = log UNDERFLOW_U where c = 1 - exp(-e^u) (``trace._cut_integrals``).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, check_real, check_real_array
+from .errors import ConvergenceError, DomainError, check_int, check_real, check_real_array
 
 UNDERFLOW_U = 46.0
-U_CUT = 40.0
 
 
 def arctan_tail(u, kappa2):
@@ -89,10 +90,8 @@ class QuadSpec:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
             object.__setattr__(self, name, check_real(getattr(self, name), "QuadSpec", name, "> 0"))
-        n = self.max_subdivisions
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"QuadSpec: need integer max_subdivisions >= 1, got {n!r}")
-        object.__setattr__(self, "max_subdivisions", int(n))
+        object.__setattr__(self, "max_subdivisions", check_int(
+            self.max_subdivisions, "QuadSpec", "max_subdivisions", 1))
 
 
 @dataclass(frozen=True)
@@ -231,8 +230,3 @@ def integrate_log_tail(g, t, kappa2, spec=DEFAULT_SPEC):
     # int_umax^inf e^{u - t e^u} du = e^{-t e^umax}/t exactly
     tail = g_end * np.exp(-t * math.exp(umax)) / t / ((umax + kappa2) ** 2 + pi2)
     return QuadResult(res.value, res.est_error + tail, res.evaluations)
-
-
-def gauss_legendre_panel(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)

@@ -55,7 +55,9 @@ come from a serial full_trace loop.
 ``exotic_term`` is the non-polyhomogeneous part of the small-t expansion:
  -int_1^inf e^{-ty} dy / (y((log y + 2 kappa)^2 + pi^2)), an expansion in
 powers of 1/log t rather than t, which is what the degree-two fit in
-``asymptotics`` isolates.
+``asymptotics`` isolates.  Its t -> 0 limit ``exotic_limit`` is the
+integral without e^{-ty}, so T1's closed leading part ``t1_reference``,
+int_1^inf (1 - e^{-ty}) dy / (y(...)), is exotic_term(t) - exotic_limit.
 """
 
 from __future__ import annotations
@@ -71,11 +73,9 @@ from .kernels import BoundaryParam
 from .ktheta import k1_smooth, pole_location
 from .quadrature import (
     DEFAULT_SPEC,
-    U_CUT as _U_CUT,
     UNDERFLOW_U,
     QuadSpec,
     arctan_tail,
-    gauss_legendre_panel,
     integrate,
     integrate_log_tail,
 )
@@ -91,7 +91,7 @@ _TRQ_FLAT_S = 1.0 / 38.0
 
 # geometric panel edges for the w = (t-s) y inner convolution variable
 _W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, UNDERFLOW_U])
-_GLW_N, _GLW_W = gauss_legendre_panel(16)
+_GLW_N, _GLW_W = np.polynomial.legendre.leggauss(16)
 
 # trace_curve takes the rows up to _T_V through volterra_correction, whose
 # remainder runs on the same 96 nodes in v = log((t - s_f)/tau):
@@ -201,25 +201,8 @@ def t1_y_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
         ys = np.exp(us)
         return _a_conv(ys, t) * ys / ((us + k2) ** 2 + _PI2)
 
-    r = integrate(f, 0.0, _U_CUT, spec)
-    return 2.0 * r.value + 2.0 * tn_trace(t) * arctan_tail(_U_CUT, k2)
-
-
-def t1_reference(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
-    """int_1^inf (1 - e^{-ty}) dy / (y ((log y + 2 kappa)^2 + pi^2)).
-
-    The closed-form leading part of T1; T1 - t1_reference = O(t^inf).
-    Positive and increasing in t.
-    """
-    t = check_real(t, "t1_reference", "t", "> 0")
-    k2 = 2.0 * bp.kappa
-
-    def f(us):
-        us = np.asarray(us)
-        return -np.expm1(-t * np.exp(us)) / ((us + k2) ** 2 + _PI2)
-
-    r = integrate(f, 0.0, _U_CUT, spec)
-    return r.value + arctan_tail(_U_CUT, k2)
+    r = integrate(f, 0.0, UNDERFLOW_U, spec)
+    return 2.0 * r.value + 2.0 * tn_trace(t) * arctan_tail(UNDERFLOW_U, k2)
 
 
 def exotic_term(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
@@ -238,6 +221,16 @@ def exotic_term(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
 def exotic_limit(bp: BoundaryParam):
     """Exact t -> 0 limit of exotic_term: -(1/pi)(pi/2 - arctan(2k/pi))."""
     return -arctan_tail(0.0, 2.0 * bp.kappa)
+
+
+def t1_reference(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
+    """int_1^inf (1 - e^{-ty}) dy / (y ((log y + 2 kappa)^2 + pi^2)).
+
+    The closed-form leading part of T1; T1 - t1_reference = O(t^inf).
+    Positive and increasing in t; exactly exotic_term(t) - exotic_limit.
+    """
+    t = check_real(t, "t1_reference", "t", "> 0")
+    return exotic_term(t, bp, spec) - exotic_limit(bp)
 
 
 def t2_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
@@ -290,7 +283,7 @@ def _cut_integrals(taus, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
     total = integrate(f, -UNDERFLOW_U, v_hi, spec, points=(-8.0, -2.0, 0.0, 2.0)).value
     total += [arctan_tail(v_hi, -l) for l in ell]
     if include_residue:
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             x, d = two_prod(pole_location(bp), taus)
             xc = np.minimum(x, 700.0)
             total += np.where(x > 700.0, math.inf, np.expm1(xc) + np.exp(xc) * d)

@@ -73,10 +73,13 @@ class TestExoticnessReport:
         assert abs(report.fit_subtracted.coefficients[0] - a0_expected) < 1e-4
 
     def test_smoothness_separation(self, report):
-        raw_resid = np.array(report.d_values) - report.fit_raw.model(report.grid)
+        def model(fit):
+            return np.polynomial.polynomial.polyval(report.grid, fit.coefficients)
+
+        raw_resid = np.array(report.d_values) - model(report.fit_raw)
         sub = (np.array(report.d_values) - np.array(report.exotic_values)
                - np.array(report.residue_values))
-        sub_resid = sub - report.fit_subtracted.model(report.grid)
+        sub_resid = sub - model(report.fit_subtracted)
         assert second_divided_max(report.grid, sub_resid) \
             <= 0.1 * second_divided_max(report.grid, raw_resid)
 
@@ -95,9 +98,13 @@ class TestExoticnessReport:
         with pytest.raises(DomainError):
             exoticness_report(bp0, [1e-6, 1e-5, 1e-4, 1e-3])
 
-    def test_render_and_csv(self, report):
+    def test_overflowing_bound_state_is_named(self):
+        # just above pi/2 the bound-state factor e^{zeta0 t} overflows the
+        # correction; zeta0 is inf at 1.5718 and 3e94 at 1.58
+        for theta in (1.5718, 1.58):
+            with pytest.raises(DomainError, match="^exoticness_report: bound state "):
+                exoticness_report(BoundaryParam(theta), [1e-4, 1e-3, 2e-3, 4e-3, 1e-2])
+
+    def test_render_text(self, report):
         text = report.render_text()
         assert "residual ratio" in text and "PASS" in text
-        rows = list(report.csv_rows())
-        assert rows[0].startswith("t,")
-        assert len(rows) == len(report.grid) + 1

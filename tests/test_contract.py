@@ -4,8 +4,10 @@ Every real argument of every public function in ``rsheat.__all__`` goes
 through one check: a non-number, a bool, NaN, +-inf or a value outside
 the argument's range is a DomainError, and a numpy scalar gives the same
 bits as the equal float.  The batched entry points also refuse a list and
-an empty array.  (``j0_zeros`` takes an integer count, and
-``pole_location`` and ``exotic_limit`` take no real argument.)
+an empty array.  Every integer argument goes through the integer form
+of that check: a float, even 3.0, or a bool is a DomainError, and a numpy
+integer gives the same result as the equal int.  (``pole_location`` and
+``exotic_limit`` take no number.)
 """
 
 import dataclasses
@@ -48,9 +50,6 @@ CASES = [
      0.0),
     ("extract_coeffs", "x_hi", lambda x: rsheat.extract_coeffs(np.sqrt, (1e-4, x)), 1e-2,
      0.2),
-    ("bromwich_truncated", "t", lambda x: rsheat.bromwich_truncated(x, 10.0, BP), 1, 0.0),
-    ("bromwich_truncated", "radius", lambda x: rsheat.bromwich_truncated(1.0, x, BP), 10,
-     1.0),
     ("k1_smooth", "t", lambda x: rsheat.k1_smooth(x, BP), 1, -1.0),
     ("k_theta", "t", lambda x: rsheat.k_theta(x, BP), 1, 0.0),
     ("laplace_of_k", "zeta", lambda x: rsheat.laplace_of_k(x, BP), 10, 1.0),
@@ -73,6 +72,16 @@ CASES = [
     ("poly_fit", "value", lambda x: rsheat.poly_fit([(1.0, x), *SAMPLES], 1), 1, None),
 ]
 IDS = [f"{fn}-{arg}" for fn, arg, *_ in CASES]
+
+# (function, integer argument, call with n in it, valid n, out-of-range n)
+INT_CASES = [
+    ("QuadSpec", "max_subdivisions", lambda n: QuadSpec(max_subdivisions=n), 7, 0),
+    ("j0_zeros", "n", lambda n: rsheat.j0_zeros(n), 3, None),
+    ("poly_fit", "degree", lambda n: rsheat.poly_fit(SAMPLES, n), 1, -1),
+    ("extract_coeffs", "n_points", lambda n: rsheat.extract_coeffs(np.sqrt, n_points=n), 20,
+     19),
+]
+INT_IDS = [f"{fn}-{arg}" for fn, arg, *_ in INT_CASES]
 
 # the batched entry points, with a valid one-entry array
 BATCHED = [
@@ -98,11 +107,11 @@ def _bits(obj):
 
 
 def test_every_public_function_with_a_real_argument_is_covered():
-    covered = {fn for fn, *_ in CASES}
-    takes_no_real = {"j0_zeros", "pole_location", "exotic_limit"}
+    covered = {fn for fn, *_ in CASES + INT_CASES}
+    takes_no_number = {"pole_location", "exotic_limit"}
     functions = {name for name in rsheat.__all__
                  if callable(getattr(rsheat, name)) and name[0].islower()}
-    assert functions - takes_no_real == covered - {"BoundaryParam", "QuadSpec"}
+    assert functions - takes_no_number == covered - {"BoundaryParam", "QuadSpec"}
 
 
 @pytest.mark.parametrize("fn, arg, call, valid, outside", CASES, ids=IDS)
@@ -120,6 +129,22 @@ def test_numpy_scalars_give_the_float_bits(fn, arg, call, valid, outside):
     if valid == int(valid):
         assert _bits(call(int(valid))) == want
         assert _bits(call(np.int64(valid))) == want
+
+
+@pytest.mark.parametrize("fn, arg, call, valid, outside", INT_CASES, ids=INT_IDS)
+def test_integer_arguments_take_only_integers(fn, arg, call, valid, outside):
+    bad = [valid + 0.5, float(valid), np.float64(valid), True, np.bool_(True), math.nan,
+           "3", 1j, None]
+    for n in bad + ([] if outside is None else [outside]):
+        with pytest.raises(DomainError, match=f"^{fn}: need integer {arg}"):
+            call(n)
+
+
+@pytest.mark.parametrize("fn, arg, call, valid, outside", INT_CASES, ids=INT_IDS)
+def test_numpy_integers_give_the_int_result(fn, arg, call, valid, outside):
+    want = _bits(call(valid))
+    assert _bits(call(np.int64(valid))) == want
+    assert _bits(call(np.int32(valid))) == want
 
 
 @pytest.mark.parametrize("fn, call", BATCHED, ids=[fn for fn, _ in BATCHED])

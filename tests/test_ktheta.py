@@ -10,7 +10,6 @@ from rsheat import (
     BoundaryParam,
     DomainError,
     QuadSpec,
-    bromwich_truncated,
     integrate,
     k1_smooth,
     k_theta,
@@ -19,7 +18,6 @@ from rsheat import (
     pole_location,
     residue_term,
 )
-from rsheat import ktheta
 from rsheat.specfun import EULER_GAMMA
 
 # relative tolerance only: the kernel parts fall like 1/kappa^2 near pi/2
@@ -225,39 +223,3 @@ class TestOrderIndependence:
         for pts in ([0.5], [0.9, 0.3], [0.01, 0.7, 0.2]):
             alt = integrate(f, 0.0, 1.0, points=pts)
             assert abs(alt.value - base.value) <= base.est_error + alt.est_error + 1e-15
-
-
-class TestBromwich:
-    def test_truncation_error_log_ratio(self, bp0):
-        # sup over a t-grid kills the oscillatory phase of the endpoint term;
-        # the truncation error then scales like 1/log R
-        ts = np.linspace(0.5, 1.5, 9)
-        sups = {}
-        for radius in (1e3, 1e6):
-            errs = []
-            for t in ts:
-                t = float(t)
-                assembled = m_main(t, bp0) + k1_smooth(t, bp0)
-                errs.append(abs(bromwich_truncated(t, radius, bp0) - assembled))
-            sups[radius] = max(errs)
-        ratio = sups[1e3] / sups[1e6]
-        assert 1.0 <= ratio <= 3.0  # ideal value log(1e6)/log(1e3) = 2, +-50%
-
-    def test_radius_above_the_panel_limit_raises_before_any_work(self, bp0, monkeypatch):
-        class Started(Exception):
-            pass
-
-        def untouched(*args, **kwargs):
-            raise Started
-
-        monkeypatch.setattr(ktheta, "integrate", untouched)
-        # R = 1e8 at t = 1.5 would ask for ~9 GB per node array
-        for t, radius in ((1.5, 1e8), (1.0, 1e300), (1e300, 1e300)):
-            with pytest.raises(DomainError, match="^bromwich_truncated: need radius <= "):
-                bromwich_truncated(t, radius, bp0)
-        # t R = 1.5e6, the largest product above, and the limit itself pass the guard
-        width = 0.5 * math.pi / 1.5
-        for radius in (1e6, 1.0 + ktheta.BROMWICH_MAX_PANELS * width):
-            assert (radius - 1.0) / width <= ktheta.BROMWICH_MAX_PANELS
-            with pytest.raises(Started):
-                bromwich_truncated(1.5, radius, bp0)

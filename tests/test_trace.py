@@ -33,7 +33,6 @@ from rsheat.trace import (
     _TRQ_FLAT_S,
     _TRQ_W,
     _T_V,
-    _U_CUT,
     _W_EDGES,
     _a_conv,
     _cut_integrals,
@@ -249,12 +248,24 @@ class TestT1Routes:
         assert abs(t1_reference(1e-6, bp0)) <= abs(t1_reference(1e-2, bp0))
         assert t1_reference(1e-6, bp0) > 0.0
 
-    def test_reference_splits_into_limit_plus_exotic(self, bp_quarter):
-        # t1_reference(t) = -exotic_limit + exotic_term(t) exactly
-        for t in (1e-4, 1e-2, 0.3):
-            lhs = t1_reference(t, bp_quarter)
-            rhs = -exotic_limit(bp_quarter) + exotic_term(t, bp_quarter)
-            assert abs(lhs - rhs) < 1e-11
+    def test_reference_matches_mpmath(self):
+        # int_0^inf (1 - exp(-t e^u)) du / ((u + 2 kappa)^2 + pi^2) at 30
+        # digits: panels split at u = log(1/t) + (-3, 0, 3, 6), the arctan
+        # tail in closed form from u = 60, where 1 - exp(-t e^u) is 1
+        for theta in (0.0, 1.0, 2.4):
+            bp = BoundaryParam(theta)
+            for t in (1e-4, 0.02, 0.05, 3.0):
+                cuts = sorted({0.0, 60.0, *(max(0.0, math.log(1.0 / t) + d)
+                                            for d in (-3, 0, 3, 6))})
+                with mp.workdps(30):
+                    k2 = 2 * (mp.euler - mp.log(2) + mp.tan(mp.mpf(theta)))
+
+                    def f(u):
+                        return (1 - mp.exp(-t * mp.exp(u))) / ((u + k2) ** 2 + mp.pi ** 2)
+
+                    want = float(sum(mp.quad(f, [a, b]) for a, b in zip(cuts, cuts[1:]))
+                                 + (mp.pi / 2 - mp.atan((60 + k2) / mp.pi)) / mp.pi)
+                assert abs(t1_reference(t, bp) - want) <= 2e-15 * want, (theta, t)
 
     def test_reference_riemann_oracle(self, bp_three_quarter):
         t = 0.1
@@ -343,7 +354,7 @@ class TestArrayRoutes:
             vals = np.exp(-w) * _trq_values((t - w / y).ravel()).reshape(w.shape)
             return float(np.sum(0.5 * (hi - lo) * _GLW_W * vals)) / y
 
-        ys = np.exp(np.linspace(0.0, _U_CUT, 57))
+        ys = np.exp(np.linspace(0.0, UNDERFLOW_U, 57))
         for t in (1e-4, 1e-2, 0.05, 0.5, 5.0):
             loop = np.array([a_conv_one(float(y), t) for y in ys])
             assert np.all(np.abs(_a_conv(ys, t) - loop) <= 1e-15 * np.abs(loop))
@@ -374,8 +385,8 @@ class TestArrayRoutes:
                     return np.array([k1_smooth(t - float(s), bp, tight_spec) * float(q)
                                      for s, q in zip(ss, _trq_values(ss))])
 
-                t1 = (2.0 * integrate(f1, 0.0, _U_CUT, tight_spec).value
-                      + 2.0 * tn_trace(t) * arctan_tail(_U_CUT, k2))
+                t1 = (2.0 * integrate(f1, 0.0, UNDERFLOW_U, tight_spec).value
+                      + 2.0 * tn_trace(t) * arctan_tail(UNDERFLOW_U, k2))
                 t2 = integrate(f2, 0.0, t, tight_spec).value
                 assert abs(t1_y_outer(t, bp, tight_spec) - t1) <= 1e-12 * abs(t1)
                 assert abs(t2_part(t, bp, tight_spec) - t2) <= 1e-12 * abs(t2)
