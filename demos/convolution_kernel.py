@@ -12,8 +12,8 @@ the symbol.  ``include_residue=False``, a keyword of ``k_theta``,
 
 The package computes K on the branch cut because the Bromwich integral
 along the imaginary axis converges only like 1/log R in its truncation
-radius R; ``bromwich_axis`` below is that axis integral, and the demo
-asserts the 1/log R rate.
+radius R; ``bromwich_axis`` below is that axis integral.  The rate
+itself is checked by ``TestBromwich`` in tests/test_ktheta.py.
 """
 
 import math
@@ -88,18 +88,12 @@ print("the pole is real, and it matches the half-line bound state at -zeta0.")
 print()
 
 print("=== truncated Bromwich integral converges like 1/log R ===")
-# the sup over a t-grid removes the oscillating phase of the endpoint term
-ts = [float(t) for t in np.linspace(0.5, 1.5, 9)]
-assembled = [m_main(t, bp) + k1_smooth(t, bp) for t in ts]
-sup_gap = {}
+t = 0.7
+assembled = m_main(t, bp) + k1_smooth(t, bp)
 for radius in (1e3, 1e6):
-    sup_gap[radius] = max(abs(bromwich_axis(t, radius, bp) - a)
-                          for t, a in zip(ts, assembled))
-    print(f"R = {radius:8g}: sup over t in [0.5, 1.5] of |axis - (main+smooth)| "
-          f"= {sup_gap[radius]:.3e}")
-ratio = sup_gap[1e3] / sup_gap[1e6]
-print(f"ratio {ratio:.3f}, against log(1e6)/log(1e3) = 2 for a 1/log R rate")
-assert 1.0 <= ratio <= 3.0, ratio
+    br = bromwich_axis(t, radius, bp)
+    print(f"R = {radius:8g}: axis integral {br:+.8f}  vs main+smooth "
+          f"{assembled:+.8f}  (gap {abs(br - assembled):.2e})")
 print()
 
 print("=== the kernel dies approaching the Friedrichs angle from below ===")

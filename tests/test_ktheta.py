@@ -45,6 +45,30 @@ def contour_k1(t, kap, spec):
             + integrate(arcs, 0.0, 0.5 * math.pi, spec).value) / math.pi
 
 
+def axis_k(t, radius, kap):
+    """The Bromwich integral along the imaginary axis, truncated at R =
+    radius: (1/pi) Re int_0^R e^{ity} ((1/2) log y + i pi/4 + kappa)^{-1} dy,
+    with [1, R] on quarter-period 12-point Gauss-Legendre panels, 2^16
+    panels at a time.  It tends to m_main + k1_smooth, not the pole term."""
+    b = 0.25 * math.pi
+
+    def f(ys):
+        a = 0.5 * np.log(ys) + kap
+        return (a * np.cos(t * ys) + b * np.sin(t * ys)) / (a * a + b * b)
+
+    total = integrate(f, 0.0, 1.0).value
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    n_panels = math.ceil((radius - 1.0) / (0.5 * math.pi / t))
+    edges = np.linspace(1.0, radius, n_panels + 1)
+    for k in range(0, n_panels, 2 ** 16):
+        stop = min(k + 2 ** 16, n_panels)
+        lo = edges[k:stop, None]
+        hi = edges[k + 1:stop + 1, None]
+        ys = 0.5 * (lo * (1.0 - nodes) + hi * (1.0 + nodes))
+        total += float(np.sum(0.5 * (hi - lo) * weights * f(ys)))
+    return total / math.pi
+
+
 def mp_k1(t, kappa):
     """2 int_0^1 e^{-ty} dy / ((log y + 2 kappa)^2 + pi^2) in mpmath."""
     k2 = 2 * mp.mpf(kappa)
@@ -223,3 +247,20 @@ class TestOrderIndependence:
         for pts in ([0.5], [0.9, 0.3], [0.01, 0.7, 0.2]):
             alt = integrate(f, 0.0, 1.0, points=pts)
             assert abs(alt.value - base.value) <= base.est_error + alt.est_error + 1e-15
+
+
+class TestBromwich:
+    def test_truncation_error_log_ratio(self, bp0):
+        # sup over a t-grid kills the oscillatory phase of the endpoint term;
+        # the truncation error then scales like 1/log R
+        ts = np.linspace(0.5, 1.5, 9)
+        sups = {}
+        for radius in (1e3, 1e6):
+            errs = []
+            for t in ts:
+                t = float(t)
+                assembled = m_main(t, bp0) + k1_smooth(t, bp0)
+                errs.append(abs(axis_k(t, radius, bp0.kappa) - assembled))
+            sups[radius] = max(errs)
+        ratio = sups[1e3] / sups[1e6]
+        assert 1.0 <= ratio <= 3.0  # ideal value log(1e6)/log(1e3) = 2, +-50%
