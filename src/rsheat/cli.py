@@ -14,7 +14,7 @@ never into the data file.  Exit codes: 0 success, 1 usage error,
 
 Trace rows are computed in one thread (the work is pure Python, so
 threads would only take turns on the interpreter lock), through
-``trace_curve``: the rows up to t = 0.1 share their integrals.
+``trace_curve``: all rows share their integrals.
 ``rsheat trace --workers`` (and its ``workers`` config key) is still
 accepted so that existing scripts keep running, and is ignored.  Each
 subcommand takes only the options it reads, and a ``--config`` file's
@@ -37,7 +37,7 @@ from .kernels import BoundaryParam
 from .ktheta import k_theta
 from .oracle import LAMBDA_MAX_LIMIT, eigenvalues
 from .quadrature import QuadSpec
-from .trace import full_trace, trace_curve
+from .trace import trace_curve
 from .verify import run_acceptance
 from . import __version__
 
@@ -246,7 +246,7 @@ def _cmd_trace(args):
 
     def one(t):
         try:
-            return row(full_trace(t, bp, spec, include_residue=residue))
+            return row(trace_curve(bp, [t], spec, include_residue=residue)[0])
         except ConvergenceError as exc:
             print(f"rsheat trace: convergence failure at t={t:g}: {exc}",
                   file=sys.stderr)

@@ -30,27 +30,23 @@ the branch cut this is
     F(tau) = 2 (e^{zeta0 tau} - 1 + J(log tau - 2 kappa)),
     J(l) = int_R (1 - exp(-e^v)) dv / ((v - l)^2 + pi^2),
 
-one positive integral, valid for every tau > 0.  Above s_f, integration
-by parts gives exactly
+one positive integral, valid for every tau > 0.  Integration by parts
+over all of (0, t] gives exactly
 
-    correction(t) = Q0 F(t) - F(t - s_f) R(s_f) - int_{s_f}^t F(t - s) R'(s) ds,
+    correction(t) = Q0 F(t) - int_0^t F(t - s) R'(s) ds,
 
-and tau = t - s = (t - s_f) e^{-v} turns the last integral into
-int_0^46 F(tau) R'(t - tau) tau dv on a fixed rule graded in log tau, so
-every F of a whole curve is one column of one shared-node J integral
-(``volterra_correction``).  The routes are:
-
-- t < s_f: Q0 F(t), for every caller;
-- s_f <= t <= _T_V in ``trace_curve``: Q0 F(t) less the by-parts terms;
-- every other t: the nested T1/T2/residue route, which serves all of
-  ``full_trace`` and ``correction_trace`` above s_f and ``trace_curve``
-  above _T_V.
-
-The fixed rule is within ~3e-15 of the tight nested route up to
-_T_V = 0.1 (~9e-15 at t = 0.15, ~5e-13 at 0.3).  ``full_trace`` keeps
-the nested route above s_f on purpose: it stays the independent check of
-the remainder route, and the benchmark's per-part T1/T2/residue timings
-come from a serial full_trace loop.
+and ``volterra_correction`` takes the integral on two fixed rules whose
+F values are columns of one shared-node J integral: s in [t/2, t] in
+v = log(t/(2 tau)), tau = t - s, on the graded panels ``_W_EDGES``,
+which resolve F's 1/log tau end; and, from t = 2 s_f on, s in (0, t/2]
+in x = log u, u = 1/s in [2/t, 2/t + 46], on 6 equal panels, since
+R'(s) s^2 = sum W c e^{-c u} ~ log(1/u) as u -> 0 is smooth in x but not
+in u.  Below 2 s_f this piece is below F(t) R(s_f) < 2^-55 F(t) and is
+left out, the same cut that leaves the rows below s_f at Q0 F(t).
+``trace_curve`` takes this rule for every row.  ``full_trace`` and
+``correction_trace`` keep the nested T1/T2/residue route above s_f: the
+benchmark times its parts in a serial full_trace loop, and it stays the
+tests' independent check of the Volterra rule.
 
 ``exotic_term`` is the non-polyhomogeneous part of the small-t expansion:
  -int_1^inf e^{-ty} dy / (y((log y + 2 kappa)^2 + pi^2)), an expansion in
@@ -93,13 +89,14 @@ _TRQ_FLAT_S = 1.0 / 38.0
 _W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, UNDERFLOW_U])
 _GLW_N, _GLW_W = np.polynomial.legendre.leggauss(16)
 
-# trace_curve takes the rows up to _T_V through volterra_correction, whose
-# remainder runs on the same 96 nodes in v = log((t - s_f)/tau):
-# tau = (t - s_f) _V_TAU
-_T_V = 0.1
+# volterra_correction's rule on s in [t/2, t], the same 96 nodes in
+# v = log(t/(2 tau)): tau = (t/2) _V_TAU
 _V_TAU = np.exp(-0.5 * (np.multiply.outer(_W_EDGES[:-1], 1.0 - _GLW_N)
                         + np.multiply.outer(_W_EDGES[1:], 1.0 + _GLW_N)).ravel())
 _V_WEIGHTS = np.multiply.outer(0.5 * np.diff(_W_EDGES), _GLW_W).ravel()
+# and on s in (0, t/2]: 6 equal panels of 16 nodes in x = log(1/s), on [0, 1]
+_X_NODES = ((np.arange(6)[:, None] + 0.5 * (1.0 + _GLW_N)) / 6.0).ravel()
+_X_WEIGHTS = np.tile(_GLW_W / 12.0, 6)
 
 
 @dataclass(frozen=True)
@@ -133,9 +130,6 @@ def _r_values(s):
         terms = np.exp(-c / s[:, None]) * w
     hi = (terms + 2.0 ** 22) - 2.0 ** 22
     return hi.sum(axis=1) + (terms - hi).sum(axis=1)
-
-
-_TRQ_R_FLAT = float(_r_values(np.array([_TRQ_FLAT_S]))[0])
 
 
 def _trq_values(s):
@@ -292,33 +286,38 @@ def _cut_integrals(taus, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
 
 def volterra_correction(ts, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
                         include_residue=True):
-    """correction_trace on a 1-D array of times in (0, _T_V], with every
-    cut integral F of the call in one _cut_integrals call.
+    """correction_trace on a 1-D array of times t > 0, with every cut
+    integral F of the call in one _cut_integrals call.
 
-    Q0 F(t) below _TRQ_FLAT_S; above it less F(t - s_f) R(s_f) and the
-    remainder int_0^46 F(tau) R'(t - tau) tau dv, tau = (t - s_f) e^{-v},
-    on the fixed 96-node rule _V_TAU, _V_WEIGHTS (see the module docstring).
+    Q0 F(t) below _TRQ_FLAT_S; above it less int_0^t F(t - s) R'(s) ds,
+    on [t/2, t] in tau = t - s = (t/2) _V_TAU and, from t = 2 s_f, on
+    (0, t/2] in x = log(1/s) (see the module docstring).
     """
     ts = check_real_array(ts, "volterra_correction", "t", "> 0")
-    if not np.all(ts <= _T_V):
-        raise DomainError(f"volterra_correction: need t <= {_T_V!r}, got {ts!r}")
-    up = ts > _TRQ_FLAT_S
-    gap = ts[up] - _TRQ_FLAT_S
-    taus = np.multiply.outer(gap, _V_TAU)
-    f = _cut_integrals(np.concatenate([ts, gap, taus.ravel()]), bp, spec,
-                       include_residue=include_residue)
+    live = ts >= _TRQ_FLAT_S
+    up = ts[live]
+    far = up >= 2.0 * _TRQ_FLAT_S
+    taus = np.multiply.outer(0.5 * up, _V_TAU)
+    # u = 1/s = e^x on [2/t, 2/t + 46]: past it R' s^2 is below e^{-46} of its value at 2/t
+    u_lo = 2.0 / up[far]
+    x_span = np.log1p(UNDERFLOW_U / u_lo)
+    us = u_lo[:, None] * np.exp(x_span[:, None] * _X_NODES)
+    f = _cut_integrals(np.concatenate([ts, taus.ravel(), (up[far, None] - 1.0 / us).ravel()]),
+                       bp, spec, include_residue=include_residue)
     out = 0.5 * f[:ts.size]
-    f_gap = f[ts.size:ts.size + gap.size]
-    f_tau = f[ts.size + gap.size:].reshape(taus.shape)
-    # R'(s) = sum W c/s^2 e^{-c/s} = sum (W/c) a^2 e^{-a}, a = c/s, at
-    # s = t - tau: one (rows, nodes, <= 23) block
+    f_tau = f[ts.size:ts.size + taus.size].reshape(taus.shape)
+    f_s = f[ts.size + taus.size:].reshape(us.shape)
     c, w = _trq_nodes(ts.max())
-    a = c / (ts[up, None] - taus)[:, :, None]
     with np.errstate(under="ignore"):
-        r_prime = (a * a * np.exp(-a)) @ (w / c)
-    rest = f_gap * _TRQ_R_FLAT + (f_tau * r_prime * taus) @ _V_WEIGHTS
+        # R'(s) = sum W c/s^2 e^{-c/s} = sum (W/c) a^2 e^{-a}, a = c/s, at
+        # s = t - tau: one (rows, 96, n) block, n = 23 at t = 0.1, 46 at 30
+        a = c / (up[:, None] - taus)[:, :, None]
+        rest = (f_tau * ((a * a * np.exp(-a)) @ (w / c)) * taus) @ _V_WEIGHTS
+        # R'(s) s^2 = sum W c e^{-c u}, and ds/s^2 = u dx
+        r_s2 = np.exp(-np.multiply.outer(us, c)) @ (w * c)
+        rest[far] += (f_s * r_s2 * us) @ _X_WEIGHTS * x_span
     # F increases, so rest is finite wherever Q0 F(t) is
-    out[up] -= np.where(np.isinf(out[up]), 0.0, rest)
+    out[live] -= np.where(np.isinf(out[live]), 0.0, rest)
     return out
 
 
@@ -357,16 +356,14 @@ def trace_curve(bp: BoundaryParam, ts, spec: QuadSpec = DEFAULT_SPEC, *,
                 include_residue=True):
     """full_trace at each time of the grid, in input order.
 
-    The times up to _T_V share one volterra_correction and one exotic_term
-    call, so their rows can differ from full_trace's in the last bits; the
-    rows above _T_V are full_trace itself.
+    All times share one volterra_correction and one exotic_term call, so
+    every row can differ from full_trace's in the last bits, and above s_f
+    by the nested route's error.
     """
     ts = [check_real(t, "trace_curve", "t", "> 0") for t in ts]
-    near = np.array([t for t in ts if t <= _T_V])
-    if bp.is_friedrichs or not near.size:
+    if bp.is_friedrichs or not ts:
         return [full_trace(t, bp, spec, include_residue=include_residue) for t in ts]
-    shared = dict(zip(near.tolist(), zip(
-        volterra_correction(near, bp, spec, include_residue=include_residue).tolist(),
-        exotic_term(near, bp, spec).tolist())))
-    return [_sample(t, *_friedrichs_trace_res(t), *shared[t], spec) if t in shared
-            else full_trace(t, bp, spec, include_residue=include_residue) for t in ts]
+    arr = np.array(ts)
+    corr = volterra_correction(arr, bp, spec, include_residue=include_residue)
+    return [_sample(t, *_friedrichs_trace_res(t), c, e, spec)
+            for t, c, e in zip(ts, corr.tolist(), exotic_term(arr, bp, spec).tolist())]

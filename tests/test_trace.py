@@ -32,7 +32,6 @@ from rsheat.trace import (
     _TRQ_C,
     _TRQ_FLAT_S,
     _TRQ_W,
-    _T_V,
     _W_EDGES,
     _a_conv,
     _cut_integrals,
@@ -48,7 +47,8 @@ from rsheat.trace import (
 # the benchmark's trace grid and its times on the flat-TrQ range
 CURVE_T = np.geomspace(1e-4, 5e-2, 25)
 FLAT_T = [float(t) for t in CURVE_T if t < _TRQ_FLAT_S]
-# times in [_TRQ_FLAT_S, _T_V], where trace_curve adds the by-parts terms
+# times from _TRQ_FLAT_S to 0.1, where trace_curve subtracts the Volterra
+# integral and full_trace takes the nested route
 REMAINDER_T = [0.0298, 0.0386, 0.05, 0.07, 0.1]
 FLAT_THETAS = (0.0, 0.3, math.pi / 4, 1.0, 1.5, 31 * math.pi / 64, 2.4, 3.1,
                37 * math.pi / 64)
@@ -426,11 +426,11 @@ class TestFlatCorrection:
             assert abs(a - b) <= 1e-13 * abs(b)
 
     def test_domain(self, bp0):
-        above = float(np.nextafter(_T_V, 1.0))
-        for ts in ([0.0], [-1e-3], [1e-3, above], [math.nan], [math.inf], [], [[1e-3]]):
+        for ts in ([0.0], [-1e-3], [math.nan], [math.inf], [], [[1e-3]]):
             with pytest.raises(DomainError):
                 volterra_correction(ts, bp0)
-        assert volterra_correction([_TRQ_FLAT_S, _T_V], bp0).shape == (2,)
+        assert volterra_correction([_TRQ_FLAT_S, 0.1], bp0).shape == (2,)
+        assert np.isfinite(volterra_correction([30.0], bp0)).all()
 
     def test_est_error_covers_flat_rows(self, nested_parts):
         for theta in FLAT_THETAS:
@@ -441,9 +441,9 @@ class TestFlatCorrection:
 
 
 class TestVolterraRemainder:
-    """On [_TRQ_FLAT_S, _T_V] trace_curve subtracts the by-parts terms
-    F(t - s_f) R(s_f) + int F(t - s) R'(s) ds on a fixed rule, checked
-    against the nested T1/T2/residue route that full_trace keeps there."""
+    """From _TRQ_FLAT_S on trace_curve subtracts int_0^t F(t - s) R'(s) ds
+    on a fixed rule, checked against the nested T1/T2/residue route that
+    full_trace keeps there."""
 
     def test_matches_nested_route(self, remainder_parts):
         for theta in FLAT_THETAS:
@@ -454,15 +454,19 @@ class TestVolterraRemainder:
                     ref = smooth + res if residue else smooth
                     assert abs(s.parts.correction - ref) <= 2e-14 * abs(ref)
 
-    def test_continuous_at_the_end_of_the_route(self):
-        # nextafter(_T_V, 0) and _T_V take the remainder route, the time
-        # just above _T_V the nested one
-        ts = [float(np.nextafter(_T_V, 0.0)), _T_V, float(np.nextafter(_T_V, 1.0))]
+    def test_continuous_where_the_far_piece_starts(self):
+        # the rule adds s in (0, t/2] from t = 2 s_f on, where it is below
+        # R(s_f) < 2^-55 of the row: one ulp of t moves the row by a few
+        # ulp, and the residue factor e^{zeta0 t} by zeta0 t ulp more
+        t_on = 2.0 * _TRQ_FLAT_S
+        ts = [float(np.nextafter(t_on, 0.0)), t_on, float(np.nextafter(t_on, 1.0))]
         for theta in FLAT_THETAS:
-            below, at, above = trace_curve(BoundaryParam(theta), ts)
+            bp = BoundaryParam(theta)
+            below, at, above = trace_curve(bp, ts)
+            bound = (8.0 + pole_location(bp) * t_on) * 2.0 ** -52
             for a in (below, above):
                 assert abs(a.parts.correction - at.parts.correction) \
-                    <= 1e-13 * abs(at.parts.correction)
+                    <= bound * abs(at.parts.correction)
 
     def test_est_error_covers_remainder_rows(self, remainder_parts):
         for theta in FLAT_THETAS:
@@ -500,50 +504,69 @@ class TestVolterraRemainder:
                 assert abs(s.parts.correction - ref) <= 5e-16 * ref
 
 
+LARGE_T_THETAS = (0.0, 1.0, 2.4)
+LARGE_T = (0.2, 1.0, 3.0, 10.0, 30.0)
+LARGE_T_SPEC = QuadSpec(rel_tol=1e-14, abs_tol=1e-300)
+
+
+def _large_t_correction(t, bp):
+    """corr(t) = F(t)/2 - int_0^t F(t - s) R'(s) ds adaptively, with R' from
+    scipy's K0 and F from a tight cut integral."""
+    def big_f(taus):
+        return _cut_integrals(np.asarray(taus, dtype=float), bp, LARGE_T_SPEC)
+
+    def near_s(ss):
+        return big_f(t - ss) * _r_closed(ss)[1]
+
+    def near_t(vs):
+        # tau = t - s = (t/2) e^v resolves F's 1/log tau end
+        taus = 0.5 * t * np.exp(vs)
+        return big_f(taus) * _r_closed(t - taus)[1] * taus
+
+    return (0.5 * big_f([t])[0]
+            - integrate(near_s, 0.0, 0.5 * t, LARGE_T_SPEC).value
+            - integrate(near_t, -UNDERFLOW_U, 0.0, LARGE_T_SPEC).value)
+
+
+@pytest.fixture(scope="module")
+def large_t_refs():
+    """The full trace at every (theta, t) of LARGE_T_THETAS x LARGE_T."""
+    return {(theta, t): friedrichs_trace(t) + _large_t_correction(t, BoundaryParam(theta))
+            for theta in LARGE_T_THETAS for t in LARGE_T}
+
+
 class TestLargeT:
-    """full_trace at t >= 1, where only the nested route runs, against an
-    independent reference: corr(t) = F(t)/2 - int_0^t F(t - s) R'(s) ds,
-    with R' from scipy's K0 and F from a tight cut integral."""
+    """Traces up to t = 30 against an independent reference: the same
+    Volterra integral, but adaptive, in other variables, and with R' from
+    K0 instead of the TrQ trapezoid."""
 
-    TIGHT = QuadSpec(rel_tol=1e-14, abs_tol=1e-300)
-
-    def _correction(self, t, bp):
-        def big_f(taus):
-            return _cut_integrals(np.asarray(taus, dtype=float), bp, self.TIGHT)
-
-        def near_s(ss):
-            return big_f(t - ss) * _r_closed(ss)[1]
-
-        def near_t(vs):
-            # tau = t - s = (t/2) e^v resolves F's 1/log tau end
-            taus = 0.5 * t * np.exp(vs)
-            return big_f(taus) * _r_closed(t - taus)[1] * taus
-
-        return (0.5 * big_f([t])[0]
-                - integrate(near_s, 0.0, 0.5 * t, self.TIGHT).value
-                - integrate(near_t, -UNDERFLOW_U, 0.0, self.TIGHT).value)
-
-    def test_est_error_covers_large_t(self):
-        for theta in (0.0, 1.0, 2.4):
+    def test_est_error_covers_large_t(self, large_t_refs):
+        # full_trace keeps the nested route above s_f
+        for theta in LARGE_T_THETAS:
             bp = BoundaryParam(theta)
-            for t in (1.0, 3.0, 10.0, 30.0):
+            for t in LARGE_T[1:]:
                 s = full_trace(t, bp)
-                ref = friedrichs_trace(t) + self._correction(t, bp)
-                assert abs(s.value - ref) <= s.est_error, (theta, t)
+                assert abs(s.value - large_t_refs[theta, t]) <= s.est_error, (theta, t)
+
+    def test_curve_rows_to_the_last_bits(self, large_t_refs):
+        for theta in LARGE_T_THETAS:
+            for s in trace_curve(BoundaryParam(theta), LARGE_T):
+                ref = large_t_refs[theta, s.t]
+                assert abs(s.value - ref) <= 2e-15 * abs(ref), (theta, s.t)
 
 
 class TestTraceCurve:
     def test_full_trace_in_input_order(self):
-        # rows up to _T_V share one node set with each other, so they match
-        # full_trace to the tolerance, not bit for bit; 0.2 is nested
+        # rows share one node set with each other, so they match full_trace
+        # to the tolerance, not bit for bit; at 0.2 full_trace is nested
         ts = [1e-2, 1e-3, 0.05, 0.2, 3e-3]
         for theta in (0.0, math.pi / 4, 2.4):
             bp = BoundaryParam(theta)
             curve = trace_curve(bp, ts)
             assert [s.t for s in curve] == ts
             for s, ref in zip(curve, [full_trace(t, bp) for t in ts]):
-                if s.t > _T_V:
-                    assert s == ref
+                if s.t > 0.1:
+                    assert abs(s.value - ref.value) <= ref.est_error
                     continue
                 for a, b in zip((s.parts.friedrichs, s.parts.correction, s.parts.exotic_ref),
                                 (ref.parts.friedrichs, ref.parts.correction,
@@ -566,9 +589,48 @@ class TestTraceCurve:
             monkeypatch.setattr(mod, "integrate", counting)
         for name in ("t1_y_outer", "t2_part", "residue_trace_part"):
             monkeypatch.setattr(trace, name, nested)
-        curve = trace_curve(BoundaryParam(0.3), CURVE_T)
-        assert len(curve) == 25 and all(math.isfinite(s.value) for s in curve)
-        assert calls == {"integrate": 2, "nested": 0}
+        # the benchmark's grid, and one that reaches t = 30
+        for ts in (CURVE_T, np.geomspace(1e-4, 30.0, 25)):
+            calls.update(integrate=0, nested=0)
+            curve = trace_curve(BoundaryParam(0.3), ts)
+            assert len(curve) == 25 and all(math.isfinite(s.value) for s in curve)
+            assert calls == {"integrate": 2, "nested": 0}
+
+
+class TestLaplaceCertificate:
+    """int_0^inf e^{-zt} correction(t) dt in closed form, a = sqrt(z): TrQ's
+    transform (K0^2 - K1^2 + a^-2)(a)/2 times K's, 1/(log a + kappa) for
+    z > zeta0 with the residue, less the pole's 2 zeta0/(z - zeta0) without.
+    One trace_curve per angle on a log-t rule over [e^-40, 60] checks every
+    row of the route at once, t > 0.1 included."""
+
+    X, W = np.polynomial.legendre.leggauss(16)
+    EDGES = np.linspace(-40.0, math.log(60.0), 61)
+    V = (0.5 * (EDGES[:-1, None] * (1.0 - X) + EDGES[1:, None] * (1.0 + X))).ravel()
+    T = np.exp(V)
+    WT = np.outer(0.5 * np.diff(EDGES), W).ravel() * T
+
+    @staticmethod
+    def _closed_form(z, bp, residue):
+        with mp.workdps(30):
+            a = mp.sqrt(mp.mpf(z))
+            k = 1 / (mp.log(a) + mp.mpf(bp.kappa))
+            if not residue:
+                z0 = mp.mpf(pole_location(bp))
+                k -= 2 * z0 / (z - z0)
+            return float((mp.besselk(0, a) ** 2 - mp.besselk(1, a) ** 2 + 1 / a ** 2) / 2 * k)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.4])
+    @pytest.mark.parametrize("residue", [True, False])
+    def test_transform_of_the_curve(self, theta, residue):
+        bp = BoundaryParam(theta)
+        z0 = pole_location(bp)
+        curve = trace_curve(bp, self.T.tolist(), include_residue=residue)
+        corr = np.array([s.parts.correction for s in curve])
+        for z in ((z0 + 2.0, z0 + 20.0, z0 + 200.0) if residue else (2.0, 20.0, 200.0)):
+            ref = self._closed_form(z, bp, residue)
+            got = float(np.sum(self.WT * np.exp(-z * self.T) * corr))
+            assert abs(got - ref) <= 1e-14 * abs(ref), z
 
 
 class TestOneSpec:
