@@ -8,7 +8,7 @@ zeta0 = e^{-2 kappa} whose residue 2 zeta0 e^{t zeta0} the imaginary-axis
 representation misses.  The numerical Laplace
 transform decides the question: only the residue-ON assembly reproduces
 the symbol.  ``include_residue=False``, a keyword of ``k_theta``,
-``laplace_of_k`` and the trace functions, drops the pole.
+``laplace_of_k`` and ``trace_curve``, drops the pole.
 
 The package computes K on the branch cut because the Bromwich integral
 along the imaginary axis converges only like 1/log R in its truncation

@@ -29,7 +29,6 @@ from .ktheta import (
 from .trace import (
     TraceParts,
     TraceSample,
-    correction_trace,
     exotic_limit,
     exotic_term,
     friedrichs_trace,
@@ -67,7 +66,6 @@ __all__ = [
     "Spectrum",
     "TraceParts",
     "TraceSample",
-    "correction_trace",
     "eigenvalues",
     "exotic_limit",
     "exotic_term",

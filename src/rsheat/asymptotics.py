@@ -5,8 +5,8 @@ Friedrichs trace contains, besides an ordinary power series, a term that
 expands in inverse powers of log t.  No polynomial captures that: fitting
 a low-degree polynomial to D leaves a large structured residual, while
 the same fit after subtracting the computed exotic term (and the
-bound-state trace part, which is analytic but carried along for
-bookkeeping) drops to quadrature noise.  ``exoticness_report`` quantifies
+bound-state trace part, the residue-on less the residue-off correction of
+``trace_curve``) drops to quadrature noise.  ``exoticness_report`` quantifies
 this as a residual ratio with pass threshold ``RATIO_THRESHOLD`` = 10.
 """
 
@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import DomainError, FitError, check_int, check_real
 from .kernels import BoundaryParam
-from .quadrature import DEFAULT_SPEC, QuadSpec
-from .trace import residue_trace_part, trace_curve
+from .trace import trace_curve
 
 FIT_DEGREE = 2
 RATIO_THRESHOLD = 10.0
@@ -97,27 +96,29 @@ class ExoticnessReport:
         return "\n".join(lines)
 
 
-def exoticness_report(bp: BoundaryParam, t_grid, spec: QuadSpec = DEFAULT_SPEC, *,
-                      include_residue=True):
+def exoticness_report(bp: BoundaryParam, t_grid):
     """Compute D(t), subtract the exotic (and residue-trace) terms, fit both.
 
     D(t) = full_trace(theta) - full_trace(pi/2) equals the correction trace
-    identically, so D and the exotic term are both read off one trace_curve.
-    A grid on which the bound-state factor e^{zeta0 t} overflows (theta just
-    above pi/2) is a DomainError before any fit.
+    identically, so D and the exotic term are both read off one trace_curve,
+    and the residue trace, as the correction is linear in the kernel, is D
+    less the residue-off curve's correction.  A grid on which the bound-state
+    factor e^{zeta0 t} overflows (theta just above pi/2) is a DomainError
+    before any fit.
     """
     if bp.is_friedrichs:
         raise DomainError("exoticness_report: the Friedrichs trace has no exotic term")
     ts = sorted(check_real(t, "exoticness_report", "t") for t in t_grid)
     if not ts or ts[0] < 1e-5 or ts[-1] > 1e-1:
         raise DomainError(f"exoticness_report: need t in [1e-5, 1e-1], got {ts!r}")
-    curve = trace_curve(bp, ts, spec, include_residue=include_residue)
+    curve = trace_curve(bp, ts)
     d_vals = [s.parts.correction for s in curve]
     if not np.all(np.isfinite(d_vals)):
         raise DomainError("exoticness_report: bound state -e^{-2 kappa} overflows the "
                           f"trace on this grid, kappa = {bp.kappa!r}")
     ex_vals = [s.parts.exotic_ref for s in curve]
-    res_vals = [residue_trace_part(t, bp, spec) if include_residue else 0.0 for t in ts]
+    res_vals = [d - s.parts.correction
+                for d, s in zip(d_vals, trace_curve(bp, ts, include_residue=False))]
     sub1 = [d - e for d, e in zip(d_vals, ex_vals)]
     sub2 = [d - e - r for d, e, r in zip(d_vals, ex_vals, res_vals)]
     return ExoticnessReport(

@@ -105,44 +105,32 @@ def nprime(x, t):
 def q_diag(x, t, spec: QuadSpec = DEFAULT_SPEC):
     """Diagonal time self-convolution of the boundary kernel.
 
-    Q(x, t) = int_0^t nprime(x, t-s) nprime(x, s) ds, reduced by s = t u to
-    (x/4t) int_0^1 exp(-(x^2/4t)/(u(1-u))) du/(u(1-u)).  The endpoint
-    singularities of 1/(u(1-u)) are killed by the exponential for x > 0.
-    In closed form Q(x, t) = (x/2t) K0(x^2/2t) e^{-x^2/2t}, which the tests
-    use as the reference; the u-integral itself is what is computed here.
+    Q(x, t) = int_0^t nprime(x, t-s) nprime(x, s) ds.  In TrQ's variable,
+    s = t u with u = (1 - tanh(v/2))/2, it is (x/2t) e^{-b} times
+    int_0^inf exp(-b sinh^2(v/2)) dv, b = x^2/t, which has no endpoint
+    singularity and is cut where b sinh^2(v/2) reaches UNDERFLOW_U for the
+    smallest b; e^{-b} outside keeps the integrand's rounding small at large
+    b.  In closed form Q(x, t) = (x/2t) K0(x^2/2t) e^{-x^2/2t}, which the
+    tests use as the reference; the v-integral itself is what is computed.
 
     ``x`` is a float, giving a float, or a 1-D array, giving an array of
-    the same length: its entries share one adaptive u node set, refined
+    the same length: its entries share one adaptive v node set, refined
     until each entry meets the tolerance.  Entries with x = 0 are exactly
-    0 and stay out of the integral, whose 1/(u(1-u)) would diverge there.
+    0 and stay out of the integral, whose range would be infinite there.
     """
     t = check_real(t, "q_diag", "t", "> 0")
-    if isinstance(x, np.ndarray):
-        x = check_real_array(x, "q_diag", "x", ">= 0")
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        if np.any(pos):
-            xp = x[pos]
-            out[pos] = (xp / (4.0 * t)) * 2.0 * _q_u_integral(xp * xp / (4.0 * t), spec)
-        return out
-    x = check_real(x, "q_diag", "x", ">= 0")
-    if x == 0.0:
-        return 0.0
-    return (x / (4.0 * t)) * 2.0 * _q_u_integral(x * x / (4.0 * t), spec)
-
-
-def _q_u_integral(a, spec):
-    """int_0^{1/2} exp(-a/w) du/w, w = u(1-u), for a > 0 a float or 1-D array
-    (the integrand is symmetric about u = 1/2)."""
-
-    def f(us):
-        w = us * (1.0 - us)
-        w = w[:, None] if isinstance(a, np.ndarray) else w
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            out = np.where(w > 0.0, np.exp(-a / np.maximum(w, 1e-300)) / np.maximum(w, 1e-300), 0.0)
-        return out
-
-    return integrate(f, 0.0, 0.5, spec).value
+    if not isinstance(x, np.ndarray):
+        return float(q_diag(np.array([check_real(x, "q_diag", "x", ">= 0")]), t, spec)[0])
+    x = check_real_array(x, "q_diag", "x", ">= 0")
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    if np.any(pos):
+        b = x[pos] * x[pos] / t
+        v_max = 2.0 * math.asinh(math.sqrt(UNDERFLOW_U / b.min()))
+        v_int = integrate(lambda vs: np.exp(-np.multiply.outer(np.sinh(0.5 * vs) ** 2, b)),
+                          0.0, v_max, spec).value
+        out[pos] = (x[pos] / (2.0 * t)) * np.exp(-b) * v_int
+    return out
 
 
 def signaling(h, x, t, spec: QuadSpec = DEFAULT_SPEC):

@@ -108,8 +108,7 @@ def k_theta(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
     )
 
 
-def laplace_of_k(zeta, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
-                 include_residue=True):
+def laplace_of_k(zeta, bp: BoundaryParam, *, include_residue=True):
     """Numerical Laplace transform of the assembled kernel at real zeta.
 
     The residue part transforms in closed form to 2 zeta0/(zeta - zeta0)
@@ -118,8 +117,8 @@ def laplace_of_k(zeta, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
     evaluated in u = log y from min(0, log zeta) - UNDERFLOW_U, where the
     integrand is below e^u/(zeta pi^2), to max(0, log zeta) + UNDERFLOW_U,
     beyond which y/(y + zeta) is 1 to within e^{-UNDERFLOW_U} and the
-    analytic arctan tail takes over.  The acceptance suite compares the result
-    against (log sqrt(zeta) + kappa)^{-1}.
+    analytic arctan tail takes over, at DEFAULT_SPEC.  The acceptance suite
+    compares the result against (log sqrt(zeta) + kappa)^{-1}.
     """
     zeta = check_real(zeta, "laplace_of_k", "zeta", "> 0")
     k2 = 2.0 * bp.kappa
@@ -134,6 +133,6 @@ def laplace_of_k(zeta, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
 
     log_zeta = math.log(zeta)
     u_hi = max(0.0, log_zeta) + UNDERFLOW_U
-    cut_part = 2.0 * integrate(f, min(0.0, log_zeta) - UNDERFLOW_U, u_hi, spec).value
+    cut_part = 2.0 * integrate(f, min(0.0, log_zeta) - UNDERFLOW_U, u_hi).value
     cut_part += 2.0 * arctan_tail(u_hi, k2)
     return cut_part + res_part

@@ -2,7 +2,7 @@
 
 The diagonal of the corrected heat kernel integrates to
 
-    full_trace(t) = friedrichs_trace(t) + correction_trace(t),
+    full_trace(t) = friedrichs_trace(t) + correction(t),
 
 where the correction is the trace of the double boundary-layer term:
 time-convolving the kernel parts against TrQ(s), the traced diagonal
@@ -43,10 +43,10 @@ in x = log u, u = 1/s in [2/t, 2/t + 46], on 6 equal panels, since
 R'(s) s^2 = sum W c e^{-c u} ~ log(1/u) as u -> 0 is smooth in x but not
 in u.  Below 2 s_f this piece is below F(t) R(s_f) < 2^-55 F(t) and is
 left out, the same cut that leaves the rows below s_f at Q0 F(t).
-``trace_curve`` takes this rule for every row.  ``full_trace`` and
-``correction_trace`` keep the nested T1/T2/residue route above s_f: the
-benchmark times its parts in a serial full_trace loop, and it stays the
-tests' independent check of the Volterra rule.
+``trace_curve`` takes this rule for every row, ``_CURVE_BLOCK`` rows per
+call.  Only ``full_trace`` keeps the nested T1/T2/residue route above
+s_f: the benchmark times its parts in a serial full_trace loop, and it
+stays the tests' independent check of the Volterra rule.
 
 ``exotic_term`` is the non-polyhomogeneous part of the small-t expansion:
  -int_1^inf e^{-ty} dy / (y((log y + 2 kappa)^2 + pi^2)), an expansion in
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dd import two_prod
-from .errors import DomainError, check_real, check_real_array
+from .errors import check_real, check_real_array
 from .kernels import BoundaryParam
 from .ktheta import k1_smooth, pole_location
 from .quadrature import (
@@ -97,6 +97,9 @@ _V_WEIGHTS = np.multiply.outer(0.5 * np.diff(_W_EDGES), _GLW_W).ravel()
 # and on s in (0, t/2]: 6 equal panels of 16 nodes in x = log(1/s), on [0, 1]
 _X_NODES = ((np.arange(6)[:, None] + 0.5 * (1.0 + _GLW_N)) / 6.0).ravel()
 _X_WEIGHTS = np.tile(_GLW_W / 12.0, 6)
+# trace_curve's rows per volterra_correction call, ~150 KB each above 2 s_f:
+# it bounds a curve's memory, and the CLI's and benchmark's grids fit in one
+_CURVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,7 @@ def _cut_integrals(taus, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
 
 def volterra_correction(ts, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
                         include_residue=True):
-    """correction_trace on a 1-D array of times t > 0, with every cut
+    """The correction trace on a 1-D array of times t > 0, with every cut
     integral F of the call in one _cut_integrals call.
 
     Q0 F(t) below _TRQ_FLAT_S; above it less int_0^t F(t - s) R'(s) ds,
@@ -321,49 +324,42 @@ def volterra_correction(ts, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
     return out
 
 
-def correction_trace(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
-                     include_residue=True):
-    """Trace of the boundary correction kernel: T1 + T2 (+ residue trace),
-    through volterra_correction below _TRQ_FLAT_S."""
-    t = check_real(t, "correction_trace", "t", "> 0")
-    if bp.is_friedrichs:
-        raise DomainError("correction_trace: no correction for the Friedrichs extension")
-    if t < _TRQ_FLAT_S:
-        return float(volterra_correction([t], bp, spec, include_residue=include_residue)[0])
-    total = t1_y_outer(t, bp, spec) + t2_part(t, bp, spec)
-    if include_residue:
-        total += residue_trace_part(t, bp, spec)
-    return total
-
-
 def _sample(t, fr, fr_err, corr, exotic, spec):
     est = fr_err + max(spec.abs_tol, spec.rel_tol * abs(corr)) * 4.0
     return TraceSample(t, fr + corr, est, TraceParts(fr, corr, exotic))
 
 
-def full_trace(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
-               include_residue=True):
-    """Assembled trace sample; the Friedrichs branch has zero correction."""
+def full_trace(t, bp: BoundaryParam):
+    """Assembled trace sample at DEFAULT_SPEC, residue included; the
+    Friedrichs branch has zero correction.  Above s_f the correction is
+    T1 + T2 + residue trace on the nested route, below it volterra_correction."""
     t = check_real(t, "full_trace", "t", "> 0")
     fr, fr_err = _friedrichs_trace_res(t)
     if bp.is_friedrichs:
         return TraceSample(t, fr, fr_err, TraceParts(fr, 0.0, 0.0))
-    corr = correction_trace(t, bp, spec, include_residue=include_residue)
-    return _sample(t, fr, fr_err, corr, exotic_term(t, bp, spec), spec)
+    if t < _TRQ_FLAT_S:
+        corr = float(volterra_correction([t], bp)[0])
+    else:
+        corr = t1_y_outer(t, bp) + t2_part(t, bp) + residue_trace_part(t, bp)
+    return _sample(t, fr, fr_err, corr, exotic_term(t, bp), DEFAULT_SPEC)
 
 
 def trace_curve(bp: BoundaryParam, ts, spec: QuadSpec = DEFAULT_SPEC, *,
                 include_residue=True):
     """full_trace at each time of the grid, in input order.
 
-    All times share one volterra_correction and one exotic_term call, so
-    every row can differ from full_trace's in the last bits, and above s_f
-    by the nested route's error.
+    Each block of _CURVE_BLOCK times shares one volterra_correction and one
+    exotic_term call, so every row can differ from full_trace's in the last
+    bits, and above s_f by the nested route's error.
     """
     ts = [check_real(t, "trace_curve", "t", "> 0") for t in ts]
-    if bp.is_friedrichs or not ts:
-        return [full_trace(t, bp, spec, include_residue=include_residue) for t in ts]
-    arr = np.array(ts)
-    corr = volterra_correction(arr, bp, spec, include_residue=include_residue)
-    return [_sample(t, *_friedrichs_trace_res(t), c, e, spec)
-            for t, c, e in zip(ts, corr.tolist(), exotic_term(arr, bp, spec).tolist())]
+    if bp.is_friedrichs:
+        return [full_trace(t, bp) for t in ts]
+    out = []
+    for i in range(0, len(ts), _CURVE_BLOCK):
+        block = ts[i:i + _CURVE_BLOCK]
+        arr = np.array(block)
+        corr = volterra_correction(arr, bp, spec, include_residue=include_residue)
+        out += [_sample(t, *_friedrichs_trace_res(t), c, e, spec)
+                for t, c, e in zip(block, corr.tolist(), exotic_term(arr, bp, spec).tolist())]
+    return out

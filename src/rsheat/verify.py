@@ -142,10 +142,10 @@ def criterion_3_laplace_identity(thetas=(0.0, _PI / 4, 3 * _PI / 4)):
     return r
 
 
-def criterion_4_t1_expansion(thetas=(0.0, 3 * _PI / 4)):
+def criterion_4_t1_expansion():
     """Triple-nested T1 equals its closed leading form up to O(t^inf)."""
     r = CriterionResult(4, "T1 convolution matches its (e^{-ty}-1)/y closed form")
-    for theta in thetas:
+    for theta in (0.0, 3 * _PI / 4):
         bp = BoundaryParam(theta)
         for t in (0.05, 0.02):
             d = abs(t1_y_outer(t, bp) - t1_reference(t, bp))

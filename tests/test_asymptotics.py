@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rsheat import BoundaryParam, DomainError, exoticness_report, poly_fit
-from rsheat.trace import exotic_term
+from rsheat import BoundaryParam, DomainError, QuadSpec, exoticness_report, poly_fit
+from rsheat.trace import exotic_term, residue_trace_part
+
+NESTED_SPEC = QuadSpec(rel_tol=1e-13, abs_tol=1e-300)
 
 
 def second_divided_max(ts, vals):
@@ -82,6 +84,12 @@ class TestExoticnessReport:
         sub_resid = sub - model(report.fit_subtracted)
         assert second_divided_max(report.grid, sub_resid) \
             <= 0.1 * second_divided_max(report.grid, raw_resid)
+
+    def test_residue_values_are_the_residue_trace(self, report, bp0):
+        # the residue-on less the residue-off correction of one Volterra
+        # rule, against the residue trace's own adaptive integral
+        for t, r in zip(report.grid, report.residue_values):
+            assert abs(r - residue_trace_part(t, bp0, NESTED_SPEC)) <= 1e-16, t
 
     def test_grid_refinement_stability(self, report):
         grid2 = np.geomspace(1e-4, 1e-2, 28)

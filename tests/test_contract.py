@@ -55,7 +55,6 @@ CASES = [
     ("laplace_of_k", "zeta", lambda x: rsheat.laplace_of_k(x, BP), 10, 1.0),
     ("m_main", "t", lambda x: rsheat.m_main(x, BP), 1, 0.0),
     ("residue_term", "t", lambda x: rsheat.residue_term(x, BP), 1, -1.0),
-    ("correction_trace", "t", lambda x: rsheat.correction_trace(x, BP), 0.01, 0.0),
     ("exotic_term", "t", lambda x: rsheat.exotic_term(x, BP), 1, 0.0),
     ("friedrichs_trace", "t", lambda x: rsheat.friedrichs_trace(x), 1, 0.0),
     ("full_trace", "t", lambda x: rsheat.full_trace(x, BP), 1, 0.0),

@@ -1,12 +1,16 @@
-"""Every public function is reached by a command or a criterion.
+"""Every public function is reached by a command or a criterion, and every
+option it has is set by one.
 
 The ``rsheat`` commands run in this process under ``sys.setprofile``:
 ``trace``, ``eigen`` and ``ktheta`` at their default grids and ``verify
 --quick``, which runs every criterion.  A function in ``rsheat.__all__``
 that none of them calls leaves the package, or is listed in
-``NOT_REACHED`` with the reason it stays.
+``NOT_REACHED`` with the reason it stays.  Likewise a defaulted argument
+of a reached function that no command, criterion or other ``src``
+function sets becomes a constant, or is listed in ``DEFAULT_ONLY``.
 """
 
+import inspect
 import sys
 
 import rsheat
@@ -24,12 +28,39 @@ NOT_REACHED = {
                         "value with the error estimate",
 }
 
+# (function, argument) pairs that every reached call leaves at the default
+DEFAULT_ONLY = {
+    "t1_reference.spec": "criterion 4 compares at the default spec; the tests "
+                         "take the same integral at a tight spec as a reference",
+}
+
 COMMANDS = (
     ["trace", "--theta", "0"],
     ["eigen", "--theta", "0", "--lambda-max", "300"],
     ["ktheta", "--theta", "0"],
     ["verify", "--quick"],
 )
+# the flags that set the trace and kernel options away from their defaults
+OPTION_COMMANDS = COMMANDS + (
+    ["trace", "--theta", "0", "--no-residue", "--rel-tol", "1e-11"],
+    ["ktheta", "--theta", "0", "--no-residue", "--rel-tol", "1e-11"],
+)
+
+
+def _public_functions():
+    return {name: getattr(rsheat, name) for name in rsheat.__all__
+            if callable(getattr(rsheat, name)) and name[0].islower()}
+
+
+def _run_profiled(commands, profile, tmp_path, capsys):
+    sys.setprofile(profile)
+    try:
+        codes = [main([*argv, "--output", str(tmp_path / f"{k}.csv")])
+                 for k, argv in enumerate(commands)]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(commands)
 
 
 def test_every_public_function_is_reached_or_listed(tmp_path, capsys):
@@ -39,17 +70,31 @@ def test_every_public_function_is_reached_or_listed(tmp_path, capsys):
         if event == "call":
             called.add(frame.f_code)
 
-    sys.setprofile(profile)
-    try:
-        codes = [main([*argv, "--output", str(tmp_path / f"{argv[0]}.csv")])
-                 for argv in COMMANDS]
-    finally:
-        sys.setprofile(None)
-    capsys.readouterr()
-    assert codes == [0, 0, 0, 0]
-
-    functions = {name for name in rsheat.__all__
-                 if callable(getattr(rsheat, name)) and name[0].islower()}
-    unreached = {name for name in functions
-                 if getattr(rsheat, name).__code__ not in called}
+    _run_profiled(COMMANDS, profile, tmp_path, capsys)
+    unreached = {name for name, fn in _public_functions().items()
+                 if fn.__code__ not in called}
     assert unreached == set(NOT_REACHED)
+
+
+def test_every_option_is_set_or_listed(tmp_path, capsys):
+    # by code object: argument name -> default, for each defaulted argument
+    defaults = {}
+    names = {}
+    for name, fn in _public_functions().items():
+        names[fn.__code__] = name
+        defaults[fn.__code__] = {p.name: p.default
+                                 for p in inspect.signature(fn).parameters.values()
+                                 if p.default is not p.empty}
+    reached = set()
+    set_away = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in defaults:
+            reached.add(frame.f_code)
+            for arg_name, default in defaults[frame.f_code].items():
+                if frame.f_locals[arg_name] is not default:
+                    set_away.add(f"{names[frame.f_code]}.{arg_name}")
+
+    _run_profiled(OPTION_COMMANDS, profile, tmp_path, capsys)
+    options = {f"{names[code]}.{arg_name}" for code in reached for arg_name in defaults[code]}
+    assert options - set_away == set(DEFAULT_ONLY)

@@ -11,7 +11,6 @@ from rsheat import (
     BoundaryParam,
     DomainError,
     QuadSpec,
-    correction_trace,
     exotic_limit,
     exotic_term,
     friedrichs_trace,
@@ -26,6 +25,7 @@ from rsheat.ktheta import k1_smooth, m_main
 from rsheat.quadrature import DEFAULT_SPEC, UNDERFLOW_U, arctan_tail, integrate
 from rsheat.specfun import bessel_i0_scaled
 from rsheat.trace import (
+    _CURVE_BLOCK,
     _GLW_N,
     _GLW_W,
     _PI2,
@@ -306,8 +306,12 @@ class TestCorrectionAndFull:
         s = full_trace(0.07, bp_friedrichs)
         assert s.parts.correction == 0.0
         assert s.value == s.parts.friedrichs == friedrichs_trace(0.07)
-        with pytest.raises(DomainError):
-            correction_trace(0.07, bp_friedrichs)
+        for part in (lambda: volterra_correction([0.07], bp_friedrichs),
+                     lambda: t1_y_outer(0.07, bp_friedrichs),
+                     lambda: t2_part(0.07, bp_friedrichs),
+                     lambda: residue_trace_part(0.07, bp_friedrichs)):
+            with pytest.raises(DomainError):
+                part()
 
     def test_parts_identity(self, bp_quarter):
         s = full_trace(0.05, bp_quarter)
@@ -318,7 +322,7 @@ class TestCorrectionAndFull:
         # kernel decay: approaching Friedrichs from below, the correction
         # vanishes like 1/kappa
         bp = BoundaryParam(math.pi / 2 - 0.01)
-        corr = correction_trace(0.1, bp)
+        corr = full_trace(0.1, bp).parts.correction
         assert abs(corr) <= 3.0 / abs(bp.kappa)
 
     def test_near_friedrichs_from_above_unit_jump(self):
@@ -327,7 +331,7 @@ class TestCorrectionAndFull:
         # kernel weight at y = e^{-2 kappa} carries one full unit of trace
         # (spectral flow), so the correction sits near 1, not near 0
         bp = BoundaryParam(math.pi / 2 + 0.01)
-        corr = correction_trace(0.1, bp, include_residue=False)
+        corr = t1_y_outer(0.1, bp) + t2_part(0.1, bp)
         assert abs(corr - 1.0) <= 10.0 / abs(bp.kappa)
 
     def test_residue_trace_linear_in_t(self, bp0):
@@ -404,7 +408,7 @@ class TestFlatCorrection:
                 for t in FLAT_T:
                     smooth, res = nested_parts[theta, t]
                     ref = smooth + res if residue else smooth
-                    corr = correction_trace(t, bp, include_residue=residue)
+                    corr = volterra_correction([t], bp, include_residue=residue)[0]
                     assert abs(corr - ref) <= 2e-14 * abs(ref)
 
     def test_cut_integral_against_mpmath(self):
@@ -421,8 +425,8 @@ class TestFlatCorrection:
         below = float(np.nextafter(_TRQ_FLAT_S, 0.0))
         for theta in FLAT_THETAS:
             bp = BoundaryParam(theta)
-            a = correction_trace(below, bp)
-            b = correction_trace(_TRQ_FLAT_S, bp)
+            a = full_trace(below, bp).parts.correction
+            b = full_trace(_TRQ_FLAT_S, bp).parts.correction
             assert abs(a - b) <= 1e-13 * abs(b)
 
     def test_domain(self, bp0):
@@ -574,6 +578,16 @@ class TestTraceCurve:
                     assert abs(a - b) <= max(DEFAULT_SPEC.abs_tol, DEFAULT_SPEC.rel_tol * abs(b))
                 assert abs(s.value - ref.value) <= 1e-14 * abs(ref.value)
 
+    def test_long_curve_is_its_blocks_joined(self):
+        # trace_curve takes _CURVE_BLOCK rows per call, which bounds its
+        # memory; the rows of a block do not depend on the other blocks
+        ts = np.geomspace(1e-4, 30.0, 2 * _CURVE_BLOCK + 7).tolist()
+        bp = BoundaryParam(1.0)
+        for residue in (True, False):
+            joined = [s for i in range(0, len(ts), _CURVE_BLOCK)
+                      for s in trace_curve(bp, ts[i:i + _CURVE_BLOCK], include_residue=residue)]
+            assert trace_curve(bp, ts, include_residue=residue) == joined
+
     def test_curve_takes_two_integrals_and_no_nested_part(self, monkeypatch):
         # one shared J integral for every F of the curve, one exotic integral
         calls = {"integrate": 0, "nested": 0}
@@ -637,7 +651,7 @@ class TestOneSpec:
     S = QuadSpec(rel_tol=1e-11, abs_tol=1e-13)
 
     def test_one_spec_reaches_every_integral(self, monkeypatch):
-        # T2's inner k1_smooth included: the CLI's --rel-tol must reach it
+        # the CLI's --rel-tol must reach every integral of a trace or kernel row
         seen = {}
 
         def wrap(mod):
@@ -649,14 +663,12 @@ class TestOneSpec:
         for mod in (trace, ktheta, quadrature):
             monkeypatch.setattr(mod, "integrate", wrap(mod))
         bp = BoundaryParam(1.0)
-        z0 = pole_location(bp)
-        calls = (lambda: full_trace(0.07, bp, self.S),
-                 lambda: trace_curve(bp, [1e-3, 0.05, 0.2], self.S),
-                 lambda: ktheta.k_theta(0.5, bp, self.S),
-                 lambda: ktheta.laplace_of_k(2.0 * z0, bp, self.S))
-        for call in calls:
+        calls = ((lambda: trace_curve(bp, [1e-3, 0.05, 0.2], self.S),
+                  {"rsheat.trace", "rsheat.quadrature"}),
+                 (lambda: ktheta.k_theta(0.5, bp, self.S),
+                  {"rsheat.ktheta", "rsheat.quadrature"}))
+        for call, modules in calls:
             seen.clear()
             call()
-            assert seen and all(s is self.S for specs in seen.values() for s in specs)
-            if call is calls[0]:
-                assert seen.keys() == {"rsheat.trace", "rsheat.ktheta", "rsheat.quadrature"}
+            assert seen.keys() == modules
+            assert all(s is self.S for specs in seen.values() for s in specs)
