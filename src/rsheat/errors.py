@@ -35,8 +35,8 @@ class InsufficientSpectrumError(RuntimeError):
 
 def check_real(x, name, arg, bound=None):
     """``x`` as a float if it is a finite real number (any ``numbers.Real``
-    but a bool) within ``bound``, None (any), ">= 0" or "> 0"; else
-    DomainError "<name>: need <arg> ..., got <x>"."""
+    but a bool) within ``bound``: None (any), "> 0", or ">= m" for a number
+    m (">= 0", ">= 1e-305"); else DomainError "<name>: need <arg> ..., got <x>"."""
     # float and int first: they skip the slower abstract-base-class check
     if not isinstance(x, (float, int, numbers.Real)) or isinstance(x, bool):
         raise DomainError(f"{name}: need real {arg}, got {x!r}")
@@ -44,7 +44,8 @@ def check_real(x, name, arg, bound=None):
         v = float(x)
     except OverflowError:
         v = math.inf
-    if math.isfinite(v) and (bound is None or (v > 0.0 if bound == "> 0" else v >= 0.0)):
+    if math.isfinite(v) and (bound is None or (
+            v > 0.0 if bound == "> 0" else v >= float(bound[3:]))):
         return v
     raise DomainError(f"{name}: need finite {arg} {bound or ''}".rstrip() + f", got {v!r}")
 
@@ -65,7 +66,7 @@ def check_real_array(x, name, arg, bound=None):
     if x.ndim != 1 or not x.size or x.dtype.kind not in "iuf":
         raise DomainError(f"{name}: need a non-empty 1-D real array {arg}, got {x!r}")
     v = x.astype(float)
-    low = (v > 0.0 if bound == "> 0" else v >= 0.0) if bound else True
+    low = (v > 0.0 if bound == "> 0" else v >= float(bound[3:])) if bound else True
     if np.all(np.isfinite(v) & low):
         return v
     raise DomainError(f"{name}: need finite {arg} {bound or ''}".rstrip() + f", got {x!r}")

@@ -30,7 +30,7 @@ from .quadrature import (
     DEFAULT_SPEC,
     UNDERFLOW_U,
     QuadSpec,
-    arctan_tail,
+    _T_BOUND,
     integrate,
     integrate_log_tail,
 )
@@ -59,7 +59,7 @@ def pole_location(bp: BoundaryParam) -> float:
 
 def m_main(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     """Main log-tail integral, positive and strictly decreasing in t."""
-    t = check_real(t, "m_main", "t", "> 0")
+    t = check_real(t, "m_main", "t", _T_BOUND)
     k2 = 2.0 * bp.kappa
     res = integrate_log_tail(lambda y: np.ones_like(y), t, k2, spec)
     return 2.0 * res.value
@@ -100,7 +100,7 @@ def residue_term(t, bp: BoundaryParam):
 def k_theta(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
             include_residue=True):
     """Assembled kernel value with its three parts (residue 0.0 if dropped)."""
-    t = check_real(t, "k_theta", "t", "> 0")
+    t = check_real(t, "k_theta", "t", _T_BOUND)
     return KThetaValue(
         main_part=m_main(t, bp, spec),
         smooth_part=k1_smooth(t, bp, spec),
@@ -117,22 +117,27 @@ def laplace_of_k(zeta, bp: BoundaryParam, *, include_residue=True):
     evaluated in u = log y from min(0, log zeta) - UNDERFLOW_U, where the
     integrand is below e^u/(zeta pi^2), to max(0, log zeta) + UNDERFLOW_U,
     beyond which y/(y + zeta) is 1 to within e^{-UNDERFLOW_U} and the
-    analytic arctan tail takes over, at DEFAULT_SPEC.  The acceptance suite
-    compares the result against (log sqrt(zeta) + kappa)^{-1}.
+    analytic arctan tail takes over, at DEFAULT_SPEC.  y/(y + zeta) is
+    taken as 1/(1 + e^{log zeta - u}), so no e^u overflows: every finite
+    zeta above the pole (with the residue off, every zeta > 0) gives a
+    finite value.  The acceptance suite compares the result against
+    (log sqrt(zeta) + kappa)^{-1}.
     """
     zeta = check_real(zeta, "laplace_of_k", "zeta", "> 0")
     k2 = 2.0 * bp.kappa
     z0 = pole_location(bp)
     if include_residue and zeta <= z0:
         raise DomainError(f"laplace_of_k: need zeta above the pole {z0!r}, got {zeta!r}")
-    res_part = 2.0 * z0 / (zeta - z0) if include_residue else 0.0
+    res_part = 2.0 * (z0 / (zeta - z0)) if include_residue else 0.0
+    log_zeta = math.log(zeta)
 
     def f(us):
-        ys = np.exp(us)
-        return ys / ((ys + zeta) * ((us + k2) ** 2 + _PI2))
+        # 0.0 where e^{log zeta - u} overflows, which needs zeta > e^663
+        return 1.0 / ((1.0 + np.exp(log_zeta - us)) * ((us + k2) ** 2 + _PI2))
 
-    log_zeta = math.log(zeta)
     u_hi = max(0.0, log_zeta) + UNDERFLOW_U
-    cut_part = 2.0 * integrate(f, min(0.0, log_zeta) - UNDERFLOW_U, u_hi).value
-    cut_part += 2.0 * arctan_tail(u_hi, k2)
+    with np.errstate(over="ignore"):
+        cut_part = 2.0 * integrate(f, min(0.0, log_zeta) - UNDERFLOW_U, u_hi).value
+    # arctan_tail as atan2: its pi/2 - atan(x/pi) cancels, ~1e-14 off at x ~ 700
+    cut_part += (2.0 / math.pi) * math.atan2(math.pi, u_hi + k2)
     return cut_part + res_part

@@ -300,11 +300,14 @@ def eigenvalues(bp: BoundaryParam, lambda_max=4000.0):
 
 
 def oracle_trace(t, spectrum: Spectrum):
-    """Eigenvalue-sum heat trace with an explicit spectral-tail error bar."""
+    """Eigenvalue-sum heat trace with a spectral-tail error bar; inf on overflow."""
     t = check_real(t, "oracle_trace", "t", "> 0")
     if t * spectrum.lambda_max < 30.0:
         raise InsufficientSpectrumError(
             f"oracle_trace: t*lambda_max = {t * spectrum.lambda_max:.3g} < 30; "
             "recompute the spectrum with a larger lambda_max")
-    value = math.fsum(math.exp(-t * ev) for ev in spectrum.eigenvalues)
+    try:
+        value = math.fsum(math.exp(-t * ev) for ev in spectrum.eigenvalues)
+    except OverflowError:  # a bound state's e^{-t lambda}, as in full_trace
+        value = math.inf
     return OracleTrace(value, spectrum.tail_bound(t))

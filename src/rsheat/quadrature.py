@@ -18,8 +18,9 @@ truncation bound folded into the reported error.
 e^{-UNDERFLOW_U} ~ 1e-20 is dropped, and a u = log y integral of
 c(u)/((u + k)^2 + pi^2) with c -> 1 hands over to the analytic
 ``arctan_tail`` where c is 1 to within about e^{-UNDERFLOW_U}: UNDERFLOW_U
-above its own scale in u (``laplace_of_k``, ``trace.t1_y_outer``), or at
-u = log UNDERFLOW_U where c = 1 - exp(-e^u) (``trace._cut_integrals``).
+above its own scale in u (``laplace_of_k``, as atan2, and
+``trace.t1_y_outer``), or at u = log UNDERFLOW_U where c = 1 - exp(-e^u)
+(``trace._cut_integrals``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, check_int, check_real, check_real_array
 
 UNDERFLOW_U = 46.0
+# the smallest t of a log-tail integral: below ~4.4e-306 its window's end
+# (UNDERFLOW_U + u)/t overflows.  Every public function of t that runs one,
+# or the Friedrichs closed form in 0.5/t, refuses a smaller t up front.
+_T_BOUND = ">= 1e-305"
 
 
 def arctan_tail(u, kappa2):
@@ -215,7 +220,7 @@ def integrate_log_tail(g, t, kappa2, spec=DEFAULT_SPEC):
     value and est_error then have its shape.
     """
     batch = isinstance(t, np.ndarray)
-    t = (check_real_array if batch else check_real)(t, "integrate_log_tail", "t", "> 0")
+    t = (check_real_array if batch else check_real)(t, "integrate_log_tail", "t", _T_BOUND)
     kappa2 = check_real(kappa2, "integrate_log_tail", "kappa2")
     pi2 = math.pi * math.pi
     umax = _log_tail_umax(float(np.min(t)))

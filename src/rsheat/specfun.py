@@ -17,10 +17,12 @@ The module is organised by representation, not by function:
   do not depend on z: ``_IK_WEIGHTS`` and ``_JY_WEIGHTS``, immutable
   tables built at import, hold them up to each loop's cap;
 * Hankel asymptotic series for large argument, truncated at the smallest
-  term (the divergence floor ~exp(-2z) is below 1e-13 for z >= 16), one
-  routine per family for both orders: ``_jy_asym(n, z)`` returns J_n and
-  Y_n from one P/Q sum; ``_i_asym_scaled`` and ``_k_asym_scaled`` take
-  mu = 4 nu^2;
+  term (the divergence floor ~exp(-2z) is below 1e-13 for z >= 16): one
+  generator, ``_hankel_terms``, holds the stop rule, and ``_ik_asym_sum``
+  (I/K, cap 60, floor 1e-18: sums near 1) and ``_jy_asym_pq`` (J/Y, cap
+  120, floor 1e-19: P and Q share the terms, Q ~ 1/(8z)) add its terms for
+  both orders; no cap binds at z > 16, and one (cap, floor) for both
+  families would move last bits;
 * for K0/K1 on the middle range (1, 16) neither of the above reaches
   1e-13 in double precision, so the integral representation
   e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(u/2)) cosh(nu u) du
@@ -186,69 +188,52 @@ def _jy_series(n, z, regular=True):
 # Hankel asymptotic series
 # ----------------------------------------------------------------------
 
-def _hankel_terms(mu, z):
-    """Yield a_m = prod_{j<=m} (mu-(2j-1)^2) / (m! (8z)^m), m = 0, 1, ..."""
+def _hankel_terms(mu, z, cap, floor):
+    """Yield a_m = prod_{j<=m} (mu-(2j-1)^2) / (m! (8z)^m), m = 0, 1, ...,
+    to the smallest term: stop before a term that does not shrink or whose
+    index passes ``cap``, and after the first term below ``floor``."""
     a = 1.0
-    m = 0
-    yield a
-    while True:
-        m += 1
-        a *= (mu - (2 * m - 1) ** 2) / (m * 8.0 * z)
+    for m in range(1, cap + 1):
         yield a
+        prev = abs(a)
+        a *= (mu - (2 * m - 1) ** 2) / (m * 8.0 * z)
+        if prev < floor or abs(a) >= prev:
+            return
+    yield a
 
 
 def _ik_asym_sum(mu, z, alternate):
-    """Sum the I/K asymptotic series to its smallest term.
-
-    Returns (sum, |smallest term|).  ``alternate`` applies the extra
-    (-1)^m of the I-family.
-    """
-    total = 0.0
-    prev = math.inf
-    smallest = math.inf
-    sign = 1.0
-    for m, a in enumerate(_hankel_terms(mu, z)):
-        t = sign * a if alternate else a
-        if abs(a) >= prev or m > 60:
-            smallest = prev
-            break
-        total += t
-        prev = abs(a)
-        if abs(a) < 1e-18:
-            smallest = abs(a)
-            break
-        sign = -sign
-    return total, smallest
+    """(sum, |smallest term|) of the I/K Hankel series, the smallest term
+    being the last one summed; ``alternate`` applies the I-family's (-1)^m."""
+    step = -1.0 if alternate else 1.0
+    total, sign = 0.0, 1.0
+    for a in _hankel_terms(mu, z, 60, 1e-18):
+        total += sign * a
+        sign *= step
+    return total, abs(a)
 
 
 def _i_asym_scaled(mu, z):
     """e^{-z} I_nu(z), mu = 4 nu^2, from the Hankel series."""
-    s, _ = _ik_asym_sum(mu, z, alternate=True)
-    return s / math.sqrt(2.0 * math.pi * z)
+    return _ik_asym_sum(mu, z, alternate=True)[0] / math.sqrt(2.0 * math.pi * z)
 
 
 def _k_asym_scaled(mu, z):
     """e^{z} K_nu(z), mu = 4 nu^2, from the Hankel series."""
-    s, _ = _ik_asym_sum(mu, z, alternate=False)
-    return s * math.sqrt(0.5 * math.pi / z)
+    return _ik_asym_sum(mu, z, alternate=False)[0] * math.sqrt(0.5 * math.pi / z)
 
 
 def _jy_asym_pq(mu, z):
-    """P and Q sums of the oscillatory asymptotics, to the smallest term."""
-    p = 0.0
-    q = 0.0
-    prev = math.inf
-    for m, a in enumerate(_hankel_terms(mu, z)):
-        if abs(a) >= prev or m > 120:
-            break
-        s = 1.0 if (m // 2) % 2 == 0 else -1.0
-        if m % 2 == 0:
-            p += s * a
+    """P and Q sums of the oscillatory asymptotics, to the smallest term:
+    P takes the even terms, Q the odd ones, with signs + + - - ..."""
+    p = q = 0.0
+    for m, a in enumerate(_hankel_terms(mu, z, 120, 1e-19)):
+        if m & 2:
+            a = -a
+        if m & 1:
+            q += a
         else:
-            q += s * a
-        prev = abs(a)
-        if abs(a) < 1e-19:
-            break
+            p += a
     return p, q
 
 
@@ -404,9 +389,8 @@ _EPS = 2.220446049250313e-16
 
 def i0_scaled_checked(z):
     """e^{-z} I0(z), bit-identical to ``bessel_i0_scaled``, with an error
-    estimate.  Above the series cutoff one Hankel sum gives both the value
-    and the smallest term: the stop rule reads only |a_m|, so the I-family
-    signs do not move it."""
+    estimate; above the series cutoff one Hankel sum gives both the value
+    and the smallest term."""
     z = check_real(z, "i0_scaled_checked", "z", ">= 0")
     if z <= _SERIES_CUTOFF:
         v = _i(0, z, True)

@@ -71,6 +71,7 @@ from .quadrature import (
     DEFAULT_SPEC,
     UNDERFLOW_U,
     QuadSpec,
+    _T_BOUND,
     arctan_tail,
     integrate,
     integrate_log_tail,
@@ -153,7 +154,7 @@ def tn_trace(t):
 
 def friedrichs_trace(t):
     """int_0^1 (x/2t) I0(x^2/2t) e^{-x^2/2t} dx; ~ 1/sqrt(4 pi t) as t -> 0."""
-    return _friedrichs_trace_res(check_real(t, "friedrichs_trace", "t", "> 0"))[0]
+    return _friedrichs_trace_res(check_real(t, "friedrichs_trace", "t", _T_BOUND))[0]
 
 
 def _friedrichs_trace_res(t):
@@ -211,7 +212,7 @@ def exotic_term(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     set (see ``integrate_log_tail``).
     """
     t = (check_real_array if isinstance(t, np.ndarray) else check_real)(
-        t, "exotic_term", "t", "> 0")
+        t, "exotic_term", "t", _T_BOUND)
     return -integrate_log_tail(lambda y: 1.0 / y, t, 2.0 * bp.kappa, spec).value
 
 
@@ -220,14 +221,14 @@ def exotic_limit(bp: BoundaryParam):
     return -arctan_tail(0.0, 2.0 * bp.kappa)
 
 
-def t1_reference(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
+def t1_reference(t, bp: BoundaryParam):
     """int_1^inf (1 - e^{-ty}) dy / (y ((log y + 2 kappa)^2 + pi^2)).
 
     The closed-form leading part of T1; T1 - t1_reference = O(t^inf).
     Positive and increasing in t; exactly exotic_term(t) - exotic_limit.
     """
-    t = check_real(t, "t1_reference", "t", "> 0")
-    return exotic_term(t, bp, spec) - exotic_limit(bp)
+    t = check_real(t, "t1_reference", "t", _T_BOUND)
+    return exotic_term(t, bp) - exotic_limit(bp)
 
 
 def t2_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
@@ -333,7 +334,7 @@ def full_trace(t, bp: BoundaryParam):
     """Assembled trace sample at DEFAULT_SPEC, residue included; the
     Friedrichs branch has zero correction.  Above s_f the correction is
     T1 + T2 + residue trace on the nested route, below it volterra_correction."""
-    t = check_real(t, "full_trace", "t", "> 0")
+    t = check_real(t, "full_trace", "t", _T_BOUND)
     fr, fr_err = _friedrichs_trace_res(t)
     if bp.is_friedrichs:
         return TraceSample(t, fr, fr_err, TraceParts(fr, 0.0, 0.0))
@@ -352,7 +353,7 @@ def trace_curve(bp: BoundaryParam, ts, spec: QuadSpec = DEFAULT_SPEC, *,
     exotic_term call, so every row can differ from full_trace's in the last
     bits, and above s_f by the nested route's error.
     """
-    ts = [check_real(t, "trace_curve", "t", "> 0") for t in ts]
+    ts = [check_real(t, "trace_curve", "t", _T_BOUND) for t in ts]
     if bp.is_friedrichs:
         return [full_trace(t, bp) for t in ts]
     out = []

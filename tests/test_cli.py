@@ -142,9 +142,21 @@ class TestInputContract:
         for args, message in (
                 (["trace", "--t-max", "inf"], "trace: need finite t-max, got inf"),
                 (["ktheta", "--t-min", "nan"], "ktheta: need finite t-min, got nan"),
-                (["ktheta", "--t", "inf"], "k_theta: need finite t > 0, got inf")):
+                (["ktheta", "--t", "inf"], "k_theta: need finite t >= 1e-305, got inf")):
             code, out, err = run_cli(args, capsys)
             assert (code, out, err) == (1, "", f"rsheat: error: {message}\n"), args
+
+    def test_times_below_the_smallest_are_named(self, capsys):
+        # they used to end in integrate's or i0_scaled_checked's message
+        for args, name in (
+                (["trace", "--theta", "1", "--t-min", "1e-320", "--t-max", "1e-300",
+                  "--points", "3"], "trace_curve"),
+                (["ktheta", "--theta", "1", "--t", "1e-320"], "k_theta"),
+                (["trace", "--theta", "friedrichs", "--t-min", "1e-320", "--t-max", "1e-300",
+                  "--points", "3"], "trace_curve")):
+            code, out, err = run_cli(args, capsys)
+            assert (code, out, err) == (
+                1, "", f"rsheat: error: {name}: need finite t >= 1e-305, got 1e-320\n"), args
 
     def test_infinite_tolerances_are_refused(self, capsys):
         # they used to give "ok" rows 6.6e-4 off at t = 0.2

@@ -7,7 +7,8 @@ bits as the equal float.  The batched entry points also refuse a list and
 an empty array.  Every integer argument goes through the integer form
 of that check: a float, even 3.0, or a bool is a DomainError, and a numpy
 integer gives the same result as the equal int.  (``pole_location`` and
-``exotic_limit`` take no number.)
+``exotic_limit`` take no number.)  The functions of t that need t >= 1e-305
+name that bound.
 """
 
 import dataclasses
@@ -154,6 +155,25 @@ def test_batched_entry_points_take_only_a_nonempty_1d_real_array(fn, call):
                 np.array([0.5, math.nan]), np.array([math.inf])):
         with pytest.raises(DomainError, match=f"^{fn}: need "):
             call(bad)
+
+
+# the functions of t that run a log-tail integral, whose window's end
+# overflows below t ~ 4.4e-306, or the Friedrichs closed form in 0.5/t
+SMALLEST_T = [(fn, call) for fn, arg, call, *_ in CASES if arg == "t" and fn in {
+    "integrate_log_tail", "k_theta", "m_main", "exotic_term", "friedrichs_trace",
+    "full_trace", "t1_reference", "trace_curve"}]
+
+
+@pytest.mark.parametrize("fn, call", SMALLEST_T, ids=[fn for fn, _ in SMALLEST_T])
+def test_times_below_the_smallest_are_refused_by_name(fn, call):
+    batched = dict(BATCHED).get(fn)
+    for t in (5e-324, 1e-320, 4e-306, math.nextafter(1e-305, 0.0)):
+        with pytest.raises(DomainError, match=f"^{fn}: need finite t >= 1e-305, got "):
+            call(t)
+        if batched:
+            with pytest.raises(DomainError, match=f"^{fn}: need finite t >= 1e-305, got "):
+                batched(np.array([0.5, t]))
+    call(1e-305)  # the smallest t, with no warning
 
 
 def test_poly_fit_nan_is_refused_before_lapack(capfd):

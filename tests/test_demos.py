@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, under
+``-W error``: the suite's ``filterwarnings = ["error"]`` does not reach a
+child process, so a warning there must fail the demo itself."""
 
 import os
 import pathlib
@@ -14,6 +16,6 @@ _DEMOS = sorted((_ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", _DEMOS, ids=[d.name for d in _DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=_ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=_ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -220,6 +220,25 @@ class TestLaplaceIdentity:
                 target = 1.0 / (0.5 * math.log(zeta) + bp.kappa)
                 assert abs(laplace_of_k(zeta, bp) - target) <= 1e-12 * abs(target)
 
+    def test_finite_up_to_the_largest_double(self):
+        # y/(y + zeta) used to overflow past u = log zeta + 46 ~ 709: nan from
+        # zeta ~ 1e289 on, with numpy warnings from ~1e288
+        bp = BoundaryParam(1.0)
+        z0 = pole_location(bp)
+        for zeta in (1e100, 1e288, 1e289, 1e300, 1.7e308):
+            target = 1.0 / (0.5 * math.log(zeta) + bp.kappa)
+            assert abs(laplace_of_k(zeta, bp) - target) <= 1e-14 * target
+            off = target - 2.0 * z0 / (zeta - z0)
+            got = laplace_of_k(zeta, bp, include_residue=False)
+            assert abs(got - off) <= 1e-14 * off
+        for zeta in (5e-324, 1e-300):  # without the residue every zeta > 0
+            assert math.isfinite(laplace_of_k(zeta, bp, include_residue=False))
+        # a pole at 1.04e308, where 2 zeta0 overflows; the target's own
+        # log zeta/2 + kappa = 0.25 cancels to ~1e-13
+        deep = BoundaryParam(math.pi - math.atan(354.5))
+        target = 1.0 / (0.5 * math.log(1.7e308) + deep.kappa)
+        assert abs(laplace_of_k(1.7e308, deep) - target) <= 1e-12 * target
+
     def test_pole_guard(self, bp0):
         z0 = pole_location(bp0)
         with pytest.raises(DomainError):

@@ -346,6 +346,18 @@ class TestOracleTrace:
         sp = eigenvalues(bp_three_quarter)
         assert oracle_trace(2.0, sp).value > oracle_trace(1.0, sp).value
 
+    def test_overflowing_bound_state_gives_inf(self, bp_three_quarter):
+        # e^{-t lambda_0} overflows once -t lambda_0 > ~709.78: inf, as in
+        # full_trace, not an OverflowError
+        wide = eigenvalues(BoundaryParam(33 * math.pi / 64))
+        assert oracle_trace(0.01, wide).value == math.inf
+        sp = eigenvalues(bp_three_quarter)  # lambda_0 = -9.19
+        for t in (78.0, 1e300):
+            assert oracle_trace(t, sp).value == math.inf
+        for t in (0.05, 77.0):  # no overflow: the plain sum, bit for bit
+            want = math.fsum(math.exp(-t * ev) for ev in sp.eigenvalues)
+            assert oracle_trace(t, sp).value == want
+
     def test_insufficient_spectrum_guard(self, bp0):
         sp = eigenvalues(bp0)
         with pytest.raises(InsufficientSpectrumError):

@@ -5,9 +5,9 @@ The ``rsheat`` commands run in this process under ``sys.setprofile``:
 ``trace``, ``eigen`` and ``ktheta`` at their default grids and ``verify
 --quick``, which runs every criterion.  A function in ``rsheat.__all__``
 that none of them calls leaves the package, or is listed in
-``NOT_REACHED`` with the reason it stays.  Likewise a defaulted argument
-of a reached function that no command, criterion or other ``src``
-function sets becomes a constant, or is listed in ``DEFAULT_ONLY``.
+``NOT_REACHED`` with the reason it stays.  Every defaulted argument of a
+reached function is set by a command, a criterion or another ``src``
+function; one that none sets becomes a constant.
 """
 
 import inspect
@@ -26,12 +26,6 @@ NOT_REACHED = {
     "nprime": "the boundary limit of the Friedrichs kernel, signaling's kernel",
     "friedrichs_trace": "the theta = pi/2 trace alone; full_trace takes its "
                         "value with the error estimate",
-}
-
-# (function, argument) pairs that every reached call leaves at the default
-DEFAULT_ONLY = {
-    "t1_reference.spec": "criterion 4 compares at the default spec; the tests "
-                         "take the same integral at a tight spec as a reference",
 }
 
 COMMANDS = (
@@ -97,4 +91,4 @@ def test_every_option_is_set_or_listed(tmp_path, capsys):
 
     _run_profiled(OPTION_COMMANDS, profile, tmp_path, capsys)
     options = {f"{names[code]}.{arg_name}" for code in reached for arg_name in defaults[code]}
-    assert options - set_away == set(DEFAULT_ONLY)
+    assert options - set_away == set()

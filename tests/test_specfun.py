@@ -207,6 +207,75 @@ def test_ik_series_is_bit_identical_to_separate_loops():
                 assert (sf.bessel_k0 if n == 0 else sf.bessel_k1)(z) == k_n
 
 
+# The Hankel sums as two separate stop tests on an endless term generator,
+# the references for the one stop rule that ``_hankel_terms`` holds: each
+# stops before a term that does not shrink or whose index passes its cap,
+# and after the first term below its floor.
+
+def _hankel_terms_endless(mu, z):
+    a = 1.0
+    m = 0
+    yield a
+    while True:
+        m += 1
+        a *= (mu - (2 * m - 1) ** 2) / (m * 8.0 * z)
+        yield a
+
+
+def _ik_asym_sum_own_stop(mu, z, alternate):
+    total = 0.0
+    prev = math.inf
+    smallest = math.inf
+    sign = 1.0
+    for m, a in enumerate(_hankel_terms_endless(mu, z)):
+        t = sign * a if alternate else a
+        if abs(a) >= prev or m > 60:
+            smallest = prev
+            break
+        total += t
+        prev = abs(a)
+        if abs(a) < 1e-18:
+            smallest = abs(a)
+            break
+        sign = -sign
+    return total, smallest
+
+
+def _jy_asym_pq_own_stop(mu, z):
+    p = 0.0
+    q = 0.0
+    prev = math.inf
+    for m, a in enumerate(_hankel_terms_endless(mu, z)):
+        if abs(a) >= prev or m > 120:
+            break
+        s = 1.0 if (m // 2) % 2 == 0 else -1.0
+        if m % 2 == 0:
+            p += s * a
+        else:
+            q += s * a
+        prev = abs(a)
+        if abs(a) < 1e-19:
+            break
+    return p, q
+
+
+def test_hankel_sums_are_bit_identical_to_separate_stop_tests():
+    # one stop rule in the generator must not move a single bit of either
+    # sum, nor of the smallest term that i0_scaled_checked reads
+    zs = np.concatenate([np.linspace(14.0, 18.0, 4001), np.geomspace(18.0, 5e5, 2000),
+                         [math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, 17.0)]])
+    for z in zs:
+        z = float(z)
+        for mu in (0.0, 4.0):
+            for alternate in (True, False):
+                got = sf._ik_asym_sum(mu, z, alternate)
+                want = _ik_asym_sum_own_stop(mu, z, alternate)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (mu, z, alternate)
+            got = sf._jy_asym_pq(mu, z)
+            assert [v.hex() for v in got] == [v.hex() for v in _jy_asym_pq_own_stop(mu, z)], (
+                mu, z)
+
+
 # Separate-loop references for the bit-identity tests below: J_n and the
 # regular sum of Y_n each have their own loop, written out here, so neither
 # shares code with the one loop under test.

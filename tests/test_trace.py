@@ -75,7 +75,8 @@ def t1_s_outer(t, bp, spec=DEFAULT_SPEC, eps=1e-6):
 
     int_0^t M(tau) TrQ(t - tau) dtau in v = log tau, truncated at
     tau = eps*t; the cut [0, eps*t] contributes TrQ(t) * C(eps t) with
-    C(a) = int_0^a M = 2 * t1_reference(a), added analytically.
+    C(a) = int_0^a M = 2 * t1_reference(a) = 2 (exotic_term(a) - exotic_limit),
+    added analytically at ``spec``.
     """
     def f(vs):
         taus = np.exp(np.asarray(vs))
@@ -84,7 +85,7 @@ def t1_s_outer(t, bp, spec=DEFAULT_SPEC, eps=1e-6):
                          for tau, q in zip(taus, trqs)])
 
     r = integrate(f, math.log(eps * t), math.log(t), spec)
-    return r.value + tn_trace(t) * 2.0 * t1_reference(eps * t, bp, spec)
+    return r.value + tn_trace(t) * 2.0 * (exotic_term(eps * t, bp, spec) - exotic_limit(bp))
 
 
 @pytest.fixture(scope="module")
