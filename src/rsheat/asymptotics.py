@@ -5,9 +5,9 @@ Friedrichs trace contains, besides an ordinary power series, a term that
 expands in inverse powers of log t.  No polynomial captures that: fitting
 a low-degree polynomial to D leaves a large structured residual, while
 the same fit after subtracting the computed exotic term (and the
-bound-state trace part, the residue-on less the residue-off correction of
-``trace_curve``) drops to quadrature noise.  ``exoticness_report`` quantifies
-this as a residual ratio with pass threshold ``RATIO_THRESHOLD`` = 10.
+bound-state trace part, the residue-on less the residue-off correction)
+drops to quadrature noise.  ``exoticness_report`` quantifies this as a
+residual ratio with pass threshold ``RATIO_THRESHOLD`` = 10.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, FitError, check_int, check_real
 from .kernels import BoundaryParam
-from .trace import trace_curve
+from .trace import _CURVE_BLOCK, trace_curve, volterra_correction
 
 FIT_DEGREE = 2
 RATIO_THRESHOLD = 10.0
@@ -102,9 +102,9 @@ def exoticness_report(bp: BoundaryParam, t_grid):
     D(t) = full_trace(theta) - full_trace(pi/2) equals the correction trace
     identically, so D and the exotic term are both read off one trace_curve,
     and the residue trace, as the correction is linear in the kernel, is D
-    less the residue-off curve's correction.  A grid on which the bound-state
-    factor e^{zeta0 t} overflows (theta just above pi/2) is a DomainError
-    before any fit.
+    less the residue-off volterra_correction, in trace_curve's blocks.  A grid
+    on which the bound-state factor e^{zeta0 t} overflows (theta just above
+    pi/2) is a DomainError before any fit.
     """
     if bp.is_friedrichs:
         raise DomainError("exoticness_report: the Friedrichs trace has no exotic term")
@@ -117,8 +117,9 @@ def exoticness_report(bp: BoundaryParam, t_grid):
         raise DomainError("exoticness_report: bound state -e^{-2 kappa} overflows the "
                           f"trace on this grid, kappa = {bp.kappa!r}")
     ex_vals = [s.parts.exotic_ref for s in curve]
-    res_vals = [d - s.parts.correction
-                for d, s in zip(d_vals, trace_curve(bp, ts, include_residue=False))]
+    off = [volterra_correction(np.array(ts[i:i + _CURVE_BLOCK]), bp, include_residue=False)
+           for i in range(0, len(ts), _CURVE_BLOCK)]
+    res_vals = [d - c for d, c in zip(d_vals, np.concatenate(off).tolist())]
     sub1 = [d - e for d, e in zip(d_vals, ex_vals)]
     sub2 = [d - e - r for d, e, r in zip(d_vals, ex_vals, res_vals)]
     return ExoticnessReport(

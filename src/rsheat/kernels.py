@@ -115,21 +115,25 @@ def q_diag(x, t, spec: QuadSpec = DEFAULT_SPEC):
 
     ``x`` is a float, giving a float, or a 1-D array, giving an array of
     the same length: its entries share one adaptive v node set, refined
-    until each entry meets the tolerance.  Entries with x = 0 are exactly
-    0 and stay out of the integral, whose range would be infinite there.
+    until each entry meets the tolerance.  Entries with x = 0 or e^{-b} = 0
+    are 0.0 and stay out of the integral; b < 1e-300 overflows its range.
     """
     t = check_real(t, "q_diag", "t", "> 0")
     if not isinstance(x, np.ndarray):
         return float(q_diag(np.array([check_real(x, "q_diag", "x", ">= 0")]), t, spec)[0])
     x = check_real_array(x, "q_diag", "x", ">= 0")
+    with np.errstate(over="ignore"):
+        b = x * x / t
+    decay = np.exp(-b)
     out = np.zeros_like(x)
-    pos = x > 0.0
+    pos = (x > 0.0) & (decay > 0.0)  # b may be inf where e^{-b} = 0
     if np.any(pos):
-        b = x[pos] * x[pos] / t
-        v_max = 2.0 * math.asinh(math.sqrt(UNDERFLOW_U / b.min()))
+        b = b[pos]
+        b_min = check_real(b.min(), "q_diag", "x^2/t", ">= 1e-300")
+        v_max = 2.0 * math.asinh(math.sqrt(UNDERFLOW_U / b_min))
         v_int = integrate(lambda vs: np.exp(-np.multiply.outer(np.sinh(0.5 * vs) ** 2, b)),
                           0.0, v_max, spec).value
-        out[pos] = (x[pos] / (2.0 * t)) * np.exp(-b) * v_int
+        out[pos] = (x[pos] / (2.0 * t)) * decay[pos] * v_int
     return out
 
 

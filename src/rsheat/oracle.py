@@ -49,6 +49,7 @@ from .errors import DomainError, InsufficientSpectrumError, check_int, check_rea
 from .kernels import BoundaryParam
 from .specfun import (
     _K_SERIES_CUTOFF,
+    _Z_MIN,
     EULER_GAMMA,
     _ik_series,
     _j0_y0_fused,
@@ -156,7 +157,7 @@ def secular_negative(mu, bp: BoundaryParam):
     unchanged.  Tends to tan(theta) as mu -> 0 (after unscaling; the
     scaling factor tends to 1).
     """
-    mu = check_real(mu, "secular_negative", "mu", "> 0")
+    mu = check_real(mu, "secular_negative", "mu", _Z_MIN)
     if bp.is_friedrichs:
         return bessel_i0_scaled(mu)
     if mu <= _K_SERIES_CUTOFF:

@@ -26,7 +26,8 @@ The module is organised by representation, not by function:
 * for K0/K1 on the middle range (1, 16) neither of the above reaches
   1e-13 in double precision, so the integral representation
   e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(u/2)) cosh(nu u) du
-  is evaluated by the geometrically convergent trapezoid rule.
+  takes one trapezoid rule of step 1/8, summed exactly rounded: its
+  strip bound (Trefethen-Weideman) is below 4e-19 relative on [0.4, 18].
 
 The public functions go through one dispatch per family (``_i``, ``_k``,
 ``_jy``), which picks the path by z and applies e^{+-z} to the path's
@@ -42,7 +43,7 @@ Scaled variants e^{-z} I(z), e^{z} K(z) are first-class API so callers can
 form products like I0(z) e^{-w} without overflow for z up to ~1e6.
 
 All functions are pure and hold no mutable state.  The public ones take z
-through ``errors.check_real``: z >= 0 for I and J, z > 0 for K and Y.
+through ``errors.check_real``: z >= 0 for I and J, z >= 1e-323 for K and Y.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ LN2 = 0.6931471805599453094172321
 
 _SERIES_CUTOFF = 16.0  # power series below, Hankel asymptotics above
 _K_SERIES_CUTOFF = 1.0  # K0/K1 log-series safe (no cancellation) below
+_Z_MIN = ">= 1e-323"  # K and Y: below it the series' log(0.5 z) has 0.5 z = 0
 
 
 @dataclass(frozen=True)
@@ -251,34 +253,23 @@ def _jy_asym(n, z):
 # ----------------------------------------------------------------------
 
 def _k_integral_scaled(z, order):
-    """e^z K_order(z) via trapezoid on exp(-2 z sinh^2(u/2)) cosh(order*u).
+    """e^z K_order(z) by the trapezoid rule of step 1/8 on
+    int_0^inf exp(-2 z sinh^2(u/2)) cosh(order*u) du, nodes k/8 to t_end.
 
-    The integrand extends to an analytic function with a singularity only
-    at Im u = pi/2, so the trapezoid rule converges like exp(-pi^2/h);
-    step halving with node reuse stops at machine precision.
+    On the strip |Im u| <= a < pi/2 the integrand is bounded by
+    e^{-z(cosh x cos a - 1)} cosh(order*x), so its integral along either
+    edge is at most 2 e^z K(z cos a).  Relative to the full-line value
+    2 e^z K(z), the trapezoid rule therefore errs by at most
+    2 K(z/2)/K(z)/(e^{16 pi^2/3} - 1) at a = pi/3 (Trefethen-Weideman),
+    below 4e-19 for z in [0.4, 18].  The part cut off past t_end is below
+    e^{-48} cosh(t_end), and fsum rounds once: what is left is each node's.
     """
     t_end = 2.0 * math.asinh(math.sqrt(24.0 / z)) + 0.5
-    h = t_end / 16.0
-
-    def row(us):
-        out = 0.0
-        for u in us:
-            e = math.exp(-2.0 * z * math.sinh(0.5 * u) ** 2)
-            out += e * (math.cosh(u) if order == 1 else 1.0)
-        return out
-
-    n = 16
-    total = 0.5 + row(h * k for k in range(1, n + 1))  # f(0)=1, half weight
-    prev = h * total
-    for _ in range(7):
-        h *= 0.5
-        n *= 2
-        total += row(h * k for k in range(1, n + 1, 2))
-        cur = h * total
-        if abs(cur - prev) <= 1e-16 * abs(cur):
-            return cur
-        prev = cur
-    return prev
+    us = [k / 8.0 for k in range(1, int(8.0 * t_end) + 1)]
+    fs = [math.exp(-2.0 * z * math.sinh(0.5 * u) ** 2) for u in us]
+    if order == 1:
+        fs = [f * math.cosh(u) for f, u in zip(fs, us)]
+    return math.fsum([0.5, *fs]) / 8.0  # f(0) = 1 at half weight
 
 
 # ----------------------------------------------------------------------
@@ -332,20 +323,16 @@ def bessel_i1_scaled(z):
 
 
 def bessel_k0(z):
-    return _k(0, check_real(z, "bessel_k0", "z", "> 0"), False)
+    return _k(0, check_real(z, "bessel_k0", "z", _Z_MIN), False)
 
 
 def bessel_k0_scaled(z):
     """e^{z} K0(z)."""
-    return _k(0, check_real(z, "bessel_k0_scaled", "z", "> 0"), True)
-
-
-def bessel_k1(z):
-    return _k(1, check_real(z, "bessel_k1", "z", "> 0"), False)
+    return _k(0, check_real(z, "bessel_k0_scaled", "z", _Z_MIN), True)
 
 
 def bessel_k1_scaled(z):
-    return _k(1, check_real(z, "bessel_k1_scaled", "z", "> 0"), True)
+    return _k(1, check_real(z, "bessel_k1_scaled", "z", _Z_MIN), True)
 
 
 def bessel_j0(z):
@@ -357,11 +344,11 @@ def bessel_j1(z):
 
 
 def bessel_y0(z):
-    return _jy(0, check_real(z, "bessel_y0", "z", "> 0"), True)
+    return _jy(0, check_real(z, "bessel_y0", "z", _Z_MIN), True)
 
 
 def bessel_y1(z):
-    return _jy(1, check_real(z, "bessel_y1", "z", "> 0"), True)
+    return _jy(1, check_real(z, "bessel_y1", "z", _Z_MIN), True)
 
 
 def _j0_y0_fused(z):

@@ -8,7 +8,8 @@ an empty array.  Every integer argument goes through the integer form
 of that check: a float, even 3.0, or a bool is a DomainError, and a numpy
 integer gives the same result as the equal int.  (``pole_location`` and
 ``exotic_limit`` take no number.)  The functions of t that need t >= 1e-305
-name that bound.
+name that bound, and so do K, Y and ``secular_negative`` at the one double
+below 1e-323 and ``q_diag`` where x^2/t underflows.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ import pytest
 
 import rsheat
 from rsheat import BoundaryParam, DomainError, QuadSpec
+from rsheat import specfun as sf
 
 BP = BoundaryParam(0.0)  # pole at zeta0 = 1.26
 ONES = np.ones_like
@@ -180,3 +182,30 @@ def test_poly_fit_nan_is_refused_before_lapack(capfd):
     with pytest.raises(DomainError, match="^poly_fit: need finite t > 0, got nan$"):
         rsheat.poly_fit([(math.nan, 1.0), *SAMPLES], 1)
     assert capfd.readouterr().err == ""
+
+
+# log(0.5 z) in the K and Y series: 0.5 z rounds to 0 only at the smallest double
+SMALLEST_Z = [(fn.__name__, "z", fn) for fn in (sf.bessel_k0, sf.bessel_k0_scaled,
+                                                sf.bessel_k1_scaled, sf.bessel_y0,
+                                                sf.bessel_y1)]
+SMALLEST_Z.append(("secular_negative", "mu", lambda z: rsheat.secular_negative(z, BP)))
+
+
+@pytest.mark.parametrize("fn, arg, call", SMALLEST_Z, ids=[fn for fn, *_ in SMALLEST_Z])
+def test_the_smallest_double_is_refused_by_name(fn, arg, call):
+    with pytest.raises(DomainError, match=f"^{fn}: need finite {arg} >= 1e-323, got 5e-324$"):
+        call(5e-324)
+    assert not math.isnan(call(1e-323))  # K1 ~ 1/z overflows to inf below 5.6e-309
+
+
+def test_q_diag_at_extreme_arguments():
+    # e^{-b}, b = x^2/t, underflows: Q is 0.0, also where b or x/2t overflows
+    assert rsheat.q_diag(1e300, 0.5) == 0.0
+    assert rsheat.q_diag(0.5, 1e-310) == 0.0
+    batch = rsheat.q_diag(np.array([0.3, 1e300, 40.0]), 0.05)
+    assert _bits(batch) == _bits(np.array([rsheat.q_diag(0.3, 0.05), 0.0, 0.0]))
+    # b below 1e-300: the cut of the v-integral overflows
+    for x in (1e-300, 1e-160, math.sqrt(0.5e-300) * 0.99):
+        with pytest.raises(DomainError, match="^q_diag: need finite x\\^2/t >= 1e-300, got "):
+            rsheat.q_diag(x, 0.5)
+    assert rsheat.q_diag(1e-150, 0.5) > 0.0

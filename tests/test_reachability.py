@@ -3,14 +3,17 @@ option it has is set by one.
 
 The ``rsheat`` commands run in this process under ``sys.setprofile``:
 ``trace``, ``eigen`` and ``ktheta`` at their default grids and ``verify
---quick``, which runs every criterion.  A function in ``rsheat.__all__``
-that none of them calls leaves the package, or is listed in
-``NOT_REACHED`` with the reason it stays.  Every defaulted argument of a
-reached function is set by a command, a criterion or another ``src``
-function; one that none sets becomes a constant.
+--quick``, which runs every criterion.  A public module-level function of
+any ``rsheat`` module that none of them calls leaves the package, or is
+listed in ``NOT_REACHED`` with the reason it stays.  Every defaulted
+argument of a reached function in ``rsheat.__all__`` is set by a command,
+a criterion or another ``src`` function; one that none sets becomes a
+constant.
 """
 
+import importlib
 import inspect
+import pkgutil
 import sys
 
 import rsheat
@@ -46,6 +49,19 @@ def _public_functions():
             if callable(getattr(rsheat, name)) and name[0].islower()}
 
 
+def _module_functions():
+    """Every function defined at module level in an rsheat module, by name."""
+    out = {}
+    for info in pkgutil.iter_modules(rsheat.__path__):
+        module = importlib.import_module(f"rsheat.{info.name}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ \
+                    and not name.startswith("_"):
+                assert name not in out, name
+                out[name] = fn
+    return out
+
+
 def _run_profiled(commands, profile, tmp_path, capsys):
     sys.setprofile(profile)
     try:
@@ -65,7 +81,7 @@ def test_every_public_function_is_reached_or_listed(tmp_path, capsys):
             called.add(frame.f_code)
 
     _run_profiled(COMMANDS, profile, tmp_path, capsys)
-    unreached = {name for name, fn in _public_functions().items()
+    unreached = {name for name, fn in _module_functions().items()
                  if fn.__code__ not in called}
     assert unreached == set(NOT_REACHED)
 

@@ -1,6 +1,7 @@
 """Special-function accuracy: frozen oracles, dual paths, Wronskians."""
 
 import math
+from decimal import Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
@@ -33,6 +34,11 @@ def series_j0(z, terms=60):
         term *= -u / (k * k)
         total += term
     return total
+
+
+def bessel_k1(z):
+    """K1 as its callers form it: e^{-z} times the scaled value."""
+    return sf.bessel_k1_scaled(z) * math.exp(-z)
 
 
 def test_i0_trivial_and_series_oracle():
@@ -95,7 +101,7 @@ def test_y1_j1_frozen_values():
     (sf.bessel_i0, lambda z: mp.besseli(0, z), True),
     (sf.bessel_i1, lambda z: mp.besseli(1, z), True),
     (sf.bessel_k0, lambda z: mp.besselk(0, z), True),
-    (sf.bessel_k1, lambda z: mp.besselk(1, z), True),
+    (bessel_k1, lambda z: mp.besselk(1, z), True),
     (sf.bessel_j0, lambda z: mp.besselj(0, z), False),
     (sf.bessel_j1, lambda z: mp.besselj(1, z), False),
     (sf.bessel_y0, lambda z: mp.bessely(0, z), False),
@@ -118,7 +124,6 @@ def test_scaled_consistency():
         assert abs(sf.bessel_k0_scaled(z) * math.exp(-z) / sf.bessel_k0(z) - 1.0) < 1e-14
         assert abs(sf.bessel_i0_scaled(z) * math.exp(z) / sf.bessel_i0(z) - 1.0) < 4e-14
         assert abs(sf.bessel_i1_scaled(z) * math.exp(z) / sf.bessel_i1(z) - 1.0) < 4e-14
-        assert abs(sf.bessel_k1_scaled(z) * math.exp(-z) / sf.bessel_k1(z) - 1.0) < 1e-14
 
 
 def test_wronskians_random_grid():
@@ -149,6 +154,47 @@ def test_dual_paths_agree_on_overlap():
         z = float(z)
         k0 = sf._ik_series(0, z)[1]
         assert abs(k0 - sf._k_integral_scaled(z, 0) * math.exp(-z)) < 1e-11
+
+
+# The K trapezoid's reference: e^z K_n(z) from the power series in 50-digit
+# decimals, where the cancellation of K0 = r - (log(z/2)+gamma) I0 costs
+# at most 16 of them on (0.4, 18); checked against mpmath below.
+
+_EULER = Decimal("0.57721566490153286060651209008240243104215933593992")
+
+
+def _k_scaled_decimal(n, z):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(z)
+        u = x * x / 4
+        p, h, k = Decimal(1), Decimal(0), 0
+        i_sum = r_sum = Decimal(0)
+        while k == 0 or p > Decimal("1e-48") * i_sum:
+            h1 = h + Decimal(1) / (k + 1)
+            i_sum += p
+            r_sum += (h if n == 0 else h + h1) * p
+            k += 1
+            p = p * u / (k * (k + n))
+            h = h1
+        ell = (x / 2).ln() + _EULER
+        kn = r_sum - ell * i_sum if n == 0 else 1 / x + ell * x / 2 * i_sum - x / 4 * r_sum
+        return kn * x.exp()
+
+
+def test_k_trapezoid_meets_its_certificate():
+    # step 1/8 on [0, t_end]: the strip bound leaves < 4e-19 and the cut
+    # < e^{-48} cosh(t_end), and the sum is exactly rounded, so what is
+    # left is each node's own rounding (the step-halving rule reached 2.2e-15)
+    for z in (0.4, 1.0, 3.0, 7.7, 18.0):
+        for n in (0, 1):
+            ref = mp.besselk(n, z) * mp.exp(z)
+            assert abs(mp.mpf(str(_k_scaled_decimal(n, z))) / ref - 1) < 1e-28
+    for z in np.geomspace(0.4, 18.0, 1500):
+        z = float(z)
+        for n in (0, 1):
+            ref = _k_scaled_decimal(n, z)
+            assert abs(Decimal(sf._k_integral_scaled(z, n)) / ref - 1) <= Decimal(4e-16), (z, n)
 
 
 # Per-order references for the I/K series: I0 (compensated), I1 (plain) and
@@ -204,7 +250,10 @@ def test_ik_series_is_bit_identical_to_separate_loops():
             assert i_n == sf._ik_series(n, z, regular=False)[0] == _in_own_loop(n, z)
             if z <= 1.0:
                 assert k_n == _kn_separate_loops(n, z)
-                assert (sf.bessel_k0 if n == 0 else sf.bessel_k1)(z) == k_n
+                if n == 0:
+                    assert sf.bessel_k0(z) == k_n
+                else:
+                    assert sf.bessel_k1_scaled(z) == math.exp(z) * k_n
 
 
 # The Hankel sums as two separate stop tests on an endless term generator,
@@ -398,7 +447,7 @@ def test_checked_i0_takes_value_and_smallest_term_from_one_sum():
 
 NONNEGATIVE = [sf.bessel_i0, sf.bessel_i0_scaled, sf.bessel_j0, sf.bessel_j1,
                sf.bessel_i1, sf.bessel_i1_scaled, sf.i0_scaled_checked]
-POSITIVE = [sf.bessel_k0, sf.bessel_k0_scaled, sf.bessel_k1, sf.bessel_k1_scaled,
+POSITIVE = [sf.bessel_k0, sf.bessel_k0_scaled, bessel_k1, sf.bessel_k1_scaled,
             sf.bessel_y0, sf.bessel_y1]
 
 
