@@ -115,8 +115,11 @@ def q_diag(x, t, spec: QuadSpec = DEFAULT_SPEC):
 
     ``x`` is a float, giving a float, or a 1-D array, giving an array of
     the same length: its entries share one adaptive v node set, refined
-    until each entry meets the tolerance.  Entries with x = 0 or e^{-b} = 0
-    are 0.0 and stay out of the integral; b < 1e-300 overflows its range.
+    until each entry meets the tolerance.  Where e^{-b} underflows or 2t
+    overflows, (x/2t) e^{-b} is formed as exp(log(x/2t) - b), and those
+    entries take a node set of their own, so the others keep their bits.
+    Entries with x = 0 or b = inf are 0.0 and stay out of the integrals;
+    b < 1e-300 overflows its range.
     """
     t = check_real(t, "q_diag", "t", "> 0")
     if not isinstance(x, np.ndarray):
@@ -126,15 +129,22 @@ def q_diag(x, t, spec: QuadSpec = DEFAULT_SPEC):
         b = x * x / t
     decay = np.exp(-b)
     out = np.zeros_like(x)
-    pos = (x > 0.0) & (decay > 0.0)  # b may be inf where e^{-b} = 0
-    if np.any(pos):
-        b = b[pos]
-        b_min = check_real(b.min(), "q_diag", "x^2/t", ">= 1e-300")
-        v_max = 2.0 * math.asinh(math.sqrt(UNDERFLOW_U / b_min))
-        v_int = integrate(lambda vs: np.exp(-np.multiply.outer(np.sinh(0.5 * vs) ** 2, b)),
-                          0.0, v_max, spec).value
-        out[pos] = (x[pos] / (2.0 * t)) * decay[pos] * v_int
+    near = (x > 0.0) & (decay > 0.0) & (2.0 * t < math.inf)
+    far = (x > 0.0) & (b < math.inf) & ~near
+    if np.any(near):
+        out[near] = (x[near] / (2.0 * t)) * decay[near] * _q_v_integral(b[near], spec)
+    if np.any(far):
+        v_int = _q_v_integral(b[far], spec)
+        out[far] = np.exp(np.log(0.5 * (x[far] / t)) - b[far]) * v_int
     return out
+
+
+def _q_v_integral(b, spec):
+    """int_0^inf exp(-b sinh^2(v/2)) dv for each entry of b, on one node set."""
+    b_min = check_real(b.min(), "q_diag", "x^2/t", ">= 1e-300")
+    v_max = 2.0 * math.asinh(math.sqrt(UNDERFLOW_U / b_min))
+    return integrate(lambda vs: np.exp(-np.multiply.outer(np.sinh(0.5 * vs) ** 2, b)),
+                     0.0, v_max, spec).value
 
 
 def signaling(h, x, t, spec: QuadSpec = DEFAULT_SPEC):
@@ -179,9 +189,10 @@ def extract_coeffs(f, window=(1e-4, 1e-2), n_points=40):
     (below) against contamination by the O(x^{3/2} log x) remainder of
     maximal-domain functions (above).  The boundary combination
     cos(theta) c_plus + sin(theta) c_minus for any angle is available as
-    BoundaryCoeffs.boundary_value on the result.  No command calls it: it
-    stays to read the boundary condition off a solution, such as
-    c_minus = h off ``signaling``.
+    BoundaryCoeffs.boundary_value on the result.  ``f`` gets the grid as
+    one array, or, if it refuses that with a TypeError or DomainError, one
+    float at a time.  No command calls it: it stays to read the boundary
+    condition off a solution, such as c_minus = h off ``signaling``.
     """
     x_lo = check_real(window[0], "extract_coeffs", "x_lo", "> 0")
     x_hi = check_real(window[1], "extract_coeffs", "x_hi", "> 0")
@@ -192,7 +203,7 @@ def extract_coeffs(f, window=(1e-4, 1e-2), n_points=40):
         vals = np.asarray(f(xs), dtype=float)
         if vals.shape != xs.shape:
             raise TypeError
-    except TypeError:
+    except (TypeError, DomainError):
         vals = np.array([float(f(float(x))) for x in xs])
     design = np.column_stack([np.sqrt(xs), np.sqrt(xs) * np.log(xs)])
     coef, _, rank, sv = np.linalg.lstsq(design, vals, rcond=None)

@@ -22,7 +22,12 @@ is the interlacing of self-adjoint extensions with deficiency indices
 Each root is then one safeguarded Newton solve that never leaves its cell
 and ends at a 4-ulp step or a bracket 1e-10 wide (``_safe_newton``); a
 positive root costs one fused J0/Y0 evaluation per step on a bounded phase
-(``_phase``).  S is formed as
+(``_phase``).  Below r = 16, where that evaluation is a double-double
+series, Newton starts within a few ulp of the root, so one step usually
+ends it: the root of each of the cells (0, j_1), ..., (j_5, j_6) is a
+Hermite interpolant in a variable of tan(theta) alone, tabulated once per
+process from 12 or 24 evaluations per cell (``_seed_tables``).  Above
+r = 16 Newton starts at the Hankel phase's root.  S is formed as
 2 (tan(theta) J0 - c), c the regular part of Y0, and for mu <= 1 N as
 tan(theta) I0 + S2, S2 the regular part of K0, which keeps the eigenvalue
 nearest 0 of a tiny |tan(theta)| to full relative accuracy on either side.
@@ -33,8 +38,9 @@ vanishes at x = 1.  That is the root the first cell loses when
 tan(theta) = 0, so it is added explicitly.
 
 The cells depend on theta only through the first one, so the J0 zeros
-that bound them are computed once per process: ``j0_zeros`` keeps a
-table that it extends on demand and never hands out.
+that bound them, and the seed tables, are computed once per process:
+``j0_zeros`` keeps a table that it extends on demand and never hands out,
+and the first positive-root solve builds the seed tables.
 
 The eigenvalue sums feed ``oracle_trace``, the end-to-end cross-check of
 the kernel-built traces.
@@ -49,6 +55,7 @@ from .errors import DomainError, InsufficientSpectrumError, check_int, check_rea
 from .kernels import BoundaryParam
 from .specfun import (
     _K_SERIES_CUTOFF,
+    _SERIES_CUTOFF,
     _Z_MIN,
     EULER_GAMMA,
     _ik_series,
@@ -190,15 +197,113 @@ def _phase(r, tan_theta):
     return g, 2.0 * gap / (_PI * r * m2 * (1.0 + b * b))
 
 
-def _cell_seed(lo, hi, tan_theta):
-    """Start in r for the cell (lo, hi): the Hankel phase j_k + pi/2 +
-    atan(L/pi), or r^2 = 4 tan/(1 + tan) (S = 0 to first order in lambda)
-    on (0, j_1)."""
+# Seed tables of the interlacing cells whose lower edge is below the series
+# cutoff r = 16, (0, j_1), (j_1, j_2), ..., (j_5, j_6), by lower edge: there a
+# phase evaluation is a double-double series.  Built on the first solve and,
+# like _J0_ZEROS, only ever rebound to a complete table.
+_SEED_TABLES = {}
+_SEED_NODES = (12, 24)  # Chebyshev nodes on (0, j_1) and on each later cell
+
+
+def _hankel_seed(lo, tan_theta):
+    """(r, dr/dt): the root of the Hankel phase in the cell above lo = j_k,
+    j_k + pi/2 + atan(L/pi) with L = 2 log r + 2 kappa at r = j_k + pi/2."""
+    mid = lo + 0.5 * _PI
+    a = _2_PI * (math.log(0.5 * mid) + EULER_GAMMA + tan_theta)
+    return mid + math.atan(a), _2_PI / (1.0 + a * a)
+
+
+def _seed_abscissa(lo, hi, tan_theta):
+    """(x, dx/dt): the variable in which a seed table holds the root of the
+    cell (lo, hi), as a function of t = tan(theta).
+
+    On (0, j_1), x = t/(u_1 + t), u_1 = j_1^2/4: the root in u = r^2/4 of
+    t = u/(1 - u/u_1), which has S's slope at 0 and its pole at j_1.  On a
+    later cell, x = atan(L/pi) with L at the Hankel seed: the phase of
+    J0 + i Y0 at the root, to within L's change across the cell.  Either
+    way the root is nearly affine in x, so Chebyshev nodes in r stay nearly
+    Chebyshev in x.
+    """
     if lo == 0.0:
-        r = 2.0 * math.sqrt(tan_theta / (1.0 + tan_theta))
+        u1 = 0.25 * hi * hi
+        return tan_theta / (u1 + tan_theta), u1 / (u1 + tan_theta) ** 2
+    r, dr = _hankel_seed(lo, tan_theta)
+    b = _2_PI * (math.log(0.5 * r) + EULER_GAMMA + tan_theta)
+    return math.atan(b), _2_PI * (1.0 + dr / r) / (1.0 + b * b)
+
+
+def _seed_table(lo, hi, n):
+    """(hi, rows): the root of the cell (lo, hi) as a function of the
+    abscissa x, from n fused evaluations, for ``_hermite``.
+
+    At n Chebyshev points r_i of (lo, hi) -- of u = r^2/4 on (0, j_1) -- one
+    evaluation gives t_i = c/J0, the tan(theta) whose root r_i is, so the
+    node x_i, and by the Wronskian dt/dr = (1 - J0^2)/(r J0^2), so dr/dx;
+    no root is solved.  The values are r_i, and on (0, j_1)
+    g_i = (r_i/j_1)^2/x_i, which tends to 1 as x -> 0, so the seed
+    r = j_1 sqrt(x g(x)) keeps its relative accuracy as tan(theta) -> 0+.
+    """
+    nodes, values, slopes = [], [], []
+    for i in range(n):
+        s = 0.5 - 0.5 * math.cos(_PI * (i + 0.5) / n)
+        r = hi * math.sqrt(s) if lo == 0.0 else lo + s * (hi - lo)
+        j0, _, j0m1, c = _j0_y0_fused(r)
+        x, dx_dt = _seed_abscissa(lo, hi, c / j0)
+        dr_dx = r * j0 * j0 / (-j0m1 * (2.0 + j0m1) * dx_dt)
+        nodes.append(x)
+        if lo == 0.0:
+            g = (r / hi) ** 2 / x
+            values.append(g)
+            slopes.append((2.0 * r / (hi * hi) * dr_dx - g) / x)
+        else:
+            values.append(r)
+            slopes.append(dr_dx)
+    rows = []
+    for i, xi in enumerate(nodes):
+        others = [xi - xj for j, xj in enumerate(nodes) if j != i]
+        a1 = 1.0 / math.prod(others) ** 2
+        rows.append((xi, a1, -2.0 * a1 * math.fsum(1.0 / d for d in others),
+                     values[i], slopes[i]))
+    return hi, tuple(rows)
+
+
+def _seed_tables():
+    """The seed tables by lower edge, built on first use."""
+    global _SEED_TABLES
+    if not _SEED_TABLES:
+        edges = [0.0, *j0_zeros(6)]
+        _SEED_TABLES = {lo: _seed_table(lo, hi, _SEED_NODES[lo > 0.0])
+                        for lo, hi in zip(edges, edges[1:]) if lo < _SERIES_CUTOFF}
+    return _SEED_TABLES
+
+
+def _hermite(x, rows):
+    """The Hermite interpolant of the rows' values and slopes at x, in
+    barycentric form: a1 and a0 are the coefficients of 1/(x - x_i)^2 and
+    1/(x - x_i) in the partial fractions of prod_i (x - x_i)^{-2}."""
+    num = den = 0.0
+    for xi, a1, a0, f, df in rows:
+        h = x - xi
+        if h == 0.0:
+            return f
+        q1 = a1 / (h * h)
+        q0 = a0 / h
+        num += q1 * (f + h * df) + q0 * f
+        den += q1 + q0
+    return num / den
+
+
+def _cell_seed(lo, hi, tan_theta):
+    """Start in r for the cell (lo, hi): its seed table's root below r = 16,
+    the Hankel phase's root above."""
+    table = _seed_tables().get(lo)
+    if table is None:
+        r = _hankel_seed(lo, tan_theta)[0]
     else:
-        mid = lo + 0.5 * _PI
-        r = mid + math.atan(_2_PI * (math.log(0.5 * mid) + EULER_GAMMA + tan_theta))
+        x = _seed_abscissa(lo, table[0], tan_theta)[0]
+        r = _hermite(x, table[1])
+        if lo == 0.0:
+            r = table[0] * math.sqrt(x * r)
     return r if lo < r < hi else 0.5 * (lo + hi)
 
 
@@ -252,7 +357,9 @@ def eigenvalues(bp: BoundaryParam, lambda_max=4000.0):
     tan(theta) > 0.
 
     A positive root is solved in r on the phase G (``_phase``): one fused
-    J0/Y0 evaluation per step, usually three per cell.  The bound state is
+    J0/Y0 evaluation per step, usually one per cell below r = 16, where
+    Newton starts from the cell's seed table (built on the first call, from
+    132 evaluations), and three above.  The bound state is
     solved in v = log mu on h = v + kappa + K0/I0, h' = 1 - 1/I0^2.  As
     h = tan(theta) + S2/I0 with S2 = sum_k H_k (mu^2/4)^k/(k!)^2, and
     0 < S2 < (mu^2/4) I0, h < 0 at mu^2 = -4 tan(theta), while h = K0/I0 > 0

@@ -12,7 +12,8 @@ The module is organised by representation, not by function:
   kind from the same terms: ``_ik_series(n, z)`` gives I_n and K_n,
   ``_jy_series(n, z)`` J_n and Y_n.  The alternating J/Y loop is
   compensated double-double (plain double loses ~6 digits to
-  cancellation near the crossover); the positive-term I/K loop is plain
+  cancellation near the crossover), its error-free transforms written
+  out in the loop body; the positive-term I/K loop is plain
   double, with a compensated I0 sum.  The weights H_k and H_k + H_{k+1}
   do not depend on z: ``_IK_WEIGHTS`` and ``_JY_WEIGHTS``, immutable
   tables built at import, hold them up to each loop's cap;
@@ -52,13 +53,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ._dd import (
-    dd_add,
-    dd_div_d,
-    dd_mul,
-    dd_mul_d,
-    dd_sqr_d,
-)
+from ._dd import SPLIT, two_prod
 from .errors import check_real
 
 # Euler-Mascheroni constant and log 2 to 25 significant digits.  All
@@ -93,10 +88,27 @@ def _harmonic_weights(zero, add, recip, cap):
     return tuple(h[:-1]), tuple(add(a, b) for a, b in zip(h, h[1:]))
 
 
+def _dd_add(x, y):
+    """x + y for double-double pairs: two_sum of the highs, then quick_two_sum."""
+    s = x[0] + y[0]
+    b = s - x[0]
+    e = (x[0] - (s - b)) + (y[0] - b) + (x[1] + y[1])
+    hi = s + e
+    return hi, e - (hi - s)
+
+
+def _dd_recip(k):
+    """1/k as a double-double pair: the quotient and its remainder's quotient."""
+    q = 1.0 / k
+    p, e = two_prod(q, k)
+    r = ((1.0 - p) - e) / k
+    hi = q + r
+    return hi, r - (hi - q)
+
+
 # up to each regular sum's cap: k > 300 in double, k > 400 in double-double
 _IK_WEIGHTS = _harmonic_weights(0.0, operator.add, lambda k: 1.0 / k, 301)
-_JY_WEIGHTS = _harmonic_weights((0.0, 0.0), dd_add,
-                                lambda k: dd_div_d((1.0, 0.0), float(k)), 401)
+_JY_WEIGHTS = _harmonic_weights((0.0, 0.0), _dd_add, lambda k: _dd_recip(float(k)), 401)
 
 
 def _ik_series(n, z, regular=True):
@@ -159,31 +171,79 @@ def _jy_series(n, z, regular=True):
     J_n does not depend on ``regular``; with ``regular=False`` only j is
     summed and Y_n and r are None.  The pair j = (hi, lo) keeps
     J0 - 1 = (hi - 1) + lo accurate as z -> 0.
+
+    The double-double steps are written out as their error-free transforms
+    (Dekker's split and product, Knuth's two_sum, quick_two_sum): p_{k-1} u,
+    its quotient by -k(k+n), j + p_k, p_k w_k and s + p_k w_k.  u's high
+    part is split once per call and each p_k's once per term.
     """
     w = _JY_WEIGHTS[n]
-    u = dd_mul_d(dd_sqr_d(z), 0.25)
-    p = j = (1.0, 0.0)
-    s = w[0]  # k = 0 term: w_0 = n
+    a, e = two_prod(z, z)  # u = (z^2)/4 as a pair
+    u0, f = two_prod(a, 0.25)
+    f += e * 0.25
+    a = u0 + f
+    u1 = f - (a - u0)
+    u0 = a
+    c = SPLIT * u0
+    u0h = c - (c - u0)
+    u0l = u0 - u0h
+    p0, p1, p0h, p0l = 1.0, 0.0, 1.0, 0.0  # p_0 = 1 and its split
+    j0, j1 = 1.0, 0.0
+    s0, s1 = w[0]  # k = 0 term: w_0 = n
     j_done, s_done = False, not regular
     k = 0
     while not (j_done and s_done):
         k += 1
-        p = dd_div_d(dd_mul(p, u), -float(k * (k + n)))
+        m = p0 * u0  # p_{k-1} u
+        e = ((p0h * u0h - m) + p0h * u0l + p0l * u0h) + p0l * u0l
+        e += p0 * u1 + p1 * u0
+        m0 = m + e
+        m1 = e - (m0 - m)
+        d = -float(k * (k + n))  # ... / d; |d| < 2^26 splits as (d, 0)
+        q = m0 / d
+        a = q * d
+        c = SPLIT * q
+        qh = c - (c - q)
+        e = (qh * d - a) + (q - qh) * d
+        e = (((m0 - a) - e) + m1) / d
+        p0 = q + e
+        p1 = e - (p0 - q)
+        c = SPLIT * p0
+        p0h = c - (c - p0)
+        p0l = p0 - p0h
         if not j_done:
-            j = dd_add(j, p)
-            j_done = abs(p[0]) < 1e-34 * (abs(j[0]) + 1.0) or k > 400
+            a = j0 + p0
+            b = a - j0
+            e = (j0 - (a - b)) + (p0 - b)
+            e += j1 + p1
+            j0 = a + e
+            j1 = e - (j0 - a)
+            j_done = abs(p0) < 1e-34 * (abs(j0) + 1.0) or k > 400
         if not s_done:
-            term = dd_mul(p, w[k])
-            s = dd_add(s, term)
-            s_done = abs(term[0]) < 1e-34 * (abs(s[0]) + 1.0) or k > 400
-    jn = j[0] + j[1] if n == 0 else 0.5 * z * (j[0] + j[1])
+            w0, w1 = w[k]
+            c = SPLIT * w0
+            wh = c - (c - w0)
+            wl = w0 - wh
+            m = p0 * w0  # term = p_k w_k
+            e = ((p0h * wh - m) + p0h * wl + p0l * wh) + p0l * wl
+            e += p0 * w1 + p1 * w0
+            m0 = m + e
+            m1 = e - (m0 - m)
+            a = s0 + m0
+            b = a - s0
+            e = (s0 - (a - b)) + (m0 - b)
+            e += s1 + m1
+            s0 = a + e
+            s1 = e - (s0 - a)
+            s_done = abs(m0) < 1e-34 * (abs(s0) + 1.0) or k > 400
+    jn = j0 + j1 if n == 0 else 0.5 * z * (j0 + j1)
     if not regular:
-        return jn, None, j, None
-    r = s[0] + s[1]
+        return jn, None, (j0, j1), None
+    r = s0 + s1
     ell = math.log(0.5 * z) + EULER_GAMMA
     if n == 0:
-        return jn, (2.0 / math.pi) * (ell * jn - r), j, r
-    return jn, (2.0 / math.pi) * (ell * jn - 1.0 / z - 0.25 * z * r), j, r
+        return jn, (2.0 / math.pi) * (ell * jn - r), (j0, j1), r
+    return jn, (2.0 / math.pi) * (ell * jn - 1.0 / z - 0.25 * z * r), (j0, j1), r
 
 
 # ----------------------------------------------------------------------

@@ -163,6 +163,22 @@ class TestQDiag:
         assert got[3] == pytest.approx(q_diag(1.0, 0.3), rel=1e-9)
         assert np.all(q_diag(np.zeros(3), 0.3) == 0.0)
 
+    def test_representable_where_e_minus_b_underflows_or_2t_overflows(self):
+        # (x/2t) e^{-b} as one exponential: e^{-b} underflows at b = 746 while
+        # x/2t = 1.4e151, and 2t overflows at t = 1.7e308
+        for x, t in ((2.7313e-149, 1e-300), (1e154, 1.7e308), (3e-150, 1e-302)):
+            with mp.workdps(40):
+                xm, tm = mp.mpf(x), mp.mpf(t)
+                z = xm * xm / (2 * tm)
+                ref = float(xm / (2 * tm) * mp.besselk(0, z) * mp.exp(-z))
+            assert ref > 0.0
+            assert abs(q_diag(x, t) - ref) <= 1e-13 * ref, (x, t)
+        # such entries take their own node set: the others keep their bits
+        got = q_diag(np.array([2e-151, 2.7313e-149, 1e-150]), 1e-300)
+        rest = q_diag(np.array([2e-151, 1e-150]), 1e-300)
+        assert [v.hex() for v in got[[0, 2]]] == [v.hex() for v in rest]
+        assert got[1] == q_diag(2.7313e-149, 1e-300)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             q_diag(np.array([0.5, -1e-9]), 0.3)
@@ -263,6 +279,19 @@ class TestExtractCoeffs:
         c = extract_coeffs(lambda xs: np.sqrt(xs) * (2.0 - np.log(xs)))
         expect = math.cos(bp_quarter.theta) * 2.0 + math.sin(bp_quarter.theta) * (-1.0)
         assert abs(c.boundary_value(bp_quarter) - expect) < 1e-9
+
+    def test_scalar_only_function(self):
+        # friedrichs_kernel refuses an array with a DomainError; the fit then
+        # calls it once per x: c+ = sqrt(x2)/(2t) e^{-x2^2/4t}, c- = 0
+        c = extract_coeffs(lambda x: friedrichs_kernel(x, 0.3, 0.1))
+        want = math.sqrt(0.3) / 0.2 * math.exp(-0.09 / 0.4)
+        assert abs(c.c_plus - want) <= 1e-3 * want
+        assert abs(c.c_minus) <= 1e-3
+        both = extract_coeffs(np.vectorize(lambda x: friedrichs_kernel(x, 0.3, 0.1)))
+        assert (c.c_plus, c.c_minus) == (both.c_plus, both.c_minus)
+        # a domain error that is not about the array is raised again
+        with pytest.raises(DomainError, match="x2"):
+            extract_coeffs(lambda x: friedrichs_kernel(x, -0.3, 0.1))
 
     def test_window_validation(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +22,9 @@ from rsheat import (
     secular_positive,
 )
 from rsheat.oracle import Spectrum
-from rsheat.specfun import bessel_j0, bessel_j1, bessel_y1
+from rsheat.specfun import EULER_GAMMA, bessel_j0, bessel_j1, bessel_y1
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 J01_SQ = 5.783185962946784521176
 J02_SQ = 30.47126234366208639908
@@ -225,27 +230,33 @@ class TestEigenvalues:
 
     def test_phase_newton_evaluation_budget(self, monkeypatch):
         # fused J0/Y0 evaluations per interlacing-cell solve; the residual
-        # certificate adds one more per eigenvalue outside the solve
+        # certificate adds one more per eigenvalue outside the solve.  Below
+        # r = 16 a seed table's root is within 4 ulp, so a solve mostly ends
+        # after one evaluation; above it the Hankel seed takes about three.
+        oracle._seed_tables()  # built here, outside the counted solves
         fused, solve = oracle._j0_y0_fused, oracle._positive_root
         calls = [0]
-        per_cell = []
+        tabled, hankel = [], []
 
         def counting_fused(z):
             calls[0] += 1
             return fused(z)
 
-        def delimited_solve(*args):
+        def delimited_solve(lo, hi, tan_theta):
             before = calls[0]
-            out = solve(*args)
-            per_cell.append(calls[0] - before)
+            out = solve(lo, hi, tan_theta)
+            (tabled if lo < 16.0 else hankel).append(calls[0] - before)
             return out
 
         monkeypatch.setattr(oracle, "_j0_y0_fused", counting_fused)
         monkeypatch.setattr(oracle, "_positive_root", delimited_solve)
         for theta in ANGLES:
             eigenvalues(BoundaryParam(theta), lambda_max=4000.0)
+        per_cell = tabled + hankel
         assert len(per_cell) >= 9 * 19
-        assert sum(per_cell) <= 4 * len(per_cell)
+        assert len(tabled) >= 9 * 5
+        assert sum(tabled) <= 1.2 * len(tabled)
+        assert sum(hankel) <= 4 * len(hankel)
         assert max(per_cell) <= 12
 
     def test_residual_certification(self, bp_quarter):
@@ -383,6 +394,70 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == sp.eigenvalues[0]  # 17 digits round-trip
+
+
+def _hankel_cell_seed(lo, hi, tan_theta):
+    """The cell seed before the seed tables: the Hankel phase's root, and
+    r^2 = 4 tan/(1 + tan) (S = 0 to first order in lambda) on (0, j_1)."""
+    if lo == 0.0:
+        r = 2.0 * math.sqrt(tan_theta / (1.0 + tan_theta))
+    else:
+        mid = lo + 0.5 * math.pi
+        r = mid + math.atan((2.0 / math.pi) * (math.log(0.5 * mid) + EULER_GAMMA + tan_theta))
+    return r if lo < r < hi else 0.5 * (lo + hi)
+
+
+def _spectrum_or_error(theta, lambda_max):
+    try:
+        return eigenvalues(BoundaryParam(theta), lambda_max=lambda_max).eigenvalues
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("lambda_max", [4000.0, 40000.0])
+def test_seed_tables_move_no_eigenvalue_past_4_ulp(lambda_max, monkeypatch):
+    # the seed changes where Newton starts, never which root it ends at
+    thetas = [k * math.pi / 64 for k in range(64)]
+    seeded = [_spectrum_or_error(theta, lambda_max) for theta in thetas]
+    monkeypatch.setattr(oracle, "_cell_seed", _hankel_cell_seed)
+    for theta, new in zip(thetas, seeded):
+        old = _spectrum_or_error(theta, lambda_max)
+        if isinstance(old, str):  # the bound state overflows at k = 33
+            assert new == old
+            continue
+        assert len(new) == len(old), theta
+        for a, b in zip(new, old):
+            assert abs(a - b) <= 4.0 * math.ulp(b), (theta, a, b)
+
+
+def test_seed_tables_are_built_once_and_do_not_depend_on_theta(monkeypatch):
+    built = []
+    build = oracle._seed_table
+
+    def counting_build(lo, hi, n):
+        built.append(lo)
+        return build(lo, hi, n)
+
+    monkeypatch.setattr(oracle, "_SEED_TABLES", {})
+    monkeypatch.setattr(oracle, "_seed_table", counting_build)
+    eigenvalues(BoundaryParam(0.3), lambda_max=400.0)
+    first = oracle._SEED_TABLES
+    for theta in (1.0, 2.4, 3.1, 0.0):
+        eigenvalues(BoundaryParam(theta), lambda_max=4000.0)
+    assert oracle._SEED_TABLES is first
+    assert built == [0.0] + j0_zeros(5)  # one per cell below r = 16
+    # rebuilt after a spectrum at another angle, the table is the same
+    monkeypatch.setattr(oracle, "_SEED_TABLES", {})
+    eigenvalues(BoundaryParam(2.4), lambda_max=400.0)
+    assert oracle._SEED_TABLES == first
+
+
+def test_no_seed_table_at_import():
+    code = ("from rsheat import BoundaryParam, oracle, secular_positive\n"
+            "secular_positive(50.0, BoundaryParam(0.0))\n"
+            "assert oracle._SEED_TABLES == {}\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def _fresh_j0_zeros(n):

@@ -9,6 +9,7 @@ import pytest
 
 from rsheat import DomainError
 from rsheat import specfun as sf
+from rsheat._dd import two_prod
 
 mp.mp.dps = 30
 
@@ -326,11 +327,62 @@ def test_hankel_sums_are_bit_identical_to_separate_stop_tests():
 
 
 # Separate-loop references for the bit-identity tests below: J_n and the
-# regular sum of Y_n each have their own loop, written out here, so neither
-# shares code with the one loop under test.
+# regular sum of Y_n each have their own loop, written out here on the
+# double-double operations below, so neither shares code with the one loop
+# under test, which writes these operations out inline.
+
+def two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def quick_two_sum(a, b):  # |a| >= |b|
+    s = a + b
+    return s, b - (s - a)
+
+
+def dd_add(x, y):
+    s, e = two_sum(x[0], y[0])
+    e += x[1] + y[1]
+    return quick_two_sum(s, e)
+
+
+def dd_mul(x, y):
+    p, e = two_prod(x[0], y[0])
+    e += x[0] * y[1] + x[1] * y[0]
+    return quick_two_sum(p, e)
+
+
+def dd_mul_d(x, a):
+    p, e = two_prod(x[0], a)
+    e += x[1] * a
+    return quick_two_sum(p, e)
+
+
+def dd_div_d(x, a):
+    q1 = x[0] / a
+    p, e = two_prod(q1, a)
+    q2 = ((x[0] - p) - e + x[1]) / a
+    return quick_two_sum(q1, q2)
+
+
+def dd_sqr_d(a):
+    return two_prod(a, a)
+
+
+def test_weights_are_the_double_double_harmonic_sums():
+    # _JY_WEIGHTS keeps the bits of H_k summed by dd_add from dd_div_d(1, k)
+    h = [(0.0, 0.0)]
+    for k in range(1, 403):
+        h.append(dd_add(h[-1], dd_div_d((1.0, 0.0), float(k))))
+    want = (h[:-1], [dd_add(a, b) for a, b in zip(h, h[1:])])
+    for n in (0, 1):
+        assert [(a.hex(), b.hex()) for a, b in sf._JY_WEIGHTS[n]] == [
+            (a.hex(), b.hex()) for a, b in want[n]]
+
 
 def _jn_own_loop(n, z):
-    from rsheat._dd import dd_add, dd_div_d, dd_mul, dd_mul_d, dd_sqr_d
     u = dd_mul_d(dd_sqr_d(z), 0.25)
     term = total = (1.0, 0.0)
     k = 0
@@ -345,7 +397,6 @@ def _jn_own_loop(n, z):
 
 def _yn_separate_loops(n, z):
     """Y_n by the two-loop route: the harmonic sum, then a separate J_n series."""
-    from rsheat._dd import dd_add, dd_div_d, dd_mul, dd_mul_d, dd_sqr_d
     u = dd_mul_d(dd_sqr_d(z), 0.25)
     p, hk, hk1, s = (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (float(n), 0.0)
     k = 0
@@ -375,7 +426,8 @@ def _jn_yn_asym_own_pq(n, z):
 
 
 _BIT_IDENTITY_GRID = np.concatenate([np.linspace(1e-3, 80.0, 2001),
-                                     np.geomspace(1e-200, 1e-3, 50)])
+                                     np.geomspace(1e-200, 1e-3, 50),
+                                     [math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, 17.0)]])
 
 
 def test_fused_j0_y0_is_bit_identical_to_separate_routes():
