@@ -97,8 +97,10 @@ for radius in (1e3, 1e6):
 print()
 
 print("=== the kernel dies approaching the Friedrichs angle from below ===")
-for eps in (0.3, 0.1, 0.01):
+print("(its parts are fixed rules with a relative error bound, so the small")
+print(" values near pi/2 keep their digits: K ~ 1/kappa^2)")
+for eps in (0.3, 0.1, 0.01, 1e-4):
     bp_eps = BoundaryParam(math.pi / 2 - eps)
     v = k_theta(0.5, bp_eps)
-    print(f"theta = pi/2 - {eps:4}: kappa = {bp_eps.kappa:9.3f}, "
-          f"K(0.5) = {v.total:+.3e}")
+    print(f"theta = pi/2 - {eps:<6}: kappa = {bp_eps.kappa:10.3f}, "
+          f"K(0.5) = {v.total:+.6e}, kappa^2 K(0.5) = {bp_eps.kappa ** 2 * v.total:.6f}")

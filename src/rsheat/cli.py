@@ -18,7 +18,8 @@ threads would only take turns on the interpreter lock), through
 ``rsheat trace --workers`` (and its ``workers`` config key) is still
 accepted so that existing scripts keep running, and is ignored.  Each
 subcommand takes only the options it reads, and a ``--config`` file's
-keys are parsed as the same flags.
+keys are parsed as the same flags.  Only ``trace`` takes quadrature
+flags: the kernel's parts are fixed rules with a stated error bound.
 """
 
 from __future__ import annotations
@@ -108,10 +109,7 @@ def _add_common(p):
 
 
 def _add_curve(p):
-    """The quadrature and residue options and the t-grid of trace and ktheta."""
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--max-subdivisions", type=int, default=4000)
+    """The residue option and the t-grid of trace and ktheta."""
     p.add_argument("--no-residue", action="store_true",
                    help="drop the bound-state pole term from the kernel")
     p.add_argument("--t-min", type=float, default=1e-4)
@@ -135,6 +133,9 @@ def _build_parser():
                              help="heat-trace curve over a t-grid")
     _add_common(p_trace)
     _add_curve(p_trace)
+    p_trace.add_argument("--rel-tol", type=float, default=1e-10)
+    p_trace.add_argument("--abs-tol", type=float, default=1e-12)
+    p_trace.add_argument("--max-subdivisions", type=int, default=4000)
     p_trace.add_argument("--workers", type=int, default=None,
                          help="ignored: rows run serially, since threads only "
                               "contend for the interpreter lock on this "
@@ -202,11 +203,6 @@ def _grid(args):
     return [args.t_min + step * k for k in range(args.points)]
 
 
-def _spec(args):
-    return QuadSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                    max_subdivisions=args.max_subdivisions)
-
-
 def _emit(args, text, meta):
     if args.output == "-":
         sys.stdout.write(text)
@@ -232,7 +228,8 @@ def _meta(args, started, command):
 def _cmd_trace(args):
     started = time.time()
     bp = parse_theta(args.theta if args.theta is not None else "friedrichs")
-    spec = _spec(args)
+    spec = QuadSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
+                    max_subdivisions=args.max_subdivisions)
     residue = not args.no_residue
     ts = _grid(args)
 
@@ -282,13 +279,12 @@ def _cmd_eigen(args):
 def _cmd_ktheta(args):
     started = time.time()
     bp = parse_theta(args.theta if args.theta is not None else "0")
-    spec = _spec(args)
     ts = [args.t] if args.t is not None else _grid(args)
     buf = io.StringIO()
     buf.write("t,theta,main,smooth,residue,total\n")
     finite = True
     for t in ts:
-        v = k_theta(t, bp, spec, include_residue=not args.no_residue)
+        v = k_theta(t, bp, include_residue=not args.no_residue)
         if not math.isfinite(v.total):
             print(f"rsheat ktheta: total overflows at t={t:g}", file=sys.stderr)
             finite = False

@@ -15,6 +15,7 @@ c_minus data, and a numerical extractor for (c_plus, c_minus).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,29 +78,46 @@ def friedrichs_kernel(x, x2, t):
 
     E(x, x2, t) = sqrt(x x2)/(2t) I0(x x2 / 2t) exp(-(x^2+x2^2)/(4t)),
     evaluated through the scaled Bessel function as
-    sqrt(x x2)/(2t) i0_scaled(x x2/2t) exp(-(x-x2)^2/(4t)), which never
-    overflows and keeps full relative accuracy for x^2/t up to ~1e6.
+    sqrt(x x2)/(2t) i0_scaled(z) exp(-b), z = x x2/2t, b = (x-x2)^2/(4t),
+    which keeps full relative accuracy for x^2/t up to ~1e6.  sqrt(x x2) is
+    sqrt(x) sqrt(x2) and b is (x-x2)/4 ((x-x2)/t), so nothing over- or
+    underflows where E does not (see ``_ratio_exp``); above z = 1e17,
+    i0_scaled(z) is 1/sqrt(2 pi z) to 1/(8z) < 2^-59: E = e^{-b}/sqrt(4 pi t).
     """
     t = check_real(t, "friedrichs_kernel", "t", "> 0")
     x = check_real(x, "friedrichs_kernel", "x", ">= 0")
     x2 = check_real(x2, "friedrichs_kernel", "x2", ">= 0")
     if x == 0.0 or x2 == 0.0:
         return 0.0
-    z = x * x2 / (2.0 * t)
-    return (math.sqrt(x * x2) / (2.0 * t)) * bessel_i0_scaled(z) * math.exp(
-        -((x - x2) ** 2) / (4.0 * t))
+    root = math.sqrt(x) * math.sqrt(x2)
+    z = 0.5 * root * (root / t)
+    b = 0.25 * (x - x2) * ((x - x2) / t)
+    if z > 1e17:
+        return _ratio_exp(0.5 / math.sqrt(math.pi), math.sqrt(t), b)
+    return 0.5 * bessel_i0_scaled(z) * _ratio_exp(root, t, b)
 
 
 def nprime(x, t):
     """Boundary limit sqrt(x)/(2t) exp(-x^2/4t) of the Friedrichs kernel.
 
-    Equals lim_{x2 -> 0} x2^{-1/2} friedrichs_kernel(x, x2, t).
+    Equals lim_{x2 -> 0} x2^{-1/2} friedrichs_kernel(x, x2, t), and is
+    formed as that is, with x^2/4t as (x/4)(x/t).
     """
     t = check_real(t, "nprime", "t", "> 0")
     x = check_real(x, "nprime", "x", ">= 0")
     if x == 0.0:
         return 0.0
-    return (math.sqrt(x) / (2.0 * t)) * math.exp(-x * x / (4.0 * t))
+    return _ratio_exp(0.5 * math.sqrt(x), t, 0.25 * x * (x / t))
+
+
+def _ratio_exp(c, d, b):
+    """(c/d) e^{-b}, c, d > 0, b >= 0 or inf: exp(log c - log d - b) where c/d
+    overflows or e^{-b} is subnormal, so it is 0.0 only where it underflows."""
+    ratio = c / d
+    decay = math.exp(-b)
+    if ratio < math.inf and decay >= sys.float_info.min:
+        return ratio * decay
+    return math.exp(math.log(c) - math.log(d) - b)
 
 
 def q_diag(x, t, spec: QuadSpec = DEFAULT_SPEC):

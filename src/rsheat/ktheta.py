@@ -3,11 +3,12 @@
 K is the inverse Laplace transform of 1/(log sqrt(zeta) + kappa) with the
 principal branch of the logarithm.  Bending the Bromwich line onto the
 branch cut zeta = -y, y > 0, leaves the real, positive density
-2/((log y + 2 kappa)^2 + pi^2) on the cut plus one real pole, so K splits
-into three exactly-summing real parts and no complex arithmetic is needed:
+2 C(log y + 2 kappa), C(x) = 1/(x^2 + pi^2), on the cut plus one real
+pole, so K splits into three exactly-summing real parts and no complex
+arithmetic is needed:
 
-* ``m_main``   -- 2 int_1^inf e^{-ty} ((log y + 2 kappa)^2 + pi^2)^{-1} dy,
-  the part carrying the t -> 0 singularity ~ 2/(t log^2 t);
+* ``m_main``   -- 2 int_1^inf e^{-ty} C(log y + 2 kappa) dy, the part
+  carrying the t -> 0 singularity ~ 2/(t log^2 t);
 * ``k1_smooth`` -- the same density over y in (0, 1), bounded and smooth;
 * ``residue_term`` -- 2 zeta0 e^{t zeta0} with zeta0 = e^{-2 kappa}, the
   residue of e^{t zeta}/(log sqrt(zeta) + kappa) at its positive real pole.
@@ -15,6 +16,22 @@ into three exactly-summing real parts and no complex arithmetic is needed:
   gives the pole-free convention; ``laplace_of_k`` certifies numerically
   that only the residue-on assembly satisfies
   L K(zeta) = (log sqrt(zeta) + kappa)^{-1}.
+
+Each cut integral is one 16-point Gauss-Legendre sum on fixed panels, with
+no tolerance.  On |Im u| <= pi/2 about its log variable u the integrand is
+at most e^{Re u}/((Re u + 2 kappa)^2 + pi^2/4) in modulus (the logistic of
+``laplace_of_k``: 1 in place of e^{Re u}), since C's poles stay at distance
+pi whatever kappa, t and zeta are.  So a panel of width <= 2, whose
+Bernstein ellipse rho = 3.43 fits that strip, errs by under
+(64/15) rho^-32/(rho^2 - 1) M < 2.9e-18 M, M that bound on the ellipse
+(Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
+``k1_smooth``: u = log y, 23 panels over [-UNDERFLOW_U, 0], cutting off
+under 2 e^{-UNDERFLOW_U}/pi^2 ~ 2e-21.  ``m_main`` for t <= 1: v = log(ty)
+over [max(log t, -UNDERFLOW_U), log UNDERFLOW_U], 2/t outside; e^v C grows
+with v, so each cut drops under 1e-18 of the value.  For t > 1: w = t(y - 1)
+on ``_W_EDGES``, 2 e^{-t}/t outside, whose ellipses rho = 4 keep
+Re(1 + w/t) > 0: under 1.6e-20 M per panel, and past w = UNDERFLOW_U
+under 1e-19 of the value.
 """
 
 from __future__ import annotations
@@ -26,16 +43,13 @@ import numpy as np
 
 from .errors import DomainError, check_real, check_real_array
 from .kernels import BoundaryParam
-from .quadrature import (
-    DEFAULT_SPEC,
-    UNDERFLOW_U,
-    QuadSpec,
-    _T_BOUND,
-    integrate,
-    integrate_log_tail,
-)
+from .quadrature import UNDERFLOW_U, _T_BOUND, _W_EDGES, _gl_panels
 
 _PI2 = math.pi * math.pi
+_U_NODES, _U_WEIGHTS = _gl_panels(np.linspace(-UNDERFLOW_U, 0.0, 24))
+_Y_NODES = np.exp(_U_NODES)
+_W_NODES, _W_WEIGHTS = _gl_panels(_W_EDGES)
+_V_HI = math.log(UNDERFLOW_U)
 
 
 @dataclass(frozen=True)
@@ -57,71 +71,63 @@ def pole_location(bp: BoundaryParam) -> float:
         return math.inf
 
 
-def m_main(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
-    """Main log-tail integral, positive and strictly decreasing in t."""
+def m_main(t, bp: BoundaryParam):
+    """Main log-tail part, positive and strictly decreasing in t; 0.0 where
+    e^{-t} underflows."""
     t = check_real(t, "m_main", "t", _T_BOUND)
     k2 = 2.0 * bp.kappa
-    res = integrate_log_tail(lambda y: np.ones_like(y), t, k2, spec)
-    return 2.0 * res.value
+    if t > 1.0:
+        dens = np.exp(-_W_NODES) / ((np.log1p(_W_NODES / t) + k2) ** 2 + _PI2)
+        return 2.0 * math.exp(-t) / t * float(dens @ _W_WEIGHTS)
+    log_t = math.log(t)
+    lo = max(log_t, -UNDERFLOW_U)
+    v, w = _gl_panels(np.linspace(lo, _V_HI, 1 + math.ceil(0.5 * (_V_HI - lo))))
+    dens = np.exp(v - np.exp(v)) / ((v - log_t + k2) ** 2 + _PI2)
+    return 2.0 / t * float(dens @ w)
 
 
-def k1_smooth(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
-    """The (0, 1) piece of the cut density,
-    2 int_0^1 e^{-ty} ((log y + 2 kappa)^2 + pi^2)^{-1} dy.
-
-    Integrated in u = log y over [-UNDERFLOW_U, 0]; the piece cut off below
-    is at most 2 e^{-UNDERFLOW_U}/pi^2 ~ 2e-21.  ``t`` is a float, giving a
-    float, or a 1-D array, giving an array of the same length: all its
-    times share one adaptive node set, refined until each time meets the
-    tolerance.
-    """
+def k1_smooth(t, bp: BoundaryParam):
+    """The (0, 1) piece of the cut density.  ``t`` is a float, giving a
+    float, or a 1-D array, giving an array from one (times x nodes) block."""
     t = (check_real_array if isinstance(t, np.ndarray) else check_real)(
         t, "k1_smooth", "t", ">= 0")
-    k2 = 2.0 * bp.kappa
-
-    def f(us):
-        us = us[:, None] if isinstance(t, np.ndarray) else us
-        ys = np.exp(us)
-        return ys * np.exp(-t * ys) / ((us + k2) ** 2 + _PI2)
-
-    return 2.0 * integrate(f, -UNDERFLOW_U, 0.0, spec).value
+    dens = _U_WEIGHTS * _Y_NODES / ((_U_NODES + 2.0 * bp.kappa) ** 2 + _PI2)
+    out = 2.0 * (np.exp(-np.multiply.outer(t, _Y_NODES)) @ dens)
+    return out if isinstance(t, np.ndarray) else float(out)
 
 
 def residue_term(t, bp: BoundaryParam):
-    """Pole contribution 2 zeta0 e^{t zeta0}."""
+    """Pole contribution 2 zeta0 e^{t zeta0}; inf where it overflows."""
     t = check_real(t, "residue_term", "t", ">= 0")
     z0 = pole_location(bp)
     try:
-        return 2.0 * z0 * math.exp(t * z0)
+        return 2.0 * z0 * (math.exp(t * z0) if t else 1.0)  # no 0 * inf
     except OverflowError:
         return math.inf
 
 
-def k_theta(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
-            include_residue=True):
+def k_theta(t, bp: BoundaryParam, *, include_residue=True):
     """Assembled kernel value with its three parts (residue 0.0 if dropped)."""
     t = check_real(t, "k_theta", "t", _T_BOUND)
     return KThetaValue(
-        main_part=m_main(t, bp, spec),
-        smooth_part=k1_smooth(t, bp, spec),
+        main_part=m_main(t, bp),
+        smooth_part=k1_smooth(t, bp),
         residue_part=residue_term(t, bp) if include_residue else 0.0,
     )
 
 
 def laplace_of_k(zeta, bp: BoundaryParam, *, include_residue=True):
-    """Numerical Laplace transform of the assembled kernel at real zeta.
+    """Numerical Laplace transform of the assembled kernel at real zeta,
+    which the acceptance suite compares with (log sqrt(zeta) + kappa)^{-1}.
 
-    The residue part transforms in closed form to 2 zeta0/(zeta - zeta0)
-    (valid above the pole).  The cut density transforms to its Stieltjes
-    form 2 int_0^inf ((log y + 2 kappa)^2 + pi^2)^{-1} (y + zeta)^{-1} dy,
-    evaluated in u = log y from min(0, log zeta) - UNDERFLOW_U, where the
-    integrand is below e^u/(zeta pi^2), to max(0, log zeta) + UNDERFLOW_U,
-    beyond which y/(y + zeta) is 1 to within e^{-UNDERFLOW_U} and the
-    analytic arctan tail takes over, at DEFAULT_SPEC.  y/(y + zeta) is
-    taken as 1/(1 + e^{log zeta - u}), so no e^u overflows: every finite
-    zeta above the pole (with the residue off, every zeta > 0) gives a
-    finite value.  The acceptance suite compares the result against
-    (log sqrt(zeta) + kappa)^{-1}.
+    The residue part is 2 zeta0/(zeta - zeta0) (above the pole), the cut
+    part 2 int_0^inf C(log y + 2 kappa) (y/(y + zeta)) dy/y, in u = log y on
+    panels of width <= 2 (the module docstring's bound) from
+    min(0, log zeta) - UNDERFLOW_U, below which the integrand is under
+    e^u/(zeta pi^2), to max(0, log zeta) + UNDERFLOW_U, then the arctan
+    tail.  y/(y + zeta) is the logistic 1/(1 + e^{log zeta - u}), so every
+    finite zeta above the pole (residue off: every zeta > 0) gives a
+    finite value.
     """
     zeta = check_real(zeta, "laplace_of_k", "zeta", "> 0")
     k2 = 2.0 * bp.kappa
@@ -130,14 +136,13 @@ def laplace_of_k(zeta, bp: BoundaryParam, *, include_residue=True):
         raise DomainError(f"laplace_of_k: need zeta above the pole {z0!r}, got {zeta!r}")
     res_part = 2.0 * (z0 / (zeta - z0)) if include_residue else 0.0
     log_zeta = math.log(zeta)
-
-    def f(us):
-        # 0.0 where e^{log zeta - u} overflows, which needs zeta > e^663
-        return 1.0 / ((1.0 + np.exp(log_zeta - us)) * ((us + k2) ** 2 + _PI2))
-
+    u_lo = min(0.0, log_zeta) - UNDERFLOW_U
     u_hi = max(0.0, log_zeta) + UNDERFLOW_U
+    u, w = _gl_panels(np.linspace(u_lo, u_hi, 1 + math.ceil(0.5 * (u_hi - u_lo))))
     with np.errstate(over="ignore"):
-        cut_part = 2.0 * integrate(f, min(0.0, log_zeta) - UNDERFLOW_U, u_hi).value
+        # 0.0 where e^{log zeta - u} overflows, which needs zeta > e^663
+        dens = 1.0 / ((1.0 + np.exp(log_zeta - u)) * ((u + k2) ** 2 + _PI2))
+    cut_part = 2.0 * float(dens @ w)
     # arctan_tail as atan2: its pi/2 - atan(x/pi) cancels, ~1e-14 off at x ~ 700
     cut_part += (2.0 / math.pi) * math.atan2(math.pi, u_hi + k2)
     return cut_part + res_part

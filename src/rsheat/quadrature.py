@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod integration and the log-tail integral family.
+"""Adaptive Gauss-Kronrod integration, the log-tail family, fixed GL panels.
 
 The engine is a standard globally adaptive G7/K15 scheme: keep a heap of
 panels ordered by error estimate, bisect the worst one until the summed
@@ -8,17 +8,15 @@ array of shape (n,) or, for m integrals sharing one node set, an array of
 shape (n, m); the latter is refined until every one of the m integrals
 meets its own tolerance.
 
-`integrate_log_tail` handles the semi-infinite integrals with the
-logarithmically decaying weight 1/((log y + c)^2 + pi^2) that appear
-throughout the package; after u = log y the integrand decays like
-exp(u - t e^u) and is truncated where that factor underflows, with the
-truncation bound folded into the reported error.
+`integrate_log_tail` takes ``exotic_term``'s int_1^inf with the weight
+1/((log y + c)^2 + pi^2) in u = log y, cut where exp(u - t e^u)
+underflows, with the cut's bound folded into the reported error.
 
 ``UNDERFLOW_U`` is the package's one cut.  Every exponential factor below
 e^{-UNDERFLOW_U} ~ 1e-20 is dropped, and a u = log y integral of
 c(u)/((u + k)^2 + pi^2) with c -> 1 hands over to the analytic
 ``arctan_tail`` where c is 1 to within about e^{-UNDERFLOW_U}: UNDERFLOW_U
-above its own scale in u (``laplace_of_k``, as atan2, and
+above its own scale in u (``ktheta.laplace_of_k``, as atan2, and
 ``trace.t1_y_outer``), or at u = log UNDERFLOW_U where c = 1 - exp(-e^u)
 (``trace._cut_integrals``).
 """
@@ -36,8 +34,20 @@ from .errors import ConvergenceError, DomainError, check_int, check_real, check_
 UNDERFLOW_U = 46.0
 # the smallest t of a log-tail integral: below ~4.4e-306 its window's end
 # (UNDERFLOW_U + u)/t overflows.  Every public function of t that runs one,
-# or the Friedrichs closed form in 0.5/t, refuses a smaller t up front.
+# the Friedrichs closed form in 0.5/t or m_main's 2/t refuses a smaller t.
 _T_BOUND = ">= 1e-305"
+
+
+# geometric panel edges in w = (t-s) y (trace._a_conv) and t(y-1) (m_main)
+_W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, UNDERFLOW_U])
+_GLW_N, _GLW_W = np.polynomial.legendre.leggauss(16)
+
+
+def _gl_panels(edges):
+    """16-point Gauss-Legendre nodes and weights on each ``edges`` panel."""
+    nodes = 0.5 * (np.multiply.outer(edges[:-1], 1.0 - _GLW_N)
+                   + np.multiply.outer(edges[1:], 1.0 + _GLW_N))
+    return nodes.ravel(), np.multiply.outer(0.5 * np.diff(edges), _GLW_W).ravel()
 
 
 def arctan_tail(u, kappa2):

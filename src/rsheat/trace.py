@@ -71,7 +71,11 @@ from .quadrature import (
     DEFAULT_SPEC,
     UNDERFLOW_U,
     QuadSpec,
+    _GLW_N,
+    _GLW_W,
     _T_BOUND,
+    _W_EDGES,
+    _gl_panels,
     arctan_tail,
     integrate,
     integrate_log_tail,
@@ -86,15 +90,10 @@ _TRQ_W = 1.0 / (16.0 * _TRQ_C)
 _TRQ_W[0] *= 0.5  # the trapezoid's end weight, h = 1/4
 _TRQ_FLAT_S = 1.0 / 38.0
 
-# geometric panel edges for the w = (t-s) y inner convolution variable
-_W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, UNDERFLOW_U])
-_GLW_N, _GLW_W = np.polynomial.legendre.leggauss(16)
-
-# volterra_correction's rule on s in [t/2, t], the same 96 nodes in
+# volterra_correction's rule on s in [t/2, t], the 96 nodes of _W_EDGES in
 # v = log(t/(2 tau)): tau = (t/2) _V_TAU
-_V_TAU = np.exp(-0.5 * (np.multiply.outer(_W_EDGES[:-1], 1.0 - _GLW_N)
-                        + np.multiply.outer(_W_EDGES[1:], 1.0 + _GLW_N)).ravel())
-_V_WEIGHTS = np.multiply.outer(0.5 * np.diff(_W_EDGES), _GLW_W).ravel()
+_V_NODES, _V_WEIGHTS = _gl_panels(_W_EDGES)
+_V_TAU = np.exp(-_V_NODES)
 # and on s in (0, t/2]: 6 equal panels of 16 nodes in x = log(1/s), on [0, 1]
 _X_NODES = ((np.arange(6)[:, None] + 0.5 * (1.0 + _GLW_N)) / 6.0).ravel()
 _X_WEIGHTS = np.tile(_GLW_W / 12.0, 6)
@@ -237,7 +236,7 @@ def t2_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     bp.kappa  # reject Friedrichs early
 
     def f(ss):
-        return k1_smooth(t - ss, bp, spec) * _trq_values(ss)
+        return k1_smooth(t - ss, bp) * _trq_values(ss)
 
     return integrate(f, 0.0, t, spec).value
 

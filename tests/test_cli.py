@@ -110,13 +110,21 @@ class TestEigenCommand:
 
     def test_only_the_options_it_reads(self, tmp_path, capsys):
         # eigen reads no quadrature option and ktheta runs no rows in a pool
-        # eigen's bracket stop is a constant of the solver, not a --tol knob
+        # eigen's bracket stop is a constant of the solver, not a --tol knob;
+        # ktheta's parts are fixed rules, so it takes no quadrature option
         for args in (["eigen", "--no-residue"], ["eigen", "--rel-tol", "1e-9"],
                      ["eigen", "--max-subdivisions", "10"], ["eigen", "--tol", "1e-10"],
-                     ["ktheta", "--workers", "2"]):
+                     ["ktheta", "--workers", "2"], ["ktheta", "--rel-tol", "1e-9"],
+                     ["ktheta", "--abs-tol", "1e-13"],
+                     ["ktheta", "--max-subdivisions", "10"]):
             code, out, err = run_cli(args, capsys)
             assert (code, out) == (1, ""), args
             assert "unrecognized arguments" in err, args
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("rel_tol = 1e-9\n")
+        code, out, err = run_cli(["ktheta", "--config", str(cfg), "--t", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --rel-tol=1e-9" in err
         out = tmp_path / "e.csv"
         code, _, _ = run_cli(["eigen", "--lambda-max", "300", "--output", str(out)], capsys)
         assert code == 0

@@ -15,6 +15,7 @@ below 1e-323 and ``q_diag`` where x^2/t underflows.
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -196,6 +197,58 @@ def test_the_smallest_double_is_refused_by_name(fn, arg, call):
     with pytest.raises(DomainError, match=f"^{fn}: need finite {arg} >= 1e-323, got 5e-324$"):
         call(5e-324)
     assert not math.isnan(call(1e-323))  # K1 ~ 1/z overflows to inf below 5.6e-309
+
+
+def test_residue_term_where_the_pole_overflows():
+    # kappa < -354: zeta0 = e^{-2 kappa} is inf, and 0 * inf must not reach exp
+    bp = BoundaryParam(math.pi - math.atan(355.0))
+    assert rsheat.pole_location(bp) == math.inf
+    for t in (0.0, 1e-300, 1.0):
+        assert rsheat.residue_term(t, bp) == math.inf
+
+
+def _mp_friedrichs_kernel(x, x2, t):
+    x, x2, t = mp.mpf(x), mp.mpf(x2), mp.mpf(t)
+    return (mp.sqrt(x * x2) / (2 * t) * mp.besseli(0, x * x2 / (2 * t))
+            * mp.exp(-(x * x + x2 * x2) / (4 * t)))
+
+
+def _mp_nprime(x, t):
+    x, t = mp.mpf(x), mp.mpf(t)
+    return mp.sqrt(x) / (2 * t) * mp.exp(-x * x / (4 * t))
+
+
+@pytest.mark.parametrize("fn, args, ref", [
+    # x x2 underflows, or is subnormal
+    ("friedrichs_kernel", (1e-200, 1e-200, 1e-300), _mp_friedrichs_kernel),
+    ("friedrichs_kernel", (1e-160, 1e-160, 1e-300), _mp_friedrichs_kernel),
+    ("friedrichs_kernel", (5e-324, 5e-324, 5e-324), _mp_friedrichs_kernel),
+    # x x2/2t overflows: i0_scaled's 1/sqrt(2 pi z) form
+    ("friedrichs_kernel", (1e200, 1e200, 1e-300), _mp_friedrichs_kernel),
+    ("friedrichs_kernel", (1e308, 1e308, 1e308), _mp_friedrichs_kernel),
+    # 2t or (x - x2)^2 overflows
+    ("friedrichs_kernel", (1e154, 1e154, 1e308), _mp_friedrichs_kernel),
+    ("friedrichs_kernel", (1e155, 1e-10, 1e308), _mp_friedrichs_kernel),
+    ("nprime", (1e154, 1e308), _mp_nprime),
+    ("nprime", (1e155, 1e308), _mp_nprime),
+    # sqrt(x)/2t overflows where e^{-x^2/4t} underflows
+    ("nprime", (3e-150, 1e-300), _mp_nprime),
+    ("nprime", (2e-151, 1e-303), _mp_nprime),
+    ("nprime", (5e-324, 5e-324), _mp_nprime),
+])
+def test_friedrichs_kernel_and_nprime_at_extreme_arguments(fn, args, ref):
+    with mp.workdps(30):
+        want = ref(*args)
+        got = getattr(rsheat, fn)(*args)
+        assert abs(got - want) <= 1e-15 * want, (got, want)
+
+
+def test_friedrichs_kernel_and_nprime_underflow_to_zero():
+    # the kernel itself is below the doubles: 0.0, never nan
+    assert rsheat.nprime(1e200, 1e-300) == 0.0
+    assert rsheat.nprime(1e308, 1e308) == 0.0
+    assert rsheat.friedrichs_kernel(1e150, 1.000001e150, 1e-10) == 0.0
+    assert rsheat.friedrichs_kernel(1e-300, 1e300, 1e300) == 0.0
 
 
 def test_q_diag_at_extreme_arguments():

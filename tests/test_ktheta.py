@@ -9,7 +9,6 @@ import pytest
 from rsheat import (
     BoundaryParam,
     DomainError,
-    QuadSpec,
     integrate,
     k1_smooth,
     k_theta,
@@ -19,9 +18,6 @@ from rsheat import (
     residue_term,
 )
 from rsheat.specfun import EULER_GAMMA
-
-# relative tolerance only: the kernel parts fall like 1/kappa^2 near pi/2
-REL_SPEC = QuadSpec(rel_tol=1e-13, abs_tol=1e-300)
 
 
 def contour_k1(t, kap, spec):
@@ -77,6 +73,85 @@ def mp_k1(t, kappa):
                        pts)
 
 
+def mp_part(t, kappa, main):
+    """m_main (main) or k1_smooth in mpmath at the working precision:
+    2 int e^{u - t e^u} / ((u + 2 kappa)^2 + pi^2) du in u = log y, over
+    [0, log1p(800/t)] or [min(log(1/t), 0) - 60, 0], past which the
+    integrand is below e^-60 of its peak, with finite breakpoints at the
+    peak of e^{u - t e^u} and at the kernel's centre -2 kappa.  mp.quad's
+    stop test is absolute, so the integrand is scaled to O(1) at its peak
+    c, by e^s: s = log(t ((c + 2 kappa)^2 + pi^2)) + t for the main part,
+    whose e^{-t} this takes out, and log(max(t, 1) ((c + 2 kappa)^2 + pi^2))
+    for the other.
+    """
+    t = mp.mpf(t)
+    k2 = 2 * mp.mpf(kappa)
+    pi2 = mp.pi ** 2
+    peak = -mp.log(t)  # +inf at t = 0, where e^u peaks at u = 0
+    c = max(peak, 0) if main else min(peak, 0)
+    lo, hi = (max(peak - 60, 0), mp.log1p(800 / t)) if main else (c - 60, mp.mpf(0))
+    s = mp.log((t if main else max(t, 1)) * ((c + k2) ** 2 + pi2)) + (t if main else 0)
+
+    def f(u):
+        d = u + k2
+        return mp.exp(u + s - t * mp.exp(u)) / (d * d + pi2)
+
+    pts = sorted({lo, hi} | {p for p in (peak, -k2) if lo < p < hi})
+    return 2 * mp.quad(f, pts) * mp.exp(-s)
+
+
+class TestFixedRules:
+    """The kernel's parts are fixed Gauss-Legendre sums with a strip bound
+    (see the ktheta module docstring): relative accuracy at every angle,
+    the Friedrichs neighbourhood included, and at every t."""
+
+    THETAS = (0.0, 1.0, 2.4, 3.1, math.pi / 2 - 1e-4, math.pi / 2 + 1e-4)
+    TIMES = (1e-305, 1e-100, 1e-10, 1e-4, 1e-2, 0.5, 5.0, 30.0, 100.0)
+
+    def test_parts_against_mpmath(self):
+        # m_main(1e3) underflows to 0.0, so t in {0, 1e3} is for k1_smooth
+        with mp.workdps(20):
+            for theta in self.THETAS:
+                bp = BoundaryParam(theta)
+                for t in self.TIMES + (0.0, 1e3):
+                    smooth = k1_smooth(t, bp)
+                    ref = mp_part(t, bp.kappa, main=False)
+                    assert abs(smooth - ref) <= 1e-15 * ref, (theta, t)
+                    if t in (0.0, 1e3):
+                        continue
+                    main = m_main(t, bp)
+                    ref = mp_part(t, bp.kappa, main=True)
+                    assert abs(main - ref) <= 1e-15 * ref, (theta, t)
+                    v = k_theta(t, bp, include_residue=False)
+                    assert (v.main_part, v.smooth_part) == (main, smooth)
+
+    def test_laplace_of_k_against_mpmath(self):
+        # residue off: the cut part alone, against its Stieltjes integral in
+        # u = log y over a window 50 wider than the logistic's and the
+        # kernel's centres, plus the arctan tail; residue on, at
+        # zeta >= 2 zeta0, against 1/(log sqrt(zeta) + kappa)
+        with mp.workdps(20):
+            for theta in (0.0, 1.0, 2.4, 3.1, math.pi / 2 - 1e-4):
+                bp = BoundaryParam(theta)
+                z0 = pole_location(bp)
+                k2 = 2 * mp.mpf(bp.kappa)
+                for zeta in (1e-3, 0.5, 2.0, 10.0, 1e3, 1e10):
+                    lz = mp.log(zeta)
+
+                    def f(u):
+                        return 1 / ((1 + mp.exp(lz - u)) * ((u + k2) ** 2 + mp.pi ** 2))
+
+                    lo, hi = min(lz, -k2) - 50, max(lz, -k2) + 50
+                    tail = (mp.pi / 2 - mp.atan((hi + k2) / mp.pi)) / mp.pi
+                    ref = 2 * (mp.quad(f, [lo, *sorted({lz, -k2}), hi]) + tail)
+                    got = laplace_of_k(zeta, bp, include_residue=False)
+                    assert abs(got - ref) <= 1e-15 * ref, (theta, zeta)
+                    if zeta >= 2.0 * z0:
+                        ref = 1 / (lz / 2 + mp.mpf(bp.kappa))
+                        got = laplace_of_k(zeta, bp)
+                        assert abs(got - ref) <= 1e-15 * abs(ref), (theta, zeta)
+
+
 class TestMMain:
     def test_decreasing(self, bp0):
         for t in (0.01, 0.1, 1.0):
@@ -116,7 +191,7 @@ class TestK1Smooth:
             bp = BoundaryParam(theta)
             for t in (0.0, 1e-6, 0.5, 5.0, 50.0):
                 ref = contour_k1(t, bp.kappa, tight_spec)
-                assert abs(k1_smooth(t, bp, tight_spec) - ref) <= 1e-12 * abs(ref)
+                assert abs(k1_smooth(t, bp) - ref) <= 1e-12 * abs(ref)
 
     def test_against_mpmath_next_to_friedrichs(self):
         # the contour pieces are O(1/kappa) and cancel to O(1/kappa^2) here
@@ -125,15 +200,14 @@ class TestK1Smooth:
             for t in (0.0, 0.5, 5.0, 1000.0):
                 with mp.workdps(30):
                     ref = mp_k1(mp.mpf(t), bp.kappa)
-                    assert abs(k1_smooth(t, bp, REL_SPEC) - ref) <= 1e-13 * ref
+                    assert abs(k1_smooth(t, bp) - ref) <= 1e-13 * ref
 
     def test_large_t_against_mpmath(self):
         for theta in (0.0, 1.0, 2.4, 3.1):
             bp = BoundaryParam(theta)
             with mp.workdps(30):
                 ref = mp_k1(mp.mpf(1000), bp.kappa)
-                assert abs(k1_smooth(1000.0, bp, REL_SPEC) - ref) <= 1e-13 * ref
-                assert abs(k1_smooth(1000.0, bp) - ref) <= 1e-10 * ref
+                assert abs(k1_smooth(1000.0, bp) - ref) <= 1e-13 * ref
 
     def test_bounded_no_growth(self, bp0):
         ts = np.linspace(0.0, 5.0, 26)

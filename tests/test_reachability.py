@@ -40,7 +40,7 @@ COMMANDS = (
 # the flags that set the trace and kernel options away from their defaults
 OPTION_COMMANDS = COMMANDS + (
     ["trace", "--theta", "0", "--no-residue", "--rel-tol", "1e-11"],
-    ["ktheta", "--theta", "0", "--no-residue", "--rel-tol", "1e-11"],
+    ["ktheta", "--theta", "0", "--no-residue"],
 )
 
 

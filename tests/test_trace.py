@@ -81,7 +81,7 @@ def t1_s_outer(t, bp, spec=DEFAULT_SPEC, eps=1e-6):
     def f(vs):
         taus = np.exp(np.asarray(vs))
         trqs = _trq_values(t - taus)
-        return np.array([m_main(float(tau), bp, spec) * float(q) * float(tau)
+        return np.array([m_main(float(tau), bp) * float(q) * float(tau)
                          for tau, q in zip(taus, trqs)])
 
     r = integrate(f, math.log(eps * t), math.log(t), spec)
@@ -364,14 +364,14 @@ class TestArrayRoutes:
             loop = np.array([a_conv_one(float(y), t) for y in ys])
             assert np.all(np.abs(_a_conv(ys, t) - loop) <= 1e-15 * np.abs(loop))
 
-    def test_k1_smooth_array_matches_scalar(self, tight_spec):
+    def test_k1_smooth_array_matches_scalar(self):
         ts = np.array([1e-4, 1e-2, 0.5, 5.0])
         for theta in (0.0, math.pi / 4, 2.4, 3.1):
             bp = BoundaryParam(theta)
-            arr = k1_smooth(ts, bp, tight_spec)
+            arr = k1_smooth(ts, bp)
             assert arr.shape == ts.shape
             for t, v in zip(ts, arr):
-                assert abs(v - k1_smooth(float(t), bp, tight_spec)) < 1e-12
+                assert abs(v - k1_smooth(float(t), bp)) <= 1e-15 * v
         assert isinstance(k1_smooth(0.5, BoundaryParam(0.0)), float)
         with pytest.raises(DomainError):
             k1_smooth(np.array([0.1, -0.1]), BoundaryParam(0.0))
@@ -387,7 +387,7 @@ class TestArrayRoutes:
                         / ((u + k2) ** 2 + _PI2) for u in us])
 
                 def f2(ss):
-                    return np.array([k1_smooth(t - float(s), bp, tight_spec) * float(q)
+                    return np.array([k1_smooth(t - float(s), bp) * float(q)
                                      for s, q in zip(ss, _trq_values(ss))])
 
                 t1 = (2.0 * integrate(f1, 0.0, UNDERFLOW_U, tight_spec).value
@@ -600,7 +600,7 @@ class TestTraceCurve:
         def nested(*args, **kwargs):
             calls["nested"] += 1
 
-        for mod in (trace, quadrature, ktheta):
+        for mod in (trace, quadrature):
             monkeypatch.setattr(mod, "integrate", counting)
         for name in ("t1_y_outer", "t2_part", "residue_trace_part"):
             monkeypatch.setattr(trace, name, nested)
@@ -652,7 +652,8 @@ class TestOneSpec:
     S = QuadSpec(rel_tol=1e-11, abs_tol=1e-13)
 
     def test_one_spec_reaches_every_integral(self, monkeypatch):
-        # the CLI's --rel-tol must reach every integral of a trace or kernel row
+        # the CLI's --rel-tol must reach every integral of a trace row, and
+        # the kernel's parts are fixed rules that run no adaptive integral
         seen = {}
 
         def wrap(mod):
@@ -661,15 +662,15 @@ class TestOneSpec:
                 return integrate(f, a, b, spec, points)
             return recording
 
-        for mod in (trace, ktheta, quadrature):
+        for mod in (trace, quadrature):
             monkeypatch.setattr(mod, "integrate", wrap(mod))
         bp = BoundaryParam(1.0)
-        calls = ((lambda: trace_curve(bp, [1e-3, 0.05, 0.2], self.S),
-                  {"rsheat.trace", "rsheat.quadrature"}),
-                 (lambda: ktheta.k_theta(0.5, bp, self.S),
-                  {"rsheat.ktheta", "rsheat.quadrature"}))
-        for call, modules in calls:
-            seen.clear()
-            call()
-            assert seen.keys() == modules
-            assert all(s is self.S for specs in seen.values() for s in specs)
+        trace_curve(bp, [1e-3, 0.05, 0.2], self.S)
+        assert seen.keys() == {"rsheat.trace", "rsheat.quadrature"}
+        assert all(s is self.S for specs in seen.values() for s in specs)
+        seen.clear()
+        ktheta.k_theta(0.5, bp)
+        ktheta.k_theta(5.0, bp)
+        ktheta.laplace_of_k(10.0, bp)
+        assert seen == {}
+        assert not hasattr(ktheta, "integrate") and not hasattr(ktheta, "integrate_log_tail")
