@@ -25,13 +25,15 @@ pi whatever kappa, t and zeta are.  So a panel of width <= 2, whose
 Bernstein ellipse rho = 3.43 fits that strip, errs by under
 (64/15) rho^-32/(rho^2 - 1) M < 2.9e-18 M, M that bound on the ellipse
 (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
-``k1_smooth``: u = log y, 23 panels over [-UNDERFLOW_U, 0], cutting off
-under 2 e^{-UNDERFLOW_U}/pi^2 ~ 2e-21.  ``m_main`` for t <= 1: v = log(ty)
-over [max(log t, -UNDERFLOW_U), log UNDERFLOW_U], 2/t outside; e^v C grows
-with v, so each cut drops under 1e-18 of the value.  For t > 1: w = t(y - 1)
-on ``_W_EDGES``, 2 e^{-t}/t outside, whose ellipses rho = 4 keep
-Re(1 + w/t) > 0: under 1.6e-20 M per panel, and past w = UNDERFLOW_U
-under 1e-19 of the value.
+Below a window's end e^u C grows with u at rate >= 1 - 1/pi, and C varies
+by at most 217x over 46 in u, so a cut UNDERFLOW_U below the peak drops
+under 3e-17 of the value.  ``k1_smooth``: u = log y over
+[-UNDERFLOW_U - log max(1, t), 0], 23 panels up to t = 1.  ``m_main`` for
+t <= 1: v = log(ty) over [max(log t, -UNDERFLOW_U), log UNDERFLOW_U], 2/t
+outside; above it e^{-e^v} integrates to e^{-UNDERFLOW_U}, under 1e-18 of
+the value.  For t > 1: w = t(y - 1) on ``_W_EDGES``, 2 e^{-t}/t outside,
+whose ellipses rho = 4 keep Re(1 + w/t) > 0: under 1.6e-20 M per panel,
+and past w = UNDERFLOW_U under 1e-19 of the value.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .kernels import BoundaryParam
 from .quadrature import UNDERFLOW_U, _T_BOUND, _W_EDGES, _gl_panels
 
 _PI2 = math.pi * math.pi
+# k1_smooth's rule up to t = 1, and m_main's above it
 _U_NODES, _U_WEIGHTS = _gl_panels(np.linspace(-UNDERFLOW_U, 0.0, 24))
 _Y_NODES = np.exp(_U_NODES)
 _W_NODES, _W_WEIGHTS = _gl_panels(_W_EDGES)
@@ -88,11 +91,19 @@ def m_main(t, bp: BoundaryParam):
 
 def k1_smooth(t, bp: BoundaryParam):
     """The (0, 1) piece of the cut density.  ``t`` is a float, giving a
-    float, or a 1-D array, giving an array from one (times x nodes) block."""
+    float, or a 1-D array, giving an array from one (times x nodes) block.
+    Past t ~ 1e10 the nodes' rounding near u = -log t costs about
+    1e-16 log t relative."""
     t = (check_real_array if isinstance(t, np.ndarray) else check_real)(
         t, "k1_smooth", "t", ">= 0")
-    dens = _U_WEIGHTS * _Y_NODES / ((_U_NODES + 2.0 * bp.kappa) ** 2 + _PI2)
-    out = 2.0 * (np.exp(-np.multiply.outer(t, _Y_NODES)) @ dens)
+    u, w, y = _U_NODES, _U_WEIGHTS, _Y_NODES
+    t_max = t.max() if isinstance(t, np.ndarray) else t
+    if t_max > 1.0:  # reach UNDERFLOW_U below e^{u - t e^u}'s peak at -log t
+        lo = -UNDERFLOW_U - math.log(t_max)
+        u, w = _gl_panels(np.linspace(lo, 0.0, 1 + math.ceil(-0.5 * lo)))
+        y = np.exp(u)
+    dens = w * y / ((u + 2.0 * bp.kappa) ** 2 + _PI2)
+    out = 2.0 * (np.exp(-np.multiply.outer(t, y)) @ dens)
     return out if isinstance(t, np.ndarray) else float(out)
 
 

@@ -185,11 +185,12 @@ class TestKthetaCommand:
 
     def test_overflow_is_flagged(self, capsys):
         # the row still holds inf, as before, but stderr says so and the
-        # exit code is the numerical-failure one, as for rsheat trace
+        # exit code is the numerical-failure one, as for rsheat trace; the
+        # smooth part is representable there (mpmath: 4.18152662037051e-306)
         code, out, err = run_cli(["ktheta", "--theta", "0", "--t", "1e300"], capsys)
         assert code == 2
         assert out == ("t,theta,main,smooth,residue,total\n"
-                       "1.0000000000000001e+300,0,0,0,inf,inf\n")
+                       "1.0000000000000001e+300,0,0,4.1815266203705464e-306,inf,inf\n")
         assert err == "rsheat ktheta: total overflows at t=1e+300\n"
 
 
