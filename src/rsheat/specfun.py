@@ -277,7 +277,13 @@ def _ik_asym_sum(mu, z, alternate):
 
 def _i_asym_scaled(mu, z):
     """e^{-z} I_nu(z), mu = 4 nu^2, from the Hankel series."""
-    return _ik_asym_sum(mu, z, alternate=True)[0] / math.sqrt(2.0 * math.pi * z)
+    return _ik_asym_sum(mu, z, alternate=True)[0] / _root_2pi(z)
+
+
+def _root_2pi(z):
+    """sqrt(2 pi z), split as sqrt(2 pi) sqrt(z) only where 2 pi z overflows."""
+    w = 2.0 * math.pi * z
+    return math.sqrt(w) if w < math.inf else math.sqrt(2.0 * math.pi) * math.sqrt(z)
 
 
 def _k_asym_scaled(mu, z):
@@ -443,5 +449,5 @@ def i0_scaled_checked(z):
         v = _i(0, z, True)
         return SpecfunResult(v, 8.0 * _EPS * abs(v) + 1e-300)
     s, smallest = _ik_asym_sum(0.0, z, alternate=True)
-    root = math.sqrt(2.0 * math.pi * z)
+    root = _root_2pi(z)
     return SpecfunResult(s / root, 1.0 / root * (smallest + 4.0 * _EPS))

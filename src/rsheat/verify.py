@@ -98,8 +98,7 @@ def criterion_1_tn_closed_form():
         bound = 0.5 * math.exp(-1.0 / t) + 1e-10
         r.add(f"|tn_trace({t}) - 1/2|", abs(tn_trace(t) - 0.5), bound)
     t = 0.2
-    spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-13)
-    q_int = integrate(lambda xs: q_diag(xs, t, spec), 0.0, 1.0,
+    q_int = integrate(lambda xs: q_diag(xs, t), 0.0, 1.0,
                       QuadSpec(rel_tol=1e-11, abs_tol=1e-12)).value
     r.add("|int q_diag dx - tn_trace| at t=0.2", abs(q_int - tn_trace(t)), 1e-9)
     return r

@@ -255,6 +255,7 @@ def test_q_diag_at_extreme_arguments():
     # e^{-b}, b = x^2/t, underflows: Q is 0.0, also where b or x/2t overflows
     assert rsheat.q_diag(1e300, 0.5) == 0.0
     assert rsheat.q_diag(0.5, 1e-310) == 0.0
+    assert rsheat.q_diag(1e-10, 1e-320) == 0.0  # x/t overflows, b = 1e300
     batch = rsheat.q_diag(np.array([0.3, 1e300, 40.0]), 0.05)
     assert _bits(batch) == _bits(np.array([rsheat.q_diag(0.3, 0.05), 0.0, 0.0]))
     # b below 1e-300: the cut of the v-integral overflows

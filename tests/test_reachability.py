@@ -8,16 +8,18 @@ any ``rsheat`` module that none of them calls leaves the package, or is
 listed in ``NOT_REACHED`` with the reason it stays.  Every defaulted
 argument of a reached function in ``rsheat.__all__`` is set by a command,
 a criterion or another ``src`` function; one that none sets becomes a
-constant.
+constant.  The number of settable values is pinned, so a new option is a
+deliberate change of that pin.
 """
 
+import argparse
 import importlib
 import inspect
 import pkgutil
 import sys
 
 import rsheat
-from rsheat.cli import main
+from rsheat.cli import _build_parser, main
 
 NOT_REACHED = {
     "signaling": "the driven solution, whose c_minus is its boundary data: "
@@ -30,6 +32,10 @@ NOT_REACHED = {
     "friedrichs_trace": "the theta = pi/2 trace alone; full_trace takes its "
                         "value with the error estimate",
 }
+
+# settable values: defaulted arguments of the functions in rsheat.__all__,
+# and the subcommands' flags (--help and --version aside); 39 in all
+SETTABLE_VALUES = (12, 27)
 
 COMMANDS = (
     ["trace", "--theta", "0"],
@@ -108,3 +114,13 @@ def test_every_option_is_set_or_listed(tmp_path, capsys):
     _run_profiled(OPTION_COMMANDS, profile, tmp_path, capsys)
     options = {f"{names[code]}.{arg_name}" for code in reached for arg_name in defaults[code]}
     assert options - set_away == set()
+
+
+def test_settable_values_are_pinned():
+    defaulted = sum(p.default is not p.empty for fn in _public_functions().values()
+                    for p in inspect.signature(fn).parameters.values())
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
+                for p in sub.choices.values() for a in p._actions)
+    assert (defaulted, flags) == SETTABLE_VALUES

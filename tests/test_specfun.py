@@ -57,6 +57,21 @@ def test_i0_scaled_large_argument():
     assert abs(v - 1.0 / math.sqrt(2000.0 * math.pi)) < 2e-3 * v
 
 
+@pytest.mark.parametrize("z", [1e300, 2.8e307, 5e307, 1.7e308])
+def test_i_scaled_where_2_pi_z_overflows(z):
+    # sqrt(2 pi z) in the Hankel normalisation overflows above z ~ 2.86e307,
+    # the values themselves are about 1/sqrt(2 pi z) > 3e-155
+    with mp.workdps(30):
+        zm = mp.mpf(z)
+        i0 = float(mp.besseli(0, zm) * mp.exp(-zm))
+        i1 = float(mp.besseli(1, zm) * mp.exp(-zm))
+    checked = sf.i0_scaled_checked(z)
+    for got, want in ((sf.bessel_i0_scaled(z), i0), (sf.bessel_i1_scaled(z), i1),
+                      (checked.value, i0)):
+        assert abs(got - want) <= 1e-15 * want, (got, want)
+    assert 0.0 < checked.est_abs_error < 1e-15 * i0
+
+
 def test_k0_frozen_values():
     assert abs(sf.bessel_k0(1.0) / 0.4210244382407083333356 - 1.0) < 1e-13
     assert abs(sf.bessel_k0(2.0) / 0.1138938727495334356527 - 1.0) < 1e-13
