@@ -151,9 +151,12 @@ def q_diag(x, t):
         return float(q_diag(np.array([check_real(x, "q_diag", "x", ">= 0")]), t)[0])
     x = check_real_array(x, "q_diag", "x", ">= 0")
     with np.errstate(over="ignore"):
-        b = x * x / t
-        # x/t overflows only where b > 1e293 and Q is 0.0
-        x_2t = np.minimum(0.5 * (x / t), sys.float_info.max)
+        # x (x/t), not x^2/t, so b stays in range where x^2 underflows;
+        # x/t is normal wherever b >= 1e-300, and overflows only where
+        # b > 1e293 and Q is 0.0
+        x_t = x / t
+        b = x * x_t
+        x_2t = np.minimum(0.5 * x_t, sys.float_info.max)
     decay = np.exp(-b)
     out = x_2t * decay
     far = decay < sys.float_info.min

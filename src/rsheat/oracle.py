@@ -22,12 +22,14 @@ is the interlacing of self-adjoint extensions with deficiency indices
 Each root is then one safeguarded Newton solve that never leaves its cell
 and ends at a 4-ulp step or a bracket 1e-10 wide (``_safe_newton``); a
 positive root costs one fused J0/Y0 evaluation per step on a bounded phase
-(``_phase``).  Below r = 16, where that evaluation is a double-double
-series, Newton starts within a few ulp of the root, so one step usually
-ends it: the root of each of the cells (0, j_1), ..., (j_5, j_6) is a
+(``_phase``).  Newton starts within a few ulp of the root, so one step
+usually ends it.  Below r = 16, where an evaluation is a double-double
+series, the root of each of the cells (0, j_1), ..., (j_5, j_6) is a
 Hermite interpolant in a variable of tan(theta) alone, tabulated once per
 process from 12 or 24 evaluations per cell (``_seed_tables``).  Above
-r = 16 Newton starts at the Hankel phase's root.  S is formed as
+r = 16 the start is the root of the asymptotic phase: 12 terms of the
+Hankel phase of J0 + i Y0 (DLMF 10.18.18), solved with no Bessel
+evaluation (``_phase_seed``).  S is formed as
 2 (tan(theta) J0 - c), c the regular part of Y0, and for mu <= 1 N as
 tan(theta) I0 + S2, S2 the regular part of K0, which keeps the eigenvalue
 nearest 0 of a tiny |tan(theta)| to full relative accuracy on either side.
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, InsufficientSpectrumError, check_int, check_real
 from .kernels import BoundaryParam
@@ -74,12 +77,24 @@ _BRACKET_TOL = 1e-10  # relative bracket width that ends a Newton solve
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenvalues of one boundary condition, with certification data."""
+    """Sorted eigenvalues of one boundary condition up to lambda_max.
+
+    ``residuals``, |secular_positive| or |secular_negative| at each
+    eigenvalue (0.0 at 0), the certification data ``to_csv`` writes, are
+    evaluated on first read, from ``BoundaryParam(theta)``.
+    """
 
     theta: float
     eigenvalues: tuple
-    residuals: tuple
     lambda_max: float
+
+    @cached_property
+    def residuals(self):
+        bp = BoundaryParam(self.theta)
+        return tuple(
+            abs(secular_positive(ev, bp)) if ev > 0.0
+            else (abs(secular_negative(math.sqrt(-ev), bp)) if ev < 0.0 else 0.0)
+            for ev in self.eigenvalues)
 
     @property
     def negative_count(self):
@@ -293,12 +308,53 @@ def _hermite(x, rows):
     return num / den
 
 
+# d_k of the phase of J0 + i Y0 = M e^{i theta_0}, theta_0(r) - r + pi/4 ~
+# sum_k d_k r^{1-2k} (DLMF 10.18.18): as M^2 theta_0' = 2/(pi r), the
+# reciprocal of DLMF 10.18.17's M^2 series, integrated term by term.  Twelve
+# terms are within 1.5e-16 of the phase at r = j_6 = 18.07, closer above.
+_PHASE_COEFFS = (
+    -0.125, 0.06510416666666667, -0.2095703125, 1.6380658830915178,
+    -23.475127749972874, 535.640519510616, -17837.279688947478,
+    816737.8421910767, -49232732.339998595, 3779795380.667541,
+    -360101552365.56555, 41687986318546.49)
+
+
+def _hankel_delta(r):
+    """delta(r) = theta_0(r) - r + pi/4 from its 12 asymptotic terms."""
+    w = 1.0 / (r * r)
+    s = 0.0
+    for d in reversed(_PHASE_COEFFS):
+        s = s * w + d
+    return s / r
+
+
+def _phase_seed(lo, tan_theta):
+    """The root of the asymptotic phase in the cell above lo = j_k > 16.
+
+    theta_0(lo) = pi/2 mod pi and theta_0 = atan(L/pi) mod pi at the root,
+    so it is the fixed point of r = lo + pi/2 + atan(L(r)/pi) - (delta(r) -
+    delta(lo)).  Newton on it from the Hankel seed, with delta' taken as
+    1/(8 r^2), ends in three or four steps; r - lo is exact.
+    """
+    r = _hankel_seed(lo, tan_theta)[0]
+    delta_lo = _hankel_delta(lo)
+    for _ in range(8):
+        b = _2_PI * (math.log(0.5 * r) + EULER_GAMMA + tan_theta)
+        g = (r - lo) - 0.5 * _PI - math.atan(b) + (_hankel_delta(r) - delta_lo)
+        step = g / (1.0 - _2_PI / (r * (1.0 + b * b)) + 0.125 / (r * r))
+        r -= step
+        if abs(step) <= 1e-15 * r:
+            break
+    return r
+
+
 def _cell_seed(lo, hi, tan_theta):
     """Start in r for the cell (lo, hi): its seed table's root below r = 16,
-    the Hankel phase's root above."""
+    the root of the asymptotic phase (``_phase_seed``) above; the midpoint
+    where that start is not inside the cell."""
     table = _seed_tables().get(lo)
     if table is None:
-        r = _hankel_seed(lo, tan_theta)[0]
+        r = _phase_seed(lo, tan_theta)
     else:
         x = _seed_abscissa(lo, table[0], tan_theta)[0]
         r = _hermite(x, table[1])
@@ -357,9 +413,11 @@ def eigenvalues(bp: BoundaryParam, lambda_max=4000.0):
     tan(theta) > 0.
 
     A positive root is solved in r on the phase G (``_phase``): one fused
-    J0/Y0 evaluation per step, usually one per cell below r = 16, where
-    Newton starts from the cell's seed table (built on the first call, from
-    132 evaluations), and three above.  The bound state is
+    J0/Y0 evaluation per step, usually one per cell, as Newton starts from
+    the cell's seed table below r = 16 (built on the first call, from 132
+    evaluations) and from the asymptotic phase's root above.  Besides the
+    solves, only the partial-cell test evaluates S; the residuals are
+    evaluated when read.  The bound state is
     solved in v = log mu on h = v + kappa + K0/I0, h' = 1 - 1/I0^2.  As
     h = tan(theta) + S2/I0 with S2 = sum_k H_k (mu^2/4)^k/(k!)^2, and
     0 < S2 < (mu^2/4) I0, h < 0 at mu^2 = -4 tan(theta), while h = K0/I0 > 0
@@ -400,11 +458,7 @@ def eigenvalues(bp: BoundaryParam, lambda_max=4000.0):
         evs += [_positive_root(lo, hi, tan_theta) for lo, hi in cells]
 
     evs.sort()
-    residuals = tuple(
-        abs(secular_positive(ev, bp)) if ev > 0.0
-        else (abs(secular_negative(math.sqrt(-ev), bp)) if ev < 0.0 else 0.0)
-        for ev in evs)
-    return Spectrum(bp.theta, tuple(evs), residuals, lambda_max)
+    return Spectrum(bp.theta, tuple(evs), lambda_max)
 
 
 def oracle_trace(t, spectrum: Spectrum):

@@ -205,6 +205,17 @@ class TestQDiag:
             assert ref > 0.0
             assert abs(q_diag(x, t) - ref) <= 1e-13 * ref, (x, t)
 
+    def test_b_in_range_where_x_squared_underflows(self):
+        # b = x (x/t): x^2 underflows at x = 1e-170, but b = 1e-20 is in range
+        for x, t in ((1e-170, 1e-320), (1e-160, 1e-310), (3e-155, 1e-305)):
+            with mp.workdps(40):
+                xm, tm = mp.mpf(x), mp.mpf(t)
+                z = xm * xm / (2 * tm)
+                ref = float(xm / (2 * tm) * mp.besselk(0, z) * mp.exp(-z))
+            assert math.isfinite(ref) and ref > 0.0
+            assert abs(q_diag(x, t) - ref) <= 1e-14 * ref, (x, t)
+            assert q_diag(np.array([x, 0.0]), t)[0] == q_diag(x, t)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             q_diag(np.array([0.5, -1e-9]), 0.3)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -229,10 +230,9 @@ class TestEigenvalues:
         assert abs(ev + a * a) <= 1e-13 * a * a
 
     def test_phase_newton_evaluation_budget(self, monkeypatch):
-        # fused J0/Y0 evaluations per interlacing-cell solve; the residual
-        # certificate adds one more per eigenvalue outside the solve.  Below
-        # r = 16 a seed table's root is within 4 ulp, so a solve mostly ends
-        # after one evaluation; above it the Hankel seed takes about three.
+        # fused J0/Y0 evaluations per interlacing-cell solve.  Below r = 16 a
+        # seed table's root, above it the asymptotic phase's root, is within
+        # 4 ulp, so a solve mostly ends after one evaluation.
         oracle._seed_tables()  # built here, outside the counted solves
         fused, solve = oracle._j0_y0_fused, oracle._positive_root
         calls = [0]
@@ -256,7 +256,8 @@ class TestEigenvalues:
         assert len(per_cell) >= 9 * 19
         assert len(tabled) >= 9 * 5
         assert sum(tabled) <= 1.2 * len(tabled)
-        assert sum(hankel) <= 4 * len(hankel)
+        assert sum(hankel) <= 1.2 * len(hankel)
+        assert max(hankel) <= 2
         assert max(per_cell) <= 12
 
     def test_residual_certification(self, bp_quarter):
@@ -349,7 +350,7 @@ class TestEigenvalues:
 
 class TestOracleTrace:
     def test_single_eigenvalue(self):
-        sp = Spectrum(0.0, (1.0,), (0.0,), 4000.0)
+        sp = Spectrum(0.0, (1.0,), 4000.0)
         for t in (0.01, 0.5, 2.0):
             assert abs(oracle_trace(t, sp).value - math.exp(-t)) < 1e-15
 
@@ -501,3 +502,128 @@ def test_j0_zeros_against_frozen():
               14.93091770848778594776]
     for a, b in zip(z, frozen):
         assert abs(a - b) < 1e-13
+
+
+def _exact_phase_coefficients(n):
+    """d_1, ..., d_n of delta(r) = theta_0(r) - r + pi/4, exactly: theta_0' =
+    2/(pi r M^2) is the reciprocal of DLMF 10.18.17's M^2 series at nu = 0,
+    1 + sum_k a_k r^{-2k}, integrated term by term."""
+    a = [Fraction(1)]
+    for k in range(1, n + 1):
+        a.append(a[-1] * Fraction(-(2 * k - 1) ** 3, 8 * k))
+    c = [Fraction(1)]
+    for k in range(1, n + 1):
+        c.append(-sum(a[j] * c[k - j] for j in range(1, k + 1)))
+    return [c[k] / (1 - 2 * k) for k in range(1, n + 1)]
+
+
+def test_phase_coefficients_are_the_hankel_phase_series():
+    exact = _exact_phase_coefficients(len(oracle._PHASE_COEFFS))
+    # DLMF 10.18.18 at mu = 4 nu^2 = 0
+    assert exact[:4] == [Fraction(-1, 8), Fraction(25, 384), Fraction(-1073, 5120),
+                         Fraction(375733, 229376)]
+    assert oracle._PHASE_COEFFS == tuple(float(d) for d in exact)
+    # the phase of J0 + i Y0 from r = j_6 up
+    with mp.workdps(30):
+        for r in (j0_zeros(6)[-1], 20.0, 31.4, 63.0):
+            theta0 = mp.atan2(mp.bessely(0, r), mp.besselj(0, r))
+            delta = (theta0 - r + mp.pi / 4 + mp.pi) % (2 * mp.pi) - mp.pi
+            assert abs(oracle._hankel_delta(r) - delta) <= 3e-16, r
+
+
+def test_eigenvalues_evaluates_no_bessel_outside_the_solves(monkeypatch):
+    # each root's evaluations are its solve's; the one other fused J0/Y0
+    # call is S(lambda_max), which decides the partial cell.  The residuals
+    # are evaluated when read.
+    oracle._seed_tables()
+    fused, solve = oracle._j0_y0_fused, oracle._positive_root
+    outside, solving = [], [False]
+
+    def counting_fused(z):
+        if not solving[0]:
+            outside.append(z)
+        return fused(z)
+
+    def delimited_solve(lo, hi, tan_theta):
+        solving[0] = True
+        try:
+            return solve(lo, hi, tan_theta)
+        finally:
+            solving[0] = False
+
+    monkeypatch.setattr(oracle, "_j0_y0_fused", counting_fused)
+    monkeypatch.setattr(oracle, "_positive_root", delimited_solve)
+    for theta in ANGLES:
+        outside.clear()
+        sp = eigenvalues(BoundaryParam(theta), lambda_max=4000.0)
+        assert outside == [math.sqrt(4000.0)], theta
+        positive = sum(1 for ev in sp.eigenvalues if ev > 0.0)
+        for _ in range(2):  # one S per positive eigenvalue, on the first read only
+            assert len(sp.residuals) == len(sp.eigenvalues)
+            assert len(outside) == 1 + positive
+
+
+def test_residuals_on_first_read_are_the_eager_formula():
+    for k in range(64):
+        bp = BoundaryParam(k * math.pi / 64)
+        sp = eigenvalues(bp, lambda_max=4000.0)
+        eager = [abs(secular_positive(ev, bp)) if ev > 0.0
+                 else (abs(secular_negative(math.sqrt(-ev), bp)) if ev < 0.0 else 0.0)
+                 for ev in sp.eigenvalues]
+        assert [r.hex() for r in sp.residuals] == [r.hex() for r in eager], k
+
+
+def _log_d_derivatives(z, theta):
+    """(log D)'' and (log D)''' at z, D(z) = K0(w) + (log w + kappa) I0(w),
+    w = sqrt(z), at dps 30.  As K0 = S2 - (log(w/2) + gamma) I0,
+    D = sum_k (H_k + tan(theta)) (z/4)^k/(k!)^2, an entire function of z
+    whose zeros are -lambda_n, differentiated term by term."""
+    with mp.workdps(30):
+        z, tan_theta = mp.mpf(z), mp.tan(mp.mpf(theta))
+        d = [mp.mpf(0)] * 4
+        harmonic, scale, k = mp.mpf(0), mp.mpf(1), 0  # H_k, 1/(4^k (k!)^2)
+        while k < 8 or abs(scale * z ** k) > mp.mpf(10) ** -40 * abs(d[0]):
+            ck = (harmonic + tan_theta) * scale
+            for j in range(min(k, 3) + 1):
+                d[j] += ck * mp.ff(k, j) * z ** (k - j)
+            k += 1
+            harmonic += mp.mpf(1) / k
+            scale /= 4 * k * k
+        w = mp.sqrt(z)
+        closed = (mp.besselk(0, w)
+                  + (mp.log(w) + mp.euler - mp.log(2) + tan_theta) * mp.besseli(0, w))
+        assert abs(closed - d[0]) <= mp.mpf(10) ** -25 * abs(d[0])
+        l1 = d[1] / d[0]
+        return d[2] / d[0] - l1 ** 2, d[3] / d[0] - 3 * l1 * d[2] / d[0] + 2 * l1 ** 3
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, 2.4])
+def test_resolvent_trace_certificate(theta):
+    # D has order 1/2 and vanishes at each -lambda_n, so by Hadamard
+    # D(z) = C z^{[theta = 0]} prod (1 + z/lambda_n), the product over the
+    # nonzero eigenvalues, and sum_n (lambda_n + z)^{-m} =
+    # ((-1)^{m-1}/(m-1)!) (log D)^{(m)}(z): a check of every eigenvalue that
+    # knows nothing of the cells, the seeds or Newton.  The sum over the
+    # spectrum to lambda_max = 4e4 falls short by its tail, which is
+    # positive and, one eigenvalue per cell at the cell's midpoint in r,
+    # is overestimated by 1.8-2.0 % (m = 2) and 3.0-3.3 % (m = 3), because
+    # each root lies above its cell's midpoint.  The tail starts at the cell
+    # past the largest eigenvalue found, so whether the partial cell's root
+    # lies below lambda_max is left to the interlacing tests; a root lost or
+    # added below it moves the ratio by at least 4.8 % (m = 2), and Hankel
+    # seeds taken as roots (no Newton above r = 16) move it past the bound.
+    lambda_max = 4e4
+    evs = eigenvalues(BoundaryParam(theta), lambda_max=lambda_max).eigenvalues
+    z = 5.0 if evs[0] >= 0.0 else 2.0 * abs(evs[0]) + 5.0  # a bound state at 2.4
+    second, third = _log_d_derivatives(z, theta)
+    zeros = j0_zeros(int(math.sqrt(lambda_max) / math.pi) + 3)
+    k0 = sum(1 for zk in zeros if zk * zk < evs[-1])  # the first cell past the spectrum
+    # McMahon's midpoints of (j_{k+1}, j_{k+2}), then the cells past them as an integral
+    mids = (np.arange(k0, k0 + 2000) + 1.25) * math.pi
+    for m, exact in ((2, -second), (3, third / 2)):
+        with mp.workdps(30):
+            gap = float(exact - mp.fsum((mp.mpf(ev) + z) ** -m for ev in evs))
+        tail = (float(np.sum((mids * mids + z) ** -m))
+                + 1.0 / ((2 * m - 1) * math.pi ** (2 * m) * (k0 + 2000.75) ** (2 * m - 1)))
+        assert gap > 0.0, (m, gap)
+        assert 0.95 <= gap / tail <= 0.99, (m, gap / tail)
