@@ -7,7 +7,7 @@ from .errors import (
     FitError,
     InsufficientSpectrumError,
 )
-from .quadrature import QuadResult, QuadSpec, integrate, integrate_log_tail
+from .quadrature import QuadResult, QuadSpec, integrate
 from .kernels import (
     BoundaryCoeffs,
     BoundaryParam,
@@ -75,7 +75,6 @@ __all__ = [
     "friedrichs_trace",
     "full_trace",
     "integrate",
-    "integrate_log_tail",
     "j0_zeros",
     "k1_smooth",
     "k_theta",

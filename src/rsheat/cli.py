@@ -14,12 +14,12 @@ never into the data file.  Exit codes: 0 success, 1 usage error,
 
 Trace rows are computed in one thread (the work is pure Python, so
 threads would only take turns on the interpreter lock), through
-``trace_curve``: all rows share their integrals.
-``rsheat trace --workers`` (and its ``workers`` config key) is still
-accepted so that existing scripts keep running, and is ignored.  Each
-subcommand takes only the options it reads, and a ``--config`` file's
-keys are parsed as the same flags.  Only ``trace`` takes quadrature
-flags: the kernel's parts are fixed rules with a stated error bound.
+``trace_curve``, whose integrals are all fixed rules with a stated bound:
+no row runs an adaptive integral, so none can fail to converge.
+``rsheat trace --workers``, ``--rel-tol`` and ``--abs-tol`` (and their
+config keys) are still accepted so that existing scripts keep running,
+and are ignored.  Each subcommand takes only the options it reads, and a
+``--config`` file's keys are parsed as the same flags.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import ConvergenceError, DomainError, InsufficientSpectrumError, ch
 from .kernels import BoundaryParam
 from .ktheta import k_theta
 from .oracle import LAMBDA_MAX_LIMIT, eigenvalues
-from .quadrature import QuadSpec
 from .trace import trace_curve
 from .verify import run_acceptance
 from . import __version__
@@ -133,9 +132,10 @@ def _build_parser():
                              help="heat-trace curve over a t-grid")
     _add_common(p_trace)
     _add_curve(p_trace)
-    p_trace.add_argument("--rel-tol", type=float, default=1e-10)
-    p_trace.add_argument("--abs-tol", type=float, default=1e-12)
-    p_trace.add_argument("--max-subdivisions", type=int, default=4000)
+    for flag, default in (("--rel-tol", 1e-10), ("--abs-tol", 1e-12)):
+        p_trace.add_argument(flag, type=float, default=default,
+                             help="ignored: every integral of a trace row is a "
+                                  "fixed rule with a stated bound")
     p_trace.add_argument("--workers", type=int, default=None,
                          help="ignored: rows run serially, since threads only "
                               "contend for the interpreter lock on this "
@@ -228,9 +228,6 @@ def _meta(args, started, command):
 def _cmd_trace(args):
     started = time.time()
     bp = parse_theta(args.theta if args.theta is not None else "friedrichs")
-    spec = QuadSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                    max_subdivisions=args.max_subdivisions)
-    residue = not args.no_residue
     ts = _grid(args)
 
     def row(s):
@@ -241,22 +238,7 @@ def _cmd_trace(args):
         return (s.t, s.parts.friedrichs, s.parts.correction, s.value,
                 s.parts.exotic_ref, s.est_error, status)
 
-    def one(t):
-        try:
-            return row(trace_curve(bp, [t], spec, include_residue=residue)[0])
-        except ConvergenceError as exc:
-            print(f"rsheat trace: convergence failure at t={t:g}: {exc}",
-                  file=sys.stderr)
-            return (t, math.nan, math.nan, math.nan, math.nan, math.nan,
-                    "convergence-failure")
-
-    try:
-        rows = [row(s) for s in trace_curve(bp, ts, spec, include_residue=residue)]
-    except ConvergenceError:
-        # rows share integrals in trace_curve: redo them one by one, so
-        # that only the rows that fail on their own are flagged
-        rows = [one(t) for t in ts]
-
+    rows = [row(s) for s in trace_curve(bp, ts, include_residue=not args.no_residue)]
     buf = io.StringIO()
     buf.write("t,theta,friedrichs,correction,total,exotic_ref,est_error,status\n")
     for t, fr, corr, tot, ex, err, status in rows:

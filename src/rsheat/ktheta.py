@@ -28,12 +28,20 @@ Bernstein ellipse rho = 3.43 fits that strip, errs by under
 Below a window's end e^u C grows with u at rate >= 1 - 1/pi, and C varies
 by at most 217x over 46 in u, so a cut UNDERFLOW_U below the peak drops
 under 3e-17 of the value.  ``k1_smooth``: u = log y over
-[-UNDERFLOW_U - log max(1, t), 0], 23 panels up to t = 1.  ``m_main`` for
-t <= 1: v = log(ty) over [max(log t, -UNDERFLOW_U), log UNDERFLOW_U], 2/t
-outside; above it e^{-e^v} integrates to e^{-UNDERFLOW_U}, under 1e-18 of
-the value.  For t > 1: w = t(y - 1) on ``_W_EDGES``, 2 e^{-t}/t outside,
-whose ellipses rho = 4 keep Re(1 + w/t) > 0: under 1.6e-20 M per panel,
-and past w = UNDERFLOW_U under 1e-19 of the value.
+[-UNDERFLOW_U - log max(1, t), 0], 23 panels up to t = 1.
+
+``m_main`` shares its rule, ``_log_tail``, with ``trace.exotic_term``,
+whose integrand is m_main's without the factor y (1 for e^{Re u} in the
+bound).  For t <= 1: v = log(ty) on the 25 equal panels (width 1.99) of
+``_V_EDGES`` over [-UNDERFLOW_U, log UNDERFLOW_U], each clipped at log t,
+so that a row's nodes depend on its own t alone; m_main's 2/t outside.
+Above the window e^{-e^v} integrates to e^{-UNDERFLOW_U}, under 1e-18 of
+the value; below it, from log t, e^{-e^v} is 1 to within e^{-UNDERFLOW_U},
+so exotic_term takes that piece as the difference of two arctan tails, in
+closed form.  For t > 1: w = t(y - 1) on ``_W_EDGES``, e^{-t}/t outside,
+whose ellipses rho = 4 keep Re(1 + w/t) >= 0.43 (exotic_term's extra
+weight 1/(1 + w/t) is at most 2.3 there): under 1.6e-20 M per panel, and
+past w = UNDERFLOW_U under 1e-19 of the value.
 """
 
 from __future__ import annotations
@@ -45,14 +53,16 @@ import numpy as np
 
 from .errors import DomainError, check_real, check_real_array
 from .kernels import BoundaryParam
-from .quadrature import UNDERFLOW_U, _T_BOUND, _W_EDGES, _gl_panels
+from .quadrature import UNDERFLOW_U, _T_BOUND, _W_EDGES, _gl_panels, arctan_tail
 
 _PI2 = math.pi * math.pi
-# k1_smooth's rule up to t = 1, and m_main's above it
+# k1_smooth's rule up to t = 1, and m_main's: 25 panels in v = log(ty) up
+# to t = 1, _W_EDGES in w = t(y - 1) above
 _U_NODES, _U_WEIGHTS = _gl_panels(np.linspace(-UNDERFLOW_U, 0.0, 24))
 _Y_NODES = np.exp(_U_NODES)
+_V_EDGES = np.linspace(-UNDERFLOW_U, math.log(UNDERFLOW_U), 26)
 _W_NODES, _W_WEIGHTS = _gl_panels(_W_EDGES)
-_V_HI = math.log(UNDERFLOW_U)
+_W_DECAY = np.exp(-_W_NODES)
 
 
 @dataclass(frozen=True)
@@ -78,15 +88,43 @@ def m_main(t, bp: BoundaryParam):
     """Main log-tail part, positive and strictly decreasing in t; 0.0 where
     e^{-t} underflows."""
     t = check_real(t, "m_main", "t", _T_BOUND)
-    k2 = 2.0 * bp.kappa
-    if t > 1.0:
-        dens = np.exp(-_W_NODES) / ((np.log1p(_W_NODES / t) + k2) ** 2 + _PI2)
-        return 2.0 * math.exp(-t) / t * float(dens @ _W_WEIGHTS)
-    log_t = math.log(t)
-    lo = max(log_t, -UNDERFLOW_U)
-    v, w = _gl_panels(np.linspace(lo, _V_HI, 1 + math.ceil(0.5 * (_V_HI - lo))))
-    dens = np.exp(v - np.exp(v)) / ((v - log_t + k2) ** 2 + _PI2)
-    return 2.0 / t * float(dens @ w)
+    return 2.0 * float(_log_tail(np.array([t]), 2.0 * bp.kappa)[0])
+
+
+def _log_tail(ts, k2, per_y=False):
+    """int_1^inf e^{-ty} C(log y + k2) dy, or with dy/y for ``per_y``, at
+    each t of a 1-D array, on m_main's rule (see the module docstring).  A
+    row's value depends on its own t alone: up to t = 1 its panels are
+    ``_V_EDGES`` clipped at its log t, summed panel by panel from the left,
+    so the zero-width panels below log t add exact zeros, and the call
+    leaves out those below every row's log t."""
+    out = np.empty(ts.shape)
+    low = ts <= 1.0
+    if low.any():
+        log_t = np.log(ts[low])[:, None]
+        first = max(np.searchsorted(_V_EDGES, log_t.min(), side="right") - 1, 0)
+        v, w = _gl_panels(np.maximum(_V_EDGES[first:], log_t))
+        ev = np.exp(v)
+        dens = np.exp(-ev if per_y else v - ev) / ((v - log_t + k2) ** 2 + _PI2)
+        panels = (dens * w).reshape(len(log_t), -1, 16).sum(axis=2)
+        out[low] = np.cumsum(panels, axis=1)[:, -1]
+        if per_y:
+            # int C(v - l) over [log t, -UNDERFLOW_U], l = log t - k2, where
+            # e^{-e^v} is 1 to within e^{-UNDERFLOW_U}: the difference of the
+            # two arctan tails as one atan2, which does not cancel
+            d = np.maximum(-UNDERFLOW_U - log_t[:, 0], 0.0)
+            out[low] += np.arctan2(math.pi * d, k2 * (k2 + d) + _PI2) / math.pi
+        else:
+            out[low] /= ts[low]
+    if not low.all():
+        th = ts[~low]
+        r = _W_NODES / th[:, None]
+        dens = _W_DECAY / ((np.log1p(r) + k2) ** 2 + _PI2)
+        if per_y:
+            dens /= 1.0 + r
+        with np.errstate(under="ignore"):  # e^{-t} past t ~ 745
+            out[~low] = np.exp(-th) / th * (dens * _W_WEIGHTS).sum(axis=1)
+    return out
 
 
 def k1_smooth(t, bp: BoundaryParam):
@@ -153,7 +191,5 @@ def laplace_of_k(zeta, bp: BoundaryParam, *, include_residue=True):
     with np.errstate(over="ignore"):
         # 0.0 where e^{log zeta - u} overflows, which needs zeta > e^663
         dens = 1.0 / ((1.0 + np.exp(log_zeta - u)) * ((u + k2) ** 2 + _PI2))
-    cut_part = 2.0 * float(dens @ w)
-    # arctan_tail as atan2: its pi/2 - atan(x/pi) cancels, ~1e-14 off at x ~ 700
-    cut_part += (2.0 / math.pi) * math.atan2(math.pi, u_hi + k2)
+    cut_part = 2.0 * (float(dens @ w) + arctan_tail(u_hi, k2))
     return cut_part + res_part

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod integration, the log-tail family, fixed GL panels.
+"""Adaptive Gauss-Kronrod integration, fixed GL panels, the arctan tail.
 
 The engine is a standard globally adaptive G7/K15 scheme: keep a heap of
 panels ordered by error estimate, bisect the worst one until the summed
@@ -8,15 +8,16 @@ array of shape (n,) or, for m integrals sharing one node set, an array of
 shape (n, m); the latter is refined until every one of the m integrals
 meets its own tolerance.
 
-`integrate_log_tail` takes ``exotic_term``'s int_1^inf with the weight
-1/((log y + c)^2 + pi^2) in u = log y, cut where exp(u - t e^u)
-underflows, with the cut's bound folded into the reported error.
+No ``rsheat trace`` row and no kernel value runs the engine: those
+integrals are fixed rules, 16-point Gauss-Legendre sums on the panels of
+``_gl_panels`` or trapezoid sums, each with a bound stated where it is
+used.
 
 ``UNDERFLOW_U`` is the package's one cut.  Every exponential factor below
 e^{-UNDERFLOW_U} ~ 1e-20 is dropped, and a u = log y integral of
 c(u)/((u + k)^2 + pi^2) with c -> 1 hands over to the analytic
 ``arctan_tail`` where c is 1 to within about e^{-UNDERFLOW_U}: UNDERFLOW_U
-above its own scale in u (``ktheta.laplace_of_k``, as atan2, and
+above its own scale in u (``ktheta.laplace_of_k`` and
 ``trace.t1_y_outer``), or at u = log UNDERFLOW_U where c = 1 - exp(-e^u)
 (``trace._cut_integrals``).
 """
@@ -29,31 +30,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, check_int, check_real, check_real_array
+from .errors import ConvergenceError, DomainError, check_int, check_real
 
 UNDERFLOW_U = 46.0
-# the smallest t of a log-tail integral: below ~4.4e-306 its window's end
-# (UNDERFLOW_U + u)/t overflows.  Every public function of t that runs one,
-# the Friedrichs closed form in 0.5/t or m_main's 2/t refuses a smaller t.
+# the smallest t of the Friedrichs closed form in 0.5/t and of m_main's 2/t:
+# every public function of t that takes either refuses a smaller t
 _T_BOUND = ">= 1e-305"
 
 
 # geometric panel edges in w = (t-s) y (trace._a_conv) and t(y-1) (m_main)
 _W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, UNDERFLOW_U])
 _GLW_N, _GLW_W = np.polynomial.legendre.leggauss(16)
+_GLW_LO, _GLW_HI = 1.0 - _GLW_N, 1.0 + _GLW_N
 
 
 def _gl_panels(edges):
-    """16-point Gauss-Legendre nodes and weights on each ``edges`` panel."""
-    nodes = 0.5 * (np.multiply.outer(edges[:-1], 1.0 - _GLW_N)
-                   + np.multiply.outer(edges[1:], 1.0 + _GLW_N))
-    return nodes.ravel(), np.multiply.outer(0.5 * np.diff(edges), _GLW_W).ravel()
+    """16-point Gauss-Legendre nodes and weights on each ``edges`` panel;
+    for 2-D edges, one row of nodes per row of edges."""
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    shape = edges.shape[:-1] + (-1,)
+    nodes = 0.5 * (lo * _GLW_LO + hi * _GLW_HI)
+    return nodes.reshape(shape), (0.5 * (hi - lo) * _GLW_W).reshape(shape)
 
 
 def arctan_tail(u, kappa2):
     """int_u^inf dv / ((v + kappa2)^2 + pi^2), the analytic tail of the
-    u = log y integrals: (1/pi)(pi/2 - arctan((u + kappa2)/pi))."""
-    return (1.0 / math.pi) * (0.5 * math.pi - math.atan((u + kappa2) / math.pi))
+    u = log y integrals: (1/pi) atan2(pi, u + kappa2), a float or, for an
+    array u + kappa2, an array.  Not pi/2 - atan(x/pi), which cancels as x
+    grows (1e-13 off at x ~ 2e4)."""
+    x = u + kappa2
+    if isinstance(x, np.ndarray):
+        return (1.0 / math.pi) * np.arctan2(math.pi, x)
+    return (1.0 / math.pi) * math.atan2(math.pi, x)
 
 
 # 15-point Kronrod nodes/weights and embedded 7-point Gauss weights
@@ -145,7 +153,7 @@ def _unmet(err, total, spec):
     return bool(np.any(err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))))
 
 
-def integrate(f, a, b, spec=DEFAULT_SPEC, points=None):
+def integrate(f, a, b, spec=DEFAULT_SPEC):
     """Adaptively integrate ``f`` over the finite interval [a, b].
 
     ``f`` receives numpy arrays of interior nodes (endpoints are never
@@ -153,8 +161,7 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, points=None):
     shape (n,), or (n, m) for m integrands on one node set; then value and
     est_error have shape (m,), a panel is split in the order of its largest
     component error, and every component must meet
-    max(abs_tol, rel_tol * |value_i|).  ``points`` optionally lists
-    interior breakpoints for the initial panelization.
+    max(abs_tol, rel_tol * |value_i|).
 
     Raises ConvergenceError (carrying the partial result) when the
     subdivision budget is exhausted before the tolerance is met.
@@ -163,22 +170,9 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, points=None):
     b = check_real(b, "integrate", "b")
     if not a < b:
         raise DomainError(f"integrate: need a < b, got [{a!r}, {b!r}]")
-    points = [check_real(p, "integrate", "points") for p in points or ()]
-    edges = [a, *sorted(p for p in points if a < p < b), b]
-
-    heap = []
-    total = 0.0
-    err = 0.0
-    evals = 0
-    counter = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e, key = _panel(f, lo, hi)
-        evals += 15
-        total += v
-        err += e
-        heapq.heappush(heap, (-key, counter, lo, hi, v, e))
-        counter += 1
-
+    v, e, key = _panel(f, a, b)
+    heap = [(-key, 0, a, b, v, e)]
+    total, err, evals, counter = v, e, 15, 1
     splits = 0
     while _unmet(err, total, spec):
         if splits >= spec.max_subdivisions or not heap:
@@ -192,8 +186,9 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, points=None):
         v1, e1, key1 = _panel(f, lo, mid)
         v2, e2, key2 = _panel(f, mid, hi)
         evals += 30
-        total += v1 + v2 - v_old
-        err += e1 + e2 - e_old
+        # not in place: total and err start as the first panel's arrays
+        total = total + (v1 + v2 - v_old)
+        err = err + (e1 + e2 - e_old)
         heapq.heappush(heap, (-key1, counter, lo, mid, v1, e1))
         counter += 1
         heapq.heappush(heap, (-key2, counter, mid, hi, v2, e2))
@@ -201,47 +196,3 @@ def integrate(f, a, b, spec=DEFAULT_SPEC, points=None):
         splits += 1
 
     return QuadResult(total, err, evals)
-
-
-def _log_tail_umax(t):
-    """u with t*e^u - u = UNDERFLOW_U (underflow cut for exp(u - t e^u)).
-
-    Clamped below at a small positive width: for t > ~UNDERFLOW_U the
-    exponential factor is already below 1e-20 on all of [0, inf).
-    """
-    u = math.log(max(UNDERFLOW_U / t, 1e-300))
-    for _ in range(4):
-        u = math.log(max((UNDERFLOW_U + u) / t, 1e-300))
-    return max(u, 0.01)
-
-
-def integrate_log_tail(g, t, kappa2, spec=DEFAULT_SPEC):
-    """int_1^inf e^{-t y} g(y) / ((log y + kappa2)^2 + pi^2) dy.
-
-    Evaluated after u = log y as
-    int_0^inf e^{u - t e^u} g(e^u) / ((u + kappa2)^2 + pi^2) du.
-    ``g`` must accept numpy arrays and be bounded on [1, inf).
-
-    The integral is cut where the exponential factor underflows
-    (t e^u - u >= UNDERFLOW_U) and the truncation bound
-    |g| e^{-t e^umax}/t / ((umax+kappa2)^2 + pi^2) is added to the
-    reported error.  ``t`` is a float, or a 1-D array whose times share
-    one adaptive node set on the smallest time's window [0, max umax];
-    value and est_error then have its shape.
-    """
-    batch = isinstance(t, np.ndarray)
-    t = (check_real_array if batch else check_real)(t, "integrate_log_tail", "t", _T_BOUND)
-    kappa2 = check_real(kappa2, "integrate_log_tail", "kappa2")
-    pi2 = math.pi * math.pi
-    umax = _log_tail_umax(float(np.min(t)))
-
-    def h(us):
-        us = us[:, None] if batch else np.asarray(us)
-        return np.exp(us - t * np.exp(us)) * np.asarray(g(np.exp(us))) / (
-            (us + kappa2) ** 2 + pi2)
-
-    res = integrate(h, 0.0, umax, spec)
-    g_end = float(np.max(np.abs(np.asarray(g(np.array([math.exp(umax)]))))))
-    # int_umax^inf e^{u - t e^u} du = e^{-t e^umax}/t exactly
-    tail = g_end * np.exp(-t * math.exp(umax)) / t / ((umax + kappa2) ** 2 + pi2)
-    return QuadResult(res.value, res.est_error + tail, res.evaluations)

@@ -30,13 +30,27 @@ the branch cut this is
     F(tau) = 2 (e^{zeta0 tau} - 1 + J(log tau - 2 kappa)),
     J(l) = int_R (1 - exp(-e^v)) dv / ((v - l)^2 + pi^2),
 
-one positive integral, valid for every tau > 0.  Integration by parts
+one positive integral, valid for every tau > 0.  J is one fixed rule for
+every l: 16-point Gauss-Legendre on the 13 graded panels of ``_J_EDGES``
+over [-UNDERFLOW_U, log UNDERFLOW_U], wide where 1 - exp(-e^v) ~ e^v and
+narrow over its turn, plus the arctan tail.  A panel of half-width h errs
+by under (64/15) h rho^-32/(rho^2 - 1) M, M the integrand's bound on the
+Bernstein ellipse E_rho (Trefethen, Approximation Theory and Approximation
+Practice, Thm 19.3).  Take ellipses of half-height b = 3 (1.5 on the last
+panel), which keep C(x) = 1/(x^2 + pi^2)'s poles, at distance pi from the
+axis whatever l, outside: there |C(v - l)| <= C(Re v - l)/(1 - b^2/pi^2),
+C varies by at most 1 + d/pi + d^2/pi^2 over a distance d, and
+|1 - exp(-e^v)| <= |e^v| e^{|e^v|} (<= 2 where |Im v| <= pi/2), which is
+what lets the panels left of -10 be wide.  With J >= (1 - 1/e) int_0^1 C,
+each panel errs by under 5.1e-17 J(l) and all of them by under 1.5e-16 J(l),
+at every l; the cut below -UNDERFLOW_U drops under 5e-18 J, and the tail
+takes 1 - exp(-e^v) as 1 to within e^{-UNDERFLOW_U}.  Integration by parts
 over all of (0, t] gives exactly
 
     correction(t) = Q0 F(t) - int_0^t F(t - s) R'(s) ds,
 
 and ``volterra_correction`` takes the integral on two fixed rules whose
-F values are columns of one shared-node J integral: s in [t/2, t] in
+F values are columns of one J rule call: s in [t/2, t] in
 v = log(t/(2 tau)), tau = t - s, on the graded panels ``_W_EDGES``,
 which resolve F's 1/log tau end; and, from t = 2 s_f on, s in (0, t/2]
 in x = log u, u = 1/s in [2/t, 2/t + 46], on 6 equal panels, since
@@ -44,16 +58,20 @@ R'(s) s^2 = sum W c e^{-c u} ~ log(1/u) as u -> 0 is smooth in x but not
 in u.  Below 2 s_f this piece is below F(t) R(s_f) < 2^-55 F(t) and is
 left out, the same cut that leaves the rows below s_f at Q0 F(t).
 ``trace_curve`` takes this rule for every row, ``_CURVE_BLOCK`` rows per
-call.  Only ``full_trace`` keeps the nested T1/T2/residue route above
-s_f: the benchmark times its parts in a serial full_trace loop, and it
-stays the tests' independent check of the Volterra rule.
+call, and runs no adaptive integral.  Only ``full_trace`` keeps the nested
+T1/T2/residue route above s_f: the benchmark times its parts in a serial
+full_trace loop, and it stays the tests' independent check of the
+Volterra rule.
 
 ``exotic_term`` is the non-polyhomogeneous part of the small-t expansion:
  -int_1^inf e^{-ty} dy / (y((log y + 2 kappa)^2 + pi^2)), an expansion in
 powers of 1/log t rather than t, which is what the degree-two fit in
-``asymptotics`` isolates.  Its t -> 0 limit ``exotic_limit`` is the
-integral without e^{-ty}, so T1's closed leading part ``t1_reference``,
-int_1^inf (1 - e^{-ty}) dy / (y(...)), is exotic_term(t) - exotic_limit.
+``asymptotics`` isolates.  In v = log(ty) it is
+-int_{log t}^inf e^{-e^v} C(v - l) dv, l = log t - 2 kappa: m_main's
+integrand without the factor e^v, on m_main's rule (see ``ktheta``).  Its
+t -> 0 limit ``exotic_limit`` is the integral without e^{-ty}, so T1's
+closed leading part ``t1_reference``, int_1^inf (1 - e^{-ty}) dy /
+(y(...)), is exotic_term(t) - exotic_limit.
 """
 
 from __future__ import annotations
@@ -66,7 +84,7 @@ import numpy as np
 from ._dd import two_prod
 from .errors import check_real, check_real_array
 from .kernels import BoundaryParam
-from .ktheta import k1_smooth, pole_location
+from .ktheta import _log_tail, k1_smooth, pole_location
 from .quadrature import (
     DEFAULT_SPEC,
     UNDERFLOW_U,
@@ -78,7 +96,6 @@ from .quadrature import (
     _gl_panels,
     arctan_tail,
     integrate,
-    integrate_log_tail,
 )
 from .specfun import bessel_i1_scaled, i0_scaled_checked
 
@@ -89,6 +106,13 @@ _TRQ_C = np.cosh(0.125 * np.arange(161)) ** 2
 _TRQ_W = 1.0 / (16.0 * _TRQ_C)
 _TRQ_W[0] *= 0.5  # the trapezoid's end weight, h = 1/4
 _TRQ_FLAT_S = 1.0 / 38.0
+
+# J's rule: 13 graded panels on [-UNDERFLOW_U, log UNDERFLOW_U], panel by
+# panel, with 1 - exp(-e^v) in the weights
+_J_EDGES = np.array([-UNDERFLOW_U, -34.0, -26.0, -20.0, -15.0, -11.0, -8.0, -6.0, -4.0,
+                     -2.5, -1.0, 0.5, 2.0, math.log(UNDERFLOW_U)])
+_J_NODES, _J_WEIGHTS = (a.reshape(-1, 16) for a in _gl_panels(_J_EDGES))
+_J_WEIGHTS = _J_WEIGHTS * -np.expm1(-np.exp(_J_NODES))
 
 # volterra_correction's rule on s in [t/2, t], the 96 nodes of _W_EDGES in
 # v = log(t/(2 tau)): tau = (t/2) _V_TAU
@@ -202,21 +226,22 @@ def t1_y_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     return 2.0 * r.value + 2.0 * tn_trace(t) * arctan_tail(UNDERFLOW_U, k2)
 
 
-def exotic_term(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
+def exotic_term(t, bp: BoundaryParam):
     """-int_1^inf e^{-ty} dy / (y ((log y + 2 kappa)^2 + pi^2)).
 
-    Negative, increasing toward 0 in t; tends to
-    -(1/pi)(pi/2 - arctan(2 kappa / pi)) as t -> 0, approaching it only at
-    1/log(1/t) speed.  ``t`` is a float, or a 1-D array sharing one node
-    set (see ``integrate_log_tail``).
+    Negative, increasing toward 0 in t; tends to -(1/pi) atan2(pi, 2 kappa)
+    as t -> 0, approaching it only at 1/log(1/t) speed.  On m_main's rule,
+    whose integrand this is without the factor y (see ``ktheta``).  ``t``
+    is a float, or a 1-D array, each entry on nodes of its own t.
     """
-    t = (check_real_array if isinstance(t, np.ndarray) else check_real)(
-        t, "exotic_term", "t", _T_BOUND)
-    return -integrate_log_tail(lambda y: 1.0 / y, t, 2.0 * bp.kappa, spec).value
+    batch = isinstance(t, np.ndarray)
+    t = (check_real_array if batch else check_real)(t, "exotic_term", "t", _T_BOUND)
+    out = -_log_tail(np.atleast_1d(t), 2.0 * bp.kappa, per_y=True)
+    return out if batch else float(out[0])
 
 
 def exotic_limit(bp: BoundaryParam):
-    """Exact t -> 0 limit of exotic_term: -(1/pi)(pi/2 - arctan(2k/pi))."""
+    """Exact t -> 0 limit of exotic_term: -(1/pi) atan2(pi, 2 kappa)."""
     return -arctan_tail(0.0, 2.0 * bp.kappa)
 
 
@@ -255,30 +280,23 @@ def residue_trace_part(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     return integrate(f, 0.0, t, spec).value
 
 
-def _cut_integrals(taus, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
-                   include_residue=True):
-    """F(tau) = int_0^tau K on a 1-D array of tau > 0, in one integrate call.
+def _cut_integrals(taus, bp: BoundaryParam, *, include_residue=True):
+    """F(tau) = int_0^tau K on a 1-D array of tau > 0, each on the same
+    fixed rule (see the module docstring for J's bound).
 
     F = 2 (expm1(x) + J(l)), the expm1 only with include_residue, where
     x = zeta0 tau and l = log tau - 2 kappa (finite even where zeta0
-    underflows).  J is one shared-node integral over v in
-    [-UNDERFLOW_U, log UNDERFLOW_U], outside which the integrand is below
-    e^{-UNDERFLOW_U} or 1 - exp(-e^v) is 1 to within it, plus the arctan
-    tail.  zeta0 tau = x + d exactly (two_prod), and expm1(x) + e^x d is
-    e^{x+d} - 1 to within d^2, so the rounding of x is not amplified x-fold
-    at large x; as in residue_trace_part, x > 700 gives inf.
+    underflows).  zeta0 tau = x + d exactly (two_prod), and expm1(x) + e^x d
+    is e^{x+d} - 1 to within d^2, so the rounding of x is not amplified
+    x-fold at large x; as in residue_trace_part, x > 700 gives inf.
     """
     ell = np.log(taus) - 2.0 * bp.kappa
-    v_hi = math.log(UNDERFLOW_U)
-
-    def f(vs):
-        vs = vs[:, None]
-        return -np.expm1(-np.exp(vs)) / ((vs - ell) ** 2 + _PI2)
-
-    # panels of unit scale over the turn of 1 - exp(-e^v) from e^v to 1; from
-    # one panel, the shared-node refinement can stop with J 2e-13 off
-    total = integrate(f, -UNDERFLOW_U, v_hi, spec, points=(-8.0, -2.0, 0.0, 2.0)).value
-    total += [arctan_tail(v_hi, -l) for l in ell]
+    total = np.zeros(ell.shape)
+    for v, w in zip(_J_NODES, _J_WEIGHTS):
+        # a panel at a time, (taus, 16): each tau's sum runs alone, the same
+        # in any array
+        total += np.sum(w / ((ell[:, None] - v) ** 2 + _PI2), axis=1)
+    total += arctan_tail(_J_EDGES[-1], -ell)
     if include_residue:
         with np.errstate(invalid="ignore", over="ignore"):
             x, d = two_prod(pole_location(bp), taus)
@@ -287,8 +305,7 @@ def _cut_integrals(taus, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
     return 2.0 * total
 
 
-def volterra_correction(ts, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
-                        include_residue=True):
+def volterra_correction(ts, bp: BoundaryParam, *, include_residue=True):
     """The correction trace on a 1-D array of times t > 0, with every cut
     integral F of the call in one _cut_integrals call.
 
@@ -306,7 +323,7 @@ def volterra_correction(ts, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
     x_span = np.log1p(UNDERFLOW_U / u_lo)
     us = u_lo[:, None] * np.exp(x_span[:, None] * _X_NODES)
     f = _cut_integrals(np.concatenate([ts, taus.ravel(), (up[far, None] - 1.0 / us).ravel()]),
-                       bp, spec, include_residue=include_residue)
+                       bp, include_residue=include_residue)
     out = 0.5 * f[:ts.size]
     f_tau = f[ts.size:ts.size + taus.size].reshape(taus.shape)
     f_s = f[ts.size + taus.size:].reshape(us.shape)
@@ -324,8 +341,10 @@ def volterra_correction(ts, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC, *,
     return out
 
 
-def _sample(t, fr, fr_err, corr, exotic, spec):
-    est = fr_err + max(spec.abs_tol, spec.rel_tol * abs(corr)) * 4.0
+def _sample(t, fr, fr_err, corr, exotic):
+    # the formula of the adaptive routes at DEFAULT_SPEC, which bounds the
+    # fixed rules' error with room to spare
+    est = fr_err + max(DEFAULT_SPEC.abs_tol, DEFAULT_SPEC.rel_tol * abs(corr)) * 4.0
     return TraceSample(t, fr + corr, est, TraceParts(fr, corr, exotic))
 
 
@@ -341,16 +360,15 @@ def full_trace(t, bp: BoundaryParam):
         corr = float(volterra_correction([t], bp)[0])
     else:
         corr = t1_y_outer(t, bp) + t2_part(t, bp) + residue_trace_part(t, bp)
-    return _sample(t, fr, fr_err, corr, exotic_term(t, bp), DEFAULT_SPEC)
+    return _sample(t, fr, fr_err, corr, exotic_term(t, bp))
 
 
-def trace_curve(bp: BoundaryParam, ts, spec: QuadSpec = DEFAULT_SPEC, *,
-                include_residue=True):
+def trace_curve(bp: BoundaryParam, ts, *, include_residue=True):
     """full_trace at each time of the grid, in input order.
 
     Each block of _CURVE_BLOCK times shares one volterra_correction and one
-    exotic_term call, so every row can differ from full_trace's in the last
-    bits, and above s_f by the nested route's error.
+    exotic_term call, on fixed rules: no row runs an adaptive integral.
+    Above s_f a row can differ from full_trace's by the nested route's error.
     """
     ts = [check_real(t, "trace_curve", "t", _T_BOUND) for t in ts]
     if bp.is_friedrichs:
@@ -359,7 +377,7 @@ def trace_curve(bp: BoundaryParam, ts, spec: QuadSpec = DEFAULT_SPEC, *,
     for i in range(0, len(ts), _CURVE_BLOCK):
         block = ts[i:i + _CURVE_BLOCK]
         arr = np.array(block)
-        corr = volterra_correction(arr, bp, spec, include_residue=include_residue)
-        out += [_sample(t, *_friedrichs_trace_res(t), c, e, spec)
-                for t, c, e in zip(block, corr.tolist(), exotic_term(arr, bp, spec).tolist())]
+        corr = volterra_correction(arr, bp, include_residue=include_residue)
+        out += [_sample(t, *_friedrichs_trace_res(t), c, e)
+                for t, c, e in zip(block, corr.tolist(), exotic_term(arr, bp).tolist())]
     return out

@@ -36,11 +36,6 @@ CASES = [
     ("QuadSpec", "abs_tol", lambda x: QuadSpec(abs_tol=x), 1, -1.0),
     ("integrate", "a", lambda x: rsheat.integrate(np.square, x, 2.0), 1, 2.0),
     ("integrate", "b", lambda x: rsheat.integrate(np.square, 0.0, x), 1, 0.0),
-    ("integrate", "points", lambda x: rsheat.integrate(np.square, 0.0, 2.0, points=[x]), 1,
-     None),
-    ("integrate_log_tail", "t", lambda x: rsheat.integrate_log_tail(ONES, x, 0.3), 1, 0.0),
-    ("integrate_log_tail", "kappa2", lambda x: rsheat.integrate_log_tail(ONES, 0.5, x), 1,
-     None),
     ("friedrichs_kernel", "x", lambda x: rsheat.friedrichs_kernel(x, 1.0, 0.5), 1, -1.0),
     ("friedrichs_kernel", "x2", lambda x: rsheat.friedrichs_kernel(1.0, x, 0.5), 1, -1.0),
     ("friedrichs_kernel", "t", lambda x: rsheat.friedrichs_kernel(1.0, 1.0, x), 1, 0.0),
@@ -90,7 +85,6 @@ INT_IDS = [f"{fn}-{arg}" for fn, arg, *_ in INT_CASES]
 BATCHED = [
     ("k1_smooth", lambda x: rsheat.k1_smooth(x, BP)),
     ("q_diag", lambda x: rsheat.q_diag(x, 0.5)),
-    ("integrate_log_tail", lambda x: rsheat.integrate_log_tail(ONES, x, 0.3).value),
     ("exotic_term", lambda x: rsheat.exotic_term(x, BP)),
 ]
 
@@ -160,10 +154,10 @@ def test_batched_entry_points_take_only_a_nonempty_1d_real_array(fn, call):
             call(bad)
 
 
-# the functions of t that run a log-tail integral, whose window's end
-# overflows below t ~ 4.4e-306, or the Friedrichs closed form in 0.5/t
+# the functions of t that take m_main's 2/t or the Friedrichs closed form
+# in 0.5/t, and exotic_term, which shares m_main's rule
 SMALLEST_T = [(fn, call) for fn, arg, call, *_ in CASES if arg == "t" and fn in {
-    "integrate_log_tail", "k_theta", "m_main", "exotic_term", "friedrichs_trace",
+    "k_theta", "m_main", "exotic_term", "friedrichs_trace",
     "full_trace", "t1_reference", "trace_curve"}]
 
 

@@ -9,6 +9,8 @@ import pytest
 from rsheat import (
     BoundaryParam,
     DomainError,
+    exotic_limit,
+    exotic_term,
     integrate,
     k1_smooth,
     k_theta,
@@ -18,6 +20,7 @@ from rsheat import (
     residue_term,
 )
 from rsheat.specfun import EULER_GAMMA
+from rsheat.trace import _cut_integrals
 
 
 def contour_k1(t, kap, spec):
@@ -92,6 +95,42 @@ def mp_part(t, kappa, main):
     return 2 * mp.quad(f, pts) * mp.exp(-s)
 
 
+def mp_exotic(t, kappa):
+    """exotic_term in mpmath: -int_0^inf e^{-t e^u} C(u + 2 kappa) du, as
+    -e^{-t} int_0^U e^{-t expm1(u)} C du with U = log1p(800/t), past which
+    the integrand is below e^-800, breakpoints at the turn u = log(1/t) and
+    at the centre -2 kappa, and the integrand scaled to O(1) at the
+    breakpoint nearest that centre (mp.quad's stop test is absolute)."""
+    t = mp.mpf(t)
+    k2 = 2 * mp.mpf(kappa)
+    hi = mp.log1p(800 / t)
+    turn = -mp.log(t)
+    pts = sorted({mp.mpf(0), hi} | {p for p in (turn - 3, turn, turn + 3, -k2 - 5, -k2, -k2 + 5)
+                                    if 0 < p < hi})
+    s = min((p + k2) ** 2 for p in pts) + mp.pi ** 2
+
+    def f(u):
+        return mp.exp(-t * mp.expm1(u)) * s / ((u + k2) ** 2 + mp.pi ** 2)
+
+    return -mp.quad(f, pts) * mp.exp(-t) / s
+
+
+def mp_cut(ell):
+    """J(l) = int_R (1 - exp(-e^v)) C(v - l) dv in mpmath: on [-80, 4], with
+    l a breakpoint inside it, plus the arctan tail from 4 less the exp(-e^v)
+    part, below 1e-170 past v = 6; below -80 the integrand is under e^v."""
+    ell = mp.mpf(ell)
+
+    def lor(v):
+        return 1 / ((v - ell) ** 2 + mp.pi ** 2)
+
+    pts = sorted({mp.mpf(-80), mp.mpf(-10), mp.mpf(0), mp.mpf(4)}
+                 | ({ell} if -80 < ell < 4 else set()))
+    return (mp.quad(lambda v: -mp.expm1(-mp.exp(v)) * lor(v), pts)
+            + mp.atan2(mp.pi, 4 - ell) / mp.pi
+            - mp.quad(lambda v: mp.exp(-mp.exp(v)) * lor(v), [4, 6]))
+
+
 class TestFixedRules:
     """The kernel's parts are fixed Gauss-Legendre sums with a strip bound
     (see the ktheta module docstring): relative accuracy at every angle,
@@ -117,6 +156,29 @@ class TestFixedRules:
                     assert abs(main - ref) <= 1e-15 * ref, (theta, t)
                     v = k_theta(t, bp, include_residue=False)
                     assert (v.main_part, v.smooth_part) == (main, smooth)
+
+    def test_trace_rules_against_mpmath(self):
+        # the trace's two fixed rules: exotic_term, scalar and array, on
+        # m_main's rule, and J of the cut integrals F (residue off, F = 2 J),
+        # over the same sweep, t = 1e-3 and 1e3, and pi/2 - 1e-6, where the
+        # arctan tails in pi/2 - atan(x/pi) form missed J(1e-3) by 4e-11; the
+        # t -> 0 limit is such a tail too, which that form missed by 5e-13
+        times = self.TIMES + (1e-3, 1e3)
+        with mp.workdps(20):
+            for theta in self.THETAS + (math.pi / 2 - 1e-6,):
+                bp = BoundaryParam(theta)
+                k2 = 2 * mp.mpf(bp.kappa)
+                arr = exotic_term(np.array(times), bp)
+                cut = _cut_integrals(np.array(times), bp, include_residue=False)
+                for got_arr, got_j, t in zip(arr, cut / 2.0, times):
+                    got = exotic_term(t, bp)
+                    assert got == got_arr, (theta, t)
+                    ref = float(mp_exotic(t, bp.kappa))
+                    assert abs(got - ref) <= 1e-15 * abs(ref), (theta, t)
+                    ref = float(mp_cut(mp.log(t) - k2))
+                    assert abs(got_j - ref) <= 1e-15 * ref, (theta, t)
+                ref = float(-mp.atan2(mp.pi, k2) / mp.pi)
+                assert abs(exotic_limit(bp) - ref) <= 1e-15 * abs(ref), theta
 
     def test_laplace_of_k_against_mpmath(self):
         # residue off: the cut part alone, against its Stieltjes integral in
@@ -316,8 +378,8 @@ class TestLaplaceIdentity:
 
 class TestOrderIndependence:
     def test_segment_integrand_panelization_invariant(self, bp0):
-        # permuting the initial subdivision must shift the total by no more
-        # than the combined error estimate
+        # integrating panel by panel over any subdivision must shift the
+        # total by no more than the combined error estimate
         from rsheat import integrate
         b = math.pi / 4.0
         kap = bp0.kappa
@@ -330,9 +392,12 @@ class TestOrderIndependence:
             return (a * np.cos(t * ys) + b * np.sin(t * ys)) / (a * a + b * b)
 
         base = integrate(f, 0.0, 1.0)
-        for pts in ([0.5], [0.9, 0.3], [0.01, 0.7, 0.2]):
-            alt = integrate(f, 0.0, 1.0, points=pts)
-            assert abs(alt.value - base.value) <= base.est_error + alt.est_error + 1e-15
+        for pts in ([0.5], [0.3, 0.9], [0.01, 0.2, 0.7]):
+            edges = [0.0, *pts, 1.0]
+            parts = [integrate(f, a, b) for a, b in zip(edges, edges[1:])]
+            alt = sum(p.value for p in parts)
+            err = sum(p.est_error for p in parts)
+            assert abs(alt - base.value) <= base.est_error + err + 1e-15
 
 
 class TestBromwich:

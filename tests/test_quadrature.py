@@ -1,11 +1,21 @@
-"""Adaptive engine: validation family, honesty, tail handling."""
+"""Adaptive engine: validation family, honesty, tail handling; the fixed
+log-tail rule that m_main and exotic_term share."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rsheat import ConvergenceError, DomainError, QuadSpec, integrate, integrate_log_tail
+from rsheat import (
+    BoundaryParam,
+    ConvergenceError,
+    DomainError,
+    QuadSpec,
+    exotic_term,
+    integrate,
+    m_main,
+)
+from rsheat.ktheta import _log_tail
 from rsheat.specfun import EULER_GAMMA, LN2
 
 
@@ -77,14 +87,19 @@ def test_additivity_random_splits():
 
 
 def test_initial_points_do_not_change_result():
+    # integrating panel by panel from any initial subdivision must agree
+    # with the whole interval within the combined error estimates
     def f(xs):
         xs = np.asarray(xs)
         return np.exp(-xs) / (1.0 + xs * xs)
 
     base = integrate(f, 0.0, 4.0)
-    for pts in ([1.0], [0.5, 2.5], [3.9, 0.1, 2.0]):
-        alt = integrate(f, 0.0, 4.0, points=pts)
-        assert abs(alt.value - base.value) <= base.est_error + alt.est_error + 1e-15
+    for pts in ([1.0], [0.5, 2.5], [0.1, 2.0, 3.9]):
+        edges = [0.0, *pts, 4.0]
+        parts = [integrate(f, a, b) for a, b in zip(edges, edges[1:])]
+        alt = sum(p.value for p in parts)
+        err = sum(p.est_error for p in parts)
+        assert abs(alt - base.value) <= base.est_error + err + 1e-15
 
 
 def test_vector_integrand_meets_each_component_tolerance():
@@ -139,9 +154,13 @@ def test_quadspec_validation():
         integrate(lambda x: x, 1.0, 1.0)
 
 
+def log_tail(t, k2):
+    """int_1^inf e^{-ty} dy / ((log y + k2)^2 + pi^2) on the fixed rule."""
+    return float(_log_tail(np.array([t]), k2)[0])
+
+
 def test_log_tail_positive_and_decreasing_in_t():
-    ones = lambda y: np.ones_like(y)
-    vals = [integrate_log_tail(ones, t, 0.3).value for t in (0.01, 0.05, 0.2, 1.0, 4.0)]
+    vals = [log_tail(t, 0.3) for t in (0.01, 0.05, 0.2, 1.0, 4.0)]
     assert all(v > 0.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -154,22 +173,19 @@ def test_log_tail_small_t_limit_identity():
 
 
 def test_log_tail_riemann_oracle():
-    # g = 1, kappa2 = 2 kappa(0), t = 1 against a 1e6-point Riemann sum
+    # kappa2 = 2 kappa(0), t = 1 against a 1e6-point Riemann sum
     k2 = 2.0 * (EULER_GAMMA - LN2)
-    r = integrate_log_tail(lambda y: np.ones_like(y), 1.0, k2)
     n = 1000000
     umax = math.log(46.0 + math.log(46.0))
     us = (np.arange(n) + 0.5) * (umax / n)
     riemann = float(np.sum(np.exp(us - np.exp(us)) / ((us + k2) ** 2 + math.pi ** 2))) * (umax / n)
-    assert abs(r.value - riemann) < 1e-8
+    assert abs(log_tail(1.0, k2) - riemann) < 1e-8
 
 
 def test_log_tail_substitution_consistency():
     # adaptive on [1, Y] in the original variable + analytic bound, t >= 0.01
     k2 = 0.7
     for t in (0.01, 0.1, 1.0):
-        sub = integrate_log_tail(lambda y: np.ones_like(y), t, k2)
-
         def f(ys):
             ys = np.asarray(ys)
             return np.exp(-t * ys) / ((np.log(ys) + k2) ** 2 + math.pi ** 2)
@@ -178,37 +194,41 @@ def test_log_tail_substitution_consistency():
         direct = integrate(f, 1.0, y_max, QuadSpec(rel_tol=1e-11, abs_tol=1e-13,
                                                    max_subdivisions=20000))
         tail_bound = math.exp(-60.0) / t
-        assert abs(sub.value - direct.value) <= sub.est_error + direct.est_error + tail_bound + 1e-12
+        assert abs(log_tail(t, k2) - direct.value) <= direct.est_error + tail_bound + 1e-12
 
 
 def test_log_tail_policies_agree():
-    # the fixed upper limit against the whole half line mapped to [0, 1)
-    # by u = -log(1 - v)
+    # the fixed rule against the whole half line mapped to [0, 1) by
+    # u = -log(1 - v), adaptively
     k2 = -0.3
     t = 0.5
-    a = integrate_log_tail(lambda y: np.ones_like(y), t, k2)
 
     def h(vs):
         us = -np.log1p(-vs)
         return np.exp(us - t * np.exp(us)) / ((us + k2) ** 2 + math.pi ** 2) / (1.0 - vs)
 
     b = integrate(h, 0.0, 1.0 - 1e-16)
-    assert abs(a.value - b.value) <= a.est_error + b.est_error + 1e-12
+    assert abs(log_tail(t, k2) - b.value) <= b.est_error + 1e-12
 
 
 def test_log_tail_domain():
+    # the rule's public entry points refuse t <= 0
+    bp = BoundaryParam(0.0)
+    for call in (m_main, exotic_term):
+        for t in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                call(t, bp)
     with pytest.raises(DomainError):
-        integrate_log_tail(lambda y: np.ones_like(y), 0.0, 0.0)
-    with pytest.raises(DomainError):
-        integrate_log_tail(lambda y: np.ones_like(y), -1.0, 0.0)
+        exotic_term(np.array([1e-3, 0.0]), bp)
 
 
 def test_log_tail_array_of_times_shares_one_node_set():
-    ones = lambda y: np.ones_like(y)
-    ts = np.array([1e-4, 3e-3, 0.02, 1.0])
-    arr = integrate_log_tail(ones, ts, 0.3)
-    assert arr.value.shape == arr.est_error.shape == ts.shape
-    for t, v in zip(ts, arr.value):
-        assert abs(v - integrate_log_tail(ones, float(t), 0.3).value) <= 2e-10 * v
-    with pytest.raises(DomainError):
-        integrate_log_tail(ones, np.array([1e-3, 0.0]), 0.3)
+    # the rows share one fixed set of panels, clipped at each log t up to
+    # t = 1 and in w = t(y - 1) above, so a row's nodes depend on its own t
+    # alone and an array gives each scalar call's bits
+    ts = np.array([1e-300, 1e-30, 1e-4, 3e-3, 0.02, 1.0, 1.5, 30.0, 800.0])
+    for per_y in (False, True):
+        arr = _log_tail(ts, 0.3, per_y)
+        assert arr.shape == ts.shape
+        for t, v in zip(ts, arr):
+            assert v == _log_tail(np.array([t]), 0.3, per_y)[0]

@@ -34,8 +34,8 @@ NOT_REACHED = {
 }
 
 # settable values: defaulted arguments of the functions in rsheat.__all__,
-# and the subcommands' flags (--help and --version aside); 39 in all
-SETTABLE_VALUES = (12, 27)
+# and the subcommands' flags (--help and --version aside); 34 in all
+SETTABLE_VALUES = (8, 26)
 
 COMMANDS = (
     ["trace", "--theta", "0"],
@@ -45,7 +45,7 @@ COMMANDS = (
 )
 # the flags that set the trace and kernel options away from their defaults
 OPTION_COMMANDS = COMMANDS + (
-    ["trace", "--theta", "0", "--no-residue", "--rel-tol", "1e-11"],
+    ["trace", "--theta", "0", "--no-residue"],
     ["ktheta", "--theta", "0", "--no-residue"],
 )
 

@@ -11,16 +11,19 @@ from rsheat import (
     BoundaryParam,
     DomainError,
     QuadSpec,
+    eigenvalues,
     exotic_limit,
     exotic_term,
     friedrichs_trace,
     full_trace,
+    oracle_trace,
     pole_location,
     t1_reference,
     tn_trace,
     trace_curve,
 )
 from rsheat import ktheta, quadrature, trace
+from rsheat._dd import two_prod
 from rsheat.ktheta import k1_smooth, m_main
 from rsheat.quadrature import DEFAULT_SPEC, UNDERFLOW_U, arctan_tail, integrate
 from rsheat.specfun import bessel_i0_scaled
@@ -34,7 +37,6 @@ from rsheat.trace import (
     _TRQ_W,
     _W_EDGES,
     _a_conv,
-    _cut_integrals,
     _friedrichs_trace_res,
     _r_values,
     _trq_values,
@@ -76,7 +78,7 @@ def t1_s_outer(t, bp, spec=DEFAULT_SPEC, eps=1e-6):
     int_0^t M(tau) TrQ(t - tau) dtau in v = log tau, truncated at
     tau = eps*t; the cut [0, eps*t] contributes TrQ(t) * C(eps t) with
     C(a) = int_0^a M = 2 * t1_reference(a) = 2 (exotic_term(a) - exotic_limit),
-    added analytically at ``spec``.
+    added analytically.
     """
     def f(vs):
         taus = np.exp(np.asarray(vs))
@@ -85,7 +87,7 @@ def t1_s_outer(t, bp, spec=DEFAULT_SPEC, eps=1e-6):
                          for tau, q in zip(taus, trqs)])
 
     r = integrate(f, math.log(eps * t), math.log(t), spec)
-    return r.value + tn_trace(t) * 2.0 * (exotic_term(eps * t, bp, spec) - exotic_limit(bp))
+    return r.value + tn_trace(t) * 2.0 * (exotic_term(eps * t, bp) - exotic_limit(bp))
 
 
 @pytest.fixture(scope="module")
@@ -514,11 +516,28 @@ LARGE_T = (0.2, 1.0, 3.0, 10.0, 30.0)
 LARGE_T_SPEC = QuadSpec(rel_tol=1e-14, abs_tol=1e-300)
 
 
+def _cut_integrals_adaptive(taus, bp):
+    """F(tau) = 2 (expm1(zeta0 tau) + J(l)) with J adaptively at LARGE_T_SPEC,
+    all tau on one node set, on each panel of the turn of 1 - exp(-e^v), plus
+    the arctan tail: the route the fixed rule of _cut_integrals replaced."""
+    ell = np.log(taus) - 2.0 * bp.kappa
+
+    def f(vs):
+        vs = vs[:, None]
+        return -np.expm1(-np.exp(vs)) / ((vs - ell) ** 2 + _PI2)
+
+    edges = (-UNDERFLOW_U, -8.0, -2.0, 0.0, 2.0, math.log(UNDERFLOW_U))
+    j = sum(integrate(f, a, b, LARGE_T_SPEC).value for a, b in zip(edges, edges[1:]))
+    j = j + arctan_tail(edges[-1], -ell)
+    x, d = two_prod(pole_location(bp), taus)  # zeta0 tau = x + d exactly
+    return 2.0 * (np.expm1(x) + np.exp(x) * d + j)
+
+
 def _large_t_correction(t, bp):
     """corr(t) = F(t)/2 - int_0^t F(t - s) R'(s) ds adaptively, with R' from
-    scipy's K0 and F from a tight cut integral."""
+    scipy's K0 and F from a tight adaptive cut integral."""
     def big_f(taus):
-        return _cut_integrals(np.asarray(taus, dtype=float), bp, LARGE_T_SPEC)
+        return _cut_integrals_adaptive(np.asarray(taus, dtype=float), bp)
 
     def near_s(ss):
         return big_f(t - ss) * _r_closed(ss)[1]
@@ -562,14 +581,18 @@ class TestLargeT:
 
 class TestTraceCurve:
     def test_full_trace_in_input_order(self):
-        # rows share one node set with each other, so they match full_trace
-        # to the tolerance, not bit for bit; at 0.2 full_trace is nested
+        # below s_f a row is full_trace's bit for bit, since J and the exotic
+        # term give a row the same bits in any array; above it full_trace
+        # takes the nested route, to the tolerance at 0.05 and to its error at 0.2
         ts = [1e-2, 1e-3, 0.05, 0.2, 3e-3]
         for theta in (0.0, math.pi / 4, 2.4):
             bp = BoundaryParam(theta)
             curve = trace_curve(bp, ts)
             assert [s.t for s in curve] == ts
             for s, ref in zip(curve, [full_trace(t, bp) for t in ts]):
+                if s.t < _TRQ_FLAT_S:
+                    assert s == ref
+                    continue
                 if s.t > 0.1:
                     assert abs(s.value - ref.value) <= ref.est_error
                     continue
@@ -590,26 +613,33 @@ class TestTraceCurve:
             assert trace_curve(bp, ts, include_residue=residue) == joined
 
     def test_curve_takes_two_integrals_and_no_nested_part(self, monkeypatch):
-        # one shared J integral for every F of the curve, one exotic integral
-        calls = {"integrate": 0, "nested": 0}
+        # one J rule for every F of the curve and one exotic rule, both fixed,
+        # with the residue and without; the Friedrichs rows are closed forms
+        calls = {"integrate": 0, "nested": 0, "cut": 0, "exotic": 0}
 
-        def counting(*args, **kwargs):
-            calls["integrate"] += 1
-            return integrate(*args, **kwargs)
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
         def nested(*args, **kwargs):
             calls["nested"] += 1
 
         for mod in (trace, quadrature):
-            monkeypatch.setattr(mod, "integrate", counting)
+            monkeypatch.setattr(mod, "integrate", counting("integrate", integrate))
+        monkeypatch.setattr(trace, "_cut_integrals", counting("cut", trace._cut_integrals))
+        monkeypatch.setattr(trace, "_log_tail", counting("exotic", trace._log_tail))
         for name in ("t1_y_outer", "t2_part", "residue_trace_part"):
             monkeypatch.setattr(trace, name, nested)
         # the benchmark's grid, and one that reaches t = 30
         for ts in (CURVE_T, np.geomspace(1e-4, 30.0, 25)):
-            calls.update(integrate=0, nested=0)
-            curve = trace_curve(BoundaryParam(0.3), ts)
-            assert len(curve) == 25 and all(math.isfinite(s.value) for s in curve)
-            assert calls == {"integrate": 2, "nested": 0}
+            for bp, residue, n in ((BoundaryParam(0.3), True, 1), (BoundaryParam(2.4), False, 1),
+                                   (BoundaryParam.friedrichs(), True, 0)):
+                calls.update(integrate=0, nested=0, cut=0, exotic=0)
+                curve = trace_curve(bp, ts, include_residue=residue)
+                assert len(curve) == 25 and all(math.isfinite(s.value) for s in curve)
+                assert calls == {"integrate": 0, "nested": 0, "cut": n, "exotic": n}
 
 
 class TestLaplaceCertificate:
@@ -652,25 +682,51 @@ class TestOneSpec:
     S = QuadSpec(rel_tol=1e-11, abs_tol=1e-13)
 
     def test_one_spec_reaches_every_integral(self, monkeypatch):
-        # the CLI's --rel-tol must reach every integral of a trace row, and
-        # the kernel's parts are fixed rules that run no adaptive integral
+        # the spec of a nested part must reach each integral it runs; the
+        # curve's rows and the kernel's parts are fixed rules that run none
         seen = {}
 
         def wrap(mod):
-            def recording(f, a, b, spec=DEFAULT_SPEC, points=None):
+            def recording(f, a, b, spec=DEFAULT_SPEC):
                 seen.setdefault(mod.__name__, []).append(spec)
-                return integrate(f, a, b, spec, points)
+                return integrate(f, a, b, spec)
             return recording
 
         for mod in (trace, quadrature):
             monkeypatch.setattr(mod, "integrate", wrap(mod))
         bp = BoundaryParam(1.0)
-        trace_curve(bp, [1e-3, 0.05, 0.2], self.S)
-        assert seen.keys() == {"rsheat.trace", "rsheat.quadrature"}
+        for part in (trace.t1_y_outer, trace.t2_part, trace.residue_trace_part):
+            part(0.2, bp, self.S)
+        assert seen.keys() == {"rsheat.trace"} and len(seen["rsheat.trace"]) == 3
         assert all(s is self.S for specs in seen.values() for s in specs)
         seen.clear()
+        trace_curve(bp, [1e-3, 0.05, 0.2])
         ktheta.k_theta(0.5, bp)
         ktheta.k_theta(5.0, bp)
         ktheta.laplace_of_k(10.0, bp)
         assert seen == {}
-        assert not hasattr(ktheta, "integrate") and not hasattr(ktheta, "integrate_log_tail")
+        assert not hasattr(ktheta, "integrate")
+
+
+class TestThetaDifferenceCertificate:
+    """d(theta, t) = correction(theta, t) - [oracle(theta, t) - oracle(pi/2, t)].
+    The difference of the two eigenvalue sums cancels the x = 1 wall to all
+    orders but the two-wall path C(theta) e^{-1/t}, about 1e-17 at t = 0.025
+    (C(0) ~ 3), so below t ~ 0.03 d is rounding: a check of the correction
+    route, J's fixed rule included, that runs no quadrature on the oracle
+    side."""
+
+    TIMES = [0.002, 0.005, 0.01, 0.02, 0.025]
+
+    def test_correction_is_the_spectral_difference(self):
+        friedrichs = eigenvalues(BoundaryParam.friedrichs(), lambda_max=4e4)
+        ref = [oracle_trace(t, friedrichs) for t in self.TIMES]
+        for theta in (0.0, 0.05, 1.0, 1.5, 2.4, 3 * math.pi / 4, 3.1):
+            bp = BoundaryParam(theta)
+            spectrum = eigenvalues(bp, lambda_max=4e4)
+            for s, fr in zip(trace_curve(bp, self.TIMES), ref):
+                o = oracle_trace(s.t, spectrum)
+                # the spectra's tails at lambda 4e4 are below 4e-35
+                assert max(o.tail_error, fr.tail_error) <= 1e-30
+                d = s.parts.correction - (o.value - fr.value)
+                assert abs(d) <= 2e-15, (theta, s.t, d)
