@@ -17,9 +17,9 @@ used.
 e^{-UNDERFLOW_U} ~ 1e-20 is dropped, and a u = log y integral of
 c(u)/((u + k)^2 + pi^2) with c -> 1 hands over to the analytic
 ``arctan_tail`` where c is 1 to within about e^{-UNDERFLOW_U}: UNDERFLOW_U
-above its own scale in u (``ktheta.laplace_of_k`` and
-``trace.t1_y_outer``), or at u = log UNDERFLOW_U where c = 1 - exp(-e^u)
-(``trace._cut_integrals``).
+above its own scale in u (``ktheta.laplace_of_k``, and ``trace.t1_y_outer``,
+whose c is (1 - e^{-t e^u})/2 less the R part on ``_W_EDGES``), or at
+u = log UNDERFLOW_U where c = 1 - exp(-e^u) (``trace._cut_integrals``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ UNDERFLOW_U = 46.0
 _T_BOUND = ">= 1e-305"
 
 
-# geometric panel edges in w = (t-s) y (trace._a_conv) and t(y-1) (m_main)
+# geometric panel edges in w = (t-s) y (trace._a_r_conv, T1's R part) and
+# t(y-1) (m_main)
 _W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, UNDERFLOW_U])
 _GLW_N, _GLW_W = np.polynomial.legendre.leggauss(16)
 _GLW_LO, _GLW_HI = 1.0 - _GLW_N, 1.0 + _GLW_N

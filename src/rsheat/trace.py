@@ -10,7 +10,9 @@ self-convolution of the boundary kernel (``tn_trace``, identically
 1/2 + O(t^inf)).  The main contribution T1 is evaluated in the y-outer
 (Fubini) order, which avoids the 1/((t-s) log^2(t-s)) endpoint
 singularity of the s-outer order entirely; the test suite keeps the
-s-outer route as an independent cross-check.
+s-outer route as an independent cross-check.  ``t1_y_outer`` splits its
+inner convolution on TrQ = 1/2 - R (below): the 1/2 part is closed-form,
+and R's part is integrated on its own error budget, only above s_f.
 
 u = (1 - tanh(v/2))/2 turns TrQ(s) = int_0^{1/2} (1 - e^{-1/(4s u(1-u))}) du
 into 1/2 - R(s), R(s) = int_0^inf e^{-c/s} sech^2(v/2)/4 dv, c = cosh^2(v/2),
@@ -143,29 +145,41 @@ class TraceSample:
     parts: TraceParts
 
 
-def _trq_nodes(s_max):
-    """(c, W) at c <= 746 s_max, past which e^{-c/s} is 0.0 (23 nodes at 0.1)."""
-    n = np.searchsorted(_TRQ_C, 746.0 * s_max, side="right")
+def _trq_nodes(c_max):
+    """(c, W) at c <= c_max; R' cuts at 746 s_max, past which e^{-c/s} is
+    0.0 (23 nodes at 0.1), and _r_values where its terms are invisible."""
+    n = np.searchsorted(_TRQ_C, c_max, side="right")
     return _TRQ_C[:n], _TRQ_W[:n]
 
 
 def _r_values(s):
-    """R(s) = 1/2 - TrQ(s), s > 0: the terms' parts on the 2^-30 grid add
-    exactly, so the sum is exact to one rounding and ~1e-23 at any node count."""
-    c, w = _trq_nodes(s.max(initial=0.0))
+    """R(s) = 1/2 - TrQ(s), s > 0, on the nodes with c <= 1 + UNDERFLOW_U s_max
+    (10 at s_max = 0.05, 13 at 0.1): a dropped term is below e^{-46} of the
+    first (c = 1), so the kept ones hold all but 2^-60 of the full sum.  Their
+    parts on the 2^-30 grid add exactly, so the sum is within ~1e-23 of theirs
+    at any node count.  Where R is well above 2^-31 that is one rounding, and
+    a value hangs on its call's s_max (through the node count) only at a
+    rounding tie; below it the terms add as floats, to a few ulp."""
+    c, w = _trq_nodes(1.0 + UNDERFLOW_U * s.max(initial=0.0))
     with np.errstate(under="ignore"):
         terms = np.exp(-c / s[:, None]) * w
     hi = (terms + 2.0 ** 22) - 2.0 ** 22
     return hi.sum(axis=1) + (terms - hi).sum(axis=1)
 
 
+def _r_live(s):
+    """R on an array of times of any shape, 0 below _TRQ_FLAT_S, where
+    _r_values is not called."""
+    out = np.zeros(s.shape)
+    live = s >= _TRQ_FLAT_S
+    if live.any():
+        out[live] = _r_values(s[live])
+    return out
+
+
 def _trq_values(s):
     """TrQ on an array of times: 0.5 - R, and 0.5 below _TRQ_FLAT_S."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.full(s.shape, 0.5)
-    live = s >= _TRQ_FLAT_S
-    out[live] -= _r_values(s[live])
-    return out
+    return 0.5 - _r_live(np.atleast_1d(np.asarray(s, dtype=float)))
 
 
 def tn_trace(t):
@@ -194,36 +208,47 @@ def _friedrichs_trace_res(t):
     return 0.5 * z * (i0s.value + bessel_i1_scaled(z)), z * i0s.est_abs_error
 
 
-def _a_conv(ys, t):
-    """A(y, t) = int_0^t e^{-(t-s) y} TrQ(s) ds via w = (t-s) y panels.
+def _a_r_conv(ys, t):
+    """A_R(y, t) = int_0^t e^{-(t-s) y} R(s) ds via w = (t-s) y panels, R = 0
+    below _TRQ_FLAT_S: the R part of A = (1 - e^{-ty})/(2y) - A_R.
 
     ``ys`` is an array.  The fixed w-panels are clipped at each
     w_max = min(t y, UNDERFLOW_U), which gives the panels beyond it zero
     width, so every y uses the same (6 panels x 16 nodes) block.
     """
     y = np.asarray(ys, dtype=float)[:, None]
-    edges = np.minimum(_W_EDGES, np.minimum(t * y, UNDERFLOW_U))
-    lo = edges[:, :-1, None]
-    hi = edges[:, 1:, None]
-    w = 0.5 * (lo * (1.0 - _GLW_N) + hi * (1.0 + _GLW_N))
-    s = t - w / y[:, :, None]
-    vals = np.exp(-w) * _trq_values(s.ravel()).reshape(w.shape)
-    return np.sum(0.5 * (hi - lo) * _GLW_W * vals, axis=(1, 2)) / y[:, 0]
+    w, wts = _gl_panels(np.minimum(_W_EDGES, np.minimum(t * y, UNDERFLOW_U)))
+    return np.sum(wts * np.exp(-w) * _r_live(t - w / y), axis=1) / y[:, 0]
 
 
 def t1_y_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
-    """T1 in the y-outer order:
-    2 int_1^inf [int_0^t e^{-(t-s)y} TrQ(s) ds] ((log y + 2k)^2+pi^2)^{-1} dy.
+    """T1 in the y-outer order, 2 int_1^inf A(y, t) C(log y) dy, with
+    A = int_0^t e^{-(t-s) y} TrQ(s) ds and C(u) = 1/((u + 2 kappa)^2 + pi^2).
+
+    TrQ = 1/2 - R makes it 2 (H - P + TrQ(t) arctan_tail(46)): H, the 1/2
+    part, is int_0^46 (1 - e^{-t e^u})/2 C du on ``spec``; P, R's part, is
+    int_0^46 A_R(e^u, t) e^u C du >= 0 on spec's rel_tol and an abs_tol of
+    min(rel_tol, 2^-45) (H + TrQ(t) arctan_tail(46)) >= T1/2, which ties
+    its error to T1's size.  R = 0 below _TRQ_FLAT_S, and P is not taken.
     """
     t = check_real(t, "t1_y_outer", "t", "> 0")
     k2 = 2.0 * bp.kappa
 
-    def f(us):
-        ys = np.exp(us)
-        return _a_conv(ys, t) * ys / ((us + k2) ** 2 + _PI2)
+    def h(us):
+        return -0.5 * np.expm1(-t * np.exp(us)) / ((us + k2) ** 2 + _PI2)
 
-    r = integrate(f, 0.0, UNDERFLOW_U, spec)
-    return 2.0 * r.value + 2.0 * tn_trace(t) * arctan_tail(UNDERFLOW_U, k2)
+    def p(us):
+        ys = np.exp(us)
+        return _a_r_conv(ys, t) * ys / ((us + k2) ** 2 + _PI2)
+
+    hv = integrate(h, 0.0, UNDERFLOW_U, spec).value
+    tail = tn_trace(t) * arctan_tail(UNDERFLOW_U, k2)
+    pv = 0.0
+    if t >= _TRQ_FLAT_S:
+        p_spec = QuadSpec(spec.rel_tol, min(spec.rel_tol, 2.0 ** -45) * (hv + tail),
+                          spec.max_subdivisions)
+        pv = integrate(p, 0.0, UNDERFLOW_U, p_spec).value
+    return 2.0 * (hv - pv) + 2.0 * tail
 
 
 def exotic_term(t, bp: BoundaryParam):
@@ -327,15 +352,18 @@ def volterra_correction(ts, bp: BoundaryParam, *, include_residue=True):
     out = 0.5 * f[:ts.size]
     f_tau = f[ts.size:ts.size + taus.size].reshape(taus.shape)
     f_s = f[ts.size + taus.size:].reshape(us.shape)
-    c, w = _trq_nodes(ts.max())
+    c, w = _trq_nodes(746.0 * ts.max())
     with np.errstate(under="ignore"):
         # R'(s) = sum W c/s^2 e^{-c/s} = sum (W/c) a^2 e^{-a}, a = c/s, at
-        # s = t - tau: one (rows, 96, n) block, n = 23 at t = 0.1, 46 at 30
+        # s = t - tau: one (rows, 96, n) block, n = 23 at t = 0.1, 46 at 30;
+        # each sum runs along a row's own last axis (not @, whose order
+        # follows the block's shape), so a row has the same bits in any call
         a = c / (up[:, None] - taus)[:, :, None]
-        rest = (f_tau * ((a * a * np.exp(-a)) @ (w / c)) * taus) @ _V_WEIGHTS
+        r_prime = np.sum(a * a * np.exp(-a) * (w / c), axis=-1)
+        rest = np.sum(f_tau * r_prime * taus * _V_WEIGHTS, axis=-1)
         # R'(s) s^2 = sum W c e^{-c u}, and ds/s^2 = u dx
-        r_s2 = np.exp(-np.multiply.outer(us, c)) @ (w * c)
-        rest[far] += (f_s * r_s2 * us) @ _X_WEIGHTS * x_span
+        r_s2 = np.sum(np.exp(-np.multiply.outer(us, c)) * (w * c), axis=-1)
+        rest[far] += np.sum(f_s * r_s2 * us * _X_WEIGHTS, axis=-1) * x_span
     # F increases, so rest is finite wherever Q0 F(t) is
     out[live] -= np.where(np.isinf(out[live]), 0.0, rest)
     return out

@@ -142,7 +142,9 @@ def criterion_3_laplace_identity(thetas=(0.0, _PI / 4, 3 * _PI / 4)):
 
 
 def criterion_4_t1_expansion():
-    """Triple-nested T1 equals its closed leading form up to O(t^inf)."""
+    """Triple-nested T1 equals its closed leading form up to O(t^inf): the
+    gap is R's share of T1 (TrQ = 1/2 - R), ~1e-10 at t = 0.05, and at
+    0.02, where R is 0 in double, the rounding of two rules."""
     r = CriterionResult(4, "T1 convolution matches its (e^{-ty}-1)/y closed form")
     for theta in (0.0, 3 * _PI / 4):
         bp = BoundaryParam(theta)

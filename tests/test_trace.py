@@ -36,9 +36,10 @@ from rsheat.trace import (
     _TRQ_FLAT_S,
     _TRQ_W,
     _W_EDGES,
-    _a_conv,
+    _a_r_conv,
     _friedrichs_trace_res,
     _r_values,
+    _trq_nodes,
     _trq_values,
     residue_trace_part,
     t1_y_outer,
@@ -176,9 +177,10 @@ class TestTnTrace:
         assert _TRQ_FLAT_S == 1.0 / 38.0
 
     def test_node_cut_and_exact_sum(self):
-        # _r_values skips the nodes where e^{-c/s} underflows for every s
-        # of the call (23 of 161 for s <= 0.1) and sums the rest exactly up
-        # to one rounding, so a value does not hang on the call's other times
+        # _r_values skips the nodes whose terms are below e^{-46} of the
+        # first for every s of the call (13 of 161 kept for s <= 0.1; 23 are
+        # nonzero there) and sums the rest to ~1e-23, so a value hangs on the
+        # call's other times by no more than that
         ss = np.geomspace(_TRQ_FLAT_S, 1e8, 301)
         batch = _r_values(ss)
         for s, r in zip(ss, batch):
@@ -188,6 +190,35 @@ class TestTnTrace:
             assert abs(r - exact) <= 1e-22 + 0.5 * np.spacing(exact)
             assert abs(_r_values(np.array([s]))[0] - r) <= 1e-22
         assert np.count_nonzero(np.exp(-_TRQ_C / 0.1)) == 23
+
+    def test_r_node_cut_against_the_full_sum(self):
+        # the kept nodes, c <= 1 + 46 s_max, hold all but 2^-60 of the sum
+        # over all 161.  Alone, as tn_trace calls it, R is within 2^-52 of
+        # that sum; in a batch, where its terms fall below the 2^-30 grid,
+        # within the rounding of a float sum of the n kept terms
+        for s_max in (_TRQ_FLAT_S, 0.05, 0.1, 1.0, 30.0, 1e3):
+            c, w = _trq_nodes(1.0 + UNDERFLOW_U * s_max)
+            ss = np.geomspace(_TRQ_FLAT_S, s_max, 97)
+            for s, r in zip(ss, _r_values(ss)):
+                full = math.fsum(np.exp(-_TRQ_C / s) * _TRQ_W)
+                assert full - math.fsum(np.exp(-c / s) * w) <= 2.0 ** -60 * full, (s_max, s)
+                assert abs(r - full) <= c.size * 2.0 ** -53 * full, (s_max, s)
+            full = math.fsum(np.exp(-_TRQ_C / s_max) * _TRQ_W)
+            assert abs(_r_values(np.array([s_max]))[0] - full) <= 2.0 ** -52 * full, s_max
+        assert [_trq_nodes(1.0 + UNDERFLOW_U * s)[0].size for s in (0.05, 0.1)] == [10, 13]
+
+    def test_tn_trace_keeps_the_full_node_bits(self):
+        # tn_trace against 1/2 less R on every node where e^{-c/s} is not
+        # 0.0, the sum before the node cut, bit for bit
+        def r_full(s):
+            n = np.searchsorted(_TRQ_C, 746.0 * s, side="right")
+            with np.errstate(under="ignore"):
+                terms = np.exp(-_TRQ_C[:n] / s) * _TRQ_W[:n]
+            hi = (terms + 2.0 ** 22) - 2.0 ** 22
+            return hi.sum() + (terms - hi).sum()
+
+        for s in np.geomspace(_TRQ_FLAT_S, 1e3, 2000):
+            assert tn_trace(float(s)) == 0.5 - r_full(s), s
 
     def test_r_prime_on_the_same_nodes(self):
         # volterra_correction takes R'(s) = sum W c/s^2 e^{-c/s} from the
@@ -347,24 +378,43 @@ class TestCorrectionAndFull:
         assert abs(t2_part(0.01, bp0)) < 0.01
 
 
+def _a_conv_full(ys, t):
+    """A(y, t) = int_0^t e^{-(t-s) y} TrQ(s) ds on the clipped w-panels,
+    TrQ unsplit: the route t1_y_outer's split TrQ = 1/2 - R replaced."""
+    y = np.asarray(ys, dtype=float)[:, None]
+    edges = np.minimum(_W_EDGES, np.minimum(t * y, UNDERFLOW_U))
+    lo = edges[:, :-1, None]
+    hi = edges[:, 1:, None]
+    w = 0.5 * (lo * (1.0 - _GLW_N) + hi * (1.0 + _GLW_N))
+    s = t - w / y[:, :, None]
+    vals = np.exp(-w) * _trq_values(s.ravel()).reshape(w.shape)
+    return np.sum(0.5 * (hi - lo) * _GLW_W * vals, axis=(1, 2)) / y[:, 0]
+
+
 class TestArrayRoutes:
     """The panel-at-once integrands against the node-by-node routes they
     replaced, written out here as the reference."""
 
     def test_a_conv_matches_per_y_loop(self):
-        def a_conv_one(y, t):
+        # the R part A_R of A = (1 - e^{-ty})/(2y) - A_R, R = 0 below s_f
+        def a_r_one(y, t):
             w_max = min(t * y, 46.0)
             edges = np.append(_W_EDGES[_W_EDGES < w_max], w_max)
             lo = edges[:-1, None]
             hi = edges[1:, None]
             w = 0.5 * (lo * (1.0 - _GLW_N) + hi * (1.0 + _GLW_N))
-            vals = np.exp(-w) * _trq_values((t - w / y).ravel()).reshape(w.shape)
+            s = (t - w / y).ravel()
+            r = np.zeros(s.shape)
+            live = s >= _TRQ_FLAT_S
+            r[live] = _r_values(s[live])
+            vals = np.exp(-w) * r.reshape(w.shape)
             return float(np.sum(0.5 * (hi - lo) * _GLW_W * vals)) / y
 
         ys = np.exp(np.linspace(0.0, UNDERFLOW_U, 57))
         for t in (1e-4, 1e-2, 0.05, 0.5, 5.0):
-            loop = np.array([a_conv_one(float(y), t) for y in ys])
-            assert np.all(np.abs(_a_conv(ys, t) - loop) <= 1e-15 * np.abs(loop))
+            loop = np.array([a_r_one(float(y), t) for y in ys])
+            assert np.all(np.abs(_a_r_conv(ys, t) - loop) <= 1e-15 * np.abs(loop))
+        assert not np.any(_a_r_conv(ys, 0.02))
 
     def test_k1_smooth_array_matches_scalar(self):
         ts = np.array([1e-4, 1e-2, 0.5, 5.0])
@@ -385,7 +435,7 @@ class TestArrayRoutes:
             for t in (1e-3, 5e-2, 0.5, 5.0):
                 def f1(us):
                     return np.array([
-                        _a_conv(np.array([math.exp(u)]), t)[0] * math.exp(u)
+                        _a_conv_full(np.array([math.exp(u)]), t)[0] * math.exp(u)
                         / ((u + k2) ** 2 + _PI2) for u in us])
 
                 def f2(ss):
@@ -397,6 +447,37 @@ class TestArrayRoutes:
                 t2 = integrate(f2, 0.0, t, tight_spec).value
                 assert abs(t1_y_outer(t, bp, tight_spec) - t1) <= 1e-12 * abs(t1)
                 assert abs(t2_part(t, bp, tight_spec) - t2) <= 1e-12 * abs(t2)
+
+    def test_t1_r_evaluation_budget(self, monkeypatch):
+        # s-points x summed trapezoid nodes of R per t1_y_outer call.  Through
+        # the full TrQ on every w-node of every u-node, with all nodes where
+        # e^{-c/s} is not 0.0, the count was 223,380 at theta = 0 and pi/4
+        # and 275,160 at 3 pi/4; with R's own integral and the node cut it is
+        # 57,840 and 73,270.  Below s_f R is not evaluated at all.
+        r_values, trq_nodes = trace._r_values, trace._trq_nodes
+        nodes, count = [0], [0, 0]
+
+        def counting_nodes(c_max):
+            c, w = trq_nodes(c_max)
+            nodes[0] = c.size
+            return c, w
+
+        def counting_r(s):
+            out = r_values(s)
+            count[0] += 1
+            count[1] += s.size * nodes[0]
+            return out
+
+        monkeypatch.setattr(trace, "_trq_nodes", counting_nodes)
+        monkeypatch.setattr(trace, "_r_values", counting_r)
+        for theta, before in ((0.0, 223380), (math.pi / 4, 223380), (3 * math.pi / 4, 275160)):
+            bp = BoundaryParam(theta)
+            count[:] = [0, 0]
+            t1_y_outer(0.05, bp)
+            assert 0 < count[1] <= 0.4 * before, theta
+            count[:] = [0, 0]
+            t1_y_outer(0.02, bp)
+            assert count == [0, 0]
 
 
 class TestFlatCorrection:
@@ -612,6 +693,15 @@ class TestTraceCurve:
                       for s in trace_curve(bp, ts[i:i + _CURVE_BLOCK], include_residue=residue)]
             assert trace_curve(bp, ts, include_residue=residue) == joined
 
+    def test_every_row_is_its_own(self):
+        # a row's sums run along the last axis, alone, so it takes the same
+        # bits in any call
+        ts = np.geomspace(1e-4, 30.0, 140).tolist()
+        for theta in (0.0, 1.0, 2.4):
+            bp = BoundaryParam(theta)
+            curve = trace_curve(bp, ts)
+            assert curve == [trace_curve(bp, [t])[0] for t in ts], theta
+
     def test_curve_takes_two_integrals_and_no_nested_part(self, monkeypatch):
         # one J rule for every F of the curve and one exotic rule, both fixed,
         # with the residue and without; the Friedrichs rows are closed forms
@@ -697,8 +787,16 @@ class TestOneSpec:
         bp = BoundaryParam(1.0)
         for part in (trace.t1_y_outer, trace.t2_part, trace.residue_trace_part):
             part(0.2, bp, self.S)
-        assert seen.keys() == {"rsheat.trace"} and len(seen["rsheat.trace"]) == 3
-        assert all(s is self.S for specs in seen.values() for s in specs)
+        assert seen.keys() == {"rsheat.trace"} and len(seen["rsheat.trace"]) == 4
+        h, p, t2, res = seen["rsheat.trace"]
+        assert h is self.S and t2 is self.S and res is self.S
+        # T1's R part: the spec's rel_tol and budget, an abs_tol tied to T1
+        k2 = 2.0 * bp.kappa
+        r_free = (integrate(lambda us: -0.5 * np.expm1(-0.2 * np.exp(us))
+                            / ((us + k2) ** 2 + _PI2), 0.0, UNDERFLOW_U, self.S).value
+                  + tn_trace(0.2) * arctan_tail(UNDERFLOW_U, k2))
+        assert (p.rel_tol, p.abs_tol, p.max_subdivisions) == (
+            self.S.rel_tol, 2.0 ** -45 * r_free, self.S.max_subdivisions)
         seen.clear()
         trace_curve(bp, [1e-3, 0.05, 0.2])
         ktheta.k_theta(0.5, bp)
