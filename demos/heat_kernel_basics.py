@@ -46,7 +46,7 @@ print(f"E(x,z,{a + b:.1f})               = {friedrichs_kernel(x, z, a + b):.12f}
 print()
 
 print("=== diagonal self-convolution Q and its unit integral ===")
-print(f"Q(0.3, 0.05) = {q_diag(0.3, 0.05):.12f}   (a fixed trapezoid rule in v)")
+print(f"Q(0.3, 0.05) = {q_diag(0.3, 0.05):.12f}   (e^(b/2) K0(b/2), b = x^2/t)")
 unit = integrate(lambda xs: q_diag(xs, 0.05), 0.0, 1.0).value
 print(f"int_0^1 Q(x, 0.05) dx = {unit:.12f}   (1/2 up to e^(-1/t))")
 print()

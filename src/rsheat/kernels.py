@@ -10,8 +10,8 @@ with theta = pi/2 the Friedrichs extension (c_minus = 0).  This module
 provides the Friedrichs heat kernel, its boundary limit, the diagonal
 self-convolution, the driven ("signaling") solution with prescribed
 c_minus data, and a numerical extractor for (c_plus, c_minus).
-``q_diag`` is a fixed trapezoid rule whose docstring states its bound;
-``signaling`` alone runs the adaptive engine.
+``q_diag`` is a closed form in the scaled K0 of ``specfun``, the package's
+one K0; ``signaling`` alone runs the adaptive engine.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, FitError, check_int, check_real, check_real_array
 from .quadrature import DEFAULT_SPEC, UNDERFLOW_U, QuadSpec, integrate
-from .specfun import EULER_GAMMA, LN2, bessel_i0_scaled
+from .specfun import EULER_GAMMA, LN2, bessel_i0_scaled, bessel_k0_scaled
 
 _HALF_PI = 0.5 * math.pi
 
@@ -127,23 +127,16 @@ def q_diag(x, t):
 
     Q(x, t) = int_0^t nprime(x, t-s) nprime(x, s) ds.  In TrQ's variable,
     s = t u with u = (1 - tanh(v/2))/2, it is (x/2t) e^{-b} F(b), b = x^2/t,
-    F(b) = int_0^inf exp(-b sinh^2(v/2)) dv = e^{b/2} K0(b/2).  F is the
-    trapezoid rule of step h = min(1/5, 1/(1.5 sqrt b)) over the nodes with
-    b sinh^2(v/2) <= UNDERFLOW_U, summed with each addition's rounding error.
-    On |Im v| <= a < pi/2 the integrand is at most
-    exp(-(b/2)(cosh(Re v) cos a - 1)), so the rule errs by at most
-    2 K0((b/2) cos a)/K0(b/2)/(e^{2 pi a/h} - 1) of F (Trefethen-Weideman):
-    under 1.6e-18 at every b (at b = 100/9, where the steps meet; a step of
-    1/4 would give 2.7e-14 there), and the cut drops under 1e-20.  So F is
-    within rounding, 2.3e-16 of mpmath over b in [1e-300, 1e5]; e^{-b} adds
-    its condition number b eps.  Below b = 1e-300, where the cut passes
-    3,480 nodes and UNDERFLOW_U/b nears overflow, b is refused.
+    F(b) = int_0^inf exp(-b sinh^2(v/2)) dv = e^{b/2} K0(b/2), one
+    ``bessel_k0_scaled`` value per entry: within 3.1e-16 of mpmath over b
+    in [1e-300, 1e5]; e^{-b} adds its condition number b eps.  b below
+    1e-300 is refused: b >= 1e-300 keeps x/t normal (a subnormal x/t needs
+    x < 4, so b < 1e-307), and the prefactor (x/2t) e^{-b} its relative
+    accuracy.
 
     ``x`` is a float, giving a float, or a 1-D array, giving an array of
-    the same length; each entry equals its own scalar call.  F takes
-    _Q_BLOCK entries at a time, so besides arrays the size of ``x`` a call
-    holds a few 64 x 3,481 blocks of doubles (1.8 MB each) at most.  (x/2t)
-    e^{-b} is exp(log(x/2t) - b) where e^{-b} is subnormal or 0, as in
+    the same length; each entry equals its own scalar call.  (x/2t) e^{-b}
+    is exp(log(x/2t) - b) where e^{-b} is subnormal or 0, as in
     ``_ratio_exp``.  Entries with x = 0 or b = inf are 0.0.
     """
     t = check_real(t, "q_diag", "t", "> 0")
@@ -152,8 +145,7 @@ def q_diag(x, t):
     x = check_real_array(x, "q_diag", "x", ">= 0")
     with np.errstate(over="ignore"):
         # x (x/t), not x^2/t, so b stays in range where x^2 underflows;
-        # x/t is normal wherever b >= 1e-300, and overflows only where
-        # b > 1e293 and Q is 0.0
+        # x/t overflows only where b > 1e293 and Q is 0.0
         x_t = x / t
         b = x * x_t
         x_2t = np.minimum(0.5 * x_t, sys.float_info.max)
@@ -163,30 +155,10 @@ def q_diag(x, t):
     if far.any():
         out[far] = np.exp(np.log(x_2t[far]) - b[far])
     live = np.flatnonzero((x > 0.0) & (b < math.inf))
-    for i in range(0, live.size, _Q_BLOCK):
-        idx = live[i:i + _Q_BLOCK]
-        out[idx] *= _q_v_integral(b[idx])
+    if live.size:
+        check_real(b[live].min(), "q_diag", "x^2/t", ">= 1e-300")
+        out[live] *= [bessel_k0_scaled(0.5 * v) for v in b[live].tolist()]
     return out
-
-
-_Q_BLOCK = 64
-
-
-def _q_v_integral(b):
-    """F(b) for each entry of b; the columns reach the smallest b's cut, or
-    3 sqrt(UNDERFLOW_U) < 21 nodes past b = 100/9, and are 0.0 past each cut."""
-    b_min = check_real(b.min(), "q_diag", "x^2/t", ">= 1e-300")
-    v_cut = 2.0 * math.asinh(math.sqrt(UNDERFLOW_U / b_min))
-    n = max(int(v_cut / min(0.2, 1.0 / (1.5 * math.sqrt(b_min)))), 21) + 2
-    root = np.sqrt(b)
-    h = np.minimum(0.2, 1.0 / (1.5 * root))
-    arg = (root[:, None] * np.sinh(np.multiply.outer(0.5 * h, np.arange(n)))) ** 2
-    f = np.exp(-arg)
-    f[arg > UNDERFLOW_U] = 0.0
-    # running sums from f(0) = 1, so each step's error is Fast2Sum's (sums >= 1 >= f)
-    s = np.cumsum(f, axis=1)
-    err = np.cumsum(f[:, 1:] - (s[:, 1:] - s[:, :-1]), axis=1)[:, -1]
-    return h * ((s[:, -1] - 0.5) + err)
 
 
 def signaling(h, x, t, spec: QuadSpec = DEFAULT_SPEC):

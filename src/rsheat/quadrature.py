@@ -8,10 +8,13 @@ array of shape (n,) or, for m integrals sharing one node set, an array of
 shape (n, m); the latter is refined until every one of the m integrals
 meets its own tolerance.
 
-No ``rsheat trace`` row and no kernel value runs the engine: those
-integrals are fixed rules, 16-point Gauss-Legendre sums on the panels of
-``_gl_panels`` or trapezoid sums, each with a bound stated where it is
-used.
+No ``rsheat trace`` row, no kernel value and no acceptance criterion
+but 4 and 6 runs the engine: those integrals are fixed rules, 16-point
+Gauss-Legendre sums on the panels of ``_gl_panels`` or trapezoid sums,
+each with a bound stated where it is used.  Its callers are the nested
+trace route, ``trace.t1_y_outer`` (criterion 4), ``t2_part`` and
+``residue_trace_part`` (criterion 6, through ``full_trace`` above t = 1/38),
+and ``kernels.signaling``, which no command calls.
 
 ``UNDERFLOW_U`` is the package's one cut.  Every exponential factor below
 e^{-UNDERFLOW_U} ~ 1e-20 is dropped, and a u = log y integral of

@@ -1,12 +1,14 @@
 """Heat-kernel building blocks: boundary data, convolutions, extraction."""
 
 import math
+import sys
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from rsheat import kernels, verify
+from rsheat import quadrature, specfun, verify
 from rsheat import (
     BoundaryParam,
     DomainError,
@@ -19,7 +21,7 @@ from rsheat import (
     q_diag,
     signaling,
 )
-from rsheat.specfun import EULER_GAMMA, LN2, bessel_y0
+from rsheat.specfun import EULER_GAMMA, LN2, bessel_k0_scaled, bessel_y0
 
 
 class TestBoundaryParam:
@@ -157,20 +159,19 @@ class TestQDiag:
                 assert q_diag(float(x), t) == q
 
     def test_v_integral_against_mpmath(self):
-        # the trapezoid rule's F(b) = int_0^inf exp(-b sinh^2(v/2)) dv against
-        # e^{b/2} K0(b/2) at the double b itself, so that no rounding of b
-        # enters: the strip bound is under 1.6e-18, the rest is rounding
+        # F(b) = int_0^inf exp(-b sinh^2(v/2)) dv = e^{b/2} K0(b/2), which
+        # q_diag takes from bessel_k0_scaled, against mpmath at the double b
+        # itself (b/2 is exact), so that no rounding of b enters
         bs = np.geomspace(1e-300, 1e5, 241)
-        got = kernels._q_v_integral(bs)
         with mp.workdps(30):
-            for b, f in zip(bs, got):
+            for b in bs:
                 half = mp.mpf(float(b)) / 2
                 ref = mp.exp(half) * mp.besselk(0, half)
-                assert abs(f - ref) <= 1e-15 * ref, b
+                assert abs(bessel_k0_scaled(0.5 * float(b)) - ref) <= 1e-15 * ref, b
 
     def test_every_entry_equals_its_scalar_call(self):
         # an entry's value depends on its own (x, t) alone: shuffled batches
-        # over b = x^2/t in [1e-300, 1e5], longer than one block, with zero,
+        # over b = x^2/t in [1e-300, 1e5], with zero,
         # subnormal-e^{-b}, underflowing and b = inf entries among them
         rng = np.random.default_rng(23)
         for t in (1.0, 0.2, 1e-100):
@@ -226,22 +227,36 @@ class TestQDiag:
                 q_diag(np.array([0.5]), t)
             with pytest.raises(DomainError):
                 q_diag(0.5, t)
+        # b = x^2/t below 1e-300, where x/t may be subnormal, is refused
+        with pytest.raises(DomainError, match="x\\^2/t"):
+            q_diag(np.array([0.5, 1e-160]), 1.0)
+        with pytest.raises(DomainError, match="x\\^2/t"):
+            q_diag(1e-160, 1.0)
 
-    def test_criterion_1_integrate_budget(self, monkeypatch):
-        # the outer x-integral is criterion 1's one integrate call: q_diag's
-        # v-integral is a fixed rule and calls none
-        calls = {"verify": 0, "kernels": 0}
+    def test_fixed_rules_in_criteria_1_2_7(self):
+        # criteria 1, 2 and 7 are fixed Gauss-Legendre sums, which run no
+        # adaptive integral, and q_diag takes one K0 value per live entry
+        watched = {quadrature.integrate.__code__: "integrate",
+                   specfun.bessel_k0_scaled.__code__: "k0"}
+        calls = Counter()
 
-        def counting(module):
-            def call(*args, **kwargs):
-                calls[module] += 1
-                return integrate(*args, **kwargs)
-            return call
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls[watched[frame.f_code]] += 1
 
-        monkeypatch.setattr(kernels, "integrate", counting("kernels"))
-        monkeypatch.setattr(verify, "integrate", counting("verify"))
-        assert verify.criterion_1_tn_closed_form().passed
-        assert calls == {"verify": 1, "kernels": 0}
+        xs = np.array([0.0, 0.3, 1e300, 1e-3, 0.0, 2.0])
+        sys.setprofile(profile)
+        try:
+            passed = [fn().passed for fn in (verify.criterion_1_tn_closed_form,
+                                             verify.criterion_2_laplace_pair,
+                                             verify.criterion_7_green_identity)]
+            after_criteria = calls.copy()
+            q_diag(xs, 0.2)
+        finally:
+            sys.setprofile(None)
+        assert passed == [True] * 3
+        assert after_criteria["integrate"] == 0
+        assert calls["k0"] - after_criteria["k0"] == 3
 
 
 class TestSignaling:

@@ -9,7 +9,8 @@ listed in ``NOT_REACHED`` with the reason it stays.  Every defaulted
 argument of a reached function in ``rsheat.__all__`` is set by a command,
 a criterion or another ``src`` function; one that none sets becomes a
 constant.  The number of settable values is pinned, so a new option is a
-deliberate change of that pin.
+deliberate change of that pin.  ``ADAPTIVE_CALLERS`` lists, with a reason,
+each ``src`` function whose code names the adaptive engine ``integrate``.
 """
 
 import argparse
@@ -31,6 +32,14 @@ NOT_REACHED = {
     "nprime": "the boundary limit of the Friedrichs kernel, signaling's kernel",
     "friedrichs_trace": "the theta = pi/2 trace alone; full_trace takes its "
                         "value with the error estimate",
+}
+
+ADAPTIVE_CALLERS = {
+    "t1_y_outer": "criterion 4's independent nested T1, and the nested route's "
+                  "T1 part, which bench/run.py times",
+    "t2_part": "the nested route's T2 part, which bench/run.py times",
+    "residue_trace_part": "the nested route's residue part, which bench/run.py times",
+    "signaling": "the driven solution, listed in NOT_REACHED",
 }
 
 # settable values: defaulted arguments of the functions in rsheat.__all__,
@@ -65,6 +74,15 @@ def _module_functions():
                     and not name.startswith("_"):
                 assert name not in out, name
                 out[name] = fn
+    return out
+
+
+def _names(code):
+    """The global and attribute names a code object and its nested ones use."""
+    out = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            out |= _names(const)
     return out
 
 
@@ -124,3 +142,14 @@ def test_settable_values_are_pinned():
     flags = sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
                 for p in sub.choices.values() for a in p._actions)
     assert (defaulted, flags) == SETTABLE_VALUES
+
+
+def test_adaptive_callers_are_listed():
+    callers = set()
+    for info in pkgutil.iter_modules(rsheat.__path__):
+        module = importlib.import_module(f"rsheat.{info.name}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ \
+                    and "integrate" in _names(fn.__code__):
+                callers.add(name)
+    assert callers == set(ADAPTIVE_CALLERS)
