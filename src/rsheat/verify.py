@@ -20,6 +20,7 @@ from .ktheta import laplace_of_k, pole_location
 from .oracle import eigenvalues, oracle_trace
 from .quadrature import UNDERFLOW_U, _gl_panels
 from .specfun import (
+    _SERIES_CUTOFF,
     _i_asym_scaled,
     _ik_series,
     _jy_asym,
@@ -265,7 +266,15 @@ def criterion_8_spectrum():
 
 
 def criterion_9_specfun():
-    """Wronskian identities and dual-path agreement of the Bessel library."""
+    """Wronskian identities and dual-path agreement of the Bessel library.
+
+    Each J/Y path runs once per order and point.  A Wronskian point takes
+    (J_n, Y_n) from one ``_jy_series(n, z)`` at z <= ``_SERIES_CUTOFF``, one
+    ``_jy_asym(n, z)`` above: bit for bit what ``bessel_j0/j1/y0/y1``
+    return, as they take the same path and J_n does not depend on
+    ``regular``.  A dual-path line compares each public J/Y value with the
+    path it does not take, relative to the Hankel value.
+    """
     r = CriterionResult(9, "special functions: Wronskians and dual evaluation paths")
     rng = np.random.default_rng(20240817)
     zs = np.exp(rng.uniform(math.log(0.02), math.log(60.0), size=100))
@@ -278,26 +287,35 @@ def criterion_9_specfun():
                   + bessel_i1_scaled(z) * bessel_k0_scaled(z))
         worst_ik = max(worst_ik, abs(w1 - 1.0))
         # J0 Y0' - J0' Y0 = 2/(pi z)  ->  (pi z / 2)(J1 Y0 - J0 Y1) = 1
-        w2 = 0.5 * _PI * z * (bessel_j1(z) * bessel_y0(z)
-                              - bessel_j0(z) * bessel_y1(z))
+        path = _jy_series if z <= _SERIES_CUTOFF else _jy_asym
+        j0, y0 = path(0, z)[:2]
+        j1, y1 = path(1, z)[:2]
+        w2 = 0.5 * _PI * z * (j1 * y0 - j0 * y1)
         worst_jy = max(worst_jy, abs(w2 - 1.0))
     r.add("max |z(I0 K1 + I1 K0) - 1| over 100 points", worst_ik, 1e-10)
     r.add("max |(pi z/2)(J1 Y0 - J0 Y1) - 1| over 100 points", worst_jy, 1e-10)
 
-    overlap = np.linspace(14.0, 18.0, 17)
-    pairs = [
-        ("j0", lambda z: _jy_series(0, z, regular=False)[0], lambda z: _jy_asym(0, z)[0]),
-        ("y0", lambda z: _jy_series(0, z)[1], lambda z: _jy_asym(0, z)[1]),
-        ("j1", lambda z: _jy_series(1, z, regular=False)[0], lambda z: _jy_asym(1, z)[0]),
-        ("y1", lambda z: _jy_series(1, z)[1], lambda z: _jy_asym(1, z)[1]),
-        ("i0_scaled", lambda z: _ik_series(0, z, regular=False)[0] * math.exp(-z),
-         lambda z: _i_asym_scaled(0.0, z)),
-        ("k0_scaled", lambda z: _k_integral_scaled(z, 0), lambda z: _k_asym_scaled(0.0, z)),
-    ]
-    for name, f_small, f_large in pairs:
-        worst = max(abs(f_small(float(z)) - f_large(float(z))) /
-                    max(1.0, abs(f_large(float(z)))) for z in overlap)
-        r.add(f"dual-path agreement {name} on [14, 18]", worst, 1e-11)
+    overlap = [float(z) for z in np.linspace(14.0, 18.0, 17)]
+    public = {"j0": (bessel_j0, 0, 0), "y0": (bessel_y0, 0, 1),
+              "j1": (bessel_j1, 1, 0), "y1": (bessel_y1, 1, 1)}
+    dual = dict.fromkeys(public, 0.0)
+    for z in overlap:
+        series = z <= _SERIES_CUTOFF  # the public path; the Hankel value divides
+        other = [(_jy_asym if series else _jy_series)(n, z) for n in (0, 1)]
+        for name, (f, n, k) in public.items():
+            v, o = f(z), other[n][k]
+            dual[name] = max(dual[name], abs(v - o) / max(1.0, abs(o if series else v)))
+    for name, w in dual.items():
+        r.add(f"dual-path agreement {name} on [14, 18]", w, 1e-11)
+    for name, f_small, f_large in (
+            ("i0_scaled", lambda z: _ik_series(0, z, regular=False)[0] * math.exp(-z),
+             lambda z: _i_asym_scaled(0.0, z)),
+            ("k0_scaled", lambda z: _k_integral_scaled(z, 0), lambda z: _k_asym_scaled(0.0, z))):
+        w = 0.0
+        for z in overlap:
+            h = f_large(z)
+            w = max(w, abs(f_small(z) - h) / max(1.0, abs(h)))
+        r.add(f"dual-path agreement {name} on [14, 18]", w, 1e-11)
     worst = max(abs(_ik_series(0, float(z))[1] - _k_integral_scaled(float(z), 0)
                     * math.exp(-float(z))) for z in np.linspace(0.4, 1.0, 13))
     r.add("dual-path agreement k0 series vs integral on [0.4, 1]", worst, 1e-11)

@@ -5,8 +5,10 @@ report; `rsheat verify` prints the same lines from the command line.
 """
 
 import json
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from rsheat import verify
@@ -51,3 +53,79 @@ def test_quick_run_prints_the_benchmark_line_counts():
     assert [r.index for r in results] == list(range(1, len(want) + 1))
     assert [len(r.checks) for r in results] == want
     assert all(r.passed for r in results)
+
+
+def _criterion_9_four_calls_per_point():
+    """Criterion 9's nine measured values as four public J/Y calls per
+    Wronskian point and every dual-path pair as (series, Hankel) lambdas,
+    the Hankel value evaluated twice."""
+    from rsheat.specfun import (_i_asym_scaled, _ik_series, _jy_asym, _jy_series,
+                                _k_asym_scaled, _k_integral_scaled, bessel_i0_scaled,
+                                bessel_i1_scaled, bessel_j0, bessel_j1, bessel_k0_scaled,
+                                bessel_k1_scaled, bessel_y0, bessel_y1)
+    rng = np.random.default_rng(20240817)
+    zs = np.exp(rng.uniform(math.log(0.02), math.log(60.0), size=100))
+    worst_ik = worst_jy = 0.0
+    for z in zs:
+        z = float(z)
+        w1 = z * (bessel_i0_scaled(z) * bessel_k1_scaled(z)
+                  + bessel_i1_scaled(z) * bessel_k0_scaled(z))
+        worst_ik = max(worst_ik, abs(w1 - 1.0))
+        w2 = 0.5 * math.pi * z * (bessel_j1(z) * bessel_y0(z)
+                                  - bessel_j0(z) * bessel_y1(z))
+        worst_jy = max(worst_jy, abs(w2 - 1.0))
+    values = [worst_ik, worst_jy]
+    overlap = np.linspace(14.0, 18.0, 17)
+    pairs = [
+        (lambda z: _jy_series(0, z, regular=False)[0], lambda z: _jy_asym(0, z)[0]),
+        (lambda z: _jy_series(0, z)[1], lambda z: _jy_asym(0, z)[1]),
+        (lambda z: _jy_series(1, z, regular=False)[0], lambda z: _jy_asym(1, z)[0]),
+        (lambda z: _jy_series(1, z)[1], lambda z: _jy_asym(1, z)[1]),
+        (lambda z: _ik_series(0, z, regular=False)[0] * math.exp(-z),
+         lambda z: _i_asym_scaled(0.0, z)),
+        (lambda z: _k_integral_scaled(z, 0), lambda z: _k_asym_scaled(0.0, z)),
+    ]
+    for f_small, f_large in pairs:
+        values.append(max(abs(f_small(float(z)) - f_large(float(z))) /
+                          max(1.0, abs(f_large(float(z)))) for z in overlap))
+    values.append(max(abs(_ik_series(0, float(z))[1] - _k_integral_scaled(float(z), 0)
+                          * math.exp(-float(z))) for z in np.linspace(0.4, 1.0, 13)))
+    return values
+
+
+def test_criterion_9_values_equal_the_four_call_formulation():
+    # one path call per order and point measures what the public functions
+    # return: the Wronskian line still certifies bessel_j0/j1/y0/y1
+    measured = [c.measured for c in verify.criterion_9_specfun().checks]
+    assert [v.hex() for v in measured] == [
+        v.hex() for v in _criterion_9_four_calls_per_point()]
+
+
+def test_criterion_9_evaluation_budget(monkeypatch):
+    # J/Y path evaluations per criterion_9_specfun(), counted on both the
+    # specfun and the verify names.  Four public calls per Wronskian point
+    # and the Hankel value evaluated twice per dual-path pair made 604
+    # (372 series, 232 Hankel) and fail this test; one call per path, order
+    # and point makes 302.
+    from rsheat import specfun
+    calls = []
+
+    def counted(fn):
+        def wrapper(n, z, *args, **kwargs):
+            calls.append(z)
+            return fn(n, z, *args, **kwargs)
+        return wrapper
+
+    for name in ("_jy_series", "_jy_asym"):
+        wrapped = counted(getattr(specfun, name))
+        monkeypatch.setattr(specfun, name, wrapped)
+        monkeypatch.setattr(verify, name, wrapped)
+    verify.criterion_9_specfun()
+    overlap = {float(z) for z in np.linspace(14.0, 18.0, 17)}
+    per_point = {}
+    for z in calls:
+        if z not in overlap:
+            per_point[z] = per_point.get(z, 0) + 1
+    assert len(per_point) == 100  # the Wronskian points
+    assert max(per_point.values()) <= 2
+    assert len(calls) <= 332

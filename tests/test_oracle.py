@@ -598,17 +598,22 @@ def test_resolvent_trace_certificate(theta):
     # spectrum to lambda_max = 4e4 falls short by its tail, which is
     # positive and, one eigenvalue per cell at the cell's midpoint in r,
     # is overestimated by 1.8-2.0 % (m = 2) and 3.0-3.3 % (m = 3), because
-    # each root lies above its cell's midpoint.  The tail starts at the cell
-    # past the largest eigenvalue found, so whether the partial cell's root
-    # lies below lambda_max is left to the interlacing tests; a root lost or
-    # added below it moves the ratio by at least 4.8 % (m = 2), and Hankel
-    # seeds taken as roots (no Newton above r = 16) move it past the bound.
+    # each root lies above its cell's midpoint.  The tail starts at
+    # lambda_max, not at the spectrum found: the partial cell holding
+    # lambda_max joins it iff its root's Hankel-phase position
+    # (``_phase_seed``, within 4 ulp of the root) lies past lambda_max.  So a
+    # root lost or added below lambda_max, the partial cell's included,
+    # moves the ratio by at least 4.8 % (m = 2), and Hankel seeds taken as
+    # roots (no Newton above r = 16) move it past the bound.
     lambda_max = 4e4
     evs = eigenvalues(BoundaryParam(theta), lambda_max=lambda_max).eigenvalues
     z = 5.0 if evs[0] >= 0.0 else 2.0 * abs(evs[0]) + 5.0  # a bound state at 2.4
     second, third = _log_d_derivatives(z, theta)
     zeros = j0_zeros(int(math.sqrt(lambda_max) / math.pi) + 3)
-    k0 = sum(1 for zk in zeros if zk * zk < evs[-1])  # the first cell past the spectrum
+    # the partial cell (zeros[p], zeros[p + 1]) holds sqrt(lambda_max)
+    p = sum(1 for zk in zeros if zk * zk <= lambda_max) - 1
+    root = oracle._phase_seed(zeros[p], math.tan(theta))
+    k0 = p if root * root > lambda_max else p + 1  # the first cell whose root lies past lambda_max
     # McMahon's midpoints of (j_{k+1}, j_{k+2}), then the cells past them as an integral
     mids = (np.arange(k0, k0 + 2000) + 1.25) * math.pi
     for m, exact in ((2, -second), (3, third / 2)):
