@@ -14,8 +14,9 @@ from rsheat import specfun as sf
 
 print("=== evaluation strategies ===")
 print("power series (compensated) below z = 16, Hankel asymptotics above;")
-print("K0/K1 use the trapezoid integral representation on (1, 16) where")
-print("double precision loses the log-series cancellation battle.\n")
+print("J0/Y0/J1/Y1 take Taylor tables at z0 = 2, 2.5, ..., 16 on (2, 16],")
+print("built from the series; K0/K1 use the trapezoid integral representation")
+print("on (1, 16) where double precision loses the log-series cancellation battle.\n")
 
 for z in (0.5, 4.0, 20.0):
     print(f"I0({z:5.1f}) = {sf.bessel_i0(z):.15e}")
@@ -30,9 +31,12 @@ for z in (100.0, 1000.0, 5e5):
 print()
 
 print("=== dual paths agree on the crossover band [14, 18] ===")
-for z in (14.0, 16.0, 18.0):
+for z in (14.0, 15.25, 16.0, 18.0):
     d = abs(sf._jy_series(0, z, regular=False)[0] - sf._jy_asym(0, z)[0])
     print(f"z = {z}: |J0 series - J0 asymptotic| = {d:.2e}")
+    if z <= 16.0:
+        t = abs(sf._jy_taylor(z)[0] - sf._jy_asym(0, z)[0])
+        print(f"          |J0 table - J0 asymptotic|  = {t:.2e}")
 print()
 
 print("=== Wronskian identities on 10 random points ===")

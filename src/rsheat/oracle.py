@@ -23,10 +23,12 @@ Each root is then one safeguarded Newton solve that never leaves its cell
 and ends at a 4-ulp step or a bracket 1e-10 wide (``_safe_newton``); a
 positive root costs one fused J0/Y0 evaluation per step on a bounded phase
 (``_phase``).  Newton starts within a few ulp of the root, so one step
-usually ends it.  Below r = 16, where an evaluation is a double-double
-series, the root of each of the cells (0, j_1), ..., (j_5, j_6) is a
-Hermite interpolant in a variable of tan(theta) alone, tabulated once per
-process from 12 or 24 evaluations per cell (``_seed_tables``).  Above
+usually ends it.  An evaluation is a double-double series at r <= 2,
+one Horner pass of ``specfun``'s Taylor tables up to r = 16 and a Hankel
+sum above.  Below r = 16 the root of each of the cells (0, j_1), ...,
+(j_5, j_6) is a Hermite interpolant in a variable of tan(theta) alone,
+tabulated once per process from 12 or 24 evaluations per cell
+(``_seed_tables``).  Above
 r = 16 the start is the root of the asymptotic phase: 12 terms of the
 Hankel phase of J0 + i Y0 (DLMF 10.18.18), solved with no Bessel
 evaluation (``_phase_seed``).  S is formed as
@@ -212,10 +214,11 @@ def _phase(r, tan_theta):
     return g, 2.0 * gap / (_PI * r * m2 * (1.0 + b * b))
 
 
-# Seed tables of the interlacing cells whose lower edge is below the series
+# Seed tables of the interlacing cells whose lower edge is below the Hankel
 # cutoff r = 16, (0, j_1), (j_1, j_2), ..., (j_5, j_6), by lower edge: there a
-# phase evaluation is a double-double series.  Built on the first solve and,
-# like _J0_ZEROS, only ever rebound to a complete table.
+# phase evaluation is a double-double series (r <= 2) or a Taylor-table pass.
+# Built on the first solve and, like _J0_ZEROS, only ever rebound to a
+# complete table.
 _SEED_TABLES = {}
 _SEED_NODES = (12, 24)  # Chebyshev nodes on (0, j_1) and on each later cell
 
@@ -415,7 +418,9 @@ def eigenvalues(bp: BoundaryParam, lambda_max=4000.0):
     A positive root is solved in r on the phase G (``_phase``): one fused
     J0/Y0 evaluation per step, usually one per cell, as Newton starts from
     the cell's seed table below r = 16 (built on the first call, from 132
-    evaluations) and from the asymptotic phase's root above.  Besides the
+    evaluations) and from the asymptotic phase's root above.  Only an
+    evaluation at r <= 2 is a double-double series; up to r = 16 it is a
+    Taylor-table pass.  Besides the
     solves, only the partial-cell test evaluates S; the residuals are
     evaluated when read.  The bound state is
     solved in v = log mu on h = v + kappa + K0/I0, h' = 1 - 1/I0^2.  As

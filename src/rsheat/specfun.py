@@ -24,7 +24,16 @@ The module is organised by representation, not by function:
   120, floor 1e-19: P and Q share the terms, Q ~ 1/(8z)) add its terms for
   both orders; no cap binds at z > 16, and one (cap, floor) for both
   families would move last bits;
-* for K0/K1 on the middle range (1, 16) neither of the above reaches
+* for J0/Y0/J1/Y1 on the middle range (2, 16], Taylor tables at the
+  anchors z0 = 2, 2.5, ..., 16 (``_jy_taylor``): one Horner pass at
+  h = z - z0, |h| <= 1/4, gives J0, Y0 and J1 = -J0', Y1 = -Y0'.  The
+  32 coefficients per function and anchor come from the Bessel-equation
+  recurrence seeded with the series' own values at z0, and a Cauchy
+  estimate on |zeta - z0| <= 1 bounds what the terms past them add
+  below 1e-17; an anchor's row is built the first time a z near it is
+  evaluated.  The series keeps z <= 2, where J0 - 1 and Y0's regular
+  part need its relative accuracy as z -> 0;
+* for K0/K1 on the middle range (1, 16) neither series nor Hankel reaches
   1e-13 in double precision, so the integral representation
   e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(u/2)) cosh(nu u) du
   takes one trapezoid rule of step 1/8, summed exactly rounded: its
@@ -43,7 +52,9 @@ trace's ``est_error``.
 Scaled variants e^{-z} I(z), e^{z} K(z) are first-class API so callers can
 form products like I0(z) e^{-w} without overflow for z up to ~1e6.
 
-All functions are pure and hold no mutable state.  The public ones take z
+All functions are pure.  The one module state is ``_TAYLOR_ROWS``, the
+Taylor rows built so far: each is entered complete and depends only on
+its anchor, so no value depends on which rows exist.  The public ones take z
 through ``errors.check_real``: z >= 0 for I and J, z >= 1e-323 for K and Y.
 """
 
@@ -62,7 +73,8 @@ from .errors import check_real
 EULER_GAMMA = 0.5772156649015328606065121
 LN2 = 0.6931471805599453094172321
 
-_SERIES_CUTOFF = 16.0  # power series below, Hankel asymptotics above
+_SERIES_CUTOFF = 16.0  # power series (J/Y: Taylor tables) below, Hankel asymptotics above
+_TAYLOR_CUTOFF = 2.0  # J/Y: power series at or below, Taylor tables above
 _K_SERIES_CUTOFF = 1.0  # K0/K1 log-series safe (no cancellation) below
 _Z_MIN = ">= 1e-323"  # K and Y: below it the series' log(0.5 z) has 0.5 z = 0
 
@@ -247,6 +259,72 @@ def _jy_series(n, z, regular=True):
 
 
 # ----------------------------------------------------------------------
+# Taylor tables for J/Y on the middle range
+# ----------------------------------------------------------------------
+
+_TAYLOR_STEP = 0.5  # anchor spacing: every z of (2, 16] is within 1/4 of one
+_TAYLOR_TERMS = 32
+# anchor index -> row, each entered complete on first use; threads racing
+# for an anchor can at worst build its row twice
+_TAYLOR_ROWS = {}
+
+
+def _taylor_row(i):
+    """The Taylor coefficients at the anchor z0 = 2 + i/2 of J0, Y0, J1 and
+    Y1, k = 0..31, as one 4-tuple per k, highest k first.
+
+    J0 and Y0 solve z y'' + y' + z y = 0, so their coefficients a_k at
+    z = z0 + h satisfy
+    a_{k+2} = -[(k+1)^2 a_{k+1} + z0 a_k + a_{k-1}] / (z0 (k+1)(k+2)),
+    seeded with a_0 = J0(z0), a_1 = -J1(z0) (Y0, -Y1 for Y0) from the
+    series; J1 = -J0' and Y1 = -Y0' take -(k+1) a_{k+1}.  An error the
+    recurrence makes grows no faster than the coefficients of a solution
+    singular at 0, ~z0^{-k}, and enters a value at |h| <= 1/4 times 8^{-k}.
+
+    Term count (Cauchy): on the disk |zeta - z0| <= 1, inside
+    |zeta - z0| < z0 where Y0 is analytic, |J0| and |Y0| stay below
+    M = 0.81 at every anchor (largest at z0 = 2), so |a_k| <= M.  At
+    |h| <= 1/4 the terms past a_31 then add at most
+    M 4^{-32} / (1 - 1/4) < 6e-20 to J0 or Y0 and
+    M 4^{-31} (32 / (1 - 1/4) + (1/4) / (1 - 1/4)^2) < 8e-18 to J1 or Y1.
+    """
+    z0 = _TAYLOR_CUTOFF + _TAYLOR_STEP * i
+    (j0, y0), (j1, y1) = (_jy_series(n, z0)[:2] for n in (0, 1))
+    a = [(j0, y0), (-j1, -y1)]
+    prev = (0.0, 0.0)
+    for k in range(_TAYLOR_TERMS - 2):
+        d = z0 * (k + 1) * (k + 2)
+        a.append(tuple(-((k + 1) ** 2 * a1 + z0 * a0 + am) / d
+                       for a1, a0, am in zip(a[k + 1], a[k], prev)))
+        prev = a[k]
+    a.append((0.0, 0.0))  # a_32 is not kept: J1's and Y1's top terms are 0
+    return tuple((*a[k], *(-(k + 1) * v for v in a[k + 1]))
+                 for k in reversed(range(_TAYLOR_TERMS)))
+
+
+def _jy_taylor(z):
+    """(J0, Y0, J1, Y1) at 2 < z <= 16 from the nearest anchor's Taylor row.
+
+    One Horner pass at h = z - z0 (exact: z and z0 are within a factor 2)
+    sums the four series.  The row is built the first time its anchor is
+    reached (``_taylor_row``); at an anchor the four values are the
+    series' own.
+    """
+    i = int((z - _TAYLOR_CUTOFF) / _TAYLOR_STEP + 0.5)
+    row = _TAYLOR_ROWS.get(i)
+    if row is None:
+        row = _TAYLOR_ROWS[i] = _taylor_row(i)
+    h = z - (_TAYLOR_CUTOFF + _TAYLOR_STEP * i)
+    j0 = y0 = j1 = y1 = 0.0
+    for a, b, c, d in row:
+        j0 = j0 * h + a
+        y0 = y0 * h + b
+        j1 = j1 * h + c
+        y1 = y1 * h + d
+    return j0, y0, j1, y1
+
+
+# ----------------------------------------------------------------------
 # Hankel asymptotic series
 # ----------------------------------------------------------------------
 
@@ -367,8 +445,11 @@ def _k(n, z, scaled):
 
 def _jy(n, z, second):
     """J_n(z), or Y_n(z) when ``second``."""
-    pair = _jy_series(n, z, regular=second) if z <= _SERIES_CUTOFF else _jy_asym(n, z)
-    return pair[1 if second else 0]
+    if z <= _TAYLOR_CUTOFF:
+        return _jy_series(n, z, regular=second)[second]
+    if z <= _SERIES_CUTOFF:
+        return _jy_taylor(z)[2 * n + second]
+    return _jy_asym(n, z)[second]
 
 
 def bessel_i0(z):
@@ -421,15 +502,17 @@ def _j0_y0_fused(z):
     """(J0, Y0, J0 - 1, c) at z > 0 from one fused evaluation.
 
     c = (pi/2) Y0 - (log(z/2)+gamma) J0 is the regular part of Y0.  On the
-    series path c is the H_k sum itself and J0 - 1 comes from the
+    series path (z <= 2) c is the H_k sum itself and J0 - 1 comes from the
     double-double pair, so both keep full relative accuracy as z -> 0,
-    where Y0 and J0 - 1 formed from doubles cancel.  J0 and Y0 are
+    where Y0 and J0 - 1 formed from doubles cancel.  Above, on the Taylor
+    tables (z <= 16) and the Hankel path, J0 - 1 and c are formed from J0
+    and Y0, and J0 - 1 does not cancel: |J0| < 0.41 there.  J0 and Y0 are
     bit-identical to ``bessel_j0`` and ``bessel_y0``.
     """
-    if z <= _SERIES_CUTOFF:
+    if z <= _TAYLOR_CUTOFF:
         j0, y0, j, r = _jy_series(0, z)
         return j0, y0, (j[0] - 1.0) + j[1], -r
-    j0, y0 = _jy_asym(0, z)
+    j0, y0 = _jy_taylor(z)[:2] if z <= _SERIES_CUTOFF else _jy_asym(0, z)
     return j0, y0, j0 - 1.0, 0.5 * math.pi * y0 - (math.log(0.5 * z) + EULER_GAMMA) * j0
 
 

@@ -21,10 +21,12 @@ from .oracle import eigenvalues, oracle_trace
 from .quadrature import UNDERFLOW_U, _gl_panels
 from .specfun import (
     _SERIES_CUTOFF,
+    _TAYLOR_CUTOFF,
     _i_asym_scaled,
     _ik_series,
     _jy_asym,
     _jy_series,
+    _jy_taylor,
     _k_asym_scaled,
     _k_integral_scaled,
     bessel_i0,
@@ -268,12 +270,15 @@ def criterion_8_spectrum():
 def criterion_9_specfun():
     """Wronskian identities and dual-path agreement of the Bessel library.
 
-    Each J/Y path runs once per order and point.  A Wronskian point takes
-    (J_n, Y_n) from one ``_jy_series(n, z)`` at z <= ``_SERIES_CUTOFF``, one
-    ``_jy_asym(n, z)`` above: bit for bit what ``bessel_j0/j1/y0/y1``
-    return, as they take the same path and J_n does not depend on
-    ``regular``.  A dual-path line compares each public J/Y value with the
-    path it does not take, relative to the Hankel value.
+    Each J/Y path runs once per order and point, on the public dispatch.
+    A Wronskian point takes (J_n, Y_n) from one ``_jy_series(n, z)`` at
+    z <= ``_TAYLOR_CUTOFF``, (J0, Y0, J1, Y1) from one ``_jy_taylor(z)`` up
+    to ``_SERIES_CUTOFF`` and (J_n, Y_n) from one ``_jy_asym(n, z)`` above:
+    bit for bit what ``bessel_j0/j1/y0/y1`` return, as they take the same
+    path and J_n does not depend on ``regular``.  A dual-path line compares
+    each public J/Y value with one other path, relative to the Hankel
+    value: on [14, 16] the Taylor-table value with Hankel, above 16 the
+    Hankel value with the series.
     """
     r = CriterionResult(9, "special functions: Wronskians and dual evaluation paths")
     rng = np.random.default_rng(20240817)
@@ -287,9 +292,12 @@ def criterion_9_specfun():
                   + bessel_i1_scaled(z) * bessel_k0_scaled(z))
         worst_ik = max(worst_ik, abs(w1 - 1.0))
         # J0 Y0' - J0' Y0 = 2/(pi z)  ->  (pi z / 2)(J1 Y0 - J0 Y1) = 1
-        path = _jy_series if z <= _SERIES_CUTOFF else _jy_asym
-        j0, y0 = path(0, z)[:2]
-        j1, y1 = path(1, z)[:2]
+        if _TAYLOR_CUTOFF < z <= _SERIES_CUTOFF:
+            j0, y0, j1, y1 = _jy_taylor(z)
+        else:
+            path = _jy_series if z <= _TAYLOR_CUTOFF else _jy_asym
+            j0, y0 = path(0, z)[:2]
+            j1, y1 = path(1, z)[:2]
         w2 = 0.5 * _PI * z * (j1 * y0 - j0 * y1)
         worst_jy = max(worst_jy, abs(w2 - 1.0))
     r.add("max |z(I0 K1 + I1 K0) - 1| over 100 points", worst_ik, 1e-10)
@@ -300,11 +308,11 @@ def criterion_9_specfun():
               "j1": (bessel_j1, 1, 0), "y1": (bessel_y1, 1, 1)}
     dual = dict.fromkeys(public, 0.0)
     for z in overlap:
-        series = z <= _SERIES_CUTOFF  # the public path; the Hankel value divides
-        other = [(_jy_asym if series else _jy_series)(n, z) for n in (0, 1)]
+        tables = z <= _SERIES_CUTOFF  # the public path; the Hankel value divides
+        other = [(_jy_asym if tables else _jy_series)(n, z) for n in (0, 1)]
         for name, (f, n, k) in public.items():
             v, o = f(z), other[n][k]
-            dual[name] = max(dual[name], abs(v - o) / max(1.0, abs(o if series else v)))
+            dual[name] = max(dual[name], abs(v - o) / max(1.0, abs(o if tables else v)))
     for name, w in dual.items():
         r.add(f"dual-path agreement {name} on [14, 18]", w, 1e-11)
     for name, f_small, f_large in (

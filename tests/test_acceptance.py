@@ -106,26 +106,32 @@ def test_criterion_9_evaluation_budget(monkeypatch):
     # specfun and the verify names.  Four public calls per Wronskian point
     # and the Hankel value evaluated twice per dual-path pair made 604
     # (372 series, 232 Hankel) and fail this test; one call per path, order
-    # and point makes 302.
+    # and point made 302, and one Taylor-table call for both orders at a
+    # Wronskian point in (2, 16] makes fewer.
     from rsheat import specfun
+    verify.criterion_9_specfun()  # builds the Taylor rows, outside the count
     calls = []
 
-    def counted(fn):
-        def wrapper(n, z, *args, **kwargs):
-            calls.append(z)
-            return fn(n, z, *args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((args[0] if name == "_jy_taylor" else args[1], name))
+            return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_jy_series", "_jy_asym"):
-        wrapped = counted(getattr(specfun, name))
+    for name in ("_jy_series", "_jy_asym", "_jy_taylor"):
+        wrapped = counted(name, getattr(specfun, name))
         monkeypatch.setattr(specfun, name, wrapped)
         monkeypatch.setattr(verify, name, wrapped)
     verify.criterion_9_specfun()
     overlap = {float(z) for z in np.linspace(14.0, 18.0, 17)}
     per_point = {}
-    for z in calls:
+    for z, name in calls:
         if z not in overlap:
-            per_point[z] = per_point.get(z, 0) + 1
+            per_point.setdefault(z, []).append(name)
     assert len(per_point) == 100  # the Wronskian points
-    assert max(per_point.values()) <= 2
+    for z, names in per_point.items():
+        if 2.0 < z <= 16.0:
+            assert names == ["_jy_taylor"], z
+        else:
+            assert len(names) <= 2 and "_jy_taylor" not in names, z
     assert len(calls) <= 332

@@ -444,6 +444,30 @@ def test_seed_tables_are_built_once_and_do_not_depend_on_theta(monkeypatch):
     assert oracle._SEED_TABLES == first
 
 
+def test_series_evaluations_per_spectrum(monkeypatch):
+    # double-double series evaluations per lambda_max = 4000 spectrum over
+    # the 64-point angle grid less k = 33..36 (the benchmark's 60 drawn
+    # angles), after a first pass builds the seed tables and Taylor rows.
+    # With the series on all of r <= 16 a spectrum made 4.48; the Taylor
+    # tables take (2, 16], so only the cell (0, j_1) of tan(theta) > 0
+    # evaluates it.
+    from rsheat import specfun
+    angles = [k * math.pi / 64 for k in range(64) if not 33 <= k <= 36]
+    for theta in angles:
+        eigenvalues(BoundaryParam(theta), lambda_max=4000.0)
+    series = specfun._jy_series
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_jy_series", counting)
+    for theta in angles:
+        eigenvalues(BoundaryParam(theta), lambda_max=4000.0)
+    assert calls[0] <= 0.6 * len(angles)
+
+
 def test_no_seed_table_at_import():
     code = ("from rsheat import BoundaryParam, oracle, secular_positive\n"
             "secular_positive(50.0, BoundaryParam(0.0))\n"

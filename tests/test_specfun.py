@@ -1,6 +1,9 @@
 """Special-function accuracy: frozen oracles, dual paths, Wronskians."""
 
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import mpmath as mp
@@ -440,20 +443,48 @@ def _jn_yn_asym_own_pq(n, z):
     return amp * (p * math.cos(w) - q * math.sin(w)), amp * (p * math.sin(w) + q * math.cos(w))
 
 
+# The Taylor tables' anchors z0 = 2, 2.5, ..., 16, and their Horner pass
+# written out: the nearest anchor (ties to the upper one), its coefficients
+# of J0, Y0, J1 and Y1, each summed on its own.
+_ANCHORS = tuple(2.0 + 0.5 * i for i in range(29))
+_ROWS = {}
+
+
+def _taylor_own_pass(z):
+    z0 = min(_ANCHORS, key=lambda a: (abs(z - a), -a))
+    i = _ANCHORS.index(z0)
+    if i not in _ROWS:
+        _ROWS[i] = sf._taylor_row(i)
+    h = z - z0
+    out = []
+    for f in range(4):
+        v = 0.0
+        for coeffs in _ROWS[i]:
+            v = v * h + coeffs[f]
+        out.append(v)
+    return tuple(out)
+
+
 _BIT_IDENTITY_GRID = np.concatenate([np.linspace(1e-3, 80.0, 2001),
                                      np.geomspace(1e-200, 1e-3, 50),
-                                     [math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, 17.0)]])
+                                     [math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, 17.0),
+                                      2.0, math.nextafter(2.0, 3.0)],
+                                     [a + d for a in _ANCHORS for d in (-0.25, 0.25)]])
 
 
 def test_fused_j0_y0_is_bit_identical_to_separate_routes():
-    # one shared loop / one P-Q call must not move a single bit
+    # one shared loop / one Horner pass / one P-Q call must not move a
+    # single bit: the series at z <= 2, the Taylor tables on (2, 16],
+    # Hankel above
     for z in _BIT_IDENTITY_GRID:
         z = float(z)
         j0, y0, _, _ = sf._j0_y0_fused(z)
         assert j0 == sf.bessel_j0(z)
         assert y0 == sf.bessel_y0(z)
-        if z <= 16.0:
+        if z <= 2.0:
             assert (j0, y0) == (_jn_own_loop(0, z), _yn_separate_loops(0, z))
+        elif z <= 16.0:
+            assert (j0, y0) == _taylor_own_pass(z)[:2], z
         else:
             assert (j0, y0) == _jn_yn_asym_own_pq(0, z)
 
@@ -462,13 +493,75 @@ def test_order_one_is_bit_identical_to_separate_routes():
     for z in _BIT_IDENTITY_GRID:
         z = float(z)
         j1, y1 = sf.bessel_j1(z), sf.bessel_y1(z)
-        if z <= 16.0:
+        if z <= 2.0:
             assert (j1, y1) == (_jn_own_loop(1, z), _yn_separate_loops(1, z))
+        elif z <= 16.0:
+            assert (j1, y1) == _taylor_own_pass(z)[2:], z
         else:
             assert (j1, y1) == _jn_yn_asym_own_pq(1, z)
 
 
-@pytest.mark.parametrize("z", [1e-30, 1e-8, 1e-3, 0.5, 3.0, 15.0, 17.0, 40.0])
+def test_taylor_tables_against_mpmath():
+    # every point of (2, 16], the anchor midpoints among them, is within
+    # the series' own worst error on the same grid (1.7e-16 absolute).
+    # Y1 comes from the Wronskian J1 Y0 - J0 Y1 = 2/(pi z) at 30 digits,
+    # which keeps more than 20 next to the grid's J0 zeros.
+    zs = np.concatenate([np.linspace(2.0, 16.0, 3001)[1:],
+                         [a + 0.25 for a in _ANCHORS[:-1]], [math.nextafter(2.0, 3.0)]])
+    worst = [0.0] * 4
+    with mp.workdps(30):
+        for z in zs:
+            z = float(z)
+            zm = mp.mpf(z)
+            j0, j1, y0 = mp.besselj(0, zm), mp.besselj(1, zm), mp.bessely(0, zm)
+            want = (j0, y0, j1, (j1 * y0 - 2 / (mp.pi * zm)) / j0)
+            got = sf._jy_taylor(z)
+            worst = [max(w, abs(float(g - r))) for w, g, r in zip(worst, got, want)]
+    assert max(worst) <= 1.7e-16, worst
+
+
+def test_taylor_coefficients_against_mpmath():
+    # the k-th coefficient of each anchor's row against F^(k)(z0)/k!, the
+    # derivative from DLMF 10.6.7: 2^k F_nu^(k) = sum_j (-1)^j C(k, j)
+    # F_{nu-k+2j}, F_{-n} = (-1)^n F_n.  |a_k| stays below the docstring's
+    # Cauchy bound M = 0.81, and the coefficients' errors move a value at
+    # |h| = 1/4 by at most 1.2e-16 (mostly the series' error in a_0, a_1).
+    with mp.workdps(30):
+        for i, z0 in enumerate(_ANCHORS):
+            row = sf._taylor_row(i)[::-1]
+            assert len(row) == 32
+            zm = mp.mpf(z0)
+            orders = {"j": [mp.besselj(n, zm) for n in range(33)],
+                      "y": [mp.bessely(n, zm) for n in range(33)]}
+            moved = [0.0] * 4
+            for k, coeffs in enumerate(row):
+                for f, (fam, nu) in enumerate((("j", 0), ("y", 0), ("j", 1), ("y", 1))):
+                    s = 0
+                    for j in range(k + 1):
+                        n = nu - k + 2 * j
+                        v = orders[fam][abs(n)]
+                        s += (-1) ** j * math.comb(k, j) * (-v if n < 0 and n % 2 else v)
+                    want = s / (2 ** k * math.factorial(k))
+                    if nu == 0:
+                        assert abs(want) <= 0.81, (z0, k, f)
+                    moved[f] += float(abs(coeffs[f] - want)) / 4 ** k
+            assert max(moved) <= 1.2e-16, (z0, moved)
+
+
+def test_no_taylor_table_at_import():
+    # rows are built on first use, one per anchor reached
+    code = ("from rsheat import specfun\n"
+            "specfun.bessel_j0(1.0), specfun.bessel_y1(20.0)\n"
+            "assert specfun._TAYLOR_ROWS == {}\n"
+            "specfun.bessel_y0(7.3)\n"
+            "assert list(specfun._TAYLOR_ROWS) == [11]\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.parametrize("z", [1e-30, 1e-8, 1e-3, 0.5, math.nextafter(2.0, 3.0), 2.5, 3.0,
+                               8.0, 15.0, 16.0, 17.0, 40.0])
 def test_fused_parts_keep_relative_accuracy(z):
     # J0 - 1 and c = (pi/2) Y0 - (log(z/2)+gamma) J0 both cancel when formed
     # from J0 and Y0 as z -> 0; the fused evaluation returns them directly
