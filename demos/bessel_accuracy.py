@@ -13,10 +13,17 @@ import numpy as np
 from rsheat import specfun as sf
 
 print("=== evaluation strategies ===")
-print("power series (compensated) below z = 16, Hankel asymptotics above;")
-print("J0/Y0/J1/Y1 take Taylor tables at z0 = 2, 2.5, ..., 16 on (2, 16],")
-print("built from the series; K0/K1 use the trapezoid integral representation")
-print("on (1, 16) where double precision loses the log-series cancellation battle.\n")
+print("power series for I0/I1 up to z = 16, for J0/Y0/J1/Y1 up to z = 2")
+print("(compensated double-double) and for K0/K1 up to z = 1; J0/Y0/J1/Y1 take")
+print("Taylor tables at z0 = 2, 2.5, ..., 16 on (2, 16], built from the series;")
+print("K0/K1 use the trapezoid integral representation on (1, 16), where double")
+print("precision loses the log-series cancellation battle; Hankel asymptotics")
+print("above 16, one Horner pass over N(z) terms, a count fixed before summing:")
+print("to the first term below 1e-19 or to the smallest term.")
+for z in (16.01, 20.0, 22.0, 30.0, 63.0, 1000.0):
+    print(f"  N({z:7.2f}) = {sf._hankel_count(0.0, z):2d} (order 0), "
+          f"{sf._hankel_count(4.0, z):2d} (order 1)")
+print()
 
 for z in (0.5, 4.0, 20.0):
     print(f"I0({z:5.1f}) = {sf.bessel_i0(z):.15e}")

@@ -17,13 +17,16 @@ The module is organised by representation, not by function:
   double, with a compensated I0 sum.  The weights H_k and H_k + H_{k+1}
   do not depend on z: ``_IK_WEIGHTS`` and ``_JY_WEIGHTS``, immutable
   tables built at import, hold them up to each loop's cap;
-* Hankel asymptotic series for large argument, truncated at the smallest
-  term (the divergence floor ~exp(-2z) is below 1e-13 for z >= 16): one
-  generator, ``_hankel_terms``, holds the stop rule, and ``_ik_asym_sum``
-  (I/K, cap 60, floor 1e-18: sums near 1) and ``_jy_asym_pq`` (J/Y, cap
-  120, floor 1e-19: P and Q share the terms, Q ~ 1/(8z)) add its terms for
-  both orders; no cap binds at z > 16, and one (cap, floor) for both
-  families would move last bits;
+* Hankel asymptotic series for large argument (the divergence floor
+  ~exp(-2z) is below 1e-13 for z >= 16), on one table of coefficients
+  c_m = prod_{j<=m} (mu - (2j-1)^2) / (m! 8^m) per order (``_HANKEL``,
+  each entry an exact rational rounded once, immutable and built at
+  import).  Both families share it: the terms are a_m = c_m z^{-m}, with
+  signs (-1)^m for I, + for K and + + - - for J/Y, whose P takes the even
+  m and Q the odd m.  Each sum is one Horner pass whose term count N(z)
+  (``_hankel_count``) is fixed before the summing starts: up to and
+  including the first term below one floor, 1e-19, for both families, or
+  up to the smallest term, whichever comes first;
 * for J0/Y0/J1/Y1 on the middle range (2, 16], Taylor tables at the
   anchors z0 = 2, 2.5, ..., 16 (``_jy_taylor``): one Horner pass at
   h = z - z0, |h| <= 1/4, gives J0, Y0 and J1 = -J0', Y1 = -Y0'.  The
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from ._dd import SPLIT, two_prod
@@ -328,29 +332,76 @@ def _jy_taylor(z):
 # Hankel asymptotic series
 # ----------------------------------------------------------------------
 
-def _hankel_terms(mu, z, cap, floor):
-    """Yield a_m = prod_{j<=m} (mu-(2j-1)^2) / (m! (8z)^m), m = 0, 1, ...,
-    to the smallest term: stop before a term that does not shrink or whose
-    index passes ``cap``, and after the first term below ``floor``."""
-    a = 1.0
-    for m in range(1, cap + 1):
-        yield a
-        prev = abs(a)
-        a *= (mu - (2 * m - 1) ** 2) / (m * 8.0 * z)
-        if prev < floor or abs(a) >= prev:
-            return
-    yield a
+_HANKEL_FLOOR = 1e-19  # a sum stops after its first term below this
+
+
+def _hankel_table(mu):
+    """The Hankel coefficients of mu = 4 nu^2 (an integer), laid out for
+    the Horner passes, and the floor thresholds of ``_hankel_count``.
+
+    c_m = prod_{j<=m} (mu - (2j-1)^2) / (m! 8^m), so the series' terms are
+    a_m = c_m z^{-m}; each c_m is the quotient of two exact integers,
+    rounded once (int / int is correctly rounded).  a_m falls below the
+    floor at z > z_m = (|c_m| / floor)^{1/m}; t_m = min_{k<=m} z_k is
+    stored negated, so that it ascends.  The table stops at the largest
+    term count any z > 3/8 takes: a_m is summed only at a z with
+    |mu - (2m-1)^2| < 8 m z (a_m smaller than a_{m-1}) and z <= t_{m-1}
+    (no earlier term below the floor), which no z has once
+    |mu - (2m-1)^2| >= 8 m t_{m-1}.
+
+    Returns (c, thresholds, P's coefficients, Q's): P takes the even m, Q
+    the odd m, each with the signs + - + - of the J/Y series' + + - -
+    pattern, and both are stored highest m first.
+    """
+    c, thresholds = [1.0], []
+    num = den = 1
+    t = math.inf
+    m = 1
+    while abs(mu - (2 * m - 1) ** 2) < 8 * m * t:
+        num *= mu - (2 * m - 1) ** 2
+        den *= 8 * m
+        c.append(num / den)
+        t = min(t, (abs(c[-1]) / _HANKEL_FLOOR) ** (1.0 / m))
+        thresholds.append(-t)
+        m += 1
+    p, q = ([-v if i & 1 else v for i, v in enumerate(c[r::2])] for r in (0, 1))
+    return tuple(c), tuple(thresholds), tuple(p[::-1]), tuple(q[::-1])
+
+
+_HANKEL = {float(mu): _hankel_table(mu) for mu in (0, 4)}
+
+
+def _hankel_count(mu, z):
+    """N(z), the number of terms, m = 0..N-1, a Hankel sum at z > 3/8 takes.
+
+    The sum runs up to and including its first term below the floor
+    (``_HANKEL_FLOOR``), or up to its smallest term, whichever comes first.
+    For real z the remainder past the terms summed is at most the first
+    neglected term (DLMF 10.17(iii) for P and Q, 10.40(ii) for K; for the
+    alternating I sum 10.40(ii) bounds it by a small multiple of that term).
+    Neither count needs the terms: |a_m / a_{m-1}| =
+    |mu - (2m-1)^2| / (8 m z) first reaches 1 at
+    m = ceil(z + 1/2 + sqrt(z^2 + z + mu/4)), the smallest-term count, and
+    the floor count is one past the first m with t_m < z, found by
+    bisection.  Where z^2 overflows the root is infinite and the floor's
+    count stands.
+    """
+    n_floor = bisect_right(_HANKEL[mu][1], -z) + 2
+    return math.ceil(min(n_floor, z + 0.5 + math.sqrt(z * (z + 1.0) + 0.25 * mu)))
 
 
 def _ik_asym_sum(mu, z, alternate):
-    """(sum, |smallest term|) of the I/K Hankel series, the smallest term
-    being the last one summed; ``alternate`` applies the I-family's (-1)^m."""
-    step = -1.0 if alternate else 1.0
-    total, sign = 0.0, 1.0
-    for a in _hankel_terms(mu, z, 60, 1e-18):
-        total += sign * a
-        sign *= step
-    return total, abs(a)
+    """(sum, |smallest term|) of the I/K Hankel series: one Horner pass in
+    1/z (-1/z with ``alternate``, the I family's (-1)^m) over the N(z)
+    terms, and |a_{N-1}| = |c_{N-1}| z^{-(N-1)}, the last term summed."""
+    c = _HANKEL[mu][0]
+    n = _hankel_count(mu, z)
+    x = 1.0 / z
+    y = -x if alternate else x
+    s = 0.0
+    for a in reversed(c[:n]):
+        s = s * y + a
+    return s, abs(c[n - 1]) * x ** (n - 1)
 
 
 def _i_asym_scaled(mu, z):
@@ -370,17 +421,19 @@ def _k_asym_scaled(mu, z):
 
 
 def _jy_asym_pq(mu, z):
-    """P and Q sums of the oscillatory asymptotics, to the smallest term:
-    P takes the even terms, Q the odd ones, with signs + + - - ..."""
+    """P and Q sums of the oscillatory asymptotics over the N(z) terms, signs
+    + + - - ...: P takes the even m, Q the odd ones, each one Horner pass in
+    w = 1/z^2, Q's times 1/z."""
+    _, _, p_rev, q_rev = _HANKEL[mu]
+    n = _hankel_count(mu, z)
+    x = 1.0 / z
+    w = x * x
     p = q = 0.0
-    for m, a in enumerate(_hankel_terms(mu, z, 120, 1e-19)):
-        if m & 2:
-            a = -a
-        if m & 1:
-            q += a
-        else:
-            p += a
-    return p, q
+    for a in p_rev[len(p_rev) - (n + 1) // 2:]:
+        p = p * w + a
+    for a in q_rev[len(q_rev) - n // 2:]:
+        q = q * w + a
+    return p, q * x
 
 
 def _jy_asym(n, z):
@@ -525,8 +578,10 @@ _EPS = 2.220446049250313e-16
 
 def i0_scaled_checked(z):
     """e^{-z} I0(z), bit-identical to ``bessel_i0_scaled``, with an error
-    estimate; above the series cutoff one Hankel sum gives both the value
-    and the smallest term."""
+    estimate.  Above the series cutoff one Horner pass (``_ik_asym_sum``)
+    gives both the value and |a_{N-1}|, the last term summed: the smallest
+    term or the first below the floor, which estimates the truncation
+    error next to 4 eps of rounding."""
     z = check_real(z, "i0_scaled_checked", "z", ">= 0")
     if z <= _SERIES_CUTOFF:
         v = _i(0, z, True)

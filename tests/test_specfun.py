@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -275,10 +276,10 @@ def test_ik_series_is_bit_identical_to_separate_loops():
                     assert sf.bessel_k1_scaled(z) == math.exp(z) * k_n
 
 
-# The Hankel sums as two separate stop tests on an endless term generator,
-# the references for the one stop rule that ``_hankel_terms`` holds: each
-# stops before a term that does not shrink or whose index passes its cap,
-# and after the first term below its floor.
+# The references for the Hankel sums: the forward walk's term count (stop
+# before a term that does not shrink, after the first term below 1e-19),
+# and a Horner pass written out on the coefficients c_m, with each sum's
+# signs applied here: (-1)^m for I, + for K, + + - - for J/Y's P and Q.
 
 def _hankel_terms_endless(mu, z):
     a = 1.0
@@ -290,58 +291,173 @@ def _hankel_terms_endless(mu, z):
         yield a
 
 
-def _ik_asym_sum_own_stop(mu, z, alternate):
-    total = 0.0
-    prev = math.inf
-    smallest = math.inf
-    sign = 1.0
-    for m, a in enumerate(_hankel_terms_endless(mu, z)):
-        t = sign * a if alternate else a
-        if abs(a) >= prev or m > 60:
-            smallest = prev
-            break
-        total += t
-        prev = abs(a)
-        if abs(a) < 1e-18:
-            smallest = abs(a)
-            break
-        sign = -sign
-    return total, smallest
-
-
-def _jy_asym_pq_own_stop(mu, z):
-    p = 0.0
-    q = 0.0
+def _walk_count(mu, z):
     prev = math.inf
     for m, a in enumerate(_hankel_terms_endless(mu, z)):
-        if abs(a) >= prev or m > 120:
-            break
-        s = 1.0 if (m // 2) % 2 == 0 else -1.0
-        if m % 2 == 0:
-            p += s * a
-        else:
-            q += s * a
-        prev = abs(a)
+        if abs(a) >= prev:
+            return m
         if abs(a) < 1e-19:
-            break
-    return p, q
+            return m + 1
+        prev = abs(a)
+
+
+def _horner(coeffs, y):
+    s = 0.0
+    for a in reversed(coeffs):
+        s = s * y + a
+    return s
+
+
+def _ik_asym_sum_own_pass(mu, z, alternate):
+    n = sf._hankel_count(mu, z)
+    c = sf._HANKEL[mu][0][:n]
+    x = 1.0 / z
+    return _horner(c, -x if alternate else x), abs(c[-1]) * x ** (n - 1)
+
+
+def _jy_asym_pq_own_pass(mu, z):
+    n = sf._hankel_count(mu, z)
+    c = [-a if m & 2 else a for m, a in enumerate(sf._HANKEL[mu][0][:n])]
+    x = 1.0 / z
+    return _horner(c[0::2], x * x), _horner(c[1::2], x * x) * x
+
+
+_HANKEL_PIN_ZS = np.concatenate([np.linspace(14.0, 18.0, 4001), np.geomspace(18.0, 5e5, 2000),
+                                 [math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, 17.0)]])
 
 
 def test_hankel_sums_are_bit_identical_to_separate_stop_tests():
-    # one stop rule in the generator must not move a single bit of either
-    # sum, nor of the smallest term that i0_scaled_checked reads
-    zs = np.concatenate([np.linspace(14.0, 18.0, 4001), np.geomspace(18.0, 5e5, 2000),
-                         [math.nextafter(16.0, 0.0), 16.0, math.nextafter(16.0, 17.0)]])
-    for z in zs:
+    # each sum is one Horner pass over the N(z) terms, bit for bit, and N(z)
+    # is the count the forward walk's two stop tests give at every point:
+    # no point of the grid differs, so no sum there moves by a boundary term
+    differ = []
+    for z in _HANKEL_PIN_ZS:
         z = float(z)
         for mu in (0.0, 4.0):
+            if sf._hankel_count(mu, z) != _walk_count(mu, z):
+                differ.append((mu, z))
             for alternate in (True, False):
                 got = sf._ik_asym_sum(mu, z, alternate)
-                want = _ik_asym_sum_own_stop(mu, z, alternate)
+                want = _ik_asym_sum_own_pass(mu, z, alternate)
                 assert [v.hex() for v in got] == [v.hex() for v in want], (mu, z, alternate)
             got = sf._jy_asym_pq(mu, z)
-            assert [v.hex() for v in got] == [v.hex() for v in _jy_asym_pq_own_stop(mu, z)], (
+            assert [v.hex() for v in got] == [v.hex() for v in _jy_asym_pq_own_pass(mu, z)], (
                 mu, z)
+    assert differ == []
+
+
+def _exact_hankel_coefficients(mu, count):
+    c = [Fraction(1)]
+    for m in range(1, count):
+        c.append(c[-1] * Fraction(mu - (2 * m - 1) ** 2, 8 * m))
+    return c
+
+
+def test_hankel_coefficients_are_correctly_rounded():
+    # every c_m = prod_{j<=m} (mu - (2j-1)^2) / (m! 8^m) is the double
+    # nearest its exact value, and P's and Q's layouts hold the same doubles
+    for mu in (0, 4):
+        c, thresholds, p_rev, q_rev = sf._HANKEL[float(mu)]
+        for v, exact in zip(c, _exact_hankel_coefficients(mu, len(c))):
+            assert abs(Fraction(v) - exact) <= Fraction(math.ulp(v)) / 2, (mu, v)
+        signs = [-1.0 if m & 2 else 1.0 for m in range(len(c))]
+        assert p_rev[::-1] == tuple(s * v for s, v in zip(signs[0::2], c[0::2]))
+        assert q_rev[::-1] == tuple(s * v for s, v in zip(signs[1::2], c[1::2]))
+        assert list(thresholds) == sorted(thresholds)
+
+
+def test_hankel_count_never_passes_the_smallest_term():
+    # exact arithmetic: every term summed is smaller than the one before;
+    # a count short of the smallest term ends on the first term below the
+    # floor; and every count fits the table, also next to each z where a
+    # count changes
+    floor = Fraction(1e-19)
+    zs = np.concatenate([np.linspace(14.0, 40.0, 2601), np.geomspace(40.0, 1e6, 200),
+                         [1e150, 1e300, 1.7e308]])
+    for mu in (0, 4):
+        c = sf._HANKEL[float(mu)][0]
+        exact = _exact_hankel_coefficients(mu, len(c) + 1)
+        for z in zs:
+            z = float(z)
+            n = sf._hankel_count(float(mu), z)
+            assert 2 <= n <= len(c), (mu, z, n)
+            zf = Fraction(z)
+            for m in range(1, n):
+                assert abs(mu - (2 * m - 1) ** 2) < 8 * m * zf, (mu, z, m)
+            if abs(mu - (2 * n - 1) ** 2) < 8 * n * zf:  # a_n would still shrink
+                assert abs(exact[n - 1]) < floor * zf ** (n - 1), (mu, z)
+                assert abs(exact[n - 2]) >= floor * zf ** (n - 2), (mu, z)
+        edges = [-t for t in sf._HANKEL[float(mu)][1]]
+        edges += [abs(mu - (2 * m - 1) ** 2) / (8 * m) for m in range(1, len(c) + 2)]
+        for e in edges:
+            if e >= 14.0:
+                for z in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf)):
+                    assert sf._hankel_count(float(mu), z) <= len(c), (mu, z)
+
+
+def _neglected(mu, z, k=0):
+    """|a_{N+k}| = |c_{N+k}| z^{-N-k}: k = 0 is the first term past the N(z)
+    a Hankel sum takes."""
+    m = sf._hankel_count(mu, z) + k
+    return float(abs(_exact_hankel_coefficients(int(mu), m + 1)[m]) / Fraction(z) ** m)
+
+
+def test_hankel_jy_against_mpmath():
+    # J0, Y0, J1 and Y1 from one _jy_asym per order on 2,001 points of
+    # [14, 200] and 201 of [14, 16], absolute error.  Above 16, where they
+    # are the public values, each is within 1e-15 (worst 6.0e-16, J1).  On
+    # [14, 16] the series' divergence floor is above that, and
+    # each error stays within the amplitude sqrt(2/(pi z)) times the sum of
+    # the first neglected P and Q terms, a_N and a_{N+1} (DLMF 10.17(iii)).  Y1 comes from the Wronskian
+    # J1 Y0 - J0 Y1 = 2/(pi z) at 30 digits.
+    worst = [0.0] * 4
+    over = 0.0
+    with mp.workdps(30):
+        for z in np.concatenate([np.linspace(14.0, 200.0, 2001), np.linspace(14.0, 16.0, 201)]):
+            z = float(z)
+            zm = mp.mpf(z)
+            j0, j1, y0 = mp.besselj(0, zm), mp.besselj(1, zm), mp.bessely(0, zm)
+            want = (j0, y0, j1, (j1 * y0 - 2 / (mp.pi * zm)) / j0)
+            got = (*sf._jy_asym(0, z), *sf._jy_asym(1, z))
+            err = [abs(float(g - r)) for g, r in zip(got, want)]
+            if z > 16.0:
+                worst = [max(w, e) for w, e in zip(worst, err)]
+            else:
+                amp = math.sqrt(2.0 / (math.pi * z))
+                bound = [amp * (_neglected(mu, z) + _neglected(mu, z, 1))
+                         for mu in (0.0, 0.0, 4.0, 4.0)]
+                over = max(over, *(e / b for e, b in zip(err, bound)))
+    assert max(worst) <= 1e-15, worst
+    assert over <= 1.0, (over, worst)
+
+
+def test_hankel_ik_against_mpmath():
+    # e^{-z} I0, e^{-z} I1, e^z K0 and e^z K1 from the Hankel sums on 400
+    # points of (16, 5e4], relative error, each within 1e-15 (worst 6.5e-16,
+    # I0).
+    # On 81 points of [14, 16], K's error stays within the first neglected
+    # term (DLMF 10.40(ii)) and I's within twice it.  K1 comes from the
+    # Wronskian I0 K1 + I1 K0 = 1/z, whose two terms do not cancel.
+    worst = [0.0] * 4
+    over = 0.0
+    with mp.workdps(30):
+        for z in np.concatenate([np.geomspace(16.0, 5e4, 401)[1:], np.linspace(14.0, 16.0, 81)]):
+            z = float(z)
+            zm = mp.mpf(z)
+            i0, i1 = (mp.besseli(n, zm) * mp.exp(-zm) for n in (0, 1))
+            k0 = mp.besselk(0, zm) * mp.exp(zm)
+            want = (i0, i1, k0, (1 / zm - i1 * k0) / i0)
+            got = (sf._i_asym_scaled(0.0, z), sf._i_asym_scaled(4.0, z),
+                   sf._k_asym_scaled(0.0, z), sf._k_asym_scaled(4.0, z))
+            err = [abs(float(g / r - 1)) for g, r in zip(got, want)]
+            if z > 16.0:
+                worst = [max(w, e) for w, e in zip(worst, err)]
+            else:
+                bound = [f * _neglected(mu, z) for f, mu in
+                         ((2.0, 0.0), (2.0, 4.0), (1.0, 0.0), (1.0, 4.0))]
+                over = max(over, *(e / b for e, b in zip(err, bound)))
+    assert max(worst) <= 1e-15, worst
+    assert over <= 1.0, (over, worst)
 
 
 # Separate-loop references for the bit-identity tests below: J_n and the
