@@ -12,9 +12,10 @@ No ``rsheat trace`` row, no kernel value and no acceptance criterion
 but 4 and 6 runs the engine: those integrals are fixed rules, 16-point
 Gauss-Legendre sums on the panels of ``_gl_panels`` or trapezoid sums,
 each with a bound stated where it is used.  Its callers are the nested
-trace route, ``trace.t1_y_outer`` (criterion 4), ``t2_part`` and
-``residue_trace_part`` (criterion 6, through ``full_trace`` above t = 1/38),
-and ``kernels.signaling``, which no command calls.
+trace route, ``trace.t1_y_outer`` for T1's R part alone (criterion 4; the
+1/2 part is J's fixed rule), ``t2_part`` and ``residue_trace_part``
+(criterion 6, through ``full_trace`` above t = 1/38), and
+``kernels.signaling``, which no command calls.
 
 ``UNDERFLOW_U`` is the package's one cut.  Every exponential factor below
 e^{-UNDERFLOW_U} ~ 1e-20 is dropped, and a u = log y integral of

@@ -11,8 +11,9 @@ self-convolution of the boundary kernel (``tn_trace``, identically
 (Fubini) order, which avoids the 1/((t-s) log^2(t-s)) endpoint
 singularity of the s-outer order entirely; the test suite keeps the
 s-outer route as an independent cross-check.  ``t1_y_outer`` splits its
-inner convolution on TrQ = 1/2 - R (below): the 1/2 part is closed-form,
-and R's part is integrated on its own error budget, only above s_f.
+inner convolution on TrQ = 1/2 - R (below): the 1/2 part is J's fixed rule
+(below), and R's part runs the adaptive engine on its own error budget,
+only above s_f.
 
 u = (1 - tanh(v/2))/2 turns TrQ(s) = int_0^{1/2} (1 - e^{-1/(4s u(1-u))}) du
 into 1/2 - R(s), R(s) = int_0^inf e^{-c/s} sech^2(v/2)/4 dv, c = cosh^2(v/2),
@@ -46,8 +47,19 @@ C varies by at most 1 + d/pi + d^2/pi^2 over a distance d, and
 what lets the panels left of -10 be wide.  With J >= (1 - 1/e) int_0^1 C,
 each panel errs by under 5.1e-17 J(l) and all of them by under 1.5e-16 J(l),
 at every l; the cut below -UNDERFLOW_U drops under 5e-18 J, and the tail
-takes 1 - exp(-e^v) as 1 to within e^{-UNDERFLOW_U}.  Integration by parts
-over all of (0, t] gives exactly
+takes 1 - exp(-e^v) as 1 to within e^{-UNDERFLOW_U}.
+
+T1's 1/2 part, 2H = int_{log t}^{log t + UNDERFLOW_U} (1 - exp(-e^v))
+C(v - l) dv at l = log t - 2 kappa, is J's integrand over a window, and
+``_t1_half`` takes it on J's panels clipped at log t.  A clipped panel's
+ellipse of the same rho is the full panel's image under the homothety about
+the kept end, so it lies inside it, and the panel's bound shrinks with its
+width.  So 2H errs by under J's 1.5e-16 of (1 - 1/e) int_0^1 C, which 2H
+exceeds for t in [e^{-45}, 1]; up to t = 46, C varies by at most 3.7x over
+log 46, so under 5.6e-16 of 2H; from t = 46 on every panel is clipped away
+and the window is the closed-form tail alone.
+
+Integration by parts over all of (0, t] gives exactly
 
     correction(t) = Q0 F(t) - int_0^t F(t - s) R'(s) ds,
 
@@ -147,7 +159,8 @@ class TraceSample:
 
 def _trq_nodes(c_max):
     """(c, W) at c <= c_max; R' cuts at 746 s_max, past which e^{-c/s} is
-    0.0 (23 nodes at 0.1), and _r_values where its terms are invisible."""
+    0.0 (23 nodes at 0.1), and _r_values and _a_r_conv where its terms are
+    invisible."""
     n = np.searchsorted(_TRQ_C, c_max, side="right")
     return _TRQ_C[:n], _TRQ_W[:n]
 
@@ -167,19 +180,15 @@ def _r_values(s):
     return hi.sum(axis=1) + (terms - hi).sum(axis=1)
 
 
-def _r_live(s):
-    """R on an array of times of any shape, 0 below _TRQ_FLAT_S, where
+def _trq_values(s):
+    """TrQ on an array of times: 0.5 - R, and 0.5 below _TRQ_FLAT_S, where
     _r_values is not called."""
-    out = np.zeros(s.shape)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.full(s.shape, 0.5)
     live = s >= _TRQ_FLAT_S
     if live.any():
-        out[live] = _r_values(s[live])
+        out[live] -= _r_values(s[live])
     return out
-
-
-def _trq_values(s):
-    """TrQ on an array of times: 0.5 - R, and 0.5 below _TRQ_FLAT_S."""
-    return 0.5 - _r_live(np.atleast_1d(np.asarray(s, dtype=float)))
 
 
 def tn_trace(t):
@@ -214,41 +223,68 @@ def _a_r_conv(ys, t):
 
     ``ys`` is an array.  The fixed w-panels are clipped at each
     w_max = min(t y, UNDERFLOW_U), which gives the panels beyond it zero
-    width, so every y uses the same (6 panels x 16 nodes) block.
+    width, so every y uses the same (6 panels x 16 nodes) block.  R is one
+    (nodes, s-points) block on the nodes c <= 1 + UNDERFLOW_U t that
+    _r_values keeps at s <= t, s clamped at s_f and R zeroed below it; its
+    einsum adds each s-point's terms in node order, set by the node count
+    alone (not @, whose order follows the block's shape).
     """
     y = np.asarray(ys, dtype=float)[:, None]
     w, wts = _gl_panels(np.minimum(_W_EDGES, np.minimum(t * y, UNDERFLOW_U)))
-    return np.sum(wts * np.exp(-w) * _r_live(t - w / y), axis=1) / y[:, 0]
+    s = t - w / y
+    c, cw = _trq_nodes(1.0 + UNDERFLOW_U * t)
+    # in place: one block allocation (~320 KB at t = 5), not two
+    terms = -c[:, None] / np.maximum(s, _TRQ_FLAT_S).ravel()
+    with np.errstate(under="ignore"):
+        np.exp(terms, out=terms)
+    r = np.einsum("k,kj->j", cw, terms).reshape(s.shape)
+    return np.sum(wts * np.exp(-w) * np.where(s >= _TRQ_FLAT_S, r, 0.0), axis=1) / y[:, 0]
+
+
+def _t1_half(t, k2):
+    """2H = int_{log t}^{log t + UNDERFLOW_U} (1 - exp(-e^v)) C(v - l) dv at
+    l = log t - k2, T1's 1/2 part (see the module docstring): J's panels
+    clipped at log t, and above log UNDERFLOW_U, where 1 - exp(-e^v) is 1,
+    C's integral as one atan2, not a difference of arctan tails."""
+    log_t = math.log(t)
+    v, w = _gl_panels(np.maximum(_J_EDGES, log_t))
+    body = float(np.sum(-np.expm1(-np.exp(v)) * w / ((v - (log_t - k2)) ** 2 + _PI2)))
+    # C's argument runs over [lo, k2 + UNDERFLOW_U], of length d; d is formed
+    # without k2, which would leave it ulp(k2) off near the Friedrichs angle
+    gap = max(_J_EDGES[-1] - log_t, 0.0)
+    d = UNDERFLOW_U - gap
+    lo = k2 + gap
+    return body + math.atan2(math.pi * d, lo * (k2 + UNDERFLOW_U) + _PI2) / math.pi
 
 
 def t1_y_outer(t, bp: BoundaryParam, spec: QuadSpec = DEFAULT_SPEC):
     """T1 in the y-outer order, 2 int_1^inf A(y, t) C(log y) dy, with
     A = int_0^t e^{-(t-s) y} TrQ(s) ds and C(u) = 1/((u + 2 kappa)^2 + pi^2).
 
-    TrQ = 1/2 - R makes it 2 (H - P + TrQ(t) arctan_tail(46)): H, the 1/2
-    part, is int_0^46 (1 - e^{-t e^u})/2 C du on ``spec``; P, R's part, is
-    int_0^46 A_R(e^u, t) e^u C du >= 0 on spec's rel_tol and an abs_tol of
+    TrQ = 1/2 - R makes it 2 (H - P + TrQ(t) arctan_tail(46)).  H, the 1/2
+    part, is int_0^46 (1 - e^{-t e^u})/2 C du: in v = u + log t it is J's
+    integrand, and ``_t1_half`` takes it on J's fixed rule, within 1.5e-16
+    of H on [e^{-45}, 1] and 5.6e-16 to t = 46 (see the module docstring).
+    P, R's part, is int_0^46 A_R(e^u, t) e^u C du >= 0, the one integral
+    that ``spec`` reaches: on spec's rel_tol and an abs_tol of
     min(rel_tol, 2^-45) (H + TrQ(t) arctan_tail(46)) >= T1/2, which ties
     its error to T1's size.  R = 0 below _TRQ_FLAT_S, and P is not taken.
     """
     t = check_real(t, "t1_y_outer", "t", "> 0")
     k2 = 2.0 * bp.kappa
 
-    def h(us):
-        return -0.5 * np.expm1(-t * np.exp(us)) / ((us + k2) ** 2 + _PI2)
-
     def p(us):
         ys = np.exp(us)
         return _a_r_conv(ys, t) * ys / ((us + k2) ** 2 + _PI2)
 
-    hv = integrate(h, 0.0, UNDERFLOW_U, spec).value
+    h2 = _t1_half(t, k2)
     tail = tn_trace(t) * arctan_tail(UNDERFLOW_U, k2)
     pv = 0.0
     if t >= _TRQ_FLAT_S:
-        p_spec = QuadSpec(spec.rel_tol, min(spec.rel_tol, 2.0 ** -45) * (hv + tail),
+        p_spec = QuadSpec(spec.rel_tol, min(spec.rel_tol, 2.0 ** -45) * (0.5 * h2 + tail),
                           spec.max_subdivisions)
         pv = integrate(p, 0.0, UNDERFLOW_U, p_spec).value
-    return 2.0 * (hv - pv) + 2.0 * tail
+    return h2 - 2.0 * pv + 2.0 * tail
 
 
 def exotic_term(t, bp: BoundaryParam):

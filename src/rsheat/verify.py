@@ -190,6 +190,8 @@ def criterion_6_oracle_equivalence():
     At t = 0.05 > 1/38, ``full_trace`` takes the nested T1 + T2 + residue
     route, not ``trace_curve``'s Volterra rule: its T2 is the one
     ``k1_smooth`` caller in the acceptance pass that ``bench/run.py`` traces.
+    The spectra stop at lambda = 1000: t lambda_max = 50, and the tail beyond
+    is under 4e-22 (``Spectrum.tail_bound``).
     """
     r = CriterionResult(6, "kernel-built trace agrees with the spectral oracle")
     t = 0.05
@@ -199,7 +201,7 @@ def criterion_6_oracle_equivalence():
     for theta in thetas:
         bp = BoundaryParam(theta)
         full[theta] = full_trace(t, bp).value
-        orac[theta] = oracle_trace(t, eigenvalues(bp)).value
+        orac[theta] = oracle_trace(t, eigenvalues(bp, lambda_max=1000.0)).value
         r.add(f"theta={theta:.4f} |full - oracle - 1/4|",
               abs(full[theta] - orac[theta] - 0.25), 0.02)
     for theta in thetas[:3]:
@@ -243,15 +245,19 @@ def criterion_7_green_identity():
 
 
 def criterion_8_spectrum():
-    """Friedrichs spectrum, bound-state counts, half-line bound-state match."""
+    """Friedrichs spectrum, bound-state counts, half-line bound-state match.
+
+    The spectra stop at lambda = 300, above the five Friedrichs eigenvalues
+    read (all below 223) and the bound states counted.
+    """
     r = CriterionResult(8, "interval spectra: Friedrichs zeros and bound states")
-    spF = eigenvalues(BoundaryParam.friedrichs())
+    spF = eigenvalues(BoundaryParam.friedrichs(), lambda_max=300.0)
     for k in range(5):
         r.add(f"Friedrichs eigenvalue {k + 1} vs j0 zero squared",
               abs(spF.eigenvalues[k] - J0_SQUARES[k]), 1e-10)
-    sp0 = eigenvalues(BoundaryParam(0.0))
+    sp0 = eigenvalues(BoundaryParam(0.0), lambda_max=300.0)
     r.add("negative count theta=0 (want 0)", abs(sp0.negative_count - 0), 0.0)
-    sp34 = eigenvalues(BoundaryParam(3 * _PI / 4))
+    sp34 = eigenvalues(BoundaryParam(3 * _PI / 4), lambda_max=300.0)
     r.add("negative count theta=3pi/4 (want 1)", abs(sp34.negative_count - 1), 0.0)
     kap = BoundaryParam(3 * _PI / 4).kappa
     mu_star = math.sqrt(-sp34.eigenvalues[0])

@@ -35,8 +35,9 @@ NOT_REACHED = {
 }
 
 ADAPTIVE_CALLERS = {
-    "t1_y_outer": "criterion 4's independent nested T1, and the nested route's "
-                  "T1 part, which bench/run.py times",
+    "t1_y_outer": "R's part P of criterion 4's independent nested T1 and of the "
+                  "nested route's T1 part, which bench/run.py times; the 1/2 part "
+                  "is J's fixed rule",
     "t2_part": "the nested route's T2 part, which bench/run.py times",
     "residue_trace_part": "the nested route's residue part, which bench/run.py times",
     "signaling": "the driven solution, listed in NOT_REACHED",

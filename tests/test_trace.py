@@ -448,14 +448,48 @@ class TestArrayRoutes:
                 assert abs(t1_y_outer(t, bp, tight_spec) - t1) <= 1e-12 * abs(t1)
                 assert abs(t2_part(t, bp, tight_spec) - t2) <= 1e-12 * abs(t2)
 
+    def test_t1_against_tight_references_near_the_friedrichs_angle(self):
+        # T1 is ~1.6e-5 at theta = pi/2 - 1e-4, t = 5, where an adaptive H on
+        # an abs_tol of 1e-12 was 8.7e-11 off; H on J's clipped rule is not
+        ref_spec = QuadSpec(rel_tol=1e-14, abs_tol=1e-300)
+        for theta in (math.pi / 2 - 1e-4, math.pi / 2 + 1e-4):
+            bp = BoundaryParam(theta)
+            k2 = 2.0 * bp.kappa
+            for t in (0.05, 5.0, 30.0, 60.0):
+                def f(us):
+                    ys = np.exp(us)
+                    return _a_conv_full(ys, t) * ys / ((us + k2) ** 2 + _PI2)
+
+                ref = (2.0 * integrate(f, 0.0, UNDERFLOW_U, ref_spec).value
+                       + 2.0 * tn_trace(t) * arctan_tail(UNDERFLOW_U, k2))
+                assert abs(t1_y_outer(t, bp) - ref) <= 1e-14 * ref, (theta, t)
+        # H alone, 2H = int_0^46 (1 - e^{-t e^u}) C(u + 2 kappa) du; from
+        # t = 46 on every J panel is clipped away
+        for theta in (0.0, 0.01, 1.0, 2.4, 3.13, math.pi / 2 - 1e-4, math.pi / 2 + 1e-4,
+                      math.pi / 2 - 1e-8, math.pi / 2 + 1e-8):
+            k2 = 2.0 * BoundaryParam(theta).kappa
+            for t in (_TRQ_FLAT_S, 0.05, 5.0, 30.0, 60.0, 1000.0):
+                ref = integrate(lambda us: -np.expm1(-t * np.exp(us)) / ((us + k2) ** 2 + _PI2),
+                                0.0, UNDERFLOW_U, ref_spec).value
+                assert abs(trace._t1_half(t, k2) - ref) <= 1e-15 * ref, (theta, t)
+
+    def test_a_r_conv_row_is_the_same_in_any_block(self):
+        ys = np.exp(np.linspace(0.0, UNDERFLOW_U, 15))
+        for t in (0.05, 5.0, 30.0):
+            block = _a_r_conv(ys, t)
+            assert [_a_r_conv(ys[i:i + 1], t)[0] for i in range(ys.size)] == block.tolist()
+
     def test_t1_r_evaluation_budget(self, monkeypatch):
         # s-points x summed trapezoid nodes of R per t1_y_outer call.  Through
         # the full TrQ on every w-node of every u-node, with all nodes where
         # e^{-c/s} is not 0.0, the count was 223,380 at theta = 0 and pi/4
-        # and 275,160 at 3 pi/4; with R's own integral and the node cut it is
-        # 57,840 and 73,270.  Below s_f R is not evaluated at all.
-        r_values, trq_nodes = trace._r_values, trace._trq_nodes
+        # and 275,160 at 3 pi/4; with R's own integral and the node cut it was
+        # 57,840 and 73,270 on the live s-points alone.  _a_r_conv sums R over
+        # its whole (y, w) block, so every s-point of the block counts: 72,010
+        # and 100,810, tn_trace's 10 included.  Below s_f R is not evaluated.
+        r_values, trq_nodes, a_r_conv = trace._r_values, trace._trq_nodes, trace._a_r_conv
         nodes, count = [0], [0, 0]
+        w_nodes = 16 * (_W_EDGES.size - 1)
 
         def counting_nodes(c_max):
             c, w = trq_nodes(c_max)
@@ -468,8 +502,15 @@ class TestArrayRoutes:
             count[1] += s.size * nodes[0]
             return out
 
+        def counting_conv(ys, t):
+            out = a_r_conv(ys, t)
+            count[0] += 1
+            count[1] += ys.size * w_nodes * nodes[0]
+            return out
+
         monkeypatch.setattr(trace, "_trq_nodes", counting_nodes)
         monkeypatch.setattr(trace, "_r_values", counting_r)
+        monkeypatch.setattr(trace, "_a_r_conv", counting_conv)
         for theta, before in ((0.0, 223380), (math.pi / 4, 223380), (3 * math.pi / 4, 275160)):
             bp = BoundaryParam(theta)
             count[:] = [0, 0]
@@ -787,14 +828,13 @@ class TestOneSpec:
         bp = BoundaryParam(1.0)
         for part in (trace.t1_y_outer, trace.t2_part, trace.residue_trace_part):
             part(0.2, bp, self.S)
-        assert seen.keys() == {"rsheat.trace"} and len(seen["rsheat.trace"]) == 4
-        h, p, t2, res = seen["rsheat.trace"]
-        assert h is self.S and t2 is self.S and res is self.S
+        # T1's 1/2 part is J's fixed rule: the spec reaches P, T2 and the residue
+        assert seen.keys() == {"rsheat.trace"} and len(seen["rsheat.trace"]) == 3
+        p, t2, res = seen["rsheat.trace"]
+        assert t2 is self.S and res is self.S
         # T1's R part: the spec's rel_tol and budget, an abs_tol tied to T1
         k2 = 2.0 * bp.kappa
-        r_free = (integrate(lambda us: -0.5 * np.expm1(-0.2 * np.exp(us))
-                            / ((us + k2) ** 2 + _PI2), 0.0, UNDERFLOW_U, self.S).value
-                  + tn_trace(0.2) * arctan_tail(UNDERFLOW_U, k2))
+        r_free = 0.5 * trace._t1_half(0.2, k2) + tn_trace(0.2) * arctan_tail(UNDERFLOW_U, k2)
         assert (p.rel_tol, p.abs_tol, p.max_subdivisions) == (
             self.S.rel_tol, 2.0 ** -45 * r_free, self.S.max_subdivisions)
         seen.clear()
