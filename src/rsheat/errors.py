@@ -3,6 +3,7 @@ argument of a public function goes through ``check_real`` (or its array
 form) first, and narrower bounds are one comparison after it; each
 integer argument goes through ``check_int``."""
 
+import functools
 import math
 import numbers
 
@@ -33,10 +34,17 @@ class InsufficientSpectrumError(RuntimeError):
     """Spectrum truncated too early for the requested trace accuracy."""
 
 
+@functools.cache
+def _lower(bound):
+    """m of a ">= m" bound, parsed once per bound string."""
+    return float(bound[3:])
+
+
 def check_real(x, name, arg, bound=None):
     """``x`` as a float if it is a finite real number (any ``numbers.Real``
     but a bool) within ``bound``: None (any), "> 0", or ">= m" for a number
-    m (">= 0", ">= 1e-305"); else DomainError "<name>: need <arg> ..., got <x>"."""
+    m (">= 0", ">= 1e-305"), whose m is parsed once per bound string; else
+    DomainError "<name>: need <arg> ..., got <x>"."""
     # float and int first: they skip the slower abstract-base-class check
     if not isinstance(x, (float, int, numbers.Real)) or isinstance(x, bool):
         raise DomainError(f"{name}: need real {arg}, got {x!r}")
@@ -45,7 +53,7 @@ def check_real(x, name, arg, bound=None):
     except OverflowError:
         v = math.inf
     if math.isfinite(v) and (bound is None or (
-            v > 0.0 if bound == "> 0" else v >= float(bound[3:]))):
+            v > 0.0 if bound == "> 0" else v >= _lower(bound))):
         return v
     raise DomainError(f"{name}: need finite {arg} {bound or ''}".rstrip() + f", got {v!r}")
 
@@ -66,7 +74,7 @@ def check_real_array(x, name, arg, bound=None):
     if x.ndim != 1 or not x.size or x.dtype.kind not in "iuf":
         raise DomainError(f"{name}: need a non-empty 1-D real array {arg}, got {x!r}")
     v = x.astype(float)
-    low = (v > 0.0 if bound == "> 0" else v >= float(bound[3:])) if bound else True
+    low = (v > 0.0 if bound == "> 0" else v >= _lower(bound)) if bound else True
     if np.all(np.isfinite(v) & low):
         return v
     raise DomainError(f"{name}: need finite {arg} {bound or ''}".rstrip() + f", got {x!r}")

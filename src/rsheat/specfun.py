@@ -14,9 +14,12 @@ The module is organised by representation, not by function:
   compensated double-double (plain double loses ~6 digits to
   cancellation near the crossover), its error-free transforms written
   out in the loop body; the positive-term I/K loop is plain
-  double, with a compensated I0 sum.  The weights H_k and H_k + H_{k+1}
-  do not depend on z: ``_IK_WEIGHTS`` and ``_JY_WEIGHTS``, immutable
-  tables built at import, hold them up to each loop's cap;
+  double, with a compensated I0 sum.  What does not depend on z is in
+  immutable tables built at import: the weights H_k and H_k + H_{k+1}
+  (``_IK_WEIGHTS``, ``_JY_WEIGHTS``) up to each regular sum's cap, and one
+  row per term k = 1..401, the loops' cap, with the divisor k(k+n)
+  (``_IK_DIVISORS``) or -k(k+n), w_k and the Dekker split of w_k's high
+  part (``_JY_ROWS``);
 * Hankel asymptotic series for large argument (the divergence floor
   ~exp(-2z) is below 1e-13 for z >= 16), on one table of coefficients
   c_m = prod_{j<=m} (mu - (2j-1)^2) / (m! 8^m) per order (``_HANKEL``,
@@ -41,6 +44,8 @@ The module is organised by representation, not by function:
   e^z K_nu(z) = int_0^inf exp(-2 z sinh^2(u/2)) cosh(nu u) du
   takes one trapezoid rule of step 1/8, summed exactly rounded: its
   strip bound (Trefethen-Weideman) is below 4e-19 relative on [0.4, 18].
+  Its node factors sinh^2(u/2) and cosh(u) are tables built at import
+  (``_K_SINH2``, ``_K_COSH``), up to the last node z = 0.4 takes.
 
 The public functions go through one dispatch per family (``_i``, ``_k``,
 ``_jy``), which picks the path by z and applies e^{+-z} to the path's
@@ -127,6 +132,20 @@ _IK_WEIGHTS = _harmonic_weights(0.0, operator.add, lambda k: 1.0 / k, 301)
 _JY_WEIGHTS = _harmonic_weights((0.0, 0.0), _dd_add, lambda k: _dd_recip(float(k)), 401)
 
 
+def _split(x):
+    """Dekker's split of x into two 26-bit halves (hi, lo), hi + lo = x."""
+    c = SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# per order n, the loops' rows k = 1..401 (the I and J sums' cap): the I/K
+# divisor k(k+n), and the J/Y row (-k(k+n), w_k's pair, its high part's split)
+_IK_DIVISORS = tuple(tuple(float(k * (k + n)) for k in range(1, 402)) for n in (0, 1))
+_JY_ROWS = tuple(tuple((-float(k * (k + n)), *w[k], *_split(w[k][0])) for k in range(1, 402))
+                 for n, w in enumerate(_JY_WEIGHTS))
+
+
 def _ik_series(n, z, regular=True):
     """(I_n, K_n, r) at z on the series path, n in {0, 1}, from one loop.
 
@@ -137,9 +156,11 @@ def _ik_series(n, z, regular=True):
         K0 = r - (log(z/2)+gamma) I0
         K1 = 1/z + (log(z/2)+gamma) I1 - (z/4) r,
 
-    with no cancellation in K0 for z <= ~1.12.  Each sum stops on its own
-    rule, so I_n does not depend on ``regular``; with ``regular=False``
-    only i is summed and K_n and r are None.
+    with no cancellation in K0 for z <= ~1.12.  The term ratio's divisor
+    k(k+n) comes from ``_IK_DIVISORS``, whose 401 rows cap the i sum; r
+    stops past k = 300.  Each sum stops on its own rule, so I_n does not
+    depend on ``regular``; with ``regular=False`` only i is summed and K_n
+    and r are None.
     """
     w = _IK_WEIGHTS[n]
     u = 0.25 * z * z
@@ -147,10 +168,8 @@ def _ik_series(n, z, regular=True):
     comp = 0.0
     r = w[0]  # k = 0 term: w_0 = n
     i_done, r_done = False, not regular
-    k = 0
-    while not (i_done and r_done):
-        k += 1
-        p *= u / (k * (k + n))
+    for k, d in enumerate(_IK_DIVISORS[n], 1):
+        p *= u / d
         if not i_done:
             if n == 0:
                 y = p - comp
@@ -159,11 +178,13 @@ def _ik_series(n, z, regular=True):
                 i = t
             else:
                 i += p
-            i_done = p < 1e-17 * i or k > 400
+            i_done = p < 1e-17 * i
         if not r_done:
             term = p * w[k]
             r += term
             r_done = term < 1e-18 * (r + 1.0) or k > 300
+        if i_done and r_done:
+            break
     i_n = i if n == 0 else 0.5 * z * i
     if not regular:
         return i_n, None, None
@@ -183,40 +204,37 @@ def _jy_series(n, z, regular=True):
         Y0 = (2/pi)[(log(z/2)+gamma) J0 - r]
         Y1 = (2/pi)[(log(z/2)+gamma) J1 - 1/z - (z/4) r]
 
-    The w_k come from ``_JY_WEIGHTS``.  Each sum stops on its own rule, so
-    J_n does not depend on ``regular``; with ``regular=False`` only j is
-    summed and Y_n and r are None.  The pair j = (hi, lo) keeps
-    J0 - 1 = (hi - 1) + lo accurate as z -> 0.
+    Term k reads its row of ``_JY_ROWS``: the divisor -k(k+n), w_k (from
+    ``_JY_WEIGHTS``) and the split of w_k's high part; the 401 rows cap
+    both sums.  Each sum stops on its own rule, so J_n does not depend on
+    ``regular``; with ``regular=False`` only j is summed and Y_n and r are
+    None.  The pair j = (hi, lo) keeps J0 - 1 = (hi - 1) + lo accurate as
+    z -> 0.
 
     The double-double steps are written out as their error-free transforms
     (Dekker's split and product, Knuth's two_sum, quick_two_sum): p_{k-1} u,
     its quotient by -k(k+n), j + p_k, p_k w_k and s + p_k w_k.  u's high
-    part is split once per call and each p_k's once per term.
+    part is split once per call and each p_k's once per term; w_k's is the
+    table's.
     """
-    w = _JY_WEIGHTS[n]
     a, e = two_prod(z, z)  # u = (z^2)/4 as a pair
     u0, f = two_prod(a, 0.25)
     f += e * 0.25
     a = u0 + f
     u1 = f - (a - u0)
     u0 = a
-    c = SPLIT * u0
-    u0h = c - (c - u0)
-    u0l = u0 - u0h
+    u0h, u0l = _split(u0)
     p0, p1, p0h, p0l = 1.0, 0.0, 1.0, 0.0  # p_0 = 1 and its split
     j0, j1 = 1.0, 0.0
-    s0, s1 = w[0]  # k = 0 term: w_0 = n
+    s0, s1 = _JY_WEIGHTS[n][0]  # k = 0 term: w_0 = n
     j_done, s_done = False, not regular
-    k = 0
-    while not (j_done and s_done):
-        k += 1
+    for d, w0, w1, wh, wl in _JY_ROWS[n]:
         m = p0 * u0  # p_{k-1} u
         e = ((p0h * u0h - m) + p0h * u0l + p0l * u0h) + p0l * u0l
         e += p0 * u1 + p1 * u0
         m0 = m + e
         m1 = e - (m0 - m)
-        d = -float(k * (k + n))  # ... / d; |d| < 2^26 splits as (d, 0)
-        q = m0 / d
+        q = m0 / d  # d = -k(k+n); |d| < 2^26 splits as (d, 0)
         a = q * d
         c = SPLIT * q
         qh = c - (c - q)
@@ -234,12 +252,8 @@ def _jy_series(n, z, regular=True):
             e += j1 + p1
             j0 = a + e
             j1 = e - (j0 - a)
-            j_done = abs(p0) < 1e-34 * (abs(j0) + 1.0) or k > 400
+            j_done = abs(p0) < 1e-34 * (abs(j0) + 1.0)
         if not s_done:
-            w0, w1 = w[k]
-            c = SPLIT * w0
-            wh = c - (c - w0)
-            wl = w0 - wh
             m = p0 * w0  # term = p_k w_k
             e = ((p0h * wh - m) + p0h * wl + p0l * wh) + p0l * wl
             e += p0 * w1 + p1 * w0
@@ -251,7 +265,9 @@ def _jy_series(n, z, regular=True):
             e += s1 + m1
             s0 = a + e
             s1 = e - (s0 - a)
-            s_done = abs(m0) < 1e-34 * (abs(s0) + 1.0) or k > 400
+            s_done = abs(m0) < 1e-34 * (abs(s0) + 1.0)
+        if j_done and s_done:
+            break
     jn = j0 + j1 if n == 0 else 0.5 * z * (j0 + j1)
     if not regular:
         return jn, None, (j0, j1), None
@@ -449,8 +465,14 @@ def _jy_asym(n, z):
 # trapezoid integral path for K on the middle range
 # ----------------------------------------------------------------------
 
+# the trapezoid's node factors sinh^2(u/2) and cosh(u) at u = k/8, k = 1..47:
+# its nodes up to t_end at z = 0.4, the low end of its domain
+_K_SINH2 = tuple(math.sinh(k / 16.0) ** 2 for k in range(1, 48))
+_K_COSH = tuple(math.cosh(k / 8.0) for k in range(1, 48))
+
+
 def _k_integral_scaled(z, order):
-    """e^z K_order(z) by the trapezoid rule of step 1/8 on
+    """e^z K_order(z), z in [0.4, 18], by the trapezoid rule of step 1/8 on
     int_0^inf exp(-2 z sinh^2(u/2)) cosh(order*u) du, nodes k/8 to t_end.
 
     On the strip |Im u| <= a < pi/2 the integrand is bounded by
@@ -460,12 +482,14 @@ def _k_integral_scaled(z, order):
     2 K(z/2)/K(z)/(e^{16 pi^2/3} - 1) at a = pi/3 (Trefethen-Weideman),
     below 4e-19 for z in [0.4, 18].  The part cut off past t_end is below
     e^{-48} cosh(t_end), and fsum rounds once: what is left is each node's.
+    The node factors come from the tables ``_K_SINH2`` and ``_K_COSH``,
+    which end at t_end(0.4): a z below 0.4 would lose nodes.
     """
     t_end = 2.0 * math.asinh(math.sqrt(24.0 / z)) + 0.5
-    us = [k / 8.0 for k in range(1, int(8.0 * t_end) + 1)]
-    fs = [math.exp(-2.0 * z * math.sinh(0.5 * u) ** 2) for u in us]
+    m = -2.0 * z
+    fs = [math.exp(m * s) for s in _K_SINH2[:int(8.0 * t_end)]]
     if order == 1:
-        fs = [f * math.cosh(u) for f, u in zip(fs, us)]
+        fs = [f * c for f, c in zip(fs, _K_COSH)]
     return math.fsum([0.5, *fs]) / 8.0  # f(0) = 1 at half weight
 
 

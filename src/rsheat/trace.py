@@ -395,7 +395,12 @@ def volterra_correction(ts, bp: BoundaryParam, *, include_residue=True):
         # each sum runs along a row's own last axis (not @, whose order
         # follows the block's shape), so a row has the same bits in any call
         a = c / (up[:, None] - taus)[:, :, None]
-        r_prime = np.sum(a * a * np.exp(-a) * (w / c), axis=-1)
+        # e^{-a} is 0.0 past a = 745.14: those entries skip exp's slow
+        # underflow path and are zeroed after it
+        dead = a > 745.2
+        decay = np.exp(-np.where(dead, 0.0, a))
+        decay[dead] = 0.0
+        r_prime = np.sum(a * a * decay * (w / c), axis=-1)
         rest = np.sum(f_tau * r_prime * taus * _V_WEIGHTS, axis=-1)
         # R'(s) s^2 = sum W c e^{-c u}, and ds/s^2 = u dx
         r_s2 = np.sum(np.exp(-np.multiply.outer(us, c)) * (w * c), axis=-1)

@@ -20,6 +20,7 @@ from .ktheta import laplace_of_k, pole_location
 from .oracle import eigenvalues, oracle_trace
 from .quadrature import UNDERFLOW_U, _gl_panels
 from .specfun import (
+    _K_SERIES_CUTOFF,
     _SERIES_CUTOFF,
     _TAYLOR_CUTOFF,
     _i_asym_scaled,
@@ -276,15 +277,18 @@ def criterion_8_spectrum():
 def criterion_9_specfun():
     """Wronskian identities and dual-path agreement of the Bessel library.
 
-    Each J/Y path runs once per order and point, on the public dispatch.
-    A Wronskian point takes (J_n, Y_n) from one ``_jy_series(n, z)`` at
+    Each I/K and J/Y path runs once per order and point, on the public
+    dispatch.  A Wronskian point takes (I_n, K_n) from one
+    ``_ik_series(n, z)`` at z <= ``_K_SERIES_CUTOFF``, scaled by e^{-z} and
+    e^{z} as ``_i`` and ``_k`` scale them, and the public scaled values
+    above.  It takes (J_n, Y_n) from one ``_jy_series(n, z)`` at
     z <= ``_TAYLOR_CUTOFF``, (J0, Y0, J1, Y1) from one ``_jy_taylor(z)`` up
-    to ``_SERIES_CUTOFF`` and (J_n, Y_n) from one ``_jy_asym(n, z)`` above:
-    bit for bit what ``bessel_j0/j1/y0/y1`` return, as they take the same
-    path and J_n does not depend on ``regular``.  A dual-path line compares
-    each public J/Y value with one other path, relative to the Hankel
-    value: on [14, 16] the Taylor-table value with Hankel, above 16 the
-    Hankel value with the series.
+    to ``_SERIES_CUTOFF`` and (J_n, Y_n) from one ``_jy_asym(n, z)`` above.
+    That is bit for bit what the public functions return, as they take the
+    same path and I_n and J_n do not depend on ``regular``.  A dual-path
+    line compares each public J/Y value with one other path, relative to the
+    Hankel value: on [14, 16] the Taylor-table value with Hankel, above 16
+    the Hankel value with the series.
     """
     r = CriterionResult(9, "special functions: Wronskians and dual evaluation paths")
     rng = np.random.default_rng(20240817)
@@ -294,8 +298,14 @@ def criterion_9_specfun():
     for z in zs:
         z = float(z)
         # I0 K0' - I0' K0 = -1/z  ->  z (I0 K1 + I1 K0) = 1
-        w1 = z * (bessel_i0_scaled(z) * bessel_k1_scaled(z)
-                  + bessel_i1_scaled(z) * bessel_k0_scaled(z))
+        if z <= _K_SERIES_CUTOFF:
+            (i0, k0), (i1, k1) = (_ik_series(n, z)[:2] for n in (0, 1))
+            down, up = math.exp(-z), math.exp(z)  # as _i and _k scale them
+            i0, i1, k0, k1 = down * i0, down * i1, up * k0, up * k1
+        else:
+            i0, i1 = bessel_i0_scaled(z), bessel_i1_scaled(z)
+            k0, k1 = bessel_k0_scaled(z), bessel_k1_scaled(z)
+        w1 = z * (i0 * k1 + i1 * k0)
         worst_ik = max(worst_ik, abs(w1 - 1.0))
         # J0 Y0' - J0' Y0 = 2/(pi z)  ->  (pi z / 2)(J1 Y0 - J0 Y1) = 1
         if _TAYLOR_CUTOFF < z <= _SERIES_CUTOFF:

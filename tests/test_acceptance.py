@@ -107,7 +107,9 @@ def test_criterion_9_evaluation_budget(monkeypatch):
     # and the Hankel value evaluated twice per dual-path pair made 604
     # (372 series, 232 Hankel) and fail this test; one call per path, order
     # and point made 302, and one Taylor-table call for both orders at a
-    # Wronskian point in (2, 16] makes fewer.
+    # Wronskian point in (2, 16] makes fewer.  The I/K series runs once per
+    # order at a Wronskian point up to 16: at z <= 1 the four public calls
+    # ran it four times, twice for each order, and fail this test.
     from rsheat import specfun
     verify.criterion_9_specfun()  # builds the Taylor rows, outside the count
     calls = []
@@ -118,20 +120,24 @@ def test_criterion_9_evaluation_budget(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_jy_series", "_jy_asym", "_jy_taylor"):
+    for name in ("_jy_series", "_jy_asym", "_jy_taylor", "_ik_series"):
         wrapped = counted(name, getattr(specfun, name))
         monkeypatch.setattr(specfun, name, wrapped)
         monkeypatch.setattr(verify, name, wrapped)
     verify.criterion_9_specfun()
-    overlap = {float(z) for z in np.linspace(14.0, 18.0, 17)}
+    # the dual-path lines' points, not Wronskian points
+    others = {float(z) for z in np.concatenate([np.linspace(14.0, 18.0, 17),
+                                                np.linspace(0.4, 1.0, 13)])}
     per_point = {}
     for z, name in calls:
-        if z not in overlap:
+        if z not in others:
             per_point.setdefault(z, []).append(name)
     assert len(per_point) == 100  # the Wronskian points
     for z, names in per_point.items():
+        jy = [name for name in names if name != "_ik_series"]
         if 2.0 < z <= 16.0:
-            assert names == ["_jy_taylor"], z
+            assert jy == ["_jy_taylor"], z
         else:
-            assert len(names) <= 2 and "_jy_taylor" not in names, z
-    assert len(calls) <= 332
+            assert len(jy) <= 2 and "_jy_taylor" not in jy, z
+        assert names.count("_ik_series") == (2 if z <= 16.0 else 0), z
+    assert sum(name != "_ik_series" for _, name in calls) <= 332

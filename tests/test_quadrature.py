@@ -133,6 +133,42 @@ def test_single_column_matches_scalar():
     assert abs(column.value[0] - scalar.value) <= 1e-15
 
 
+def _bits(r):
+    return (np.asarray(r.value).tobytes(), np.asarray(r.est_error).tobytes(), r.evaluations)
+
+
+def _counting(f):
+    calls = []
+
+    def g(xs):
+        calls.append(xs.size)
+        return f(xs)
+    return g, calls
+
+
+def test_split_is_one_call_with_the_panel_at_a_time_bits(panel_integrate):
+    # integrate evaluates both halves of a split in one call on 30 nodes;
+    # each result is bit for bit the one a panel at a time gives
+    # (tests/conftest.py), on the validation family and on a vector integrand
+    rng = np.random.default_rng(11)
+    family = []
+    for _ in range(20):
+        coeffs = rng.normal(size=rng.integers(0, 9) + 1)
+        family.append((lambda xs, c=coeffs: sum(ck * xs ** k for k, ck in enumerate(c)),
+                       0.0, 1.0))
+    family += [(lambda y, t=t: np.exp(-t * y), 0.0, 50.0 / t) for t in (0.5, 2.0, 10.0)]
+    family += [(np.log, 0.0, 1.0),
+               (lambda xs: np.sin(3.0 * xs) * np.exp(-xs) + 0.3 * np.cos(xs), -2.0, 3.0),
+               (lambda xs: np.stack([xs * xs, 1e3 * np.sin(50.0 * xs), np.sqrt(xs),
+                                     1e-6 * np.sin(50.0 * xs)], axis=1), 0.0, 1.0)]
+    for spec in (QuadSpec(), QuadSpec(rel_tol=1e-12, abs_tol=1e-15)):
+        for f, a, b in family:
+            g, calls = _counting(f)
+            r = integrate(g, a, b, spec)
+            assert _bits(r) == _bits(panel_integrate(f, a, b, spec))
+            assert calls == [15] + [30] * ((r.evaluations - 15) // 30)
+
+
 def test_budget_exhaustion_carries_partial():
     spec = QuadSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=3)
     with pytest.raises(ConvergenceError) as exc_info:

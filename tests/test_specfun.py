@@ -217,6 +217,26 @@ def test_k_trapezoid_meets_its_certificate():
             assert abs(Decimal(sf._k_integral_scaled(z, n)) / ref - 1) <= Decimal(4e-16), (z, n)
 
 
+def _k_per_node(z, order):
+    """The K trapezoid with each node factor formed at its node."""
+    t_end = 2.0 * math.asinh(math.sqrt(24.0 / z)) + 0.5
+    us = [k / 8.0 for k in range(1, int(8.0 * t_end) + 1)]
+    fs = [math.exp(-2.0 * z * math.sinh(0.5 * u) ** 2) for u in us]
+    if order == 1:
+        fs = [f * math.cosh(u) for f, u in zip(fs, us)]
+    return math.fsum([0.5, *fs]) / 8.0
+
+
+def test_k_trapezoid_tables_keep_the_per_node_bits():
+    # sinh^2(u/2) and cosh(u) come from tables built at import, which end
+    # at the last node of z = 0.4, the low end of the rule's domain
+    assert int(8.0 * (2.0 * math.asinh(math.sqrt(24.0 / 0.4)) + 0.5)) == len(sf._K_SINH2) == 47
+    for z in np.geomspace(0.4, 18.0, 1500):
+        z = float(z)
+        for n in (0, 1):
+            assert sf._k_integral_scaled(z, n) == _k_per_node(z, n), (z, n)
+
+
 # Per-order references for the I/K series: I0 (compensated), I1 (plain) and
 # the regular sums of K0 and K1 each in their own loop, with the harmonic
 # numbers summed in the loop, so none shares code with ``_ik_series``.
@@ -514,6 +534,20 @@ def test_weights_are_the_double_double_harmonic_sums():
     for n in (0, 1):
         assert [(a.hex(), b.hex()) for a, b in sf._JY_WEIGHTS[n]] == [
             (a.hex(), b.hex()) for a, b in want[n]]
+
+
+def test_series_rows_are_the_divisors_and_dekker_splits():
+    # the loops read, per k, what they formed per term before: k(k+n) for
+    # I/K, and -k(k+n), w_k and the split of w_k's high part for J/Y
+    for n in (0, 1):
+        assert sf._IK_DIVISORS[n] == tuple(float(k * (k + n)) for k in range(1, 402))
+        assert len(sf._JY_ROWS[n]) == 401
+        for k, row in enumerate(sf._JY_ROWS[n], 1):
+            w0, w1 = sf._JY_WEIGHTS[n][k]
+            c = 134217729.0 * w0
+            wh = c - (c - w0)
+            assert [v.hex() for v in row] == [
+                v.hex() for v in (-float(k * (k + n)), w0, w1, wh, w0 - wh)], (n, k)
 
 
 def _jn_own_loop(n, z):

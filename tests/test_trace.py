@@ -479,6 +479,30 @@ class TestArrayRoutes:
             block = _a_r_conv(ys, t)
             assert [_a_r_conv(ys[i:i + 1], t)[0] for i in range(ys.size)] == block.tolist()
 
+    def test_t1_r_part_splits_keep_the_panel_at_a_time_bits(self, monkeypatch,
+                                                            panel_integrate):
+        # P's integrand takes _a_r_conv on a panel's 15 u-nodes or a split's
+        # 30 (1,440 or 2,880 w-columns, multiples of 96), and a node's value
+        # does not depend on the others: one call per split gives P's bits
+        seen = []
+
+        def recording(f, a, b, spec):
+            seen.append((f, a, b, spec))
+            return integrate(f, a, b, spec)
+
+        monkeypatch.setattr(trace, "integrate", recording)
+        for theta in (0.0, math.pi / 4, 2.4):
+            for t in (0.05, 0.5, 5.0):
+                t1_y_outer(t, BoundaryParam(theta))
+        assert len(seen) == 9
+        splits = 0
+        for f, a, b, spec in seen:
+            r, ref = integrate(f, a, b, spec), panel_integrate(f, a, b, spec)
+            assert (r.value.hex(), r.est_error.hex(), r.evaluations) == (
+                ref.value.hex(), ref.est_error.hex(), ref.evaluations)
+            splits += (r.evaluations - 15) // 30
+        assert splits > 9
+
     def test_t1_r_evaluation_budget(self, monkeypatch):
         # s-points x summed trapezoid nodes of R per t1_y_outer call.  Through
         # the full TrQ on every w-node of every u-node, with all nodes where
