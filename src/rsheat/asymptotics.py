@@ -34,14 +34,19 @@ class AsymptoticFit:
 
 
 def poly_fit(samples, degree):
-    """Fit sum_j a_j t^j by least squares, t scaled to [0, 1] for conditioning."""
+    """Fit sum_j a_j t^j by least squares, t scaled to [0, 1] for conditioning.
+
+    ``samples`` are (t, value) pairs with finite t > 0 and finite values, at
+    least degree + 3 of them and no t twice (a Python set tests that, so the
+    fit needs numpy's core and ``linalg`` only), else DomainError; a
+    rank-deficient design raises FitError."""
     degree = check_int(degree, "poly_fit", "degree", 0)
     pairs = [(check_real(t, "poly_fit", "t", "> 0"), check_real(v, "poly_fit", "value"))
              for t, v in samples]
     ts, vals = np.array([t for t, _ in pairs]), np.array([v for _, v in pairs])
     if len(ts) < degree + 3:
         raise DomainError(f"poly_fit: need at least degree+3 = {degree + 3} samples")
-    if len(np.unique(ts)) != len(ts):
+    if len(set(ts.tolist())) != len(ts):
         raise DomainError(f"poly_fit: need distinct t, got {ts!r}")
     t_scale = float(np.max(ts))
     design = np.vander(ts / t_scale, degree + 1, increasing=True)

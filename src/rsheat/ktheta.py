@@ -130,8 +130,10 @@ def _log_tail(ts, k2, per_y=False):
 def k1_smooth(t, bp: BoundaryParam):
     """The (0, 1) piece of the cut density.  ``t`` is a float, giving a
     float, or a 1-D array, giving an array from one (times x nodes) block.
-    Past t ~ 1e10 the nodes' rounding near u = -log t costs about
-    1e-16 log t relative."""
+    Each row is summed along its own nodes, so a time t <= 1 has the same
+    bits alone and in any block; above t = 1 the node set still follows the
+    block's largest t.  Past t ~ 1e10 the nodes' rounding near u = -log t
+    costs about 1e-16 log t relative."""
     t = (check_real_array if isinstance(t, np.ndarray) else check_real)(
         t, "k1_smooth", "t", ">= 0")
     u, w, y = _U_NODES, _U_WEIGHTS, _Y_NODES
@@ -141,7 +143,7 @@ def k1_smooth(t, bp: BoundaryParam):
         u, w = _gl_panels(np.linspace(lo, 0.0, 1 + math.ceil(-0.5 * lo)))
         y = np.exp(u)
     dens = w * y / ((u + 2.0 * bp.kappa) ** 2 + _PI2)
-    out = 2.0 * (np.exp(-np.multiply.outer(t, y)) @ dens)
+    out = 2.0 * np.sum(np.exp(-np.multiply.outer(t, y)) * dens, axis=-1)
     return out if isinstance(t, np.ndarray) else float(out)
 
 

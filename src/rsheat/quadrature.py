@@ -17,6 +17,13 @@ trace route, ``trace.t1_y_outer`` for T1's R part alone (criterion 4; the
 (criterion 6, through ``full_trace`` above t = 1/38), and
 ``kernels.signaling``, which no command calls.
 
+The 16-point Gauss-Legendre table is numpy's ``leggauss(16)`` output,
+frozen by hex: every fixed rule keeps the bits it had when the table was
+computed at import, a numpy release that polishes the eigenvalue nodes
+differently cannot move them, and no command imports numpy.polynomial.
+Against the exact rule its nodes are correctly rounded and its weights
+within 4.4e-16 (up to 63 ulp); the tier-1 tests hold it to both.
+
 ``UNDERFLOW_U`` is the package's one cut.  Every exponential factor below
 e^{-UNDERFLOW_U} ~ 1e-20 is dropped, and a u = log y integral of
 c(u)/((u + k)^2 + pi^2) with c -> 1 hands over to the analytic
@@ -45,7 +52,20 @@ _T_BOUND = ">= 1e-305"
 # geometric panel edges in w = (t-s) y (trace._a_r_conv, T1's R part) and
 # t(y-1) (m_main)
 _W_EDGES = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 31.0, UNDERFLOW_U])
-_GLW_N, _GLW_W = np.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Legendre (node, weight) pairs of the positive nodes,
+# descending, mirrored as _NODES is below
+_GL16 = np.array([[float.fromhex(x), float.fromhex(w)] for x, w in (
+    ("0x1.fa92c264d787ep-1", "0x1.bcddab4b7c228p-6"),
+    ("0x1.e39f56616f9b0p-1", "0x1.fdfb1a2c1261ep-5"),
+    ("0x1.bb3403514e483p-1", "0x1.85c4ee79cc24bp-4"),
+    ("0x1.82c45dda4726bp-1", "0x1.fe7af2bad3878p-4"),
+    ("0x1.3c5a466d5e8b8p-1", "0x1.325f61bca3cbep-3"),
+    ("0x1.d50259a43a772p-2", "0x1.5a6ebbb5a7600p-3"),
+    ("0x1.205cae642337cp-2", "0x1.75f8c77e0c011p-3"),
+    ("0x1.852bd6676a9f9p-4", "0x1.83feae80e4e01p-3"),
+)])
+_GLW_N = np.concatenate([-_GL16[:, 0], _GL16[::-1, 0]])
+_GLW_W = np.concatenate([_GL16[:, 1], _GL16[::-1, 1]])
 _GLW_LO, _GLW_HI = 1.0 - _GLW_N, 1.0 + _GLW_N
 
 

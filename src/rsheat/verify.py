@@ -274,6 +274,13 @@ def criterion_8_spectrum():
     return r
 
 
+_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+# z_k = 0.02 * 3000^{k phi mod 1}, k = 0 ... 99: log-spaced by the golden
+# ratio over [0.02, 60], none on a dual-path line's grid
+_WRONSKIAN_POINTS = tuple(
+    math.exp(math.log(0.02) + math.log(3000.0) * ((k * _PHI) % 1.0)) for k in range(100))
+
+
 def criterion_9_specfun():
     """Wronskian identities and dual-path agreement of the Bessel library.
 
@@ -289,14 +296,17 @@ def criterion_9_specfun():
     line compares each public J/Y value with one other path, relative to the
     Hankel value: on [14, 16] the Taylor-table value with Hankel, above 16
     the Hankel value with the series.
+
+    The Wronskian points are ``_WRONSKIAN_POINTS``: the golden-ratio
+    sequence on log z over [0.02, 60], so each path takes a fixed share of
+    them (58 at z <= 2, 26 on (2, 16], 16 above).  They are written with
+    ``math`` alone, not drawn from a seeded numpy ``Generator``, whose
+    streams NumPy's NEP 19 lets change between releases.
     """
     r = CriterionResult(9, "special functions: Wronskians and dual evaluation paths")
-    rng = np.random.default_rng(20240817)
-    zs = np.exp(rng.uniform(math.log(0.02), math.log(60.0), size=100))
     worst_ik = 0.0
     worst_jy = 0.0
-    for z in zs:
-        z = float(z)
+    for z in _WRONSKIAN_POINTS:
         # I0 K0' - I0' K0 = -1/z  ->  z (I0 K1 + I1 K0) = 1
         if z <= _K_SERIES_CUTOFF:
             (i0, k0), (i1, k1) = (_ik_series(n, z)[:2] for n in (0, 1))

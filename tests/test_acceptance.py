@@ -63,11 +63,8 @@ def _criterion_9_four_calls_per_point():
                                 _k_asym_scaled, _k_integral_scaled, bessel_i0_scaled,
                                 bessel_i1_scaled, bessel_j0, bessel_j1, bessel_k0_scaled,
                                 bessel_k1_scaled, bessel_y0, bessel_y1)
-    rng = np.random.default_rng(20240817)
-    zs = np.exp(rng.uniform(math.log(0.02), math.log(60.0), size=100))
     worst_ik = worst_jy = 0.0
-    for z in zs:
-        z = float(z)
+    for z in verify._WRONSKIAN_POINTS:
         w1 = z * (bessel_i0_scaled(z) * bessel_k1_scaled(z)
                   + bessel_i1_scaled(z) * bessel_k0_scaled(z))
         worst_ik = max(worst_ik, abs(w1 - 1.0))
@@ -99,6 +96,21 @@ def test_criterion_9_values_equal_the_four_call_formulation():
     measured = [c.measured for c in verify.criterion_9_specfun().checks]
     assert [v.hex() for v in measured] == [
         v.hex() for v in _criterion_9_four_calls_per_point()]
+
+
+def test_criterion_9_points_give_each_path_its_share():
+    # 100 distinct Wronskian points on [0.02, 60], none on a dual-path grid,
+    # and each path's count within 2 of its band's share of log 3000
+    zs = verify._WRONSKIAN_POINTS
+    assert len(set(zs)) == 100 and all(0.02 <= z <= 60.0 for z in zs)
+    dual = {float(z) for z in np.concatenate([np.linspace(14.0, 18.0, 17),
+                                              np.linspace(0.4, 1.0, 13)])}
+    assert not dual & set(zs)
+    edges = (0.0, 1.0, 2.0, 16.0, 60.0)  # I/K and J/Y series, Taylor rows, Hankel
+    for lo, hi in zip(edges, edges[1:]):
+        share = 100.0 * math.log(hi / max(lo, 0.02)) / math.log(3000.0)
+        count = sum(lo < z <= hi for z in zs)
+        assert abs(count - share) <= 2.0, (lo, hi, count, share)
 
 
 def test_criterion_9_evaluation_budget(monkeypatch):

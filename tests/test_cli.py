@@ -6,11 +6,22 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import rsheat
 from rsheat import cli
 from rsheat.cli import main, parse_theta
 from rsheat.ktheta import pole_location
 from rsheat.kernels import BoundaryParam
+
+
+def child_env():
+    """The environment of a child Python that imports the package this
+    process imported, whether it came from an install, PYTHONPATH or
+    pytest's pythonpath setting."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rsheat.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def run_cli(args, capsys):
@@ -302,11 +313,31 @@ class TestExitCodes:
         assert cli._build_parser() is cli._build_parser()
 
     def test_console_script_version(self):
-        # the child imports the package this process imported, whether it
-        # came from an install, PYTHONPATH or pytest's pythonpath setting
-        src = os.path.dirname(os.path.dirname(os.path.abspath(rsheat.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "rsheat.cli", "--version"],
-                              capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path))
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
+
+
+# runs one command and prints its exit code and the numpy submodules it loaded
+_FOOTPRINT_CHILD = """
+import contextlib, io, json, sys
+from rsheat import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("numpy.random", "numpy.polynomial") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--theta", "pi/3", "--points", "4"],
+    ["eigen", "--theta", "pi/3", "--lambda-max", "100"],
+    ["ktheta", "--theta", "pi/3", "--points", "4"],
+    ["verify", "--quick"],
+], ids=lambda argv: argv[0])
+def test_commands_load_neither_numpy_random_nor_polynomial(argv):
+    # the Gauss-Legendre table and criterion 9's points are constants of
+    # the package: no command pays numpy.random's or numpy.polynomial's import
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_CHILD, *argv],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]

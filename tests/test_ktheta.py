@@ -264,6 +264,17 @@ class TestK1Smooth:
                 ref = mp_part(1000, bp.kappa, main=False)
                 assert abs(k1_smooth(1000.0, bp) - ref) <= 1e-13 * ref
 
+    def test_rows_keep_their_bits_in_any_block(self):
+        # each row sums along its own nodes: a time t <= 1 gives the same
+        # bits alone and in a block of any size, as t2_part's splits need
+        for theta in (0.0, 1.0, 2.4):
+            bp = BoundaryParam(theta)
+            for n in (1, 2, 3, 5, 8, 13, 21, 64):
+                ts = np.geomspace(1e-3, 0.9, n) if n > 1 else np.array([0.37])
+                block = k1_smooth(ts, bp)
+                assert [v.hex() for v in block] == [
+                    k1_smooth(t, bp).hex() for t in ts.tolist()], (theta, n)
+
     def test_bounded_no_growth(self, bp0):
         ts = np.linspace(0.0, 5.0, 26)
         vals = [abs(k1_smooth(float(t), bp0)) for t in ts]

@@ -3,6 +3,7 @@ log-tail rule that m_main and exotic_term share."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from rsheat import (
     m_main,
 )
 from rsheat.ktheta import _log_tail
+from rsheat.quadrature import _GLW_N, _GLW_W
 from rsheat.specfun import EULER_GAMMA, LN2
 
 
@@ -167,6 +169,34 @@ def test_split_is_one_call_with_the_panel_at_a_time_bits(panel_integrate):
             r = integrate(g, a, b, spec)
             assert _bits(r) == _bits(panel_integrate(f, a, b, spec))
             assert calls == [15] + [30] * ((r.evaluations - 15) // 30)
+
+
+def _legendre(n, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, in x's arithmetic."""
+    p0, p1 = 1, x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+def test_gauss_legendre_table_is_leggauss_frozen():
+    # the fixed rules' table is numpy's leggauss(16) output by hex; against
+    # the exact rule (Newton on P_16 at 40 digits) its nodes are correctly
+    # rounded, while leggauss' weights sit up to 63 ulp (4.4e-16) off
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert [v.hex() for v in _GLW_N] == [v.hex() for v in nodes]
+    assert [v.hex() for v in _GLW_W] == [v.hex() for v in weights]
+    assert np.array_equal(_GLW_N, -_GLW_N[::-1]) and np.array_equal(_GLW_W, _GLW_W[::-1])
+    with mp.workdps(40):
+        for x, w in zip(_GLW_N.tolist(), _GLW_W.tolist()):
+            r = mp.mpf(x)
+            for _ in range(4):
+                p, dp = _legendre(16, r)
+                r -= p / dp
+            p, dp = _legendre(16, r)
+            assert abs(p) < mp.mpf(10) ** -35
+            assert abs(x - r) <= 0.5 * math.ulp(x)
+            assert abs(w - 2 / ((1 - r * r) * dp * dp)) <= 5e-16
 
 
 def test_budget_exhaustion_carries_partial():
