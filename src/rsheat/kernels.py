@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, FitError, check_int, check_real, check_real_array
 from .quadrature import DEFAULT_SPEC, UNDERFLOW_U, QuadSpec, integrate
-from .specfun import EULER_GAMMA, LN2, bessel_i0_scaled, bessel_k0_scaled
+from .specfun import EULER_GAMMA, LN2, _k, bessel_i0_scaled
 
 _HALF_PI = 0.5 * math.pi
 
@@ -127,12 +127,13 @@ def q_diag(x, t):
 
     Q(x, t) = int_0^t nprime(x, t-s) nprime(x, s) ds.  In TrQ's variable,
     s = t u with u = (1 - tanh(v/2))/2, it is (x/2t) e^{-b} F(b), b = x^2/t,
-    F(b) = int_0^inf exp(-b sinh^2(v/2)) dv = e^{b/2} K0(b/2), one
-    ``bessel_k0_scaled`` value per entry: within 3.1e-16 of mpmath over b
-    in [1e-300, 1e5]; e^{-b} adds its condition number b eps.  b below
-    1e-300 is refused: b >= 1e-300 keeps x/t normal (a subnormal x/t needs
-    x < 4, so b < 1e-307), and the prefactor (x/2t) e^{-b} its relative
-    accuracy.
+    F(b) = int_0^inf exp(-b sinh^2(v/2)) dv = e^{b/2} K0(b/2), one scaled
+    K0 value per entry (``specfun._k``, bit for bit ``bessel_k0_scaled``,
+    whose argument check the one on b covers): within 3.1e-16 of mpmath
+    over b in [1e-300, 1e5]; e^{-b} adds its condition number b eps.  b
+    below 1e-300 is refused: b >= 1e-300 keeps x/t normal (a subnormal x/t
+    needs x < 4, so b < 1e-307), and the prefactor (x/2t) e^{-b} its
+    relative accuracy.
 
     ``x`` is a float, giving a float, or a 1-D array, giving an array of
     the same length; each entry equals its own scalar call.  (x/2t) e^{-b}
@@ -157,7 +158,7 @@ def q_diag(x, t):
     live = np.flatnonzero((x > 0.0) & (b < math.inf))
     if live.size:
         check_real(b[live].min(), "q_diag", "x^2/t", ">= 1e-300")
-        out[live] *= [bessel_k0_scaled(0.5 * v) for v in b[live].tolist()]
+        out[live] *= [_k(0, 0.5 * v, True) for v in b[live].tolist()]
     return out
 
 

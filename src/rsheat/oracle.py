@@ -19,22 +19,22 @@ tan(theta) to +inf, so there is one bound state iff tan(theta) < 0.  This
 is the interlacing of self-adjoint extensions with deficiency indices
 (1, 1) (the Herglotz property of the Weyl-Titchmarsh m-function).
 
-Each root is then one safeguarded Newton solve that never leaves its cell
-and ends at a 4-ulp step or a bracket 1e-10 wide (``_safe_newton``); a
-positive root costs one fused J0/Y0 evaluation per step on a bounded phase
-(``_phase``).  Newton starts within a few ulp of the root, so one step
-usually ends it.  An evaluation is a double-double series at r <= 2,
-one Horner pass of ``specfun``'s Taylor tables up to r = 16 and a Hankel
-sum above.  Below r = 16 the root of each of the cells (0, j_1), ...,
-(j_5, j_6) is a Hermite interpolant in a variable of tan(theta) alone,
-tabulated once per process from 12 or 24 evaluations per cell
-(``_seed_tables``).  Above
-r = 16 the start is the root of the asymptotic phase: 12 terms of the
-Hankel phase of J0 + i Y0 (DLMF 10.18.18), solved with no Bessel
-evaluation (``_phase_seed``).  S is formed as
-2 (tan(theta) J0 - c), c the regular part of Y0, and for mu <= 1 N as
-tan(theta) I0 + S2, S2 the regular part of K0, which keeps the eigenvalue
-nearest 0 of a tiny |tan(theta)| to full relative accuracy on either side.
+From j_6 up (every cell above r = 16) a positive root is the root of the
+asymptotic phase in closed form (``_phase_root``): 12 terms of the
+Hankel phase of J0 + i Y0 (DLMF 10.18.18) place it within 0.6 ulp, with
+no Bessel evaluation, no bracket and no fallback.  Below r = 16 it is one
+safeguarded Newton solve that never leaves its cell and ends at a 4-ulp
+step or a bracket 1e-10 wide (``_safe_newton``), at one fused J0/Y0
+evaluation per step on a bounded phase (``_phase``): a double-double
+series at r <= 2 and one Horner pass of ``specfun``'s Taylor tables up to
+r = 16.  Newton starts within a few ulp of the root, so one step usually
+ends it: the root of each of the cells (0, j_1), ..., (j_5, j_6) is a
+Hermite interpolant in a variable of tan(theta) alone, tabulated once per
+process from 12 or 24 evaluations per cell (``_seed_tables``).  S is
+formed as 2 (tan(theta) J0 - c), c the regular part of Y0, and for mu <= 1
+N as tan(theta) I0 + S2, S2 the regular part of K0, which keeps the
+eigenvalue nearest 0 of a tiny |tan(theta)| to full relative accuracy on
+either side.
 
 theta = 0 carries the eigenvalue 0 exactly: sqrt(x) log x is annihilated
 by the operator, satisfies the theta = 0 condition (c_plus = 0) and
@@ -56,6 +56,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from ._dd import two_prod
 from .errors import DomainError, InsufficientSpectrumError, check_int, check_real
 from .kernels import BoundaryParam
 from .specfun import (
@@ -72,6 +73,7 @@ from .specfun import (
 )
 
 _PI = math.pi
+_PI_LO = 1.2246467991473532e-16  # pi - _PI, to 16 digits
 _2_PI = 2.0 / math.pi
 LAMBDA_MAX_LIMIT = 1e10  # 31,831 eigenvalues; the zero table grows as sqrt(lambda_max)/pi
 _BRACKET_TOL = 1e-10  # relative bracket width that ends a Newton solve
@@ -322,52 +324,71 @@ _PHASE_COEFFS = (
     -360101552365.56555, 41687986318546.49)
 
 
+_D1, _D2, _D3, _D4, _D5, _D6, _D7, _D8, _D9, _D10, _D11, _D12 = _PHASE_COEFFS
+
+
 def _hankel_delta(r):
-    """delta(r) = theta_0(r) - r + pi/4 from its 12 asymptotic terms."""
+    """delta(r) = theta_0(r) - r + pi/4 from its 12 asymptotic terms, one
+    Horner pass written out."""
     w = 1.0 / (r * r)
-    s = 0.0
-    for d in reversed(_PHASE_COEFFS):
-        s = s * w + d
-    return s / r
+    return (((((((((((_D12 * w + _D11) * w + _D10) * w + _D9) * w + _D8) * w + _D7) * w
+                 + _D6) * w + _D5) * w + _D4) * w + _D3) * w + _D2) * w + _D1) / r
 
 
-def _phase_seed(lo, tan_theta):
-    """The root of the asymptotic phase in the cell above lo = j_k > 16.
+def _phase_root(lo, tan_theta):
+    """The eigenvalue in the cell (j_m^2, j_{m+1}^2) above lo = j_m >= 16.
 
-    theta_0(lo) = pi/2 mod pi and theta_0 = atan(L/pi) mod pi at the root,
-    so it is the fixed point of r = lo + pi/2 + atan(L(r)/pi) - (delta(r) -
-    delta(lo)).  Newton on it from the Hankel seed, with delta' taken as
-    1/(8 r^2), ends in three or four steps; r - lo is exact.
+    On the cell theta_0 runs over ((m - 1/2) pi, (m + 1/2) pi) and equals
+    m pi + atan(L/pi) at the root, so r is the fixed point of
+    r = (m + 1/4) pi + atan(L(r)/pi) - delta(r), which lies in the cell by
+    construction; m = round(lo/pi + 1/4), as j_m = (m - 1/4) pi + O(1/m).
+    (m + 1/4) pi = a_hi + a_lo is split exactly (``two_prod`` and pi's low
+    part), and Newton runs on the offset d = r - a_hi, with delta' taken as
+    1/(8 r^2): a_hi cancels from the equation exactly, and no Bessel
+    function is evaluated.  From the equation linearized at d = 0, with
+    delta(r) ~ -1/(8 r), it ends in two steps, three at most (98,000 cells
+    at 263 angles); after a step of at most 1e-12 less than 1e-17 is left,
+    as delta' is within 2e-6 of 1/(8 r^2).
+
+    The phase truncation is within 3e-16 of theta_0 from j_6 up, and the
+    equation's slope is at least 1 - 2/(18 pi) > 0.96, so r is within about
+    3.2e-16 plus the rounding of d.  lambda = a_hi^2 + 2 a_hi d + d^2, with
+    a_hi^2 split by ``two_prod``, is then within 0.5 ulp plus that.
     """
-    r = _hankel_seed(lo, tan_theta)[0]
-    delta_lo = _hankel_delta(lo)
+    k = round(lo / _PI + 0.25) + 0.25
+    a_hi, a_err = two_prod(k, _PI)
+    a_lo = a_err + k * _PI_LO
+    b = _2_PI * (math.log(0.5 * a_hi) + EULER_GAMMA + tan_theta)
+    d = (a_lo + math.atan(b) + 0.125 / a_hi) / (1.0 - _2_PI / (a_hi * (1.0 + b * b)))
     for _ in range(8):
+        r = a_hi + d
         b = _2_PI * (math.log(0.5 * r) + EULER_GAMMA + tan_theta)
-        g = (r - lo) - 0.5 * _PI - math.atan(b) + (_hankel_delta(r) - delta_lo)
-        step = g / (1.0 - _2_PI / (r * (1.0 + b * b)) + 0.125 / (r * r))
-        r -= step
-        if abs(step) <= 1e-15 * r:
+        step = ((d - a_lo - math.atan(b) + _hankel_delta(r))
+                / (1.0 - _2_PI / (r * (1.0 + b * b)) + 0.125 / (r * r)))
+        d -= step
+        if abs(step) <= 1e-12:
             break
-    return r
+    sq, sq_err = two_prod(a_hi, a_hi)
+    return sq + (sq_err + (2.0 * a_hi * d + d * d))
 
 
 def _cell_seed(lo, hi, tan_theta):
-    """Start in r for the cell (lo, hi): its seed table's root below r = 16,
-    the root of the asymptotic phase (``_phase_seed``) above; the midpoint
-    where that start is not inside the cell."""
-    table = _seed_tables().get(lo)
-    if table is None:
-        r = _phase_seed(lo, tan_theta)
-    else:
-        x = _seed_abscissa(lo, table[0], tan_theta)[0]
-        r = _hermite(x, table[1])
-        if lo == 0.0:
-            r = table[0] * math.sqrt(x * r)
+    """Start in r for the cell (lo, hi) below r = 16: its seed table's root,
+    or the midpoint where that is not inside the cell."""
+    hi_table, rows = _seed_tables()[lo]
+    x = _seed_abscissa(lo, hi_table, tan_theta)[0]
+    r = _hermite(x, rows)
+    if lo == 0.0:
+        r = hi_table * math.sqrt(x * r)
     return r if lo < r < hi else 0.5 * (lo + hi)
 
 
 def _positive_root(lo, hi, tan_theta):
-    """The eigenvalue in the interlacing cell (lo^2, hi^2)."""
+    """The eigenvalue in the interlacing cell (lo^2, hi^2): from the
+    asymptotic phase (``_phase_root``) from lo = j_6 up, by Newton on the
+    phase G below."""
+    if lo >= _SERIES_CUTOFF:
+        return _phase_root(lo, tan_theta)
     r = _safe_newton(lambda x: _phase(x, tan_theta), _cell_seed(lo, hi, tan_theta), lo, hi)
     return r * r
 
@@ -408,21 +429,21 @@ def _safe_newton(f, x, lo, hi):
 def eigenvalues(bp: BoundaryParam, lambda_max=4000.0):
     """All eigenvalues up to lambda_max, counted by interlacing.
 
-    The root count is fixed by theory, so each root gets one safeguarded
-    Newton solve (``_safe_newton``) and nothing is scanned.  S has sign
+    The root count is fixed by theory, so each root gets one solve and
+    nothing is scanned.  S has sign
     (-1)^k at j_k^2, so every cell between squared J0 zeros holds one root,
     and the partial cell ending at lambda_max holds one iff S changes sign
     across it.  S(0+) = 2 tan(theta) makes (0, j_1^2) a cell iff
     tan(theta) > 0.
 
-    A positive root is solved in r on the phase G (``_phase``): one fused
-    J0/Y0 evaluation per step, usually one per cell, as Newton starts from
-    the cell's seed table below r = 16 (built on the first call, from 132
-    evaluations) and from the asymptotic phase's root above.  Only an
-    evaluation at r <= 2 is a double-double series; up to r = 16 it is a
-    Taylor-table pass.  Besides the
-    solves, only the partial-cell test evaluates S; the residuals are
-    evaluated when read.  The bound state is
+    From j_6 up a positive root is the asymptotic phase's in closed form
+    (``_phase_root``), with no Bessel evaluation.  Below, it is solved in r
+    on the phase G (``_phase``): one fused J0/Y0 evaluation per step,
+    usually one per cell, as Newton starts from the cell's seed table
+    (built on the first call, from 132 evaluations).  Only an evaluation at
+    r <= 2 is a double-double series; up to r = 16 it is a Taylor-table
+    pass.  Besides the solves, only the partial-cell test evaluates S; the
+    residuals are evaluated when read.  The bound state is
     solved in v = log mu on h = v + kappa + K0/I0, h' = 1 - 1/I0^2.  As
     h = tan(theta) + S2/I0 with S2 = sum_k H_k (mu^2/4)^k/(k!)^2, and
     0 < S2 < (mu^2/4) I0, h < 0 at mu^2 = -4 tan(theta), while h = K0/I0 > 0

@@ -34,13 +34,9 @@ from .specfun import (
     bessel_i0_scaled,
     bessel_i1,
     bessel_i1_scaled,
-    bessel_j0,
-    bessel_j1,
     bessel_k0,
     bessel_k0_scaled,
     bessel_k1_scaled,
-    bessel_y0,
-    bessel_y1,
 )
 from .trace import full_trace, t1_reference, t1_y_outer, tn_trace
 
@@ -293,9 +289,11 @@ def criterion_9_specfun():
     to ``_SERIES_CUTOFF`` and (J_n, Y_n) from one ``_jy_asym(n, z)`` above.
     That is bit for bit what the public functions return, as they take the
     same path and I_n and J_n do not depend on ``regular``.  A dual-path
-    line compares each public J/Y value with one other path, relative to the
-    Hankel value: on [14, 16] the Taylor-table value with Hankel, above 16
-    the Hankel value with the series.
+    line compares each public J/Y value, taken the same way, with one other
+    path, relative to the Hankel value: on [14, 16] the Taylor-table value
+    with Hankel, above 16 the Hankel value with the series.  Each path runs
+    once per order and point there too, so the Hankel pair of an order
+    serves both of its lines.
 
     The Wronskian points are ``_WRONSKIAN_POINTS``: the golden-ratio
     sequence on log z over [0.02, 60], so each path takes a fixed share of
@@ -330,14 +328,16 @@ def criterion_9_specfun():
     r.add("max |(pi z/2)(J1 Y0 - J0 Y1) - 1| over 100 points", worst_jy, 1e-10)
 
     overlap = [float(z) for z in np.linspace(14.0, 18.0, 17)]
-    public = {"j0": (bessel_j0, 0, 0), "y0": (bessel_y0, 0, 1),
-              "j1": (bessel_j1, 1, 0), "y1": (bessel_y1, 1, 1)}
-    dual = dict.fromkeys(public, 0.0)
+    names = ("j0", "y0", "j1", "y1")
+    dual = dict.fromkeys(names, 0.0)
     for z in overlap:
         tables = z <= _SERIES_CUTOFF  # the public path; the Hankel value divides
-        other = [(_jy_asym if tables else _jy_series)(n, z) for n in (0, 1)]
-        for name, (f, n, k) in public.items():
-            v, o = f(z), other[n][k]
+        hankel = [v for n in (0, 1) for v in _jy_asym(n, z)]  # J0, Y0, J1, Y1
+        if tables:
+            public, other = _jy_taylor(z), hankel
+        else:
+            public, other = hankel, [v for n in (0, 1) for v in _jy_series(n, z)[:2]]
+        for name, v, o in zip(names, public, other):
             dual[name] = max(dual[name], abs(v - o) / max(1.0, abs(o if tables else v)))
     for name, w in dual.items():
         r.add(f"dual-path agreement {name} on [14, 18]", w, 1e-11)

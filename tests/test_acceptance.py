@@ -121,7 +121,10 @@ def test_criterion_9_evaluation_budget(monkeypatch):
     # and point made 302, and one Taylor-table call for both orders at a
     # Wronskian point in (2, 16] makes fewer.  The I/K series runs once per
     # order at a Wronskian point up to 16: at z <= 1 the four public calls
-    # ran it four times, twice for each order, and fail this test.
+    # ran it four times, twice for each order, and fail this test.  A
+    # dual-path point on [14, 18] likewise takes one J/Y evaluation per path
+    # and order: four public calls reran the Taylor pass 4x at z <= 16 and
+    # each Hankel pass 2x above, and fail this test.
     from rsheat import specfun
     verify.criterion_9_specfun()  # builds the Taylor rows, outside the count
     calls = []
@@ -140,10 +143,16 @@ def test_criterion_9_evaluation_budget(monkeypatch):
     # the dual-path lines' points, not Wronskian points
     others = {float(z) for z in np.concatenate([np.linspace(14.0, 18.0, 17),
                                                 np.linspace(0.4, 1.0, 13)])}
-    per_point = {}
+    per_point, overlap = {}, {}
     for z, name in calls:
         if z not in others:
             per_point.setdefault(z, []).append(name)
+        elif 14.0 <= z and name != "_ik_series":
+            overlap.setdefault(z, []).append(name)
+    assert len(overlap) == 17
+    for z, names in overlap.items():
+        other = "_jy_taylor" if z <= 16.0 else "_jy_series"
+        assert sorted(names) == sorted(["_jy_asym"] * 2 + [other] * (1 if z <= 16.0 else 2)), z
     assert len(per_point) == 100  # the Wronskian points
     for z, names in per_point.items():
         jy = [name for name in names if name != "_ik_series"]

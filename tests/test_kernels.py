@@ -236,8 +236,9 @@ class TestQDiag:
     def test_fixed_rules_in_criteria_1_2_7(self):
         # criteria 1, 2 and 7 are fixed Gauss-Legendre sums, which run no
         # adaptive integral, and q_diag takes one K0 value per live entry
+        # (from specfun's K dispatch: q_diag has checked b itself)
         watched = {quadrature.integrate.__code__: "integrate",
-                   specfun.bessel_k0_scaled.__code__: "k0"}
+                   specfun._k.__code__: "k0"}
         calls = Counter()
 
         def profile(frame, event, arg):

@@ -1,5 +1,6 @@
 """Spectral oracle: secular functions, interlacing counts, trace sums."""
 
+import functools
 import io
 import math
 import os
@@ -230,17 +231,20 @@ class TestEigenvalues:
         assert abs(ev + a * a) <= 1e-13 * a * a
 
     def test_phase_newton_evaluation_budget(self, monkeypatch):
-        # fused J0/Y0 evaluations per interlacing-cell solve.  Below r = 16 a
-        # seed table's root, above it the asymptotic phase's root, is within
-        # 4 ulp, so a solve mostly ends after one evaluation.
+        # Bessel evaluations per interlacing-cell solve.  Below r = 16 a seed
+        # table's root is within 4 ulp, so a solve mostly ends after one
+        # fused J0/Y0 evaluation; from j_6 up the root is the asymptotic
+        # phase's, which evaluates none.
         oracle._seed_tables()  # built here, outside the counted solves
-        fused, solve = oracle._j0_y0_fused, oracle._positive_root
+        solve = oracle._positive_root
         calls = [0]
         tabled, hankel = [], []
 
-        def counting_fused(z):
-            calls[0] += 1
-            return fused(z)
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
         def delimited_solve(lo, hi, tan_theta):
             before = calls[0]
@@ -248,7 +252,9 @@ class TestEigenvalues:
             (tabled if lo < 16.0 else hankel).append(calls[0] - before)
             return out
 
-        monkeypatch.setattr(oracle, "_j0_y0_fused", counting_fused)
+        for name in ("_j0_y0_fused", "_ik_series", "bessel_i0_scaled", "bessel_j0",
+                     "bessel_j1", "bessel_k0_scaled"):
+            monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
         monkeypatch.setattr(oracle, "_positive_root", delimited_solve)
         for theta in ANGLES:
             eigenvalues(BoundaryParam(theta), lambda_max=4000.0)
@@ -256,8 +262,7 @@ class TestEigenvalues:
         assert len(per_cell) >= 9 * 19
         assert len(tabled) >= 9 * 5
         assert sum(tabled) <= 1.2 * len(tabled)
-        assert sum(hankel) <= 1.2 * len(hankel)
-        assert max(hankel) <= 2
+        assert max(hankel) == 0
         assert max(per_cell) <= 12
 
     def test_residual_certification(self, bp_quarter):
@@ -546,6 +551,74 @@ def test_phase_coefficients_are_the_hankel_phase_series():
             assert abs(oracle._hankel_delta(r) - delta) <= 3e-16, r
 
 
+def _mpmath_eigenvalue(ev, theta):
+    """The root of S nearest ev at dps 40: two Newton steps in r on
+    (2 log r + 2 kappa) J0 - pi Y0 from sqrt(ev), kappa formed in mpmath."""
+    with mp.workdps(40):
+        kappa = mp.euler - mp.log(2) + mp.tan(mp.mpf(theta))
+        r = mp.sqrt(mp.mpf(ev))
+        for _ in range(2):
+            ell = 2 * (mp.log(r) + kappa)
+            j0, j1 = mp.besselj(0, r), mp.besselj(1, r)
+            y0, y1 = mp.bessely(0, r), mp.bessely(1, r)
+            r -= (ell * j0 - mp.pi * y0) / (2 * j0 / r - ell * j1 + mp.pi * y1)
+        return r * r
+
+
+def test_phase_roots_are_within_an_ulp_of_mpmath():
+    # from j_6 up each eigenvalue is the asymptotic phase's root in closed
+    # form: the phase's truncation (3e-16) and the rounding of d = r - a_hi
+    # keep lambda within 0.6 ulp, next to the Friedrichs angle too, where the
+    # root lies within 2e-15 of the cell's upper edge
+    j6 = j0_zeros(6)[-1]
+    errors = []
+    for theta in (math.pi / 2 - 1e-15, 1.0, 2.4):
+        for ev in eigenvalues(BoundaryParam(theta), lambda_max=4000.0).eigenvalues:
+            if ev > j6 * j6:
+                ref = _mpmath_eigenvalue(ev, theta)
+                errors.append(float(abs(mp.mpf(ev) - ref)) / math.ulp(ev))
+    assert len(errors) >= 40
+    assert max(errors) <= 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_j0_zero_squares(n):
+    """j_1^2, ..., j_n^2 at dps 30: one Newton step on J0 from each of
+    ``j0_zeros``, which are within about an ulp; not the table's own
+    squares, which can miss j_k^2 by 2 ulp."""
+    with mp.workdps(30):
+        out = []
+        for z in j0_zeros(n):
+            z = mp.mpf(z)
+            out.append((z + mp.besselj(0, z) / mp.besselj(1, z)) ** 2)
+        return tuple(out)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2 - 1e-15, math.pi / 2 - 1e-8,
+                                   math.pi / 2 + 1e-4, 3.1])
+def test_phase_roots_lie_in_their_cells(theta):
+    # the branch m = round(j_m/pi + 1/4) keeps theta_0 in the cell's
+    # ((m - 1/2) pi, (m + 1/2) pi), so each root lies in its closed cell
+    # (j_m^2, j_{m+1}^2) with no fallback, to within its rounding: next to
+    # the Friedrichs angle the root lies within 2e-15 of j_{m+1} in r, and
+    # well within an ulp of j_{m+1}^2 in lambda.  The cells are solved one
+    # by one, as the bound state of tan(theta) = -1e4 overflows a spectrum's.
+    lambda_max = 1e6
+    zeros = [z for z in j0_zeros(int(math.sqrt(lambda_max) / math.pi) + 3)
+             if z * z <= lambda_max]
+    squares = _mpmath_j0_zero_squares(len(zeros))
+    tan_theta = math.tan(theta)
+    roots = [oracle._positive_root(lo, hi, tan_theta) for lo, hi in zip(zeros[5:-1], zeros[6:])]
+    for lo, hi, lam in zip(squares[5:], squares[6:], roots):
+        assert lo - math.ulp(lam) <= lam <= hi + math.ulp(lam), lam
+    assert all(a < b for a, b in zip(roots, roots[1:]))
+    if theta < math.pi / 2:
+        evs = eigenvalues(BoundaryParam(theta), lambda_max=lambda_max).eigenvalues
+        assert all(a < b for a, b in zip(evs, evs[1:]))
+        upper = [ev for ev in evs if ev >= zeros[5] ** 2]
+        assert upper[:len(roots)] == roots
+
+
 def test_eigenvalues_evaluates_no_bessel_outside_the_solves(monkeypatch):
     # each root's evaluations are its solve's; the one other fused J0/Y0
     # call is S(lambda_max), which decides the partial cell.  The residuals
@@ -624,11 +697,11 @@ def test_resolvent_trace_certificate(theta):
     # is overestimated by 1.8-2.0 % (m = 2) and 3.0-3.3 % (m = 3), because
     # each root lies above its cell's midpoint.  The tail starts at
     # lambda_max, not at the spectrum found: the partial cell holding
-    # lambda_max joins it iff its root's Hankel-phase position
-    # (``_phase_seed``, within 4 ulp of the root) lies past lambda_max.  So a
-    # root lost or added below lambda_max, the partial cell's included,
-    # moves the ratio by at least 4.8 % (m = 2), and Hankel seeds taken as
-    # roots (no Newton above r = 16) move it past the bound.
+    # lambda_max joins it iff its root (``_phase_root``, the asymptotic
+    # phase's, within an ulp) lies past lambda_max.  So a root lost or added
+    # below lambda_max, the partial cell's included, moves the ratio by at
+    # least 4.8 % (m = 2), and one-term Hankel seeds (``_hankel_seed``)
+    # taken as roots above r = 16 move it past the bound.
     lambda_max = 4e4
     evs = eigenvalues(BoundaryParam(theta), lambda_max=lambda_max).eigenvalues
     z = 5.0 if evs[0] >= 0.0 else 2.0 * abs(evs[0]) + 5.0  # a bound state at 2.4
@@ -636,8 +709,8 @@ def test_resolvent_trace_certificate(theta):
     zeros = j0_zeros(int(math.sqrt(lambda_max) / math.pi) + 3)
     # the partial cell (zeros[p], zeros[p + 1]) holds sqrt(lambda_max)
     p = sum(1 for zk in zeros if zk * zk <= lambda_max) - 1
-    root = oracle._phase_seed(zeros[p], math.tan(theta))
-    k0 = p if root * root > lambda_max else p + 1  # the first cell whose root lies past lambda_max
+    root = oracle._phase_root(zeros[p], math.tan(theta))
+    k0 = p if root > lambda_max else p + 1  # the first cell whose root lies past lambda_max
     # McMahon's midpoints of (j_{k+1}, j_{k+2}), then the cells past them as an integral
     mids = (np.arange(k0, k0 + 2000) + 1.25) * math.pi
     for m, exact in ((2, -second), (3, third / 2)):
